@@ -309,7 +309,33 @@ def validate_config(cfg: dict) -> dict:
                     raise ConfigError(f"unknown key: {sec}.{key}")
     if "seed" not in cfg and name not in ("assumptions", "integrate", "pde-table", "localization-error"):
         raise ConfigError("missing required key: seed")
+    if name == "linear-bsde":
+        _closed_form_alpha(cfg)
     return cfg
+
+
+# coupling g(y) = alpha y of the linear problems the closed form covers
+_LINEAR_COUPLINGS = {"zero": 0.0, "identity": 1.0}
+
+
+def _closed_form_alpha(cfg: dict) -> float:
+    """The alpha of linear_closed_form for a linear-bsde config; rejects the
+    generators and couplings it does not cover."""
+    bc = cfg.get("bsde", {})
+    names = {}
+    for key in ("generator", "coupling"):
+        sec = bc.get(key, {}) if isinstance(bc, dict) else None
+        if not isinstance(sec, dict):
+            raise ConfigError(f"bsde.{key}: expected an object")
+        names[key] = sec.get("name", "zero")
+    generator, coupling = names["generator"], names["coupling"]
+    if generator != "zero":
+        raise ConfigError(f"bsde.generator: the closed form needs 'zero', got '{generator}'")
+    if coupling not in _LINEAR_COUPLINGS:
+        raise ConfigError(
+            f"bsde.coupling: the closed form needs one of {sorted(_LINEAR_COUPLINGS)}, got '{coupling}'"
+        )
+    return _LINEAR_COUPLINGS[coupling]
 
 
 # -------------------------------------------------------------- experiments
@@ -409,7 +435,7 @@ def _bsde_ingredients(cfg, seed):
 def _run_linear_bsde(cfg, seed):
     spec, ens, basis, picard, fld = _bsde_ingredients(cfg, seed)
     sol = backward_solve(spec, ens, basis=basis, picard=picard)
-    ref = linear_closed_form(ens, fld, spec.terminal, alpha=1.0)
+    ref = linear_closed_form(ens, fld, spec.terminal, alpha=_closed_form_alpha(cfg))
     combined = float(np.sqrt(sol.y0_se[0] ** 2 + ref.se[0] ** 2))
     diff = float(abs(sol.y0[0] - ref.y0[0]))
     rows = [

@@ -113,6 +113,11 @@ class DriverField:
 
         Returns shape (M,) for scalar input, else (k, M).
         """
+        return self._pointwise(self._evaluate, t, x)
+
+    def _pointwise(self, kernel, t, x) -> np.ndarray:
+        # the argument shapes evaluate accepts, normalized to t (k,) and
+        # x (k, d) for a kernel returning (k, M)
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         x_arr = np.asarray(x, dtype=float)
         scalar = np.isscalar(t) or np.asarray(t).ndim == 0
@@ -127,10 +132,16 @@ class DriverField:
             t_arr = np.full(x_arr.shape[0], t_arr[0])
         if x_arr.shape[0] == 1 and t_arr.size > 1:
             x_arr = np.repeat(x_arr, t_arr.size, axis=0)
-        out = self._evaluate(t_arr, x_arr)
+        out = kernel(t_arr, x_arr)
         if scalar and out.shape[0] == 1:
             return out[0]
         return out
+
+    def increment(self, t0: float, t1: float, x) -> np.ndarray:
+        """eta(t1, x) - eta(t0, x) at points x (k, d) for one pair of times;
+        returns (k, M)."""
+        ones = np.ones(len(x))
+        return self.evaluate(t1 * ones, x) - self.evaluate(t0 * ones, x)
 
     def _evaluate(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -159,33 +170,18 @@ class AnalyticField(DriverField):
         self._dt_fn = dt_fn
         self.name = name
 
-    def _raw(self, t, x):
-        out = np.asarray(self._fn(t, x), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return out
+    @staticmethod
+    def _columns(fn, t, x):
+        out = np.asarray(fn(t, x), dtype=float)
+        return out[:, None] if out.ndim == 1 else out
 
     def _evaluate(self, t, x):
-        return self._raw(t, x) - self._raw(np.zeros_like(t), x)
+        return self._columns(self._fn, t, x) - self._columns(self._fn, np.zeros_like(t), x)
 
     def time_derivative(self, t, x):
         if self._dt_fn is None:
             raise NotImplementedError("analytic field built without dt_fn")
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        x_arr = np.asarray(x, dtype=float)
-        scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-        if x_arr.ndim == 1 and x_arr.size == self.dim and scalar:
-            x_arr = x_arr[None, :]
-        elif x_arr.ndim == 1:
-            x_arr = x_arr[:, None]
-        if t_arr.size == 1 and x_arr.shape[0] > 1:
-            t_arr = np.full(x_arr.shape[0], t_arr[0])
-        out = np.asarray(self._dt_fn(t_arr, x_arr), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        if scalar and out.shape[0] == 1:
-            return out[0]
-        return out
+        return self._pointwise(lambda s, y: self._columns(self._dt_fn, s, y), t, x)
 
 
 def _fbm_cov(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -363,19 +359,7 @@ class MollifiedField(DriverField):
         return self._convolve(t, x, self._w)
 
     def time_derivative(self, t, x):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        x_arr = np.asarray(x, dtype=float)
-        scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-        if x_arr.ndim == 1 and x_arr.size == self.dim and scalar:
-            x_arr = x_arr[None, :]
-        elif x_arr.ndim == 1:
-            x_arr = x_arr[:, None]
-        if t_arr.size == 1 and x_arr.shape[0] > 1:
-            t_arr = np.full(x_arr.shape[0], t_arr[0])
-        out = self._convolve(t_arr, x_arr, self._wd)
-        if scalar and out.shape[0] == 1:
-            return out[0]
-        return out
+        return self._pointwise(lambda s, y: self._convolve(s, y, self._wd), t, x)
 
     @staticmethod
     def mollifier_mass(n_nodes: int = 64) -> float:

@@ -49,12 +49,6 @@ class FlowMatrix:
     def dim(self) -> int:
         return self.matrices.shape[-1]
 
-    def at(self, s: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.tail - s)))
-        if abs(self.tail[j] - s) > 1e-10 * max(1.0, self.tail[-1]):
-            raise ValueError("misaligned interval")
-        return self.matrices[j]
-
     def segment(self, a: float, b: float) -> np.ndarray:
         """G_b^a for grid-aligned base_time <= a <= b, product of step factors."""
         if self.step_factors is None:

@@ -17,6 +17,7 @@ __all__ = [
     "SamplePath",
     "ControlValue",
     "p_variation",
+    "p_variation_paths",
     "p_variation_brute_force",
     "holder_norm",
     "uniform_norm",
@@ -152,23 +153,33 @@ def _increment_matrix_row(v: np.ndarray, j: int) -> np.ndarray:
     return np.sqrt(np.sum(d * d, axis=1))
 
 
-def p_variation(path: SamplePath, p: float, interval=None) -> float:
-    """Exact grid p-variation, sup over all sub-partitions of the grid.
+def p_variation_paths(values: np.ndarray, p: float) -> np.ndarray:
+    """Exact grid p-variation of each of k paths sampled on one grid.
 
-    Dynamic programme V(j) = max_{i<j} V(i) + |g_j - g_i|^p, O(n^2).
-    For p = 1 this is the total variation over the grid.
+    values has shape (k, n) for scalar paths or (k, n, d); increments are
+    Euclidean.  Dynamic programme V(j) = max_{i<j} V(i) + |g_j - g_i|^p,
+    O(n^2) and vectorised over the paths.  Returns shape (k,).
     """
     if p < 1:
         raise ValueError("invalid exponent")
-    ia, ib = _slice_indices(path.grid, interval)
-    v = path.values[ia : ib + 1]
-    n = v.shape[0]
-    if n < 2:
-        return 0.0
-    best = np.zeros(n)
+    v = np.asarray(values, dtype=float)
+    k, n = v.shape[:2]
+    best = np.zeros((k, n))
     for j in range(1, n):
-        best[j] = np.max(best[:j] + _increment_matrix_row(v, j) ** p)
-    return float(best[-1] ** (1.0 / p))
+        d = v[:, j : j + 1] - v[:, :j]
+        inc = np.abs(d) if d.ndim == 2 else np.sqrt(np.sum(d * d, axis=2))
+        best[:, j] = np.max(best[:, :j] + inc**p, axis=1)
+    return best[:, -1] ** (1.0 / p)
+
+
+def p_variation(path: SamplePath, p: float, interval=None) -> float:
+    """Exact grid p-variation, sup over all sub-partitions of the grid.
+
+    The one-path case of p_variation_paths.  For p = 1 this is the total
+    variation over the grid.
+    """
+    ia, ib = _slice_indices(path.grid, interval)
+    return float(p_variation_paths(path.values[None, ia : ib + 1], p)[0])
 
 
 def p_variation_brute_force(path: SamplePath, p: float, interval=None) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
-from scipy.stats import linregress
 
 from .bsde import (
     BsdeSpec,
@@ -126,8 +126,6 @@ class PdeSolution:
     dx: float
 
     def value_at(self, t: float, x) -> float:
-        from scipy.interpolate import RegularGridInterpolator
-
         interp = RegularGridInterpolator(
             (self.times, *self.axes), self.u, method="linear", bounds_error=True
         )
@@ -476,10 +474,13 @@ def localization_error_experiment(
     for n in n_list:
         diffs = [abs(sols[n].value_at(t, x) - sols[n_max].value_at(t, x)) for t, x in points]
         rows.append({"n": float(n), "max_diff": float(np.max(diffs))})
-    ns = np.array([r["n"] for r in rows])
-    ds = np.array([max(r["max_diff"], 1e-300) for r in rows])
-    fit = linregress(ns**2, np.log(ds))
-    return {"rows": rows, "slope": float(fit.slope), "r_squared": float(fit.rvalue**2)}
+    # least-squares line through (n^2, log diff)
+    u = np.array([r["n"] for r in rows]) ** 2
+    v = np.log([max(r["max_diff"], 1e-300) for r in rows])
+    u, v = u - u.mean(), v - v.mean()
+    suv, suu, svv = u @ v, u @ u, v @ v
+    r_squared = suv**2 / (suu * svv) if svv > 0 else 0.0
+    return {"rows": rows, "slope": float(suv / suu), "r_squared": float(r_squared)}
 
 
 def neumann_fk_estimate(
@@ -517,10 +518,6 @@ def neumann_fk_estimate(
     times = np.linspace(0.0, horizon, n_steps + 1)
     integral = np.zeros(n_paths)
     for j in range(n_steps):
-        xj = x[:, j][:, None]
-        d_eta = shifted.evaluate(np.full(n_paths, times[j + 1]), xj) - shifted.evaluate(
-            np.full(n_paths, times[j]), xj
-        )
-        integral += d_eta[:, 0]
+        integral += shifted.increment(times[j], times[j + 1], x[:, j][:, None])[:, 0]
     vals = np.asarray(h(x[:, -1]), dtype=float) * np.exp(integral)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))

@@ -133,6 +133,23 @@ class TestBackwardSolve:
         assert len(sol.halvings) > 0
         assert np.all(np.isfinite(sol.y))
 
+    def test_localized_halving_rescues_marginal_contraction(self):
+        # the halving problem above, stopped at |X| = 1 so that steps run on
+        # part of the paths; the localized solve halves as the plain one does
+        fwd, ens = bm_ensemble(300, 8, seed=7)
+
+        def gen(t, x, y, z):
+            return -9.0 * y
+
+        spec = make_spec(
+            fwd, time_field(), gen, zero_coupling,
+            terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
+        )
+        assert np.any(exit_indices(ens, 1.0) < ens.grid.n - 1)
+        sol = localized_solve(spec, ens, 1.0, picard=PicardParams(max_iter=10, tol=1e-10))
+        assert len(sol.halvings) > 0
+        assert np.all(np.isfinite(sol.y))
+
     def test_no_contraction_error(self):
         fwd, ens = bm_ensemble(200, 4, seed=8)
 
@@ -159,6 +176,21 @@ class TestBackwardSolve:
             sol = backward_solve(spec, ens)
             y0s.append(sol.y0[0])
         assert abs(y0s[2] - y0s[1]) < abs(y0s[1] - y0s[0])
+
+
+class TestRegression:
+    def test_in_span_target_reproduced_at_degree_15(self):
+        # the Gram matrix has condition number ~1e9 here; the fit must not
+        # lose those digits to an explicit inverse
+        from youngbsde.bsde import _Fit
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((10_000, 1))
+        basis = RegressionBasis(degree=15, ridge=0.0)
+        design = basis.design(x)
+        target = design @ rng.standard_normal(design.shape[1])
+        got = _Fit(basis, x).fit(target)
+        assert np.max(np.abs(got - target)) <= 1e-10 * np.max(np.abs(target))
 
 
 class TestTerminals:
@@ -260,7 +292,9 @@ class TestLocalized:
         )
         plain = backward_solve(spec, ens)
         local = localized_solve(spec, ens, np.inf)
-        np.testing.assert_allclose(local.y, plain.y, atol=1e-12)
+        np.testing.assert_array_equal(local.y, plain.y)
+        np.testing.assert_array_equal(local.z, plain.z)
+        assert local.halvings == plain.halvings
 
     def test_deterministic_exit(self):
         fwd = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0], bound=1.5, name="ramp")
@@ -386,9 +420,9 @@ class TestDiagnostics:
         )
         d = diagnostics(sol, ens, p=2.5, k_mom=2.0, times=[0.0])
         _, fresh = bm_ensemble(1500, 64, seed=29)
-        from youngbsde.bsde import _pvar_suffix
+        from youngbsde.paths import p_variation_paths
 
-        oracle = np.sqrt(np.mean(_pvar_suffix(fresh.x[:, :, 0], 2.5) ** 2))
+        oracle = np.sqrt(np.mean(p_variation_paths(fresh.x[:, :, 0], 2.5) ** 2))
         assert abs(d["m_pk"] - oracle) / oracle <= 0.2
 
 

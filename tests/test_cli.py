@@ -110,6 +110,33 @@ class TestCliRuns:
         assert main(["run", str(p), "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
+    def test_linear_bsde_zero_coupling_passes(self, tmp_path):
+        cfg = {
+            "experiment": "linear-bsde",
+            "seed": 11,
+            "paths": 500,
+            "forward": {"steps": 16},
+            "bsde": {"coupling": {"name": "zero"}},
+        }
+        p = write_cfg(tmp_path, cfg)
+        out = tmp_path / "lz"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        assert "within 3 combined se: PASS" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "bsde, key",
+        [
+            ({"coupling": {"name": "sin"}}, "bsde.coupling"),
+            ({"generator": {"name": "linear-y"}}, "bsde.generator"),
+        ],
+    )
+    def test_linear_bsde_rejects_uncovered_problem(self, tmp_path, capsys, bsde, key):
+        cfg = {"experiment": "linear-bsde", "seed": 11, "paths": 100, "bsde": bsde}
+        p = write_cfg(tmp_path, cfg)
+        assert main(["check", str(p)]) == 2
+        assert main(["run", str(p), "--out", str(tmp_path / "lr")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_manifest_roundtrip(self, tmp_path):
         cfg = {
             "experiment": "localize",
