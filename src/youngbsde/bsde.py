@@ -20,14 +20,16 @@ martingale of the Girsanov integrand.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .driver import DriverField
 from .forward import PathEnsemble, SdeSpec, exit_indices, step_normals
-from .paths import p_variation_paths
+from .paths import p_variation_paths, write_csv
 
 __all__ = [
     "RegressionBasis",
@@ -645,33 +647,24 @@ def save_solution(
 ) -> None:
     """CSV export (path, t, Y_1..Y_N, Z_11..Z_Nd) plus a JSON run manifest
     carrying the spec hash, seed, basis, tolerances, and residual trace."""
-    import csv as _csv
-    import json as _json
-    from pathlib import Path as _Path
-
-    prefix = _Path(prefix)
-    k, n, nn = solution.y.shape
-    d = solution.z.shape[-1]
+    prefix = Path(prefix)
+    y, z = solution.y, solution.z
+    k, n, nn = y.shape
+    d = z.shape[-1]
     k_out = k if max_paths is None else min(k, max_paths)
-    with open(prefix.with_suffix(".csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\r\n")
-        header = ["path", "t"] + [f"Y{a+1}" for a in range(nn)] + [
-            f"Z{a+1}{b+1}" for a in range(nn) for b in range(d)
-        ]
-        writer.writerow(header)
-        for p_idx in range(k_out):
-            for j, t in enumerate(solution.grid_points):
-                row = [p_idx, f"{t:.17g}"]
-                row += [f"{solution.y[p_idx, j, a]:.17g}" for a in range(nn)]
-                if j < n - 1:
-                    row += [
-                        f"{solution.z[p_idx, j, a, b]:.17g}"
-                        for a in range(nn)
-                        for b in range(d)
-                    ]
-                else:
-                    row += [""] * (nn * d)
-                writer.writerow(row)
+    header = ["path", "t"] + [f"Y{a+1}" for a in range(nn)] + [
+        f"Z{a+1}{b+1}" for a in range(nn) for b in range(d)
+    ]
+    no_z = [""] * (nn * d)  # Z is not defined at the terminal time
+    write_csv(
+        prefix.with_suffix(".csv"),
+        header,
+        (
+            [p_idx, t, *y[p_idx, j], *(z[p_idx, j].ravel() if j < n - 1 else no_z)]
+            for p_idx in range(k_out)
+            for j, t in enumerate(solution.grid_points)
+        ),
+    )
     manifest = {
         "spec_hash": solution.spec_hash,
         "seed": seed,
@@ -687,7 +680,7 @@ def save_solution(
         ],
         "halvings": [int(i) for i in solution.halvings],
     }
-    prefix.with_suffix(".json").write_text(_json.dumps(manifest, indent=2))
+    prefix.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
 
 
 def diagnostics(

@@ -15,7 +15,6 @@ YOUNGBSDE_OUT sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -51,7 +50,7 @@ from .driver import (
 )
 from .flow import exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
-from .paths import SamplePath, TimeGrid
+from .paths import SamplePath, TimeGrid, write_csv
 from .pde import (
     PdeSpec,
     feynman_kac_cross_check,
@@ -237,7 +236,7 @@ PDE_COUPLINGS = {
 def build_pde_spec(cfg: dict, fieldv) -> PdeSpec:
     return PdeSpec(
         halfwidth=cfg.get("halfwidth", 2.0),
-        dim=cfg.get("dim", 1),
+        dim=int(cfg.get("dim", 1)),
         horizon=cfg.get("horizon", 0.5),
         terminal=PDE_TERMINALS[cfg.get("terminal", "cos")],
         sigma=cfg.get("sigma", 1.0),
@@ -309,8 +308,21 @@ def validate_config(cfg: dict) -> dict:
                     raise ConfigError(f"unknown key: {sec}.{key}")
     if "seed" not in cfg and name not in ("assumptions", "integrate", "pde-table", "localization-error"):
         raise ConfigError("missing required key: seed")
+    if "bsde" in _SCHEMA[name]:
+        bc = cfg.get("bsde", {})
+        for key in ("terminal", "generator", "coupling"):
+            if not isinstance(bc, dict) or not isinstance(bc.get(key, {}), dict):
+                raise ConfigError(f"bsde.{key}: expected an object")
     if name == "linear-bsde":
         _closed_form_alpha(cfg)
+    if name == "localization-error" and "n_list" in cfg:
+        n_list = cfg["n_list"]
+        numbers = isinstance(n_list, list) and all(isinstance(n, (int, float)) for n in n_list)
+        if not numbers or len(set(n_list)) < 2:
+            raise ConfigError("n_list: expected at least two distinct box half-widths")
+    pde = cfg.get("pde", {})
+    if isinstance(pde, dict) and pde.get("dim", 1) not in (1, 2):
+        raise ConfigError(f"pde.dim: expected 1 or 2, got {pde['dim']!r}")
     return cfg
 
 
@@ -319,16 +331,12 @@ _LINEAR_COUPLINGS = {"zero": 0.0, "identity": 1.0}
 
 
 def _closed_form_alpha(cfg: dict) -> float:
-    """The alpha of linear_closed_form for a linear-bsde config; rejects the
-    generators and couplings it does not cover."""
+    """The alpha of linear_closed_form for a validated linear-bsde config;
+    rejects the generators and couplings it does not cover."""
     bc = cfg.get("bsde", {})
-    names = {}
-    for key in ("generator", "coupling"):
-        sec = bc.get(key, {}) if isinstance(bc, dict) else None
-        if not isinstance(sec, dict):
-            raise ConfigError(f"bsde.{key}: expected an object")
-        names[key] = sec.get("name", "zero")
-    generator, coupling = names["generator"], names["coupling"]
+    generator, coupling = (
+        bc.get(key, {}).get("name", "zero") for key in ("generator", "coupling")
+    )
     if generator != "zero":
         raise ConfigError(f"bsde.generator: the closed form needs 'zero', got '{generator}'")
     if coupling not in _LINEAR_COUPLINGS:
@@ -650,21 +658,11 @@ _NUMERIC_FAILURES = (
 )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def write_results(rows: list[dict], path: Path) -> None:
     if not rows:
         rows = [{"empty": True}]
     fields = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row.get(f, "")) for f in fields])
+    write_csv(path, fields, ([row.get(f, "") for f in fields] for row in rows))
 
 
 def run_config(cfg: dict, out_dir: Path) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .paths import SamplePath, TimeGrid
+from .paths import SamplePath, TimeGrid, write_csv
 
 __all__ = [
     "SdeSpec",
@@ -213,13 +213,14 @@ def save_ensemble(ensemble: PathEnsemble, prefix: str | Path, paths_csv: int = 0
     }
     prefix.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
     if paths_csv > 0:
-        lines = ["t," + ",".join(f"path{i}_x{a}" for i in range(paths_csv) for a in range(ensemble.dim))]
-        for j, t in enumerate(ensemble.grid.points):
-            row = [f"{t:.17g}"]
-            for i in range(paths_csv):
-                row += [f"{ensemble.x[i, j, a]:.17g}" for a in range(ensemble.dim)]
-            lines.append(",".join(row))
-        prefix.with_suffix(".csv").write_text("\r\n".join(lines) + "\r\n")
+        write_csv(
+            prefix.with_suffix(".csv"),
+            ["t"] + [f"path{i}_x{a}" for i in range(paths_csv) for a in range(ensemble.dim)],
+            (
+                [t, *ensemble.x[np.arange(paths_csv), j].ravel()]
+                for j, t in enumerate(ensemble.grid.points)
+            ),
+        )
 
 
 def load_ensemble(prefix: str | Path) -> PathEnsemble:

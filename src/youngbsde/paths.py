@@ -1,4 +1,5 @@
-"""Time grids, sampled paths, and path norms (p-variation, Holder, uniform).
+"""Time grids, sampled paths, path norms (p-variation, Holder, uniform), and
+the CSV writer every export goes through.
 
 All norms are computed over the observation grid: the p-variation is the
 exact supremum over sub-partitions of the grid points, which coincides with
@@ -8,6 +9,7 @@ That grid-supremum convention is used everywhere in this package.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "uniform_norm",
     "control_from_pvar",
     "product_control",
+    "write_csv",
 ]
 
 _ALIGN_RTOL = 1e-10
@@ -288,3 +291,14 @@ def product_control(w1: ControlValue, w2: ControlValue, a1: float, a2: float) ->
         return w1(s, t) ** a1 * w2(s, t) ** a2
 
     return ControlValue(w, label=f"({w1.label})^{a1}*({w2.label})^{a2}")
+
+
+def write_csv(path, header, rows) -> None:
+    """RFC-4180 CSV with CRLF line ends: floats at 17 significant digits,
+    every other cell as str()."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(
+            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
+        )

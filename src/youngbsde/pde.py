@@ -12,7 +12,10 @@ through one fixed-point sweep per step.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +31,7 @@ from .bsde import (
 )
 from .driver import DriverField, mollify, shift_field
 from .forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
-from .paths import TimeGrid
+from .paths import TimeGrid, write_csv
 
 __all__ = [
     "PdeSpec",
@@ -74,12 +77,7 @@ class PdeSpec:
             raise ValueError("driver must be a mollified or analytic-smooth field")
         # ellipticity floor on sampled points
         probe = np.linspace(-self.halfwidth, self.halfwidth, 9)
-        pts = (
-            probe[:, None]
-            if self.dim == 1
-            else np.stack(np.meshgrid(probe, probe), axis=-1).reshape(-1, 2)
-        )
-        a = self.sigma_matrix(pts)
+        a = self.sigma_matrix(_nodes([probe] * self.dim))
         dd = np.einsum("kab,kcb->kac", a, a)
         eig = np.linalg.eigvalsh(dd)
         if np.min(eig) < self.ellipticity - 1e-12:
@@ -125,205 +123,134 @@ class PdeSolution:
     dt: float
     dx: float
 
-    def value_at(self, t: float, x) -> float:
-        interp = RegularGridInterpolator(
+    @cached_property
+    def _interp(self) -> RegularGridInterpolator:
+        return RegularGridInterpolator(
             (self.times, *self.axes), self.u, method="linear", bounds_error=True
         )
+
+    def value_at(self, t: float, x) -> float:
         pt = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(interp(np.concatenate([[t], pt]))[0])
+        return float(self._interp(np.concatenate([[t], pt]))[0])
 
 
-def _operator_1d(spec: PdeSpec, xs: np.ndarray):
-    """Sparse elliptic operator on interior nodes plus the boundary feed-in."""
-    nx = xs.size - 1
-    dx = xs[1] - xs[0]
-    xi = xs[1:-1][:, None]
-    a = 0.5 * np.einsum("kab,kcb->kac", spec.sigma_matrix(xi), spec.sigma_matrix(xi))[:, 0, 0]
-    c = spec.drift_vector(xi)[:, 0]
-    lower = a / dx**2 - c / (2 * dx)
-    main = -2 * a / dx**2
-    upper = a / dx**2 + c / (2 * dx)
-    lmat = sp.diags([lower[1:], main, upper[:-1]], offsets=[-1, 0, 1], format="csc")
-    feed = np.zeros(nx - 1)
-    feed[0] = lower[0]
-    feed_hi = np.zeros(nx - 1)
-    feed_hi[-1] = upper[-1]
-    return lmat, feed, feed_hi, a
+def _nodes(axes) -> np.ndarray:
+    """The nodes of the tensor grid over `axes`, (k, d), in C order."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _operator_2d(spec: PdeSpec, xs: np.ndarray, ys: np.ndarray):
-    nx, ny = xs.size - 1, ys.size - 1
-    dx, dy = xs[1] - xs[0], ys[1] - ys[0]
-    gx, gy = np.meshgrid(xs[1:-1], ys[1:-1], indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+def _operator(spec: PdeSpec, axes) -> sp.csr_matrix:
+    """The elliptic operator 1/2 tr(D grad^2 u) + b . grad u, D = sigma sigma^T,
+    on every node of the tensor grid over `axes`, as a sum of Kronecker
+    products of the 1-D central differences with D and b taken per node.
+    Rows of boundary nodes are built too; callers keep the interior ones."""
+    pts = _nodes(axes)
     sig = spec.sigma_matrix(pts)
     dd = np.einsum("kab,kcb->kac", sig, sig)
     b = spec.drift_vector(pts)
-    m = (nx - 1) * (ny - 1)
+    hs = [ax[1] - ax[0] for ax in axes]
+    # unscaled 1-D stencils: second difference and central first difference
+    d2 = [sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ax.size, ax.size)) for ax in axes]
+    d1 = [sp.diags([-1.0, 1.0], [-1, 1], shape=(ax.size, ax.size)) for ax in axes]
 
-    def idx(i, j):
-        return i * (ny - 1) + j
+    def along(ops: dict):
+        """Kronecker product of the 1-D `ops` {axis: matrix}, identity elsewhere."""
+        mats = [ops.get(j, sp.identity(ax.size)) for j, ax in enumerate(axes)]
+        return reduce(sp.kron, mats).tocsr()
 
-    rows, cols, vals = [], [], []
-    rhs_mask = []  # (row, x-index, y-index, coefficient) for boundary feed-in
-
-    def add(r, i, j, v):
-        if v == 0.0:
-            return
-        if 0 <= i < nx - 1 and 0 <= j < ny - 1:
-            rows.append(r)
-            cols.append(idx(i, j))
-            vals.append(v)
-        else:
-            rhs_mask.append((r, i + 1, j + 1, v))
-
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            r = idx(i, j)
-            kk = r
-            a11 = 0.5 * dd[kk, 0, 0]
-            a22 = 0.5 * dd[kk, 1, 1]
-            # full u_xy coefficient: (1/2)(D12 + D21) = D12 for symmetric D
-            a12 = 0.5 * (dd[kk, 0, 1] + dd[kk, 1, 0])
-            bx, by = b[kk]
-            add(r, i, j, -2 * a11 / dx**2 - 2 * a22 / dy**2)
-            add(r, i + 1, j, a11 / dx**2 + bx / (2 * dx))
-            add(r, i - 1, j, a11 / dx**2 - bx / (2 * dx))
-            add(r, i, j + 1, a22 / dy**2 + by / (2 * dy))
-            add(r, i, j - 1, a22 / dy**2 - by / (2 * dy))
-            cross = a12 / (4 * dx * dy)
-            add(r, i + 1, j + 1, cross)
-            add(r, i - 1, j - 1, cross)
-            add(r, i + 1, j - 1, -cross)
-            add(r, i - 1, j + 1, -cross)
-    lmat = sp.csc_matrix((vals, (rows, cols)), shape=(m, m))
-    return lmat, rhs_mask, dd
+    terms = [sp.diags(0.5 * dd[:, j, j] / h**2) @ along({j: d2[j]}) for j, h in enumerate(hs)]
+    terms += [sp.diags(b[:, j] / (2 * h)) @ along({j: d1[j]}) for j, h in enumerate(hs)]
+    terms += [
+        sp.diags(0.5 * (dd[:, i, j] + dd[:, j, i]) / (4 * hs[i] * hs[j]))
+        @ along({i: d1[i], j: d1[j]})
+        for j in range(len(hs))
+        for i in range(j)
+    ]
+    lmat = sum(terms[1:], terms[0]).tocsr()
+    lmat.eliminate_zeros()
+    return lmat
 
 
 def fd_dirichlet_solve(
     spec: PdeSpec, time_steps: int, space_steps: int, theta: float = 0.5
 ) -> PdeSolution:
-    """theta-scheme solve of the terminal/boundary problem.
+    """theta-scheme solve of the terminal/boundary problem on the tensor grid
+    with `space_steps` cells per axis.
 
-    Boundary rows carry h(x) exactly at all times; the terminal row is
-    h(x) exactly.  theta = 0 (fully explicit) is guarded by the CFL bound
-    dt <= dx^2 / (2 max a).
+    Boundary nodes carry h(x) exactly at all times; the terminal slice is
+    h(x) exactly.  theta = 0 (fully explicit) is guarded by the Gershgorin
+    CFL bound dt <= 2 / max_k sum_i |L[k, i]| over the interior operator L;
+    for sigma sigma^T = D I in d dimensions and no drift it is dx^2 / (d D).
     """
-    n = spec.halfwidth
-    d = spec.dim
     nt = time_steps
     dt = spec.horizon / nt
     times = np.linspace(0.0, spec.horizon, nt + 1)
-    if d == 1:
-        xs = np.linspace(-n, n, space_steps + 1)
-        axes = [xs]
-        lmat, feed_lo, feed_hi, a_diag = _operator_1d(spec, xs)
-        dx = xs[1] - xs[0]
-        if theta == 0.0:
-            dt_max = dx**2 / (2 * np.max(a_diag))
-            if dt > dt_max:
-                raise CflError(f"CFL violation in fully explicit mode; need dt <= {dt_max:.3g}")
-        h_vals = np.asarray(spec.terminal(xs[:, None]), dtype=float)
-        u = np.empty((nt + 1, xs.size))
-        u[-1] = h_vals
-        eye = sp.identity(lmat.shape[0], format="csc")
-        lhs = splu((eye - theta * dt * lmat).tocsc())
-        rhs_op = eye + (1 - theta) * dt * lmat
-        bfeed = dt * (feed_lo * h_vals[0] + feed_hi * h_vals[-1])
-        grid_pts = xs[1:-1][:, None]
+    axes = [np.linspace(-spec.halfwidth, spec.halfwidth, space_steps + 1)] * spec.dim
+    shape = tuple(ax.size for ax in axes)
+    hs = [ax[1] - ax[0] for ax in axes]
+    inner = (slice(1, -1),) * spec.dim
+    interior = np.zeros(shape, dtype=bool)
+    interior[inner] = True
+    interior = interior.ravel()
 
-        def nonlinear(t, u_full):
-            grad = (u_full[2:] - u_full[:-2]) / (2 * dx)
-            sig = spec.sigma_matrix(grid_pts)
-            w = np.einsum("kba,kb->ka", sig, grad[:, None])
-            dt_eta = spec.fieldv.time_derivative(np.full(grid_pts.shape[0], t), grid_pts)
-            return spec.generator(t, grid_pts, u_full[1:-1], w) + np.einsum(
-                "km,km->k", spec.coupling(u_full[1:-1]), dt_eta
-            )
-
-        for k in range(nt - 1, -1, -1):
-            base = rhs_op @ u[k + 1][1:-1] + bfeed
-            n_hi = nonlinear(times[k + 1], u[k + 1])
-            pred = lhs.solve(base + dt * n_hi)
-            u_pred = np.concatenate([[h_vals[0]], pred, [h_vals[-1]]])
-            n_lo = nonlinear(times[k], u_pred)
-            interior = lhs.solve(base + dt * 0.5 * (n_hi + n_lo))
-            u[k] = np.concatenate([[h_vals[0]], interior, [h_vals[-1]]])
-        return PdeSolution(times=times, axes=axes, u=u, theta=theta, dt=dt, dx=dx)
-
-    # d == 2
-    xs = np.linspace(-n, n, space_steps + 1)
-    ys = xs.copy()
-    axes = [xs, ys]
-    dx = xs[1] - xs[0]
-    lmat, rhs_mask, dd = _operator_2d(spec, xs, ys)
+    rows = _operator(spec, axes)[interior]
+    lmat = rows[:, interior]
     if theta == 0.0:
-        dt_max = dx**2 / (2 * np.max(dd))
+        dt_max = 2.0 / abs(lmat).sum(axis=1).max()
         if dt > dt_max:
             raise CflError(f"CFL violation in fully explicit mode; need dt <= {dt_max:.3g}")
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    full_pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    h_vals = np.asarray(spec.terminal(full_pts), dtype=float).reshape(xs.size, ys.size)
-    u = np.empty((nt + 1, xs.size, ys.size))
-    u[-1] = h_vals
+    h_vals = np.asarray(spec.terminal(_nodes(axes)), dtype=float).reshape(shape)
+    bfeed = dt * (rows @ np.where(interior, 0.0, h_vals.ravel()))
     eye = sp.identity(lmat.shape[0], format="csc")
     lhs = splu((eye - theta * dt * lmat).tocsc())
     rhs_op = eye + (1 - theta) * dt * lmat
-    bvec = np.zeros(lmat.shape[0])
-    for r, i, j, v in rhs_mask:
-        bvec[r] += v * h_vals[i, j]
-    bfeed = dt * bvec
-    gxi, gyi = np.meshgrid(xs[1:-1], ys[1:-1], indexing="ij")
-    grid_pts = np.stack([gxi.ravel(), gyi.ravel()], axis=-1)
+
+    grid_pts = _nodes([ax[1:-1] for ax in axes])
     sig_int = spec.sigma_matrix(grid_pts)
 
+    def central(u_full, j):
+        # (u(x + h e_j) - u(x - h e_j)) / 2h at the interior nodes
+        hi, lo = list(inner), list(inner)
+        hi[j], lo[j] = slice(2, None), slice(None, -2)
+        return ((u_full[tuple(hi)] - u_full[tuple(lo)]) / (2 * hs[j])).ravel()
+
     def nonlinear(t, u_full):
-        gradx = (u_full[2:, 1:-1] - u_full[:-2, 1:-1]) / (2 * dx)
-        grady = (u_full[1:-1, 2:] - u_full[1:-1, :-2]) / (2 * dx)
-        grad = np.stack([gradx.ravel(), grady.ravel()], axis=-1)
+        grad = np.stack([central(u_full, j) for j in range(spec.dim)], axis=-1)
         w = np.einsum("kba,kb->ka", sig_int, grad)
-        uu = u_full[1:-1, 1:-1].ravel()
+        uu = u_full[inner].ravel()
         dt_eta = spec.fieldv.time_derivative(np.full(grid_pts.shape[0], t), grid_pts)
         return spec.generator(t, grid_pts, uu, w) + np.einsum(
             "km,km->k", spec.coupling(uu), dt_eta
         )
 
-    shape_int = (xs.size - 2, ys.size - 2)
+    shape_int = tuple(n - 2 for n in shape)
+    u = np.empty((nt + 1, *shape))
+    u[-1] = h_vals
     for k in range(nt - 1, -1, -1):
-        base = rhs_op @ u[k + 1][1:-1, 1:-1].ravel() + bfeed
+        base = rhs_op @ u[k + 1][inner].ravel() + bfeed
         n_hi = nonlinear(times[k + 1], u[k + 1])
-        pred = lhs.solve(base + dt * n_hi).reshape(shape_int)
-        u_pred = h_vals.copy()
-        u_pred[1:-1, 1:-1] = pred
-        n_lo = nonlinear(times[k], u_pred)
-        interior = lhs.solve(base + dt * 0.5 * (n_hi + n_lo)).reshape(shape_int)
-        u[k] = h_vals.copy()
-        u[k][1:-1, 1:-1] = interior
-    return PdeSolution(times=times, axes=axes, u=u, theta=theta, dt=dt, dx=dx)
+        # predictor in u[k], then the corrector over it
+        u[k] = h_vals
+        u[k][inner] = lhs.solve(base + dt * n_hi).reshape(shape_int)
+        n_lo = nonlinear(times[k], u[k])
+        u[k][inner] = lhs.solve(base + dt * 0.5 * (n_hi + n_lo)).reshape(shape_int)
+    return PdeSolution(times=times, axes=axes, u=u, theta=theta, dt=dt, dx=hs[0])
 
 
 def save_solution(solution: PdeSolution, prefix, spec: PdeSpec | None = None) -> None:
     """CSV export (t, x..., u) plus a JSON manifest with the grid metadata."""
-    import csv as _csv
-    import json as _json
-    from pathlib import Path as _Path
-
-    prefix = _Path(prefix)
-    with open(prefix.with_suffix(".csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\r\n")
-        dim = len(solution.axes)
-        writer.writerow(["t"] + [f"x{j+1}" for j in range(dim)] + ["u"])
-        if dim == 1:
-            for i, t in enumerate(solution.times):
-                for j, x in enumerate(solution.axes[0]):
-                    writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{solution.u[i, j]:.17g}"])
-        else:
-            for i, t in enumerate(solution.times):
-                for j, x in enumerate(solution.axes[0]):
-                    for k, y in enumerate(solution.axes[1]):
-                        writer.writerow(
-                            [f"{t:.17g}", f"{x:.17g}", f"{y:.17g}", f"{solution.u[i, j, k]:.17g}"]
-                        )
+    prefix = Path(prefix)
+    dim = len(solution.axes)
+    pts = _nodes(solution.axes)
+    write_csv(
+        prefix.with_suffix(".csv"),
+        ["t"] + [f"x{j+1}" for j in range(dim)] + ["u"],
+        (
+            [t, *x, v]
+            for t, u_t in zip(solution.times, solution.u)
+            for x, v in zip(pts, u_t.ravel())
+        ),
+    )
     manifest = {
         "spec_hash": None if spec is None else spec.content_hash(),
         "theta": solution.theta,
@@ -331,7 +258,7 @@ def save_solution(solution: PdeSolution, prefix, spec: PdeSpec | None = None) ->
         "dx": solution.dx,
         "times": [float(t) for t in solution.times[:: max(1, solution.times.size // 8)]],
     }
-    prefix.with_suffix(".json").write_text(_json.dumps(manifest, indent=2))
+    prefix.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
 
 
 @dataclass

@@ -137,6 +137,25 @@ class TestCliRuns:
         assert main(["run", str(p), "--out", str(tmp_path / "lr")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            ({"experiment": "nonlinear-bsde", "seed": 1, "bsde": {"coupling": "sin"}},
+             "bsde.coupling"),
+            ({"experiment": "localize", "seed": 1, "bsde": {"terminal": "cos"}}, "bsde.terminal"),
+            ({"experiment": "compare", "seed": 1, "bsde": {"generator": "zero"}},
+             "bsde.generator"),
+            ({"experiment": "localization-error", "n_list": [1.0]}, "n_list"),
+            ({"experiment": "localization-error", "n_list": [2.0, 2]}, "n_list"),
+            ({"experiment": "localization-error", "pde": {"dim": 3}}, "pde.dim"),
+        ],
+    )
+    def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):
+        p = write_cfg(tmp_path, cfg)
+        assert main(["check", str(p)]) == 2
+        assert main(["run", str(p), "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err.count(key) == 2
+
     def test_manifest_roundtrip(self, tmp_path):
         cfg = {
             "experiment": "localize",

@@ -6,6 +6,8 @@ from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_g
 from youngbsde.pde import (
     CflError,
     PdeSpec,
+    _nodes,
+    _operator,
     fd_dirichlet_solve,
     feynman_kac_cross_check,
     localization_error_experiment,
@@ -103,8 +105,9 @@ class TestFdSolve:
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert d2 <= 0.6 * d1
 
-    def test_cfl_guard_explicit(self):
-        spec = heat_spec()
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cfl_guard_explicit(self, dim):
+        spec = heat_spec(dim=dim)
         with pytest.raises(CflError, match="suggested|need dt"):
             fd_dirichlet_solve(spec, 4, 200, theta=0.0)
 
@@ -133,6 +136,39 @@ class TestFdSolve:
             gaps.append(abs(fd_dirichlet_solve(pert, 64, 128).value_at(0.0, 0.0) - u0))
         ratio = gaps[0] / gaps[1]
         assert 5 <= ratio <= 20  # O(delta) response
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_operator_exact_on_quadratics(self, dim):
+        # central differences are exact on quadratics, so at every interior
+        # node the stencil must give 1/2 tr(D Q) + b . (g + Q x) for
+        # u = g . x + 1/2 x^T Q x, with D = sigma sigma^T off-diagonal != 0
+        def sigma(x):
+            diag = (1.0 + 0.3 * np.sin(x))[:, :, None] * np.eye(dim)
+            off = (0.4 + 0.2 * np.sin(x.sum(axis=1)))[:, None, None]
+            upper = off * np.triu(np.ones((dim, dim)), 1)
+            return diag + upper
+
+        def drift(x):
+            return 0.5 - 0.8 * x[:, ::-1]
+
+        spec = PdeSpec(
+            halfwidth=1.0, dim=dim, horizon=0.5, terminal=gaussian_bump,
+            sigma=sigma, drift=drift, generator=zero_f, coupling=zero_g,
+            fieldv=smooth_field(), name="quadratic",
+        )
+        q = np.array([[1.3, -0.7], [-0.7, 0.9]])[:dim, :dim]
+        g = np.array([0.4, -1.1])[:dim]
+        axes = [np.linspace(-1.0, 1.0, 9)] * dim
+        pts = _nodes(axes)
+        u = pts @ g + 0.5 * np.einsum("ki,ij,kj->k", pts, q, pts)
+        sig = sigma(pts)
+        dd = np.einsum("kab,kcb->kac", sig, sig)
+        want = 0.5 * np.einsum("kij,ij->k", dd, q) + np.einsum("ki,ki->k", drift(pts), g + pts @ q)
+        interior = np.all(np.abs(pts) < 1.0 - 1e-12, axis=1)
+        got = _operator(spec, axes) @ u
+        assert interior.sum() == 7**dim
+        assert dim == 1 or np.abs(dd[:, 0, 1]).min() > 0.1
+        np.testing.assert_allclose(got[interior], want[interior], rtol=0, atol=1e-10)
 
     def test_2d_heat_against_product_oracle(self):
         spec = heat_spec(halfwidth=2.0, dim=2)
@@ -240,12 +276,13 @@ class TestNeumann:
 
 
 class TestExport:
-    def test_save_solution_csv(self, tmp_path):
+    @pytest.mark.parametrize("dim, header", [(1, "t,x1,u"), (2, "t,x1,x2,u")])
+    def test_save_solution_csv(self, tmp_path, dim, header):
         from youngbsde.pde import save_solution
 
-        spec = heat_spec(halfwidth=1.0)
+        spec = heat_spec(halfwidth=1.0, dim=dim)
         sol = fd_dirichlet_solve(spec, 4, 8)
         save_solution(sol, tmp_path / "u", spec=spec)
         lines = (tmp_path / "u.csv").read_text().splitlines()
-        assert lines[0] == "t,x1,u"
-        assert len(lines) == 1 + 5 * 9
+        assert lines[0] == header
+        assert len(lines) == 1 + 5 * 9**dim
