@@ -105,9 +105,13 @@ class TestFdSolve:
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert d2 <= 0.6 * d1
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_cfl_guard_explicit(self, dim):
-        spec = heat_spec(dim=dim)
+    def test_cfl_guard_explicit(self):
+        spec = heat_spec()
+        with pytest.raises(CflError, match="suggested|need dt"):
+            fd_dirichlet_solve(spec, 4, 200, theta=0.0)
+
+    def test_cfl_guard_explicit_2d(self):
+        spec = heat_spec(dim=2)
         with pytest.raises(CflError, match="suggested|need dt"):
             fd_dirichlet_solve(spec, 4, 200, theta=0.0)
 
@@ -276,13 +280,22 @@ class TestNeumann:
 
 
 class TestExport:
-    @pytest.mark.parametrize("dim, header", [(1, "t,x1,u"), (2, "t,x1,x2,u")])
-    def test_save_solution_csv(self, tmp_path, dim, header):
+    def test_save_solution_csv(self, tmp_path):
         from youngbsde.pde import save_solution
 
-        spec = heat_spec(halfwidth=1.0, dim=dim)
+        spec = heat_spec(halfwidth=1.0)
         sol = fd_dirichlet_solve(spec, 4, 8)
         save_solution(sol, tmp_path / "u", spec=spec)
         lines = (tmp_path / "u.csv").read_text().splitlines()
-        assert lines[0] == header
-        assert len(lines) == 1 + 5 * 9**dim
+        assert lines[0] == "t,x1,u"
+        assert len(lines) == 1 + 5 * 9
+
+    def test_save_solution_csv_2d(self, tmp_path):
+        from youngbsde.pde import save_solution
+
+        spec = heat_spec(halfwidth=1.0, dim=2)
+        sol = fd_dirichlet_solve(spec, 4, 8)
+        save_solution(sol, tmp_path / "u", spec=spec)
+        lines = (tmp_path / "u.csv").read_text().splitlines()
+        assert lines[0] == "t,x1,x2,u"
+        assert len(lines) == 1 + 5 * 9**2
