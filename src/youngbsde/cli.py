@@ -287,6 +287,21 @@ def _strip_comments(obj):
     return obj
 
 
+def _check_section(sub, key: str) -> None:
+    """A config section at `key` is an object with known keys; a mollified
+    driver's `base` is a driver section of its own."""
+    if not isinstance(sub, dict):
+        raise ConfigError(f"{key}: expected an object")
+    sec = key.split(".")[0]
+    if sec == "bsde":
+        return  # its subsections are checked per experiment
+    for name in sub:
+        if name not in _SECTION_KEYS[sec]:
+            raise ConfigError(f"unknown key: {key}.{name}")
+    if sec == "driver" and sub.get("kind") == "mollified":
+        _check_section(sub.get("base"), f"{key}.base")
+
+
 def validate_config(cfg: dict) -> dict:
     cfg = _strip_comments(cfg)
     if "experiment" not in cfg:
@@ -298,20 +313,15 @@ def validate_config(cfg: dict) -> dict:
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f"unknown key: {key}")
-    for sec, keys in _SECTION_KEYS.items():
-        if sec in cfg and isinstance(cfg[sec], dict):
-            sub = cfg[sec]
-            if sec == "driver" and sub.get("kind") == "mollified":
-                continue  # nested 'base' checked on build
-            for key in sub:
-                if key not in keys and sec != "bsde":
-                    raise ConfigError(f"unknown key: {sec}.{key}")
+    for sec in _SECTION_KEYS:
+        if sec in cfg:
+            _check_section(cfg[sec], sec)
     if "seed" not in cfg and name not in ("assumptions", "integrate", "pde-table", "localization-error"):
         raise ConfigError("missing required key: seed")
     if "bsde" in _SCHEMA[name]:
         bc = cfg.get("bsde", {})
         for key in ("terminal", "generator", "coupling"):
-            if not isinstance(bc, dict) or not isinstance(bc.get(key, {}), dict):
+            if not isinstance(bc.get(key, {}), dict):
                 raise ConfigError(f"bsde.{key}: expected an object")
     if name == "linear-bsde":
         _closed_form_alpha(cfg)
@@ -321,7 +331,7 @@ def validate_config(cfg: dict) -> dict:
         if not numbers or len(set(n_list)) < 2:
             raise ConfigError("n_list: expected at least two distinct box half-widths")
     pde = cfg.get("pde", {})
-    if isinstance(pde, dict) and pde.get("dim", 1) not in (1, 2):
+    if pde.get("dim", 1) not in (1, 2):
         raise ConfigError(f"pde.dim: expected 1 or 2, got {pde['dim']!r}")
     return cfg
 

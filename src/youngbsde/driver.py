@@ -98,9 +98,16 @@ class HurstParams:
 
 
 class DriverField:
-    """Base class: deterministic field (t, x) -> R^M with eta(0, x) = 0."""
+    """Base class: deterministic field (t, x) -> R^M with eta(0, x) = 0.
+
+    A field sampled on a space lattice (``_lattice`` is its list of space
+    axes) also gives its slices at single times as profiles on that lattice
+    (``_rows``); same-time calls reduce time first and then interpolate space
+    once per point.  Other fields evaluate pointwise.
+    """
 
     kind = "abstract"
+    _lattice = None
 
     def __init__(self, params: RegularityParams, channels: int, dim: int, horizon: float):
         self.params = params
@@ -115,9 +122,10 @@ class DriverField:
         """
         return self._pointwise(self._evaluate, t, x)
 
-    def _pointwise(self, kernel, t, x) -> np.ndarray:
+    def _pointwise(self, kernel, t, x, at_time=None) -> np.ndarray:
         # the argument shapes evaluate accepts, normalized to t (k,) and
-        # x (k, d) for a kernel returning (k, M)
+        # x (k, d) for a kernel returning (k, M); a scalar t goes to
+        # at_time(t, x) instead when it is given
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         x_arr = np.asarray(x, dtype=float)
         scalar = np.isscalar(t) or np.asarray(t).ndim == 0
@@ -128,11 +136,14 @@ class DriverField:
                 x_arr = x_arr[None, :]
             else:
                 x_arr = x_arr[:, None]
-        if t_arr.size == 1 and x_arr.shape[0] > 1:
-            t_arr = np.full(x_arr.shape[0], t_arr[0])
-        if x_arr.shape[0] == 1 and t_arr.size > 1:
-            x_arr = np.repeat(x_arr, t_arr.size, axis=0)
-        out = kernel(t_arr, x_arr)
+        if scalar and at_time is not None:
+            out = at_time(t_arr[0], x_arr)
+        else:
+            if t_arr.size == 1 and x_arr.shape[0] > 1:
+                t_arr = np.full(x_arr.shape[0], t_arr[0])
+            if x_arr.shape[0] == 1 and t_arr.size > 1:
+                x_arr = np.repeat(x_arr, t_arr.size, axis=0)
+            out = kernel(t_arr, x_arr)
         if scalar and out.shape[0] == 1:
             return out[0]
         return out
@@ -140,13 +151,40 @@ class DriverField:
     def increment(self, t0: float, t1: float, x) -> np.ndarray:
         """eta(t1, x) - eta(t0, x) at points x (k, d) for one pair of times;
         returns (k, M)."""
-        ones = np.ones(len(x))
-        return self.evaluate(t1 * ones, x) - self.evaluate(t0 * ones, x)
+        x = np.asarray(x, dtype=float)
+        if self._lattice is None:
+            return self._at_time(t1, x) - self._at_time(t0, x)
+        rows = self._rows(np.array([t0, t1], dtype=float))
+        return self._interpolate(rows[1] - rows[0], x)
+
+    def time_derivative(self, t, x) -> np.ndarray:
+        """d/dt eta with evaluate's argument shapes."""
+        return self._pointwise(
+            self._derivative, t, x, lambda s, y: self._at_time(s, y, derivative=True)
+        )
+
+    def _at_time(self, t: float, x: np.ndarray, derivative: bool = False) -> np.ndarray:
+        # the field (or its time derivative) at one time t across points
+        # x (k, d), (k, M): one profile on the lattice, or pointwise
+        if self._lattice is None:
+            kernel = self._derivative if derivative else self._evaluate
+            return kernel(np.full(x.shape[0], t), x)
+        return self._interpolate(self._rows(np.array([t]), derivative)[0], x)
+
+    def _interpolate(self, profile: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # clamped multilinear interpolation of one lattice profile, (k, 1)
+        cells = [_locate(axis, x[:, j]) for j, axis in enumerate(self._lattice)]
+        return _blend(profile, cells)[:, None]
+
+    def _rows(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """Slices of the field (or of its time derivative) at times t (n,)
+        on the space lattice: shape (n, *lattice shape)."""
+        raise NotImplementedError
 
     def _evaluate(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def time_derivative(self, t, x) -> np.ndarray:
+    def _derivative(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} field has no time derivative")
 
     @property
@@ -156,6 +194,33 @@ class DriverField:
             return True
         except NotImplementedError:
             return False
+
+
+def _locate(axis: np.ndarray, c: np.ndarray):
+    """Cell (lo index, fraction) of each coordinate c clamped into axis."""
+    c = np.clip(c, axis[0], axis[-1])
+    hi = np.clip(np.searchsorted(axis, c), 1, axis.size - 1)
+    lo = hi - 1
+    return lo, (c - axis[lo]) / (axis[hi] - axis[lo])
+
+
+def _blend(values: np.ndarray, cells) -> np.ndarray:
+    """Multilinear blend over the 2^n corners of cells [(lo, frac), ...] on
+    the leading n axes of values; trailing axes are carried along."""
+    out = 0.0
+    for mask in range(2 ** len(cells)):
+        idx = []
+        w = 1.0
+        for a, (lo, frac) in enumerate(cells):
+            if mask >> a & 1:
+                idx.append(lo + 1)
+                w = w * frac
+            else:
+                idx.append(lo)
+                w = w * (1.0 - frac)
+        corner = values[tuple(idx)]
+        out = out + w.reshape(w.shape + (1,) * (corner.ndim - w.ndim)) * corner
+    return out
 
 
 class AnalyticField(DriverField):
@@ -178,10 +243,10 @@ class AnalyticField(DriverField):
     def _evaluate(self, t, x):
         return self._columns(self._fn, t, x) - self._columns(self._fn, np.zeros_like(t), x)
 
-    def time_derivative(self, t, x):
+    def _derivative(self, t, x):
         if self._dt_fn is None:
             raise NotImplementedError("analytic field built without dt_fn")
-        return self._pointwise(lambda s, y: self._columns(self._dt_fn, s, y), t, x)
+        return self._columns(self._dt_fn, t, x)
 
 
 def _fbm_cov(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -219,33 +284,22 @@ class FbsGridField(DriverField):
         self.values = np.asarray(values, dtype=float)
         self.seed = int(seed)
 
+    @property
+    def _lattice(self):
+        return self.space_axes
+
     def _evaluate(self, t, x):
         # multilinear blend over the 2^(1+d) cell corners, coordinates
         # clamped into the lattice box
-        axes = [self.time_points, *self.space_axes]
-        coords = [np.clip(t, axes[0][0], axes[0][-1])]
-        for j, axis in enumerate(self.space_axes):
-            coords.append(np.clip(x[:, j], axis[0], axis[-1]))
-        los, fracs = [], []
-        for axis, c in zip(axes, coords):
-            hi = np.clip(np.searchsorted(axis, c), 1, axis.size - 1)
-            lo = hi - 1
-            los.append(lo)
-            fracs.append((c - axis[lo]) / (axis[hi] - axis[lo]))
-        out = np.zeros(coords[0].shape[0])
-        n_ax = len(axes)
-        for mask in range(2**n_ax):
-            idx = []
-            w = 1.0
-            for a in range(n_ax):
-                if mask >> a & 1:
-                    idx.append(los[a] + 1)
-                    w = w * fracs[a]
-                else:
-                    idx.append(los[a])
-                    w = w * (1.0 - fracs[a])
-            out += w * self.values[tuple(idx)]
-        return out[:, None]
+        cells = [_locate(self.time_points, t)]
+        cells += [_locate(axis, x[:, j]) for j, axis in enumerate(self.space_axes)]
+        return _blend(self.values, cells)[:, None]
+
+    def _rows(self, t, derivative=False):
+        # two lattice rows blended in time
+        if derivative:
+            raise NotImplementedError(f"{self.kind} field has no time derivative")
+        return _blend(self.values, [_locate(self.time_points, t)])
 
 
 def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: float = 0.05, p: float = 2.5) -> FbsGridField:
@@ -339,27 +393,48 @@ class MollifiedField(DriverField):
         self._w = rho * du                       # weights for eta_m
         self._wd = drho * du * m                 # weights for d/dt eta_m
 
-    def _convolve(self, t, x, weights):
-        # one batched base evaluation across all quadrature nodes; terms are
-        # folded over the symmetric node pairs first, so an even weight
-        # profile cancels exactly at t = 0 (the kernel is even and the
-        # extension odd), keeping eta_m(0, x) = 0 without a second pass
-        k = t.shape[0]
+    @property
+    def _lattice(self):
+        return self.base._lattice
+
+    def _fold(self, t, weights, base_at):
+        # quadrature over the base at the nodes s = t - s_i, oddly reflected
+        # below 0 and held above T; base_at maps the reflected times (q, n)
+        # to base values (q, n, ...).  Terms are folded over the symmetric
+        # node pairs first, so an even weight profile cancels exactly at
+        # t = 0 (the kernel is even and the extension odd), keeping
+        # eta_m(0, x) = 0 without a second pass
         q = self._s_nodes.size
-        s = t[None, :] - self._s_nodes[:, None]  # (q, k)
+        s = t[None, :] - self._s_nodes[:, None]  # (q, n)
         sign = np.where(s < 0, -1.0, 1.0)
-        s_eff = np.minimum(np.abs(s), self.horizon)
-        x_rep = np.broadcast_to(x, (q,) + x.shape).reshape(q * k, x.shape[1])
-        base = self.base._evaluate(s_eff.reshape(q * k), x_rep).reshape(q, k, -1)
-        terms = weights[:, None, None] * sign[:, :, None] * base
+        base = base_at(np.minimum(np.abs(s), self.horizon))
+        w = (weights[:, None] * sign).reshape(s.shape + (1,) * (base.ndim - 2))
+        terms = w * base
         folded = terms[: q // 2] + terms[q // 2 :][::-1]
         return folded.sum(axis=0)
+
+    def _convolve(self, t, x, weights):
+        # one batched base evaluation across all quadrature nodes
+        q, k = self._s_nodes.size, t.shape[0]
+        x_rep = np.broadcast_to(x, (q,) + x.shape).reshape(q * k, x.shape[1])
+        return self._fold(
+            t, weights,
+            lambda s: self.base._evaluate(s.reshape(q * k), x_rep).reshape(q, k, -1),
+        )
+
+    def _rows(self, t, derivative=False):
+        # the weighted base rows at every node, folded into one profile per time
+        def base_at(s):
+            rows = self.base._rows(s.ravel())
+            return rows.reshape(s.shape + rows.shape[1:])
+
+        return self._fold(t, self._wd if derivative else self._w, base_at)
 
     def _evaluate(self, t, x):
         return self._convolve(t, x, self._w)
 
-    def time_derivative(self, t, x):
-        return self._pointwise(lambda s, y: self._convolve(s, y, self._wd), t, x)
+    def _derivative(self, t, x):
+        return self._convolve(t, x, self._wd)
 
     @staticmethod
     def mollifier_mass(n_nodes: int = 64) -> float:
@@ -387,13 +462,21 @@ class ShiftedField(DriverField):
         self.base = base
         self.t0 = float(t0)
 
+    @property
+    def _lattice(self):
+        return self.base._lattice
+
     def _evaluate(self, t, x):
         return self.base._evaluate(t + self.t0, x) - self.base._evaluate(
             np.full_like(t, self.t0), x
         )
 
-    def time_derivative(self, t, x):
-        return self.base.time_derivative(np.asarray(t) + self.t0, x)
+    def _derivative(self, t, x):
+        return self.base._derivative(t + self.t0, x)
+
+    def _rows(self, t, derivative=False):
+        rows = self.base._rows(t + self.t0, derivative)
+        return rows if derivative else rows - self.base._rows(np.array([self.t0]))
 
 
 def shift_field(field: DriverField, t0: float) -> DriverField:
@@ -418,9 +501,7 @@ def seminorm_estimate(field: DriverField, params: RegularityParams, time_points,
     if nt < 2 or nx < 2:
         raise ValueError("need at least 2 points per axis")
 
-    vals = np.empty((nt, nx, field.channels))
-    for i, t in enumerate(ts):
-        vals[i] = field.evaluate(np.full(nx, t), xs)
+    vals = np.stack([field._at_time(t, xs) for t in ts])
     mag = np.linalg.norm(vals, axis=2) if field.channels > 1 else vals[..., 0]
 
     xnorm = np.linalg.norm(xs, axis=1)

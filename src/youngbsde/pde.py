@@ -218,7 +218,8 @@ def fd_dirichlet_solve(
         grad = np.stack([central(u_full, j) for j in range(spec.dim)], axis=-1)
         w = np.einsum("kba,kb->ka", sig_int, grad)
         uu = u_full[inner].ravel()
-        dt_eta = spec.fieldv.time_derivative(np.full(grid_pts.shape[0], t), grid_pts)
+        # one time across the grid: (M,) when the grid has a single interior node
+        dt_eta = spec.fieldv.time_derivative(t, grid_pts).reshape(uu.size, -1)
         return spec.generator(t, grid_pts, uu, w) + np.einsum(
             "km,km->k", spec.coupling(uu), dt_eta
         )

@@ -148,6 +148,16 @@ class TestCliRuns:
             ({"experiment": "localization-error", "n_list": [1.0]}, "n_list"),
             ({"experiment": "localization-error", "n_list": [2.0, 2]}, "n_list"),
             ({"experiment": "localization-error", "pde": {"dim": 3}}, "pde.dim"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "forward": 5}, "forward"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "basis": [3]}, "basis"),
+            ({"experiment": "compare", "seed": 1, "picard": "fast"}, "picard"),
+            ({"experiment": "localization-error", "pde": "x"}, "pde"),
+            ({"experiment": "cross-check", "seed": 1, "driver": "x"}, "driver"),
+            ({"experiment": "cross-check", "seed": 1,
+              "driver": {"kind": "mollified", "m": 8, "base": "fbs"}}, "driver.base"),
+            ({"experiment": "cross-check", "seed": 1,
+              "driver": {"kind": "mollified", "base": {"kind": "fbs", "cells": 8}}},
+             "driver.base.cells"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):

@@ -3,6 +3,7 @@ import pytest
 
 from youngbsde.driver import (
     AnalyticField,
+    FbsGridField,
     HurstParams,
     MollifiedField,
     RegularityParams,
@@ -243,6 +244,82 @@ class TestMollify:
         )
 
 
+def slice_fields():
+    fbs1 = fbs_generate(HurstParams(h0=0.9, h=0.6), np.linspace(0, 0.5, 65),
+                        np.linspace(-2, 2, 17), seed=5)
+    fbs2 = fbs_generate(HurstParams(h0=0.9, h=0.6, d=2), np.linspace(0, 0.5, 33),
+                        [np.linspace(-2, 2, 9)] * 2, seed=6)
+    analytic = AnalyticField(
+        lambda t, x: np.sin(x[:, 0]) * t ** 0.8, RegularityParams(tau=0.8, lam=1.0, p=2.5),
+        horizon=0.5,
+    )
+    return {
+        "fbs-1d": fbs1,
+        "fbs-2d": fbs2,
+        "mollified": mollify(fbs1, 8),
+        "shifted-mollified": shift_field(mollify(fbs1, 8), 0.1),
+        "mollified-2d": mollify(fbs2, 4),
+        "mollified-analytic": mollify(analytic, 8),
+    }
+
+
+class TestTimeSlice:
+    """Same-time calls (increment, scalar-t time_derivative) reduce time
+    first; they must agree with pointwise evaluation to rounding."""
+
+    @pytest.mark.parametrize("name", list(slice_fields()))
+    def test_agrees_with_pointwise(self, name):
+        f = slice_fields()[name]
+        rng = np.random.default_rng(1)
+        # the lattice spans [-2, 2] per axis: a third of the points lie outside
+        x = rng.uniform(-3.0, 3.0, (2000, f.dim))
+        horizon = f.horizon
+        times = [0.0, horizon / 3, horizon, 1.5 * horizon]
+        k = x.shape[0]
+        for t0 in times:
+            for t1 in times:
+                got = f.increment(t0, t1, x)
+                want = f.evaluate(np.full(k, t1), x) - f.evaluate(np.full(k, t0), x)
+                assert got.shape == (k, 1)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        if not f.has_time_derivative:
+            assert name.startswith("fbs")
+            return
+        for t in times:
+            got = f.time_derivative(t, x)
+            want = f.time_derivative(np.full(k, t), x)
+            assert got.shape == (k, 1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", list(slice_fields()))
+    def test_zero_increment_and_zero_slice_exact(self, name):
+        f = slice_fields()[name]
+        x = np.random.default_rng(2).uniform(-3.0, 3.0, (500, f.dim))
+        np.testing.assert_array_equal(f.increment(0.0, 0.0, x), 0.0)
+        if f._lattice is not None:
+            np.testing.assert_array_equal(f._rows(np.zeros(1)), 0.0)
+
+    def test_mollified_lattice_field_skips_pointwise_evaluation(self, monkeypatch):
+        f = slice_fields()["shifted-mollified"]
+        x = np.linspace(-3.0, 3.0, 50)[:, None]
+        want_inc = f.increment(0.05, 0.2, x)
+        want_dt = f.time_derivative(0.2, x)
+
+        def pointwise(self, t, x):
+            raise AssertionError("same-time call fell back to pointwise evaluation")
+
+        monkeypatch.setattr(FbsGridField, "_evaluate", pointwise)
+        np.testing.assert_array_equal(f.increment(0.05, 0.2, x), want_inc)
+        np.testing.assert_array_equal(f.time_derivative(0.2, x), want_dt)
+        with pytest.raises(AssertionError, match="pointwise"):
+            f.evaluate(np.full(50, 0.2), x)
+
+    def test_one_point_keeps_shape(self):
+        f = slice_fields()["mollified"]
+        assert f.increment(0.0, 0.2, np.array([[0.3]])).shape == (1, 1)
+        assert f.time_derivative(0.2, np.array([0.3])).shape == (1,)
+
+
 class TestSeminorm:
     def test_pure_time_field(self):
         p = RegularityParams(tau=1.0, lam=1.0, p=2.5)
@@ -258,6 +335,14 @@ class TestSeminorm:
         f = AnalyticField(lambda t, x: t * x[:, 0], RegularityParams(tau=1.0, lam=1.0, p=2.5))
         got = seminorm_estimate(f, f.params, np.linspace(0, 1, 5), np.linspace(0, 1, 5))
         assert got == pytest.approx(1.0)
+
+    def test_lattice_field_slices_match_pointwise(self, monkeypatch):
+        f = slice_fields()["mollified"]
+        ts, xs = np.linspace(0, 0.5, 6), np.linspace(-2.5, 2.5, 9)
+        sliced = seminorm_estimate(f, f.params, ts, xs, weighted=True)
+        monkeypatch.setattr(MollifiedField, "_lattice", None)
+        pointwise = seminorm_estimate(f, f.params, ts, xs, weighted=True)
+        assert sliced == pytest.approx(pointwise, rel=1e-12)
 
     def test_monotone_in_grid(self):
         f = AnalyticField(
