@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .driver import DriverField
 from .forward import PathEnsemble, SdeSpec, exit_indices, step_normals
-from .paths import p_variation_paths, write_csv
+from .paths import p_variation_suffixes, write_csv
 
 __all__ = [
     "RegressionBasis",
@@ -92,14 +92,15 @@ class RegressionBasis:
         return out
 
     def design(self, x: np.ndarray) -> np.ndarray:
+        # each monomial is its parent (first non-zero exponent lowered by
+        # one, listed earlier by _exponents) times one coordinate
         k, d = x.shape
-        cols = [np.ones(k)]
+        monomials = {(0,) * d: np.ones(k)}
         for expo in self._exponents(d):
-            col = np.ones(k)
-            for j, e in enumerate(expo):
-                if e:
-                    col = col * x[:, j] ** e
-            cols.append(col)
+            j = next(j for j, e in enumerate(expo) if e)
+            parent = expo[:j] + (expo[j] - 1,) + expo[j + 1 :]
+            monomials[expo] = monomials[parent] * x[:, j]
+        cols = list(monomials.values())
         for c in self.ball_centers:
             c_arr = np.atleast_1d(np.asarray(c, dtype=float))
             dist = np.linalg.norm(x - c_arr[None, :], axis=1)
@@ -708,12 +709,13 @@ def diagnostics(
     z = solution.z[sel]
     x = ensemble.x[sel]
     dts = np.diff(pts)
+    pvar = p_variation_suffixes(y, p)  # column j: p-variation of y[:, j:]
 
     m_pk = 0.0
     bmo = 0.0
     for u in times:
         j = int(np.argmin(np.abs(pts - u)))
-        pv = p_variation_paths(y[:, j:], p) ** k_mom
+        pv = pvar[:, j] ** k_mom
         fit = _Fit(basis, x[:, j])
         m_pk = max(m_pk, float(np.max(fit.fit(pv))) ** (1.0 / k_mom) if np.max(pv) > 0 else 0.0)
         zsq = np.einsum("kjnd,kjnd->kj", z[:, j:], z[:, j:]) * dts[j:][None, :]

@@ -288,8 +288,10 @@ def _strip_comments(obj):
 
 
 def _check_section(sub, key: str) -> None:
-    """A config section at `key` is an object with known keys; a mollified
-    driver's `base` is a driver section of its own."""
+    """A config section at `key` is an object with known keys.  A driver
+    names a known kind (and analytic name), an fbs driver valid Hurst
+    indices, and a mollified driver's `base` is a driver section of its own;
+    a pde section names a known terminal, generator and coupling."""
     if not isinstance(sub, dict):
         raise ConfigError(f"{key}: expected an object")
     sec = key.split(".")[0]
@@ -298,8 +300,43 @@ def _check_section(sub, key: str) -> None:
     for name in sub:
         if name not in _SECTION_KEYS[sec]:
             raise ConfigError(f"unknown key: {key}.{name}")
-    if sec == "driver" and sub.get("kind") == "mollified":
-        _check_section(sub.get("base"), f"{key}.base")
+    if sec == "driver":
+        kind = sub.get("kind", "analytic")
+        name = sub.get("name", "time")
+        if kind == "analytic" and not (isinstance(name, str) and name in ANALYTIC_FIELDS):
+            raise ConfigError(f"{key}.name: unknown analytic driver {name!r}")
+        if kind == "fbs":
+            _check_hurst(sub.get("hurst"), f"{key}.hurst")
+        elif kind == "mollified":
+            _check_section(sub.get("base"), f"{key}.base")
+        elif kind != "analytic":
+            raise ConfigError(f"{key}.kind: unknown driver kind {kind!r}")
+    if sec == "pde":
+        for name, table in (("terminal", PDE_TERMINALS), ("generator", PDE_GENERATORS),
+                            ("coupling", PDE_COUPLINGS)):
+            if name in sub and not (isinstance(sub[name], str) and sub[name] in table):
+                raise ConfigError(
+                    f"{key}.{name}: expected one of {sorted(table)}, got {sub[name]!r}"
+                )
+
+
+def _check_hurst(sub, key: str) -> None:
+    """Hurst indices {h0, h[, d]} that HurstParams accepts."""
+    if not isinstance(sub, dict):
+        raise ConfigError(f"{key}: expected an object with h0 and h")
+    for name in sub:
+        if name not in ("h0", "h", "d"):
+            raise ConfigError(f"unknown key: {key}.{name}")
+    for name in ("h0", "h"):
+        v = sub.get(name)
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < 1:
+            raise ConfigError(f"{key}.{name}: expected a number in (0, 1)")
+    if not _is_count(sub.get("d", 1)):
+        raise ConfigError(f"{key}.d: expected an integer >= 1")
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 def validate_config(cfg: dict) -> dict:
@@ -320,9 +357,19 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("missing required key: seed")
     if "bsde" in _SCHEMA[name]:
         bc = cfg.get("bsde", {})
-        for key in ("terminal", "generator", "coupling"):
-            if not isinstance(bc.get(key, {}), dict):
+        for key, build in (("terminal", build_terminal), ("generator", build_generator),
+                           ("coupling", build_coupling)):
+            sub = bc.get(key, {})
+            if not isinstance(sub, dict):
                 raise ConfigError(f"bsde.{key}: expected an object")
+            try:
+                build(sub)
+            except ConfigError as exc:
+                raise ConfigError(f"bsde.{key}: {exc}") from None
+    if "paths" in cfg and not _is_count(cfg["paths"]):
+        raise ConfigError(f"paths: expected an integer >= 1, got {cfg['paths']!r}")
+    if "hurst" in cfg:
+        _check_hurst(cfg["hurst"], "hurst")
     if name == "linear-bsde":
         _closed_form_alpha(cfg)
     if name == "localization-error" and "n_list" in cfg:

@@ -118,7 +118,8 @@ class DriverField:
     def evaluate(self, t, x) -> np.ndarray:
         """Evaluate at times t (scalar or (k,)) and points x ((d,) or (k, d)).
 
-        Returns shape (M,) for scalar input, else (k, M).
+        Returns shape (M,) for a scalar t with one point given as x of shape
+        () or (d,), else (k, M); x of shape (1, d) gives (1, M).
         """
         return self._pointwise(self._evaluate, t, x)
 
@@ -129,6 +130,7 @@ class DriverField:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         x_arr = np.asarray(x, dtype=float)
         scalar = np.isscalar(t) or np.asarray(t).ndim == 0
+        squeeze = scalar and x_arr.ndim <= 1
         if x_arr.ndim == 0:
             x_arr = x_arr[None]
         if x_arr.ndim == 1:
@@ -144,7 +146,7 @@ class DriverField:
             if x_arr.shape[0] == 1 and t_arr.size > 1:
                 x_arr = np.repeat(x_arr, t_arr.size, axis=0)
             out = kernel(t_arr, x_arr)
-        if scalar and out.shape[0] == 1:
+        if squeeze and out.shape[0] == 1:
             return out[0]
         return out
 

@@ -20,6 +20,7 @@ __all__ = [
     "ControlValue",
     "p_variation",
     "p_variation_paths",
+    "p_variation_suffixes",
     "p_variation_brute_force",
     "holder_norm",
     "uniform_norm",
@@ -156,23 +157,33 @@ def _increment_matrix_row(v: np.ndarray, j: int) -> np.ndarray:
     return np.sqrt(np.sum(d * d, axis=1))
 
 
-def p_variation_paths(values: np.ndarray, p: float) -> np.ndarray:
-    """Exact grid p-variation of each of k paths sampled on one grid.
+def p_variation_suffixes(values: np.ndarray, p: float) -> np.ndarray:
+    """Exact grid p-variation of every suffix of each of k paths on one grid.
 
     values has shape (k, n) for scalar paths or (k, n, d); increments are
-    Euclidean.  Dynamic programme V(j) = max_{i<j} V(i) + |g_j - g_i|^p,
-    O(n^2) and vectorised over the paths.  Returns shape (k,).
+    Euclidean.  Backward dynamic programme W(i) = max_{j>i} |g_j - g_i|^p
+    + W(j) with W(n-1) = 0, O(n^2) and vectorised over the paths.  Returns
+    shape (k, n): column i is the p-variation of values[:, i:].
     """
     if p < 1:
         raise ValueError("invalid exponent")
-    v = np.asarray(values, dtype=float)
-    k, n = v.shape[:2]
-    best = np.zeros((k, n))
-    for j in range(1, n):
-        d = v[:, j : j + 1] - v[:, :j]
-        inc = np.abs(d) if d.ndim == 2 else np.sqrt(np.sum(d * d, axis=2))
-        best[:, j] = np.max(best[:, :j] + inc**p, axis=1)
-    return best[:, -1] ** (1.0 / p)
+    # a time-major copy, so each step works on contiguous rows of k paths
+    v = np.moveaxis(np.asarray(values, dtype=float), 1, 0).copy()
+    n, k = v.shape[:2]
+    best = np.zeros((n, k))
+    for i in range(n - 2, -1, -1):
+        d = v[i + 1 :] - v[i]
+        inc = np.abs(d, out=d) if d.ndim == 2 else np.sqrt(np.sum(d * d, axis=2))
+        inc **= p
+        inc += best[i + 1 :]
+        best[i] = inc.max(axis=0)
+    return (best ** (1.0 / p)).T
+
+
+def p_variation_paths(values: np.ndarray, p: float) -> np.ndarray:
+    """Exact grid p-variation of each of k paths sampled on one grid: the
+    full-grid column of p_variation_suffixes.  Returns shape (k,)."""
+    return p_variation_suffixes(values, p)[:, 0]
 
 
 def p_variation(path: SamplePath, p: float, interval=None) -> float:

@@ -218,8 +218,7 @@ def fd_dirichlet_solve(
         grad = np.stack([central(u_full, j) for j in range(spec.dim)], axis=-1)
         w = np.einsum("kba,kb->ka", sig_int, grad)
         uu = u_full[inner].ravel()
-        # one time across the grid: (M,) when the grid has a single interior node
-        dt_eta = spec.fieldv.time_derivative(t, grid_pts).reshape(uu.size, -1)
+        dt_eta = spec.fieldv.time_derivative(t, grid_pts)
         return spec.generator(t, grid_pts, uu, w) + np.einsum(
             "km,km->k", spec.coupling(uu), dt_eta
         )

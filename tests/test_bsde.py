@@ -193,6 +193,26 @@ class TestRegression:
         assert np.max(np.abs(got - target)) <= 1e-10 * np.max(np.abs(target))
 
 
+    @pytest.mark.parametrize("balls", [False, True])
+    @pytest.mark.parametrize("degree", [0, 1, 5, 11])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_design_matches_power_reference(self, d, degree, balls):
+        # every monomial built from integer powers, in the column order of
+        # _exponents, then the ball indicators
+        x = np.random.default_rng(d * 100 + degree).standard_normal((300, d))
+        centers = ((0.0,) * d, (0.5,) * d) if balls else ()
+        basis = RegressionBasis(degree=degree, ball_centers=centers, ball_radius=0.8)
+        cols = [np.ones(x.shape[0])]
+        for expo in basis._exponents(d):
+            cols.append(np.prod([x[:, j] ** e for j, e in enumerate(expo)], axis=0))
+        for c in centers:
+            cols.append((np.linalg.norm(x - np.array(c), axis=1) <= 0.8).astype(float))
+        want = np.column_stack(cols)
+        got = basis.design(x)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 class TestTerminals:
     def test_marginals_terminal(self):
         from youngbsde.bsde import terminal_h_of_marginals
@@ -424,6 +444,30 @@ class TestDiagnostics:
 
         oracle = np.sqrt(np.mean(p_variation_paths(fresh.x[:, :, 0], 2.5) ** 2))
         assert abs(d["m_pk"] - oracle) / oracle <= 0.2
+
+
+    def test_matches_four_slice_formula(self):
+        # diagnostics reads each u's p-variation from one suffix DP; the
+        # reference runs the DP again on y[:, j:] for every u
+        from youngbsde.bsde import _Fit
+        from youngbsde.paths import p_variation_paths
+
+        fwd, ens = bm_ensemble(400, 16, seed=30)
+        spec = make_spec(
+            fwd, time_field(), lambda t, x, y, z: 0.5 * np.sin(y),
+            scalar_coupling(np.sin, name="sin"), terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
+        )
+        sol = backward_solve(spec, ens)
+        basis = RegressionBasis(degree=3)
+        d = diagnostics(sol, ens, p=2.5, k_mom=2.0, basis=basis)
+        y, x, pts = sol.y[:, :, 0], ens.x, sol.grid_points
+        m_pk = 0.0
+        for u in d["times"]:
+            j = int(np.argmin(np.abs(pts - u)))
+            pv = p_variation_paths(y[:, j:], 2.5) ** 2.0
+            m_pk = max(m_pk, float(np.max(_Fit(basis, x[:, j]).fit(pv))) ** 0.5)
+        assert len(d["times"]) == 4 and m_pk > 0
+        assert d["m_pk"] == pytest.approx(m_pk, rel=1e-12)
 
 
 class TestExport:

@@ -158,6 +158,34 @@ class TestCliRuns:
             ({"experiment": "cross-check", "seed": 1,
               "driver": {"kind": "mollified", "base": {"kind": "fbs", "cells": 8}}},
              "driver.base.cells"),
+            ({"experiment": "cross-check", "seed": 1, "driver": {"kind": "fbs"}},
+             "driver.hurst"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "driver": {"kind": "fbs", "hurst": 5}},
+             "driver.hurst"),
+            ({"experiment": "nonlinear-bsde", "seed": 1,
+              "driver": {"kind": "fbs", "hurst": {"h0": 1.5, "h": 0.5}}}, "driver.hurst.h0"),
+            ({"experiment": "nonlinear-bsde", "seed": 1,
+              "driver": {"kind": "fbs", "hurst": {"h0": 0.9, "h": 0.5, "d": 1.5}}},
+             "driver.hurst.d"),
+            ({"experiment": "cross-check", "seed": 1,
+              "driver": {"kind": "mollified", "base": {"kind": "fbs"}}}, "driver.base.hurst"),
+            ({"experiment": "cross-check", "seed": 1,
+              "driver": {"kind": "mollified",
+                         "base": {"kind": "fbs", "hurst": {"h0": 0.9, "h": 0.5, "H": 1}}}},
+             "driver.base.hurst.H"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "paths": "many"}, "paths"),
+            ({"experiment": "localize", "seed": 1, "paths": 0}, "paths"),
+            ({"experiment": "cross-check", "seed": 1, "pde": {"terminal": "nope"}},
+             "pde.terminal"),
+            ({"experiment": "localization-error", "pde": {"generator": "nope"}}, "pde.generator"),
+            ({"experiment": "pde-table", "pde": {"coupling": ["sin"]}}, "pde.coupling"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "bsde": {"terminal": {"name": "nope"}}},
+             "bsde.terminal"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "driver": {"name": "nope"}},
+             "driver.name"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "driver": {"kind": "nope"}},
+             "driver.kind"),
+            ({"experiment": "assumptions", "hurst": {"h0": 0.9}}, "hurst.h"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):

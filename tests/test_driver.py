@@ -7,6 +7,7 @@ from youngbsde.driver import (
     HurstParams,
     MollifiedField,
     RegularityParams,
+    ShiftedField,
     assumption_check,
     fbs_generate,
     load_fbs,
@@ -261,6 +262,49 @@ def slice_fields():
         "mollified-2d": mollify(fbs2, 4),
         "mollified-analytic": mollify(analytic, 8),
     }
+
+
+def shape_fields():
+    analytic2 = AnalyticField(
+        lambda t, x: np.sin(x[:, 0] + 2 * x[:, 1]) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
+        dim=2, dt_fn=lambda t, x: np.sin(x[:, 0] + 2 * x[:, 1]), name="sin2",
+    )
+    fields = slice_fields()
+    fields.update({
+        "analytic": linear_field(),
+        "analytic-2d": analytic2,
+        "shifted-analytic": shift_field(linear_field(), 0.25),
+        "shifted-fbs": shift_field(fields["fbs-1d"], 0.1),
+    })
+    return fields
+
+
+class TestShapeRules:
+    """A scalar t with one point given as x of shape () or (d,) returns (M,);
+    x of shape (1, d) or (k, d) returns (1, M) or (k, M)."""
+
+    @pytest.mark.parametrize("name", list(shape_fields()))
+    @pytest.mark.parametrize("method", ["evaluate", "time_derivative"])
+    def test_scalar_time_shapes(self, name, method):
+        f = shape_fields()[name]
+        if method == "time_derivative" and not f.has_time_derivative:
+            assert isinstance(f, (FbsGridField, ShiftedField))
+            return
+        call = getattr(f, method)
+        d, m, t = f.dim, f.channels, 0.1
+        xk = np.random.default_rng(3).uniform(-1.0, 1.0, (4, d))
+        many = call(t, xk)
+        assert many.shape == (4, m)
+        one_row = call(t, xk[:1])
+        assert one_row.shape == (1, m)
+        one_point = call(t, xk[0])
+        assert one_point.shape == (m,)
+        np.testing.assert_array_equal(one_row[0], one_point)
+        np.testing.assert_allclose(one_row, many[:1], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(call(np.full(4, t), xk).shape, (4, m))
+        if d == 1:
+            assert call(t, xk[0, 0]).shape == (m,)
+            np.testing.assert_array_equal(call(t, xk[0, 0]), one_point)
 
 
 class TestTimeSlice:

@@ -11,6 +11,8 @@ from youngbsde.paths import (
     holder_norm,
     p_variation,
     p_variation_brute_force,
+    p_variation_paths,
+    p_variation_suffixes,
     product_control,
     uniform_norm,
 )
@@ -105,6 +107,48 @@ class TestPVariation:
             lhs = p_variation(p, q)
             rhs = 1.0 ** (1.0 / q) * holder_norm(p, 1.0 / q)
             assert lhs <= rhs + 1e-12
+
+
+def forward_dp(values, p):
+    # the forward recursion V(j) = max_{i<j} V(i) + |g_j - g_i|^p, path by path
+    v = np.asarray(values, dtype=float)
+    out = []
+    for row in v:
+        best = np.zeros(row.shape[0])
+        for j in range(1, row.shape[0]):
+            d = row[j] - row[:j]
+            inc = np.abs(d) if d.ndim == 1 else np.sqrt(np.sum(d * d, axis=1))
+            best[j] = np.max(best[:j] + inc**p)
+        out.append(best[-1] ** (1.0 / p))
+    return np.array(out)
+
+
+class TestSuffixDp:
+    @pytest.mark.parametrize("shape", [(5, 30), (5, 30, 2)])
+    def test_columns_match_slices(self, shape):
+        v = np.cumsum(np.random.default_rng(11).standard_normal(shape), axis=1)
+        for p in (1.0, 2.5):
+            suffixes = p_variation_suffixes(v, p)
+            assert suffixes.shape == shape[:2]
+            np.testing.assert_array_equal(suffixes[:, -1], 0.0)
+            np.testing.assert_array_equal(suffixes[:, 0], p_variation_paths(v, p))
+            for j in range(shape[1]):
+                np.testing.assert_array_equal(suffixes[:, j], p_variation_paths(v[:, j:], p))
+                np.testing.assert_allclose(
+                    suffixes[:, j], forward_dp(v[:, j:], p), rtol=1e-13, atol=0
+                )
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_brute_force(self, dim):
+        rng = np.random.default_rng(12)
+        for n in range(2, 13):
+            vals = rng.standard_normal((n, dim) if dim > 1 else n)
+            path = path_on_unit_grid(vals)
+            for p in (1.0, 2.0, 3.5):
+                got = p_variation_suffixes(vals[None], p)[0]
+                pts = path.grid.points
+                want = [p_variation_brute_force(path, p, (pts[j], pts[-1])) for j in range(n)]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestHolderUniform:

@@ -105,6 +105,14 @@ class TestFdSolve:
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert d2 <= 0.6 * d1
 
+    def test_single_interior_node(self):
+        # one interior node: the driver term is one row, not a squeezed vector
+        spec = heat_spec(halfwidth=1.0, g=lambda u: u[:, None])
+        sol = fd_dirichlet_solve(spec, 8, 2)
+        assert sol.u.shape == (9, 3)
+        assert np.all(np.isfinite(sol.u))
+        np.testing.assert_array_equal(sol.u[:, 0], gaussian_bump(sol.axes[0][:1, None])[0])
+
     def test_cfl_guard_explicit(self):
         spec = heat_spec()
         with pytest.raises(CflError, match="suggested|need dt"):
