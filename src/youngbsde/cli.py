@@ -50,7 +50,7 @@ from .driver import (
 )
 from .flow import exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
-from .paths import SamplePath, TimeGrid, write_csv
+from .paths import SamplePath, TimeGrid, dyadic_interp, write_csv
 from .pde import (
     PdeSpec,
     feynman_kac_cross_check,
@@ -84,9 +84,9 @@ class ConfigError(ValueError):
 
 def _field_time(scale=1.0):
     return AnalyticField(
-        lambda t, x: scale * t * np.ones(t.shape),
+        lambda t, x: scale * t,
         RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: scale * np.ones(t.shape),
+        dt_fn=lambda t, x: np.full(t.shape, scale),
         name="time",
     )
 
@@ -422,12 +422,10 @@ def _run_integrate(cfg, rng_seed):
         fld = ANALYTIC_FIELDS[name]()
         y = SamplePath(grid, np.cos(grid.points))
         res = nonlinear_young_integral(y, x, fld, levels=levels, tol=0.0)
-        fine = grid.refine(res.levels_used)
-        ys = y.interp(fine.points[:-1])
-        xs = x.interp(fine.points[:-1])[:, None]
-        quad = float(
-            np.sum(ys * fld.time_derivative(fine.points[:-1], xs)[:, 0] * np.diff(fine.points))
-        )
+        fine = dyadic_interp(grid.points, res.levels_used)
+        ys = dyadic_interp(y.values, res.levels_used)[:-1]
+        xs = dyadic_interp(x.as_matrix(), res.levels_used)[:-1]
+        quad = float(np.sum(ys * fld.time_derivative(fine[:-1], xs)[:, 0] * np.diff(fine)))
         rows.append(
             {"case": name, "young": res.value, "riemann": quad, "abs_diff": abs(res.value - quad)}
         )

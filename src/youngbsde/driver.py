@@ -150,10 +150,13 @@ class DriverField:
             return out[0]
         return out
 
-    def increment(self, t0: float, t1: float, x) -> np.ndarray:
-        """eta(t1, x) - eta(t0, x) at points x (k, d) for one pair of times;
-        returns (k, M)."""
+    def increment(self, t0, t1, x) -> np.ndarray:
+        """eta(t1, x) - eta(t0, x) at points x (k, d), for one pair of times
+        or for (k,) arrays of them, one pair per point; returns (k, M)."""
         x = np.asarray(x, dtype=float)
+        if np.ndim(t0) or np.ndim(t1):
+            ends = (np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1]) for t in (t0, t1))
+            return self._increment(*ends, x)
         if self._lattice is None:
             return self._at_time(t1, x) - self._at_time(t0, x)
         rows = self._rows(np.array([t0, t1], dtype=float))
@@ -175,8 +178,11 @@ class DriverField:
 
     def _interpolate(self, profile: np.ndarray, x: np.ndarray) -> np.ndarray:
         # clamped multilinear interpolation of one lattice profile, (k, 1)
-        cells = [_locate(axis, x[:, j]) for j, axis in enumerate(self._lattice)]
-        return _blend(profile, cells)[:, None]
+        return _blend(profile, self._space_cells(x))[:, None]
+
+    def _space_cells(self, x: np.ndarray):
+        # the lattice cell of each point of x (k, d), clamped into the box
+        return [_locate(axis, x[:, j]) for j, axis in enumerate(self._lattice)]
 
     def _rows(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
         """Slices of the field (or of its time derivative) at times t (n,)
@@ -185,6 +191,10 @@ class DriverField:
 
     def _evaluate(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _increment(self, t0: np.ndarray, t1: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # eta(t1, x) - eta(t0, x) at per-point times t0, t1 (k,), (k, M)
+        return self._evaluate(t1, x) - self._evaluate(t0, x)
 
     def _derivative(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} field has no time derivative")
@@ -245,6 +255,10 @@ class AnalyticField(DriverField):
     def _evaluate(self, t, x):
         return self._columns(self._fn, t, x) - self._columns(self._fn, np.zeros_like(t), x)
 
+    def _increment(self, t0, t1, x):
+        # the t = 0 slices of the two ends cancel
+        return self._columns(self._fn, t1, x) - self._columns(self._fn, t0, x)
+
     def _derivative(self, t, x):
         if self._dt_fn is None:
             raise NotImplementedError("analytic field built without dt_fn")
@@ -291,11 +305,17 @@ class FbsGridField(DriverField):
         return self.space_axes
 
     def _evaluate(self, t, x):
+        return self._at_cells(t, self._space_cells(x))
+
+    def _increment(self, t0, t1, x):
+        # x is located once for both ends
+        space = self._space_cells(x)
+        return self._at_cells(t1, space) - self._at_cells(t0, space)
+
+    def _at_cells(self, t, space):
         # multilinear blend over the 2^(1+d) cell corners, coordinates
         # clamped into the lattice box
-        cells = [_locate(self.time_points, t)]
-        cells += [_locate(axis, x[:, j]) for j, axis in enumerate(self.space_axes)]
-        return _blend(self.values, cells)[:, None]
+        return _blend(self.values, [_locate(self.time_points, t)] + space)[:, None]
 
     def _rows(self, t, derivative=False):
         # two lattice rows blended in time
@@ -472,6 +492,10 @@ class ShiftedField(DriverField):
         return self.base._evaluate(t + self.t0, x) - self.base._evaluate(
             np.full_like(t, self.t0), x
         )
+
+    def _increment(self, t0, t1, x):
+        # the t0 slice cancels
+        return self.base._increment(t0 + self.t0, t1 + self.t0, x)
 
     def _derivative(self, t, x):
         return self.base._derivative(t + self.t0, x)

@@ -1,15 +1,20 @@
 """Linear Young ODE flows and their inverses.
 
 The flow G_s^t solves dG = sum_i (a^i_r)^T G eta_i(dr, x_r) from G_t^t = I.
-The scheme is the explicit left-point Euler step
+The scheme is the explicit left-point Euler step on the grid refined
+dyadically ``levels`` times,
 
     G_{j+1} = (I + sum_i (a^i_{t_j})^T d_eta^i_j) G_j,
     d_eta^i_j = eta_i(t_{j+1}, x_{t_j}) - eta_i(t_j, x_{t_j}),
 
-which matches the sewing germ and makes the cocycle G_T^s G_s^t = G_T^t
-exact on grid-aligned triples (it is just re-bracketing the same product of
-step factors).  In one dimension the closed form exp(int a eta(dr, x_r))
-is available for cross-checks.
+which matches the sewing germ.  The step factor of one base cell is the
+product of its 2^levels fine factors, formed pairwise in ``levels`` rounds
+for all cells at once; the pairwise bracketing moves it by rounding only.
+The flow matrices are the sequential product of the stored step factors
+over the base cells, and FlowMatrix.segment re-brackets that same product,
+so the cocycle G_T^s G_s^t = G_T^t is still exact on grid-aligned triples.
+In one dimension the closed form exp(int a eta(dr, x_r)) is available for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import DriverField
-from .paths import SamplePath, TimeGrid
+from .paths import SamplePath, TimeGrid, aligned_index, dyadic_interp
 from .sewing import nonlinear_young_integral
 
 __all__ = ["FlowMatrix", "FlowError", "solve_linear_yode", "inverse_flow", "exp_formula_1d"]
@@ -50,11 +55,13 @@ class FlowMatrix:
         return self.matrices.shape[-1]
 
     def segment(self, a: float, b: float) -> np.ndarray:
-        """G_b^a for grid-aligned base_time <= a <= b, product of step factors."""
+        """G_b^a for tail points a <= b, the product of step factors; a or b
+        off the tail, or a > b, raises ValueError."""
         if self.step_factors is None:
             raise ValueError("flow stored without step factors")
-        ia = int(np.argmin(np.abs(self.tail - a)))
-        ib = int(np.argmin(np.abs(self.tail - b)))
+        ia, ib = aligned_index(self.tail, a), aligned_index(self.tail, b)
+        if ia > ib:
+            raise ValueError("interval must satisfy a <= b")
         out = np.eye(self.dim)
         for j in range(ia, ib):
             out = self.step_factors[j] @ out
@@ -104,53 +111,51 @@ def solve_linear_yode(
         dim = a_probe.shape[-1] if a_probe.ndim >= 2 else 1
     a = _alpha_array(alpha, grid, m, dim)
 
-    fine = grid.refine(levels)
-    k = 2**levels
-    xf = x.interp(fine.points)
-    if xf.ndim == 1:
-        xf = xf[:, None]
-    af = np.repeat(a, k, axis=0)[: fine.n]  # left-constant alpha inside cells
-
-    # batched field increments eta(t_{j+1}, x_j) - eta(t_j, x_j) per fine step
-    d_eta = fieldv.evaluate(fine.points[1:], xf[:-1]) - fieldv.evaluate(
-        fine.points[:-1], xf[:-1]
-    )
-
     tail = grid.points[i0:]
-    n_tail = tail.size
+    cells, k = tail.size - 1, 2**levels
+    # fine left points and field increments, on the tail only
+    tf = dyadic_interp(tail, levels)
+    xf = dyadic_interp(x.as_matrix()[i0:], levels)[:-1]
+    d_eta = fieldv.increment(tf[:-1], tf[1:], xf).reshape(cells, k, m)
+
     eye = np.eye(dim)
-    mats = np.empty((n_tail, dim, dim))
-    steps = np.empty((n_tail - 1, dim, dim))
+    mats = np.empty((cells + 1, dim, dim))
     mats[0] = eye
-    j0 = i0 * k
-    cur = eye.copy()
-    for jc in range(n_tail - 1):
-        factor = eye.copy()
-        for jf in range(j0 + jc * k, j0 + (jc + 1) * k):
-            incr = np.einsum("cij,c->ji", af[jf], d_eta[jf])
-            factor = (eye + incr) @ factor
-        steps[jc] = factor
-        with np.errstate(over="ignore", invalid="ignore"):
-            cur = factor @ cur
-        if not np.all(np.isfinite(cur)):
-            raise FlowError(f"flow blew up at step {jc} (t = {tail[jc]:.6g})")
-        mats[jc + 1] = cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        # every fine factor I + sum_c a_c^T d_eta_c, alpha left-constant in
+        # cells, then pairwise products inside each cell, later on the left
+        f = np.einsum("cmij,ckm->ckji", a[i0:-1], d_eta) + eye
+        while f.shape[1] > 1:
+            f = f[:, 1::2] @ f[:, 0::2]
+        steps = f[:, 0]
+        for j in range(cells):
+            np.matmul(steps[j], mats[j], out=mats[j + 1])
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        jc = int(np.argmin(finite)) - 1
+        raise FlowError(f"flow blew up at step {jc} (t = {tail[jc]:.6g})")
     return FlowMatrix(base_time=float(base_time), tail=tail, matrices=mats, step_factors=steps)
 
 
 def inverse_flow(flow: FlowMatrix) -> FlowMatrix:
-    """Exact matrix inverses of the stored flow; guards the condition number."""
-    inv = np.empty_like(flow.matrices)
-    for j, g in enumerate(flow.matrices):
-        cond = np.linalg.cond(g)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise FlowError(f"singular flow matrix at grid index {j}")
-        inv[j] = np.linalg.inv(g)
-    inv_steps = None
+    """Exact matrix inverses of the stored flow matrices and step factors,
+    one batched call for all; every one is guarded by the condition number."""
+    n = flow.matrices.shape[0]
+    stack = flow.matrices
     if flow.step_factors is not None:
-        inv_steps = np.array([np.linalg.inv(f) for f in flow.step_factors])
+        stack = np.concatenate([stack, flow.step_factors])
+    bad = ~(np.linalg.cond(stack) <= COND_LIMIT)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if j < n:
+            raise FlowError(f"singular flow matrix at grid index {j}")
+        raise FlowError(f"singular step factor at grid index {j - n}")
+    inv = np.linalg.inv(stack)
     return FlowMatrix(
-        base_time=flow.base_time, tail=flow.tail, matrices=inv, step_factors=inv_steps
+        base_time=flow.base_time,
+        tail=flow.tail,
+        matrices=inv[:n],
+        step_factors=None if flow.step_factors is None else inv[n:],
     )
 
 

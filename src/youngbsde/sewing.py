@@ -4,7 +4,9 @@ The integral of a two-point germ A(s, t) is the limit of left-point Riemann
 sums over dyadic refinements of a base grid.  For the nonlinear Young
 integral the germ is A(s, t) = y_s (eta(t, x_s) - eta(s, x_s)); paths are
 extended to refinement points by linear interpolation, matching the
-grid-supremum path-norm convention used throughout.
+grid-supremum path-norm convention used throughout.  The refinement points
+lie at known fractions of the base cells, so the germ reads the paths there
+by one blend per level (paths.dyadic_interp), without a search.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import DriverField
-from .paths import ControlValue, SamplePath, TimeGrid
+from .paths import ControlValue, SamplePath, TimeGrid, dyadic_interp
 
 __all__ = [
     "Germ",
+    "DyadicGerm",
     "IntegralResult",
     "SewingError",
     "sew",
@@ -32,6 +35,17 @@ class SewingError(RuntimeError):
     pass
 
 
+def _finite(out, s, t) -> np.ndarray:
+    out = np.asarray(out, dtype=float)
+    if not np.all(np.isfinite(out)):
+        bad = np.nonzero(~np.isfinite(np.atleast_1d(out)))[0]
+        i = int(bad[0])
+        raise SewingError(
+            f"non-finite germ value on subinterval ({np.atleast_1d(s)[i]}, {np.atleast_1d(t)[i]})"
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class Germ:
     """Two-point function A(s, t), vectorized over pair arrays, A(s, s) = 0."""
@@ -39,14 +53,26 @@ class Germ:
     fn: callable
 
     def __call__(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(out)):
-            bad = np.nonzero(~np.isfinite(np.atleast_1d(out)))[0]
-            i = int(bad[0])
-            raise SewingError(
-                f"non-finite germ value on subinterval ({np.atleast_1d(s)[i]}, {np.atleast_1d(t)[i]})"
-            )
-        return out
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        return _finite(self.fn(s, t), s, t)
+
+    def on_level(self, level: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """A on the cells (s, t) of the level-``level`` dyadic refinement of
+        the grid being sewn; this is how sew evaluates every germ."""
+        return self(s, t)
+
+
+@dataclass(frozen=True)
+class DyadicGerm:
+    """A germ defined on the cells of dyadic refinements of one grid only:
+    ``fn(level, s, t)`` also gets the refinement level, so paths sampled on
+    that grid are read at the cells' left points with paths.dyadic_interp
+    instead of a search."""
+
+    fn: callable
+
+    def on_level(self, level: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _finite(self.fn(level, s, t), s, t)
 
 
 @dataclass
@@ -80,21 +106,22 @@ class IntegralResult:
         return float(self.cumulative[ib] - self.cumulative[ia])
 
 
-def sew(germ: Germ | callable, grid: TimeGrid, levels: int = 12, tol: float = 1e-9) -> IntegralResult:
+def sew(
+    germ: Germ | DyadicGerm | callable, grid: TimeGrid, levels: int = 12, tol: float = 1e-9
+) -> IntegralResult:
     """Riemann sums of a germ over successive dyadic refinements of grid.
 
     Stops early once two successive whole-interval values differ by less
     than tol (geometric Cauchy decay is what the sewing bound guarantees).
     """
-    if not isinstance(germ, Germ):
+    if not isinstance(germ, (Germ, DyadicGerm)):
         germ = Germ(germ)
     totals = []
     last_cum = None
     used = 0
     for lev in range(levels + 1):
-        fine = grid.refine(lev)
-        s, t = fine.points[:-1], fine.points[1:]
-        vals = germ(s, t)
+        pts = dyadic_interp(grid.points, lev)
+        vals = germ.on_level(lev, pts[:-1], pts[1:])
         cum = np.concatenate([[0.0], np.cumsum(vals)])
         totals.append(cum[-1])
         last_cum = cum[:: 2**lev]  # restriction to base grid points
@@ -103,7 +130,7 @@ def sew(germ: Germ | callable, grid: TimeGrid, levels: int = 12, tol: float = 1e
             break
     totals = np.asarray(totals)
     base_s, base_t = grid.points[:-1], grid.points[1:]
-    defect = np.abs(np.diff(last_cum) - germ(base_s, base_t))
+    defect = np.abs(np.diff(last_cum) - germ.on_level(0, base_s, base_t))
     return IntegralResult(
         grid=grid,
         cumulative=last_cum,
@@ -114,14 +141,6 @@ def sew(germ: Germ | callable, grid: TimeGrid, levels: int = 12, tol: float = 1e
         germ_defect=defect,
         converged=bool(totals.size >= 2 and abs(totals[-1] - totals[-2]) < tol),
     )
-
-
-def _interp_cols(grid: TimeGrid, values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    v = values[:, None] if values.ndim == 1 else values
-    out = np.empty((times.size, v.shape[1]))
-    for j in range(v.shape[1]):
-        out[:, j] = np.interp(times, grid.points, v[:, j])
-    return out
 
 
 def _restrict(path: SamplePath, interval) -> SamplePath:
@@ -167,15 +186,17 @@ def nonlinear_young_integral(
     if yv.shape[1] not in (1, m):
         raise ValueError("y must have 1 or M columns")
 
-    def germ_fn(s, t):
-        ys = _interp_cols(grid, yv, s)
-        xs = _interp_cols(grid, x_r.as_matrix(), s)
-        d_eta = fieldv.evaluate(t + offset, xs) - fieldv.evaluate(s + offset, xs)
+    def germ_fn(level, s, t):
+        if offset:  # adding 0 would copy both time arrays at every level
+            s, t = s + offset, t + offset
+        ys = dyadic_interp(yv, level)[:-1]
+        xs = dyadic_interp(x_r.as_matrix(), level)[:-1]
+        d_eta = fieldv.increment(s, t, xs)
         if ys.shape[1] == 1 and m > 1:
             ys = np.repeat(ys, m, axis=1)
         return np.sum(ys * d_eta, axis=1)
 
-    return sew(Germ(germ_fn), grid, levels=levels, tol=tol)
+    return sew(DyadicGerm(germ_fn), grid, levels=levels, tol=tol)
 
 
 def young_integral_against_path(
@@ -190,14 +211,11 @@ def young_integral_against_path(
     if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
         raise ValueError("y and M must share a time grid")
 
-    def germ_fn(s, t):
-        ys = _interp_cols(grid, y.values, s)[:, 0]
-        return ys * (
-            _interp_cols(grid, m_path.values, t)[:, 0]
-            - _interp_cols(grid, m_path.values, s)[:, 0]
-        )
+    def germ_fn(level, s, t):
+        ys = dyadic_interp(y.as_matrix()[:, 0], level)[:-1]
+        return ys * np.diff(dyadic_interp(m_path.as_matrix()[:, 0], level))
 
-    return sew(Germ(germ_fn), grid, levels=levels, tol=tol)
+    return sew(DyadicGerm(germ_fn), grid, levels=levels, tol=tol)
 
 
 def remainder_certificate(

@@ -364,6 +364,42 @@ class TestTimeSlice:
         assert f.time_derivative(0.2, np.array([0.3])).shape == (1,)
 
 
+class TestPerPointIncrement:
+    """increment with (k,) arrays of times: one pair of times per point."""
+
+    @pytest.mark.parametrize("name", list(shape_fields()))
+    def test_agrees_with_evaluate(self, name):
+        f = shape_fields()[name]
+        rng = np.random.default_rng(4)
+        k = 3000
+        # a third of the points and of the times lie outside the lattice
+        x = rng.uniform(-3.0, 3.0, (k, f.dim))
+        t0 = rng.uniform(0.0, 1.5 * f.horizon, k)
+        t1 = rng.uniform(0.0, 1.5 * f.horizon, k)
+        got = f.increment(t0, t1, x)
+        assert got.shape == (k, f.channels)
+        np.testing.assert_allclose(got, f.evaluate(t1, x) - f.evaluate(t0, x), rtol=0, atol=1e-13)
+        # a scalar end is broadcast over the points
+        np.testing.assert_allclose(
+            f.increment(0.1, t1, x), f.evaluate(t1, x) - f.evaluate(np.full(k, 0.1), x),
+            rtol=0, atol=1e-13,
+        )
+
+    def test_analytic_field_calls_fn_twice(self):
+        calls = []
+
+        def fn(t, x):
+            calls.append(t.size)
+            return np.sin(x[:, 0]) * t
+
+        f = AnalyticField(fn, RegularityParams(tau=1.0, lam=1.0, p=2.5))
+        t = np.linspace(0.0, 1.0, 11)
+        x = np.linspace(-1.0, 1.0, 11)[:, None]
+        np.testing.assert_allclose(f.increment(t[:-1], t[1:], x[:-1]),
+                                   (np.sin(x[:-1]) * np.diff(t)[:, None]), rtol=0, atol=1e-15)
+        assert calls == [10, 10]
+
+
 class TestSeminorm:
     def test_pure_time_field(self):
         p = RegularityParams(tau=1.0, lam=1.0, p=2.5)

@@ -27,6 +27,27 @@ def rough_field(seed=21, h0=0.8, h=0.6):
     )
 
 
+def sequential_flow(alpha, x, field, levels, dim):
+    """The Euler flow as a Python loop over fine steps, one factor at a time:
+    the reference for the batched solver.  Returns (matrices, step factors),
+    or the index of the first step after which the flow is not finite."""
+    fine = x.grid.refine(levels)
+    xf = x.interp(fine.points)[:-1, None]
+    d_eta = field.evaluate(fine.points[1:], xf) - field.evaluate(fine.points[:-1], xf)
+    k, eye = 2**levels, np.eye(dim)
+    mats, steps = [eye], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for jc in range(x.grid.n - 1):
+            factor = eye
+            for jf in range(jc * k, (jc + 1) * k):
+                factor = (eye + np.einsum("cij,c->ji", alpha[jc], d_eta[jf])) @ factor
+            steps.append(factor)
+            mats.append(factor @ mats[-1])
+            if not np.all(np.isfinite(mats[-1])):
+                return jc
+    return np.array(mats), np.array(steps)
+
+
 class TestEulerFlow:
     def test_zero_alpha_identity(self):
         x = brownian_path(32, 0)
@@ -48,6 +69,34 @@ class TestEulerFlow:
         alpha = np.full((65, 1, 1, 1), 1e80)
         with pytest.raises(FlowError, match="blew up"):
             solve_linear_yode(alpha, x, field)
+
+    @pytest.mark.parametrize("levels", range(4))
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_matches_sequential_loop(self, levels, channels):
+        # with two channels the fine factors inside a cell do not commute
+        rng = np.random.default_rng(20 + levels)
+        x = brownian_path(32, 21)
+        alpha = rng.standard_normal((33, channels, 2, 2)) * 0.4
+        field = rough_field(seed=34) if channels == 1 else AnalyticField(
+            lambda t, x: np.stack([np.sin(3 * x[:, 0]) * t**0.8, np.cos(x[:, 0]) * t], axis=-1),
+            RegularityParams(tau=0.8, lam=1.0, p=2.5), channels=2,
+        )
+        flow = solve_linear_yode(alpha, x, field, levels=levels, dim=2)
+        mats, steps = sequential_flow(alpha, x, field, levels, 2)
+        scale = max(1.0, np.max(np.abs(mats)))
+        np.testing.assert_allclose(flow.matrices, mats, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(flow.step_factors, steps, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("levels", range(4))
+    def test_blowup_step_matches_sequential_loop(self, levels):
+        field = AnalyticField(lambda t, x: 1e8 * t * (1.0 + x[:, 0] ** 2),
+                              RegularityParams(tau=1.0, lam=1.0, p=2.5))
+        x = brownian_path(64, 22)
+        alpha = np.abs(np.random.default_rng(23).standard_normal((65, 1, 2, 2)))
+        step = sequential_flow(alpha, x, field, levels, 2)
+        assert 0 < step < 63
+        with pytest.raises(FlowError, match=f"blew up at step {step} "):
+            solve_linear_yode(alpha, x, field, levels=levels, dim=2)
 
     def test_cocycle_exact(self):
         # G_T^s G_s^t = G_T^t by re-bracketing the same step-factor product
@@ -89,6 +138,12 @@ class TestEulerFlow:
         flow = solve_linear_yode(np.zeros((9, 1, 2, 2)), brownian_path(8, 3), time_field(), dim=2)
         flow.matrices[4] = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(FlowError, match="singular flow matrix at grid index 4"):
+            inverse_flow(flow)
+
+    def test_near_singular_step_factor_rejected(self):
+        flow = solve_linear_yode(np.zeros((9, 1, 2, 2)), brownian_path(8, 3), time_field(), dim=2)
+        flow.step_factors[3] = np.diag([1.0, 1e-13])
+        with pytest.raises(FlowError, match="singular step factor at grid index 3"):
             inverse_flow(flow)
 
     def test_inverse_consistency_under_refinement(self):
@@ -156,3 +211,31 @@ class TestExpFormula:
         closed_f = exp_formula_1d(np.ones((x.grid.n, 1)), x, field, levels=4)
         gap_high = np.max(np.abs(np.log(euler_f.matrices[:, 0, 0]) - np.log(closed_f)))
         assert gap_high < gap_low
+
+
+class TestSegment:
+    """segment on an 8-cell grid: times off the tail, or reversed, raise."""
+
+    @pytest.mark.parametrize(
+        "a, b, match",
+        [(0.0, 0.3, "misaligned"), (0.5, 0.25, "a <= b"), (0.0, 7.0, "misaligned")],
+        ids=["misaligned", "reversed", "past-the-end"],
+    )
+    def test_rejects(self, a, b, match):
+        rng = np.random.default_rng(30)
+        flow = solve_linear_yode(
+            rng.standard_normal((9, 1, 2, 2)), brownian_path(8, 31), rough_field(), dim=2
+        )
+        with pytest.raises(ValueError, match=match):
+            flow.segment(a, b)
+
+    def test_aligned_from_interior_base(self):
+        rng = np.random.default_rng(32)
+        x = brownian_path(8, 33)
+        flow = solve_linear_yode(
+            rng.standard_normal((9, 1, 2, 2)), x, rough_field(), base_time=0.25, dim=2
+        )
+        np.testing.assert_array_equal(flow.segment(0.25, 0.25), np.eye(2))
+        np.testing.assert_array_equal(flow.segment(0.25, 1.0), flow.matrices[-1])
+        with pytest.raises(ValueError, match="misaligned"):
+            flow.segment(0.0, 0.5)

@@ -8,6 +8,7 @@ from youngbsde.paths import (
     SamplePath,
     TimeGrid,
     control_from_pvar,
+    dyadic_interp,
     holder_norm,
     p_variation,
     p_variation_brute_force,
@@ -43,6 +44,37 @@ class TestTimeGrid:
         f = g.refine(2)
         assert f.n == 9
         np.testing.assert_allclose(f.points[::4], g.points)
+
+
+class TestDyadicInterp:
+    """The dyadic kernel against np.interp at the refined grid's points."""
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_matches_np_interp(self, level):
+        rng = np.random.default_rng(level)
+        for n in (2, 3, 17, 65):
+            uneven = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
+            for pts in (np.linspace(0.0, 1.0, n), uneven / uneven[-1]):
+                grid = TimeGrid(pts)
+                v = np.cumsum(rng.standard_normal((n, 3)), axis=0)
+                fine = grid.refine(level).points
+                want = np.column_stack([np.interp(fine, pts, v[:, j]) for j in range(3)])
+                got = dyadic_interp(v, level)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(v)))
+                np.testing.assert_allclose(
+                    dyadic_interp(v[:, 1], level), want[:, 1], rtol=0,
+                    atol=1e-14 * np.max(np.abs(v)),
+                )
+                np.testing.assert_array_equal(got[:: 2**level], v)
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_grid_points_bitwise(self, level):
+        # on a grid's own points the kernel is the split a + j (b - a) / 2^l
+        pts = np.concatenate([[0.0], np.cumsum(np.random.default_rng(9).uniform(0.1, 1.0, 20))])
+        k = 2**level
+        want = (pts[:-1, None] + (np.diff(pts) / k)[:, None] * np.arange(k)).ravel()
+        np.testing.assert_array_equal(dyadic_interp(pts, level), np.append(want, pts[-1]))
 
 
 class TestPVariation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from youngbsde.driver import AnalyticField, RegularityParams
+from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.paths import ControlValue, SamplePath, TimeGrid, p_variation, uniform_norm
 from youngbsde.sewing import (
     Germ,
@@ -111,6 +111,29 @@ class TestNonlinearYoung:
         x = SamplePath(grid, np.zeros(9))
         res = nonlinear_young_integral(y, x, field, levels=2)
         assert res.value == pytest.approx(7.0, abs=1e-12)
+
+    def test_matches_searching_germ(self):
+        # the dyadic germ against a germ that finds each point by np.interp
+        # and differences two evaluations: every level, on an fbs field, on
+        # the whole grid and on an interior interval (shifted time)
+        field = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
+                             np.linspace(-2.0, 2.0, 33), seed=40, p=2.05)
+        x = brownian_path(16, 41)
+        y = SamplePath(x.grid, np.cos(x.grid.points) + x.values)
+        for interval in (None, (0.25, 0.75)):
+            got = nonlinear_young_integral(y, x, field, interval=interval, levels=6, tol=0.0)
+            a, b = (0.0, 1.0) if interval is None else interval
+            keep = (x.grid.points >= a - 1e-12) & (x.grid.points <= b + 1e-12)
+            pts, xv, yv = x.grid.points[keep], x.values[keep], y.values[keep]
+
+            def germ(s, t, pts=pts, xv=xv, yv=yv, a=a):
+                xs = np.interp(s + a, pts, xv)[:, None]
+                ys = np.interp(s + a, pts, yv)
+                return ys * (field.evaluate(t + a, xs) - field.evaluate(s + a, xs))[:, 0]
+
+            want = sew(Germ(germ), TimeGrid(pts - a), levels=6, tol=0.0)
+            np.testing.assert_allclose(got.level_totals, want.level_totals, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got.cumulative, want.cumulative, rtol=0, atol=1e-13)
 
     def test_cauchy_increments_decay_rough_case(self):
         x = brownian_path(2**10, 123)
