@@ -727,5 +727,5 @@ def diagnostics(
         "sup_y": float(np.max(np.abs(solution.y))),
         "p": p,
         "k": k_mom,
-        "times": list(np.asarray(times, dtype=float)),
+        "times": np.asarray(times, dtype=float).tolist(),
     }

@@ -3,13 +3,15 @@
 A single self-describing JSON document names one experiment and its inputs;
 "_comment" keys are ignored, unknown keys are rejected.  Each run writes
 results.csv (RFC-4180, '.' decimal, 17 significant digits), manifest.json
-(config echo, seed, library version, wall time), and summary.txt.  Exit
-status: 0 success, 2 config error, 3 numerical failure.
+(the validated config with every default filled in, seed, library version,
+wall time), and summary.txt.  Exit status: 0 success, 2 config error,
+3 numerical failure.
 
-    youngbsde run  config.json [--threads N] [--out DIR]
+    youngbsde run  config.json [--out DIR]
     youngbsde check config.json
 
-YOUNGBSDE_OUT sets the default output directory.
+YOUNGBSDE_OUT sets the default output directory.  To cap BLAS threads, set
+OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) before the process starts.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ import numpy as np
 from . import __version__
 from .bsde import (
     BsdeSpec,
+    NoContractionError,
     PicardParams,
+    RegressionError,
     RegressionBasis,
+    Terminal,
     backward_solve,
     comparison_experiment,
     diagnostics,
@@ -40,6 +45,7 @@ from .bsde import (
     zero_generator,
 )
 from .driver import (
+    MAX_FBS_AXIS,
     AnalyticField,
     HurstParams,
     RegularityParams,
@@ -48,32 +54,18 @@ from .driver import (
     mollify,
     save_fbs,
 )
-from .flow import exp_formula_1d, inverse_flow, solve_linear_yode
+from .flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
 from .paths import SamplePath, TimeGrid, dyadic_interp, write_csv
 from .pde import (
+    CflError,
     PdeSpec,
     feynman_kac_cross_check,
     localization_error_experiment,
     neumann_fk_estimate,
     young_pde_table,
 )
-from .sewing import nonlinear_young_integral
-
-EXPERIMENTS = [
-    "integrate",
-    "flow",
-    "linear-bsde",
-    "nonlinear-bsde",
-    "localize",
-    "compare",
-    "pde-table",
-    "cross-check",
-    "localization-error",
-    "neumann",
-    "fbs-generate",
-    "assumptions",
-]
+from .sewing import SewingError, nonlinear_young_integral
 
 
 class ConfigError(ValueError):
@@ -82,139 +74,69 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- registries
 
-def _field_time(scale=1.0):
-    return AnalyticField(
-        lambda t, x: scale * t,
-        RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: np.full(t.shape, scale),
-        name="time",
+def _affine_in_time(name, profile):
+    # the field profile(x) t, whose time derivative is profile(x)
+    return lambda: AnalyticField(
+        lambda t, x: profile(x) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
+        dt_fn=lambda t, x: profile(x), name=name,
     )
 
 
 ANALYTIC_FIELDS = {
-    "time": lambda: _field_time(),
-    "bilinear": lambda: AnalyticField(
-        lambda t, x: t * x[:, 0], RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: x[:, 0], name="bilinear",
-    ),
-    "sin_x_time": lambda: AnalyticField(
-        lambda t, x: np.sin(x[:, 0]) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: np.sin(x[:, 0]), name="sin_x_time",
-    ),
-    "cos_x_time": lambda: AnalyticField(
-        lambda t, x: np.cos(x[:, 0]) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: np.cos(x[:, 0]), name="cos_x_time",
-    ),
-    "gauss_x_time": lambda: AnalyticField(
-        lambda t, x: np.exp(-x[:, 0] ** 2) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: np.exp(-x[:, 0] ** 2), name="gauss_x_time",
-    ),
+    "time": _affine_in_time("time", lambda x: np.ones(x.shape[0])),
+    "bilinear": _affine_in_time("bilinear", lambda x: x[:, 0]),
+    "sin_x_time": _affine_in_time("sin_x_time", lambda x: np.sin(x[:, 0])),
+    "cos_x_time": _affine_in_time("cos_x_time", lambda x: np.cos(x[:, 0])),
+    "gauss_x_time": _affine_in_time("gauss_x_time", lambda x: np.exp(-x[:, 0] ** 2)),
     "sin_x_t08": lambda: AnalyticField(
-        lambda t, x: np.sin(x[:, 0]) * t**0.8,
-        RegularityParams(tau=0.8, lam=1.0, p=2.5),
+        lambda t, x: np.sin(x[:, 0]) * t**0.8, RegularityParams(tau=0.8, lam=1.0, p=2.5),
         name="sin_x_t08",
     ),
-    "zero": lambda: AnalyticField(
-        lambda t, x: np.zeros(t.shape), RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: np.zeros(t.shape), name="zero",
-    ),
+    "zero": _affine_in_time("zero", lambda x: np.zeros(x.shape[0])),
 }
 
 
 def build_field(cfg: dict):
-    kind = cfg.get("kind", "analytic")
-    if kind == "analytic":
-        name = cfg.get("name", "time")
-        if name not in ANALYTIC_FIELDS:
-            raise ConfigError(f"unknown analytic driver '{name}'")
-        return ANALYTIC_FIELDS[name]()
-    if kind == "fbs":
-        hurst = HurstParams(**cfg["hurst"])
-        t_ax = np.linspace(0.0, cfg.get("horizon", 1.0), cfg.get("time_cells", 512) + 1)
-        x_ax = np.linspace(
-            cfg.get("space_min", -6.0), cfg.get("space_max", 6.0), cfg.get("space_cells", 128) + 1
-        )
-        grids = [x_ax] * hurst.d
-        return fbs_generate(
-            hurst, t_ax, grids if hurst.d > 1 else x_ax,
-            seed=cfg.get("seed", 0), theta=cfg.get("theta", 0.05), p=cfg.get("p", 2.05),
-        )
-    if kind == "mollified":
-        return mollify(build_field(cfg["base"]), cfg.get("m", 8))
-    raise ConfigError(f"unknown driver kind '{kind}'")
+    """The driver field of a validated driver section."""
+    if cfg["kind"] == "analytic":
+        return ANALYTIC_FIELDS[cfg["name"]]()
+    if cfg["kind"] == "mollified":
+        return mollify(build_field(cfg["base"]), cfg["m"])
+    hurst = HurstParams(**cfg["hurst"])
+    t_ax = np.linspace(0.0, cfg["horizon"], cfg["time_cells"] + 1)
+    x_ax = np.linspace(cfg["space_min"], cfg["space_max"], cfg["space_cells"] + 1)
+    return fbs_generate(
+        hurst, t_ax, [x_ax] * hurst.d if hurst.d > 1 else x_ax,
+        seed=cfg["seed"], theta=cfg["theta"], p=cfg["p"],
+    )
 
 
 TERMINALS = {
-    "cos": lambda shift=0.0: terminal_h_of_xt(lambda x: np.cos(x[:, 0]) + shift, name=f"cos+{shift}"),
-    "gauss": lambda shift=0.0: terminal_h_of_xt(
+    "cos": lambda shift: terminal_h_of_xt(lambda x: np.cos(x[:, 0]) + shift, name=f"cos+{shift}"),
+    "gauss": lambda shift: terminal_h_of_xt(
         lambda x: np.exp(-np.sum(x**2, axis=1)) + shift, name=f"gauss+{shift}"
     ),
-    "constant": lambda shift=0.0: terminal_h_of_xt(
+    "constant": lambda shift: terminal_h_of_xt(
         lambda x: np.full(x.shape[0], shift), name=f"const {shift}"
     ),
-    "running-max": lambda shift=0.0: terminal_running_max(),
+    "running-max": lambda shift: Terminal(
+        lambda ens, idx: terminal_running_max().value_at(ens, idx) + shift, name=f"sup X+{shift}"
+    ),
 }
 
+GENERATORS = {
+    "zero": lambda coef: zero_generator,
+    "linear-y": lambda coef: lambda t, x, y, z: coef * y,
+    "sin-y": lambda coef: lambda t, x, y, z: coef * np.sin(y),
+    "sqrt-sin": lambda coef: lambda t, x, y, z: coef * np.sqrt(np.abs(x[:, :1])) * np.sin(y),
+}
 
-def build_terminal(cfg: dict):
-    name = cfg.get("name", "cos")
-    if name not in TERMINALS:
-        raise ConfigError(f"unknown terminal '{name}'")
-    return TERMINALS[name](cfg.get("shift", 0.0))
-
-
-def build_generator(cfg: dict):
-    name = cfg.get("name", "zero")
-    coef = cfg.get("coef", 1.0)
-    if name == "zero":
-        return zero_generator
-    if name == "linear-y":
-        def gen(t, x, y, z):
-            return coef * y
-        return gen
-    if name == "sin-y":
-        def gen(t, x, y, z):
-            return coef * np.sin(y)
-        return gen
-    if name == "sqrt-sin":
-        def gen(t, x, y, z):
-            return coef * np.sqrt(np.abs(x[:, :1])) * np.sin(y)
-        return gen
-    raise ConfigError(f"unknown generator '{name}'")
-
-
-def build_coupling(cfg: dict):
-    name = cfg.get("name", "zero")
-    if name == "zero":
-        return zero_coupling
-    if name == "identity":
-        return scalar_coupling(lambda y: y, name="identity")
-    if name == "sin":
-        return scalar_coupling(np.sin, name="sin")
-    if name == "cos":
-        return scalar_coupling(np.cos, name="cos")
-    raise ConfigError(f"unknown coupling '{name}'")
-
-
-def build_forward(cfg: dict) -> tuple[SdeSpec, TimeGrid]:
-    spec = SdeSpec(
-        drift=cfg.get("drift", 0.0),
-        diffusion=cfg.get("diffusion", 1.0),
-        x0=cfg.get("x0", [0.0]),
-        bound=cfg.get("bound", 4.0),
-        name=cfg.get("name", "forward"),
-    )
-    grid = TimeGrid.uniform(cfg.get("horizon", 1.0), cfg.get("steps", 64))
-    return spec, grid
-
-
-def build_basis(cfg: dict) -> RegressionBasis:
-    return RegressionBasis(degree=cfg.get("degree", 3), ridge=cfg.get("ridge", 1e-8))
-
-
-def build_picard(cfg: dict) -> PicardParams:
-    return PicardParams(max_iter=cfg.get("max_iter", 8), tol=cfg.get("tol", 1e-9))
-
+COUPLINGS = {
+    "zero": zero_coupling,
+    "identity": scalar_coupling(lambda y: y, name="identity"),
+    "sin": scalar_coupling(np.sin, name="sin"),
+    "cos": scalar_coupling(np.cos, name="cos"),
+}
 
 PDE_TERMINALS = {
     "cos": lambda x: np.cos(x[:, 0]),
@@ -232,175 +154,304 @@ PDE_COUPLINGS = {
     "sin": lambda u: np.sin(u)[:, None],
 }
 
+NEUMANN_TERMINALS = {
+    "one": lambda x: np.ones_like(x),
+    "cos-pi": lambda x: np.cos(np.pi * x),
+}
+
+
+def build_forward(cfg: dict) -> tuple[SdeSpec, TimeGrid]:
+    spec = {key: cfg[key] for key in ("drift", "diffusion", "x0", "bound", "name")}
+    return SdeSpec(**spec), TimeGrid.uniform(cfg["horizon"], cfg["steps"])
+
 
 def build_pde_spec(cfg: dict, fieldv) -> PdeSpec:
-    return PdeSpec(
-        halfwidth=cfg.get("halfwidth", 2.0),
-        dim=int(cfg.get("dim", 1)),
-        horizon=cfg.get("horizon", 0.5),
-        terminal=PDE_TERMINALS[cfg.get("terminal", "cos")],
-        sigma=cfg.get("sigma", 1.0),
-        drift=cfg.get("drift", 0.0),
-        generator=PDE_GENERATORS[cfg.get("generator", "zero")],
-        coupling=PDE_COUPLINGS[cfg.get("coupling", "zero")],
-        fieldv=fieldv,
-        name=cfg.get("name", "pde"),
-    )
+    return PdeSpec(**{
+        **cfg, "terminal": PDE_TERMINALS[cfg["terminal"]],
+        "generator": PDE_GENERATORS[cfg["generator"]], "coupling": PDE_COUPLINGS[cfg["coupling"]],
+    }, fieldv=fieldv)
 
 
 # ------------------------------------------------------------------- schema
+#
+# One table gives every key of every experiment: a _Leaf (a test of the
+# value and its default), a dict (an object with exactly those keys, {} when
+# absent), or an _Obj (an object with its own default, or whose keys depend
+# on its "kind").  A default of None also accepts null; _REQUIRED makes the
+# key mandatory.  validate_config walks the table once and returns the
+# config with every default filled in.
 
-_COMMON = {"experiment", "seed", "output_dir", "tolerances", "threads"}
+_REQUIRED = object()
+_ABSENT = object()
 
-_SCHEMA = {
-    "integrate": {"levels", "cells", "path_seed"},
-    "flow": {"driver", "cells", "levels", "alpha_seed", "path_seed", "dim"},
-    "linear-bsde": {"driver", "forward", "bsde", "basis", "picard", "paths"},
-    "nonlinear-bsde": {"driver", "forward", "bsde", "basis", "picard", "paths", "diag_p", "diag_k"},
-    "localize": {"driver", "forward", "bsde", "basis", "picard", "paths", "radii"},
-    "compare": {"driver", "forward", "bsde", "basis", "picard", "paths", "shift", "eps_reg"},
-    "pde-table": {"driver", "pde", "n_list", "m_list", "points", "time_steps", "cells_per_unit", "threshold"},
-    "cross-check": {"driver", "pde", "points", "paths", "time_steps", "space_steps", "mc_time_steps", "basis", "picard"},
-    "localization-error": {"driver", "pde", "n_list", "n_max", "points", "time_steps", "cells_per_unit"},
-    "neumann": {"driver", "interval", "start", "paths", "steps", "terminal_name"},
-    "fbs-generate": {"driver", "prefix", "probe"},
-    "assumptions": {"params", "hurst"},
+
+class _Leaf:
+    def __init__(self, what: str, ok, default=_REQUIRED):
+        self.what, self.ok, self.default = what, ok, default
+
+
+class _Obj:
+    # fields maps each key to its rule; with kinds, fields maps each "kind"
+    # to the rules of that variant
+    def __init__(self, default, fields: dict, kinds=False):
+        self.default, self.fields, self.kinds = default, fields, kinds
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+
+
+def _num(default=_REQUIRED, lo=-np.inf, hi=np.inf, lo_in=False, hi_in=False) -> _Leaf:
+    """A finite number between lo and hi, each bound included when its
+    lo_in/hi_in is set."""
+    what = f"a number in {'[' if lo_in else '('}{lo}, {hi}{']' if hi_in else ')'}"
+    return _Leaf(what, lambda v: _is_real(v) and (
+        (lo <= v if lo_in else lo < v) and (v <= hi if hi_in else v < hi)
+    ), default)
+
+
+def _count(default=_REQUIRED, lo=1, hi=None) -> _Leaf:
+    what = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return _Leaf(what, lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v
+                 and (hi is None or v <= hi), default)
+
+
+def _seed(default=_REQUIRED) -> _Leaf:
+    return _count(default, lo=0, hi=2**63 - 1)
+
+
+def _enum(default, names) -> _Leaf:
+    return _Leaf(f"one of {sorted(names)}", lambda v: isinstance(v, str) and v in names, default)
+
+
+def _list(default, item: _Leaf, size=None) -> _Leaf:
+    """A non-empty list of `item` values (of `size` entries when given)."""
+    return _Leaf(
+        f"{'a non-empty list' if size is None else f'a list of {size}'}, each {item.what}",
+        lambda v: isinstance(v, list) and len(v) >= 1 and (size is None or len(v) == size)
+        and all(map(item.ok, v)),
+        default,
+    )
+
+
+def _text(default=_REQUIRED) -> _Leaf:
+    return _Leaf("a string", lambda v: isinstance(v, str), default)
+
+
+def _is_point(v) -> bool:
+    # [t, x] with x a number or a list of coordinates
+    return isinstance(v, list) and len(v) == 2 and _is_real(v[0]) and (
+        _is_real(v[1]) or isinstance(v[1], list) and len(v[1]) >= 1 and all(map(_is_real, v[1]))
+    )
+
+
+_HURST = {"h0": _num(lo=0, hi=1), "h": _num(lo=0, hi=1), "d": _count(1)}
+
+_FBS_CELLS = MAX_FBS_AXIS - 2  # cells + 1 nodes, plus 0 when the axis misses it
+
+_DRIVERS = {
+    "analytic": {"name": _enum("time", ANALYTIC_FIELDS)},
+    "fbs": {
+        "hurst": _Obj(_REQUIRED, _HURST),
+        "horizon": _num(1.0, lo=0),
+        "time_cells": _count(512, hi=_FBS_CELLS),
+        "space_min": _num(-6.0),
+        "space_max": _num(6.0),
+        "space_cells": _count(128, hi=_FBS_CELLS),
+        "seed": _seed(0),
+        "theta": _num(0.05, lo=0),
+        "p": _num(2.05, lo=2),
+    },
+}
+_DRIVERS["mollified"] = {"base": _Obj(_REQUIRED, _DRIVERS, kinds=True), "m": _count(8)}
+
+
+_FORWARD = {
+    "drift": _num(0.0),
+    "diffusion": _num(1.0),
+    "x0": _list([0.0], _num()),
+    "bound": _num(4.0, lo=0),
+    "steps": _count(64),
+    "horizon": _num(1.0, lo=0),
+    "name": _text("forward"),
 }
 
-_SECTION_KEYS = {
-    "driver": {"kind", "name", "hurst", "horizon", "time_cells", "space_min", "space_max",
-               "space_cells", "seed", "theta", "p", "base", "m"},
-    "forward": {"drift", "diffusion", "x0", "bound", "steps", "horizon", "name"},
-    "bsde": {"terminal", "generator", "coupling"},
-    "basis": {"degree", "ridge"},
-    "picard": {"max_iter", "tol"},
-    "pde": {"halfwidth", "dim", "horizon", "terminal", "sigma", "drift", "generator",
-            "coupling", "name"},
+_BSDE = {
+    "terminal": {"name": _enum("cos", TERMINALS), "shift": _num(0.0)},
+    "generator": {"name": _enum("zero", GENERATORS), "coef": _num(1.0)},
+    "coupling": {"name": _enum("zero", COUPLINGS)},
+}
+
+_BASIS = {"degree": _count(3, lo=0), "ridge": _num(1e-8, lo=0, lo_in=True)}
+
+_PICARD = {"max_iter": _count(8), "tol": _num(1e-9, lo=0, lo_in=True)}
+
+_PDE = {
+    "halfwidth": _num(2.0, lo=0),
+    "dim": _count(1, hi=2),
+    "horizon": _num(0.5, lo=0),
+    "terminal": _enum("cos", PDE_TERMINALS),
+    # sigma^2 stays above PdeSpec's ellipticity floor of 1e-8
+    "sigma": _num(1.0, lo=1e-4, lo_in=True),
+    "drift": _num(0.0),
+    "generator": _enum("zero", PDE_GENERATORS),
+    "coupling": _enum("zero", PDE_COUPLINGS),
+    "name": _text("pde"),
+}
+
+_POINTS = _list([[0.0, 0.0]], _Leaf("a [t, x] point", _is_point))
+
+# the couplings g(y) = alpha y, with their alpha, that the linear-bsde
+# closed form covers (with the zero generator)
+_LINEAR_COUPLINGS = {"zero": 0.0, "identity": 1.0}
+
+_BSDE_KEYS = {
+    "driver": _Obj({"name": "time"}, _DRIVERS, kinds=True),
+    "forward": _FORWARD,
+    "bsde": _BSDE,
+    "basis": _BASIS,
+    "picard": _PICARD,
+    "paths": _count(4000),
 }
 
 
-def _strip_comments(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_comments(v) for k, v in obj.items() if not k.startswith("_comment")}
-    if isinstance(obj, list):
-        return [_strip_comments(v) for v in obj]
-    return obj
+def _experiment(seed=_REQUIRED, **keys) -> dict:
+    return {
+        "experiment": _text(),
+        "seed": _seed(seed),
+        "output_dir": _text(None),
+        **keys,
+    }
 
 
-def _check_section(sub, key: str) -> None:
-    """A config section at `key` is an object with known keys.  A driver
-    names a known kind (and analytic name), an fbs driver valid Hurst
-    indices, and a mollified driver's `base` is a driver section of its own;
-    a pde section names a known terminal, generator and coupling."""
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{key}: expected an object")
-    sec = key.split(".")[0]
-    if sec == "bsde":
-        return  # its subsections are checked per experiment
-    for name in sub:
-        if name not in _SECTION_KEYS[sec]:
-            raise ConfigError(f"unknown key: {key}.{name}")
-    if sec == "driver":
-        kind = sub.get("kind", "analytic")
-        name = sub.get("name", "time")
-        if kind == "analytic" and not (isinstance(name, str) and name in ANALYTIC_FIELDS):
-            raise ConfigError(f"{key}.name: unknown analytic driver {name!r}")
-        if kind == "fbs":
-            _check_hurst(sub.get("hurst"), f"{key}.hurst")
-        elif kind == "mollified":
-            _check_section(sub.get("base"), f"{key}.base")
-        elif kind != "analytic":
-            raise ConfigError(f"{key}.kind: unknown driver kind {kind!r}")
-    if sec == "pde":
-        for name, table in (("terminal", PDE_TERMINALS), ("generator", PDE_GENERATORS),
-                            ("coupling", PDE_COUPLINGS)):
-            if name in sub and not (isinstance(sub[name], str) and sub[name] in table):
-                raise ConfigError(
-                    f"{key}.{name}: expected one of {sorted(table)}, got {sub[name]!r}"
-                )
+_TABLE = {
+    "integrate": _experiment(
+        seed=0, levels=_count(14, lo=0), cells=_count(64), path_seed=_seed(2024),
+    ),
+    "flow": _experiment(
+        driver=_Obj({"name": "sin_x_t08"}, _DRIVERS, kinds=True), cells=_count(32),
+        levels=_count(0, lo=0), alpha_seed=_seed(1), path_seed=_seed(7), dim=_count(2),
+    ),
+    "linear-bsde": _experiment(**{**_BSDE_KEYS, "bsde": {
+        **_BSDE,
+        "generator": {"name": _enum("zero", ["zero"]), "coef": _num(1.0)},
+        "coupling": {"name": _enum("zero", _LINEAR_COUPLINGS)},
+    }}),
+    "nonlinear-bsde": _experiment(
+        **_BSDE_KEYS, diag_p=_num(2.5, lo=1, lo_in=True), diag_k=_num(2.0, lo=0),
+    ),
+    "localize": _experiment(**_BSDE_KEYS, radii=_list([1.0, 2.0, 3.0], _num(lo=0))),
+    "compare": _experiment(
+        **_BSDE_KEYS, shift=_num(0.1, lo=0, lo_in=True), eps_reg=_num(1e-2, lo=0, lo_in=True),
+    ),
+    "pde-table": _experiment(
+        seed=0, pde=_PDE, driver=_Obj(_REQUIRED, _DRIVERS, kinds=True),
+        n_list=_list([2.0, 3.0], _num(lo=0)), m_list=_list([4, 8], _count()),
+        points=_POINTS, time_steps=_count(64), cells_per_unit=_count(16),
+        threshold=_num(1e-2, lo=0),
+    ),
+    "cross-check": _experiment(
+        pde=_PDE, driver=_Obj(_REQUIRED, _DRIVERS, kinds=True), points=_POINTS,
+        paths=_count(20_000), time_steps=_count(96), space_steps=_count(192, lo=2),
+        mc_time_steps=_count(96), basis=_BASIS, picard=_PICARD,
+    ),
+    "localization-error": _experiment(
+        seed=0, pde=_PDE, driver=_Obj({"name": "time"}, _DRIVERS, kinds=True),
+        n_list=_list([2.0, 4.0, 6.0], _num(lo=0)), n_max=_num(8.0, lo=0), points=_POINTS,
+        time_steps=_count(96), cells_per_unit=_count(16),
+    ),
+    "neumann": _experiment(
+        driver=_Obj(_REQUIRED, _DRIVERS, kinds=True), interval=_list([0.0, 1.0], _num(), size=2),
+        start=_list([0.0, 0.5], _num(), size=2), paths=_count(20_000), steps=_count(256),
+        terminal_name=_enum("cos-pi", NEUMANN_TERMINALS),
+    ),
+    "fbs-generate": _experiment(
+        driver=_Obj(_REQUIRED, {"fbs": _DRIVERS["fbs"]}, kinds=True),
+        prefix=_Leaf("a file name", lambda v: isinstance(v, str) and v not in ("", ".", "..")
+                     and Path(v).name == v, "fbs_realization"),
+    ),
+    "assumptions": _experiment(
+        seed=0,
+        params={
+            "tau": _num(0.9, lo=0, hi=1, hi_in=True),
+            "lam": _num(0.5, lo=0, hi=1, hi_in=True),
+            "beta": _num(0.0, lo=0, lo_in=True),
+            "p": _num(2.05, lo=2),
+            "eps": _num(None, lo=0, hi=1),
+            "k": _num(None, lo=1),
+        },
+        hurst=_Obj(None, _HURST),
+    ),
+}
 
 
-def _check_hurst(sub, key: str) -> None:
-    """Hurst indices {h0, h[, d]} that HurstParams accepts."""
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{key}: expected an object with h0 and h")
-    for name in sub:
-        if name not in ("h0", "h", "d"):
-            raise ConfigError(f"unknown key: {key}.{name}")
-    for name in ("h0", "h"):
-        v = sub.get(name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < 1:
-            raise ConfigError(f"{key}.{name}: expected a number in (0, 1)")
-    if not _is_count(sub.get("d", 1)):
-        raise ConfigError(f"{key}.d: expected an integer >= 1")
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+def _walk(node, value, key: str):
+    """`value` (or _ABSENT) at `key` checked against `node`, defaults filled."""
+    default = node.default if isinstance(node, (_Leaf, _Obj)) else {}
+    if value is _ABSENT:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key: {key}")
+        value = default
+    if value is None and default is None:
+        return None
+    if isinstance(node, _Leaf):
+        if not node.ok(value):
+            raise ConfigError(f"{key}: expected {node.what}, got {value!r}")
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected an object, got {value!r}")
+    value = {name: v for name, v in value.items() if not name.startswith("_comment")}
+    if isinstance(node, _Obj) and node.kinds:
+        kind = _walk(_enum("analytic", node.fields), value.get("kind", _ABSENT), f"{key}.kind")
+        value, node = {**value, "kind": kind}, {"kind": _text(), **node.fields[kind]}
+    elif isinstance(node, _Obj):
+        node = node.fields
+    prefix = f"{key}." if key else ""
+    for name in value:
+        if name not in node:
+            raise ConfigError(f"unknown key: {prefix}{name}")
+    return {name: _walk(rule, value.get(name, _ABSENT), prefix + name)
+            for name, rule in node.items()}
 
 
 def validate_config(cfg: dict) -> dict:
-    cfg = _strip_comments(cfg)
+    """The config with every default filled in, or ConfigError naming the
+    offending key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("expected a JSON object")
     if "experiment" not in cfg:
         raise ConfigError("missing required key: experiment")
     name = cfg["experiment"]
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment '{name}'")
-    allowed = _SCHEMA[name] | _COMMON
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"unknown key: {key}")
-    for sec in _SECTION_KEYS:
-        if sec in cfg:
-            _check_section(cfg[sec], sec)
-    if "seed" not in cfg and name not in ("assumptions", "integrate", "pde-table", "localization-error"):
-        raise ConfigError("missing required key: seed")
-    if "bsde" in _SCHEMA[name]:
-        bc = cfg.get("bsde", {})
-        for key, build in (("terminal", build_terminal), ("generator", build_generator),
-                           ("coupling", build_coupling)):
-            sub = bc.get(key, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(f"bsde.{key}: expected an object")
-            try:
-                build(sub)
-            except ConfigError as exc:
-                raise ConfigError(f"bsde.{key}: {exc}") from None
-    if "paths" in cfg and not _is_count(cfg["paths"]):
-        raise ConfigError(f"paths: expected an integer >= 1, got {cfg['paths']!r}")
-    if "hurst" in cfg:
-        _check_hurst(cfg["hurst"], "hurst")
-    if name == "linear-bsde":
-        _closed_form_alpha(cfg)
-    if name == "localization-error" and "n_list" in cfg:
-        n_list = cfg["n_list"]
-        numbers = isinstance(n_list, list) and all(isinstance(n, (int, float)) for n in n_list)
-        if not numbers or len(set(n_list)) < 2:
-            raise ConfigError("n_list: expected at least two distinct box half-widths")
-    pde = cfg.get("pde", {})
-    if pde.get("dim", 1) not in (1, 2):
-        raise ConfigError(f"pde.dim: expected 1 or 2, got {pde['dim']!r}")
+    if not (isinstance(name, str) and name in _TABLE):
+        raise ConfigError(f"unknown experiment {name!r}; expected one of {sorted(_TABLE)}")
+    cfg = _walk(_TABLE[name], cfg, "")
+    _check_relations(cfg)
     return cfg
 
 
-# coupling g(y) = alpha y of the linear problems the closed form covers
-_LINEAR_COUPLINGS = {"zero": 0.0, "identity": 1.0}
+# ------------------------------------------------- checks that relate keys
 
-
-def _closed_form_alpha(cfg: dict) -> float:
-    """The alpha of linear_closed_form for a validated linear-bsde config;
-    rejects the generators and couplings it does not cover."""
-    bc = cfg.get("bsde", {})
-    generator, coupling = (
-        bc.get(key, {}).get("name", "zero") for key in ("generator", "coupling")
-    )
-    if generator != "zero":
-        raise ConfigError(f"bsde.generator: the closed form needs 'zero', got '{generator}'")
-    if coupling not in _LINEAR_COUPLINGS:
-        raise ConfigError(
-            f"bsde.coupling: the closed form needs one of {sorted(_LINEAR_COUPLINGS)}, got '{coupling}'"
-        )
-    return _LINEAR_COUPLINGS[coupling]
+def _check_relations(cfg: dict) -> None:
+    """The checks that relate two keys of a walked config."""
+    driver, key = cfg.get("driver"), "driver"
+    while driver is not None and driver["kind"] == "mollified":
+        driver, key = driver["base"], f"{key}.base"
+    if driver is not None and driver["kind"] == "fbs":
+        if not driver["space_min"] < driver["space_max"]:
+            raise ConfigError(f"{key}.space_min: expected a number below {key}.space_max")
+        if not driver["theta"] < min(driver["hurst"]["h0"], driver["hurst"]["h"]):
+            raise ConfigError(f"{key}.theta: expected a number below {key}.hurst.h0 and .h")
+    fwd = cfg.get("forward")
+    if fwd is not None and max(abs(fwd["drift"]), abs(fwd["diffusion"])) > fwd["bound"]:
+        raise ConfigError("forward.bound: expected at least |drift| and |diffusion|")
+    top = cfg.get("driver")
+    if cfg["experiment"] in ("cross-check", "localization-error") and not (
+        top["kind"] == "mollified"
+        or top["kind"] == "analytic" and ANALYTIC_FIELDS[top["name"]]().has_time_derivative
+    ):
+        raise ConfigError("driver: the PDE needs a driver with a time derivative")
+    if cfg["experiment"] == "localization-error" and len(set(cfg["n_list"])) < 2:
+        raise ConfigError("n_list: expected at least two distinct box half-widths")
 
 
 # -------------------------------------------------------------- experiments
@@ -411,17 +462,15 @@ def _brownian_sample(cells: int, seed: int, horizon: float = 1.0) -> SamplePath:
     return ens.path(0)
 
 
-def _run_integrate(cfg, rng_seed):
-    levels = cfg.get("levels", 14)
-    cells = cfg.get("cells", 64)
-    x = _brownian_sample(cells, cfg.get("path_seed", 2024))
+def _run_integrate(cfg, out_dir):
+    x = _brownian_sample(cfg["cells"], cfg["path_seed"])
     grid = x.grid
     cases = ["time", "bilinear", "sin_x_time", "cos_x_time", "gauss_x_time"]
     rows = []
     for name in cases:
         fld = ANALYTIC_FIELDS[name]()
         y = SamplePath(grid, np.cos(grid.points))
-        res = nonlinear_young_integral(y, x, fld, levels=levels, tol=0.0)
+        res = nonlinear_young_integral(y, x, fld, levels=cfg["levels"], tol=0.0)
         fine = dyadic_interp(grid.points, res.levels_used)
         ys = dyadic_interp(y.values, res.levels_used)[:-1]
         xs = dyadic_interp(x.as_matrix(), res.levels_used)[:-1]
@@ -435,14 +484,14 @@ def _run_integrate(cfg, rng_seed):
     return rows, summary
 
 
-def _run_flow(cfg, seed):
-    fld = build_field(cfg.get("driver", {"kind": "analytic", "name": "sin_x_t08"}))
-    cells = cfg.get("cells", 32)
-    dim = cfg.get("dim", 2)
-    x = _brownian_sample(cells, cfg.get("path_seed", 7))
-    rng = np.random.default_rng(cfg.get("alpha_seed", 1))
+def _run_flow(cfg, out_dir):
+    fld = build_field(cfg["driver"])
+    cells = cfg["cells"]
+    dim = cfg["dim"]
+    x = _brownian_sample(cells, cfg["path_seed"])
+    rng = np.random.default_rng(cfg["alpha_seed"])
     alpha = rng.standard_normal((x.grid.n, fld.channels, dim, dim)) * 0.4
-    flow = solve_linear_yode(alpha, x, fld, levels=cfg.get("levels", 0), dim=dim)
+    flow = solve_linear_yode(alpha, x, fld, levels=cfg["levels"], dim=dim)
     inv = inverse_flow(flow)
     full = flow.segment(0.0, 1.0)
     coc = 0.0
@@ -477,28 +526,28 @@ def _run_flow(cfg, seed):
     return rows, summary
 
 
-def _bsde_ingredients(cfg, seed):
-    fld = build_field(cfg.get("driver", {"kind": "analytic", "name": "time"}))
-    fwd, grid = build_forward(cfg.get("forward", {}))
-    ens = euler_maruyama(fwd, grid, cfg.get("paths", 4000), seed)
-    bc = cfg.get("bsde", {})
+def _bsde_ingredients(cfg):
+    fld = build_field(cfg["driver"])
+    fwd, grid = build_forward(cfg["forward"])
+    ens = euler_maruyama(fwd, grid, cfg["paths"], cfg["seed"])
+    bc = cfg["bsde"]
     spec = BsdeSpec(
         forward=fwd,
         fieldv=fld,
-        generator=build_generator(bc.get("generator", {})),
-        coupling=build_coupling(bc.get("coupling", {})),
-        terminal=build_terminal(bc.get("terminal", {})),
+        generator=GENERATORS[bc["generator"]["name"]](bc["generator"]["coef"]),
+        coupling=COUPLINGS[bc["coupling"]["name"]],
+        terminal=TERMINALS[bc["terminal"]["name"]](bc["terminal"]["shift"]),
         n_dim=1,
     )
-    basis = build_basis(cfg.get("basis", {}))
-    picard = build_picard(cfg.get("picard", {}))
-    return spec, ens, basis, picard, fld
+    return spec, ens, RegressionBasis(**cfg["basis"]), PicardParams(**cfg["picard"]), fld
 
 
-def _run_linear_bsde(cfg, seed):
-    spec, ens, basis, picard, fld = _bsde_ingredients(cfg, seed)
+def _run_linear_bsde(cfg, out_dir):
+    spec, ens, basis, picard, fld = _bsde_ingredients(cfg)
     sol = backward_solve(spec, ens, basis=basis, picard=picard)
-    ref = linear_closed_form(ens, fld, spec.terminal, alpha=_closed_form_alpha(cfg))
+    ref = linear_closed_form(
+        ens, fld, spec.terminal, alpha=_LINEAR_COUPLINGS[cfg["bsde"]["coupling"]["name"]]
+    )
     combined = float(np.sqrt(sol.y0_se[0] ** 2 + ref.se[0] ** 2))
     diff = float(abs(sol.y0[0] - ref.y0[0]))
     rows = [
@@ -521,10 +570,10 @@ def _run_linear_bsde(cfg, seed):
     return rows, summary
 
 
-def _run_nonlinear_bsde(cfg, seed):
-    spec, ens, basis, picard, _ = _bsde_ingredients(cfg, seed)
+def _run_nonlinear_bsde(cfg, out_dir):
+    spec, ens, basis, picard, _ = _bsde_ingredients(cfg)
     sol = backward_solve(spec, ens, basis=basis, picard=picard)
-    diag = diagnostics(sol, ens, p=cfg.get("diag_p", 2.5), k_mom=cfg.get("diag_k", 2.0))
+    diag = diagnostics(sol, ens, p=cfg["diag_p"], k_mom=cfg["diag_k"])
     rows = [
         {
             "y0": float(sol.y0[0]),
@@ -539,9 +588,9 @@ def _run_nonlinear_bsde(cfg, seed):
     return rows, summary
 
 
-def _run_localize(cfg, seed):
-    spec, ens, basis, picard, _ = _bsde_ingredients(cfg, seed)
-    rows_raw = localization_sweep(spec, ens, cfg.get("radii", [1.0, 2.0, 3.0]), basis=basis, picard=picard)
+def _run_localize(cfg, out_dir):
+    spec, ens, basis, picard, _ = _bsde_ingredients(cfg)
+    rows_raw = localization_sweep(spec, ens, cfg["radii"], basis=basis, picard=picard)
     rows = [
         {"radius": r["radius"], "y0": r["y0"], "diff_prev": r["diff_prev"], "p_exit": r["p_exit"]}
         for r in rows_raw
@@ -550,22 +599,16 @@ def _run_localize(cfg, seed):
     return rows, summary
 
 
-def _run_compare(cfg, seed):
-    fld = build_field(cfg.get("driver", {"kind": "analytic", "name": "time"}))
-    fwd, grid = build_forward(cfg.get("forward", {}))
-    ens = euler_maruyama(fwd, grid, cfg.get("paths", 4000), seed)
-    bc = cfg.get("bsde", {})
-    shift = cfg.get("shift", 0.1)
-    term_cfg = bc.get("terminal", {"name": "cos"})
-    term_a = build_terminal({**term_cfg, "shift": term_cfg.get("shift", 0.0) + shift})
-    term_b = build_terminal(term_cfg)
-    gen = build_generator(bc.get("generator", {}))
-    coup = build_coupling(bc.get("coupling", {}))
-    spec_a = BsdeSpec(forward=fwd, fieldv=fld, generator=gen, coupling=coup, terminal=term_a, name="A")
-    spec_b = BsdeSpec(forward=fwd, fieldv=fld, generator=gen, coupling=coup, terminal=term_b, name="B")
+def _run_compare(cfg, out_dir):
+    spec_b, ens, basis, picard, fld = _bsde_ingredients(cfg)
+    shift = cfg["shift"]
+    term = cfg["bsde"]["terminal"]
+    spec_a = BsdeSpec(
+        forward=spec_b.forward, fieldv=fld, generator=spec_b.generator, coupling=spec_b.coupling,
+        terminal=TERMINALS[term["name"]](term["shift"] + shift),
+    )
     rep = comparison_experiment(
-        spec_a, spec_b, ens, basis=build_basis(cfg.get("basis", {})),
-        picard=build_picard(cfg.get("picard", {})), eps_reg=cfg.get("eps_reg", 1e-2),
+        spec_a, spec_b, ens, basis=basis, picard=picard, eps_reg=cfg["eps_reg"],
     )
     rows = [
         {
@@ -582,15 +625,13 @@ def _run_compare(cfg, seed):
     return rows, summary
 
 
-def _run_pde_table(cfg, seed):
+def _run_pde_table(cfg, out_dir):
     base = build_field(cfg["driver"])
-    spec = build_pde_spec(cfg.get("pde", {}), _field_time())
-    points = [tuple(p) for p in cfg.get("points", [[0.0, 0.0]])]
+    spec = build_pde_spec(cfg["pde"], ANALYTIC_FIELDS["time"]())
+    points = [tuple(p) for p in cfg["points"]]
     table = young_pde_table(
-        spec, base, cfg.get("n_list", [2.0, 3.0]), cfg.get("m_list", [4, 8]),
-        points, time_steps=cfg.get("time_steps", 64),
-        cells_per_unit=cfg.get("cells_per_unit", 16),
-        threshold=cfg.get("threshold", 1e-2),
+        spec, base, cfg["n_list"], cfg["m_list"], points, time_steps=cfg["time_steps"],
+        cells_per_unit=cfg["cells_per_unit"], threshold=cfg["threshold"],
     )
     rows = []
     for i, n in enumerate(table.n_list):
@@ -605,15 +646,14 @@ def _run_pde_table(cfg, seed):
     return rows, summary
 
 
-def _run_cross_check(cfg, seed):
+def _run_cross_check(cfg, out_dir):
     fld = build_field(cfg["driver"])
-    spec = build_pde_spec(cfg.get("pde", {}), fld)
+    spec = build_pde_spec(cfg["pde"], fld)
     report = feynman_kac_cross_check(
-        spec, [tuple(p) for p in cfg.get("points", [[0.0, 0.0]])],
-        n_paths=cfg.get("paths", 20_000), seed=seed,
-        time_steps=cfg.get("time_steps", 96), space_steps=cfg.get("space_steps", 192),
-        mc_time_steps=cfg.get("mc_time_steps", 96),
-        basis=build_basis(cfg.get("basis", {})), picard=build_picard(cfg.get("picard", {})),
+        spec, [tuple(p) for p in cfg["points"]], n_paths=cfg["paths"], seed=cfg["seed"],
+        time_steps=cfg["time_steps"], space_steps=cfg["space_steps"],
+        mc_time_steps=cfg["mc_time_steps"],
+        basis=RegressionBasis(**cfg["basis"]), picard=PicardParams(**cfg["picard"]),
     )
     summary = [
         f"({r['t']}, {r['x']}): |u_FD - u_MC| = {r['abs_diff']:.4e} tol {r['tol']:.4e} "
@@ -623,14 +663,12 @@ def _run_cross_check(cfg, seed):
     return report, summary
 
 
-def _run_localization_error(cfg, seed):
-    fld = build_field(cfg.get("driver", {"kind": "analytic", "name": "time"}))
-    spec = build_pde_spec(cfg.get("pde", {}), fld)
+def _run_localization_error(cfg, out_dir):
+    fld = build_field(cfg["driver"])
+    spec = build_pde_spec(cfg["pde"], fld)
     out = localization_error_experiment(
-        spec, cfg.get("n_list", [2.0, 4.0, 6.0]),
-        [tuple(p) for p in cfg.get("points", [[0.0, 0.0]])],
-        n_max=cfg.get("n_max", 8.0), time_steps=cfg.get("time_steps", 96),
-        cells_per_unit=cfg.get("cells_per_unit", 16),
+        spec, cfg["n_list"], [tuple(p) for p in cfg["points"]], n_max=cfg["n_max"],
+        time_steps=cfg["time_steps"], cells_per_unit=cfg["cells_per_unit"],
     )
     rows = [dict(r) for r in out["rows"]]
     rows.append({"n": "fit", "max_diff": out["slope"]})
@@ -641,25 +679,19 @@ def _run_localization_error(cfg, seed):
     return rows, summary
 
 
-def _run_neumann(cfg, seed):
+def _run_neumann(cfg, out_dir):
     fld = build_field(cfg["driver"])
-    a, b = cfg.get("interval", [0.0, 1.0])
-    t0, x0 = cfg.get("start", [0.0, 0.5])
-    h = {"one": lambda x: np.ones_like(x), "cos-pi": lambda x: np.cos(np.pi * x)}[
-        cfg.get("terminal_name", "cos-pi")
-    ]
     est, se = neumann_fk_estimate(
-        h, fld, (a, b), (t0, x0), n_paths=cfg.get("paths", 20_000), seed=seed,
-        n_steps=cfg.get("steps", 256),
+        NEUMANN_TERMINALS[cfg["terminal_name"]], fld, tuple(cfg["interval"]),
+        tuple(cfg["start"]), n_paths=cfg["paths"], seed=cfg["seed"], n_steps=cfg["steps"],
     )
     rows = [{"estimate": est, "se": se}]
     summary = [f"E[h(X_T) exp(int B)] = {est:.6f} (se {se:.2e})"]
     return rows, summary
 
 
-def _run_fbs_generate(cfg, seed):
+def _run_fbs_generate(cfg, out_dir):
     fld = build_field(cfg["driver"])
-    prefix = cfg.get("prefix", "fbs_realization")
     rows = [
         {
             "time_cells": fld.time_points.size - 1,
@@ -669,17 +701,14 @@ def _run_fbs_generate(cfg, seed):
             "sup_abs": float(np.max(np.abs(fld.values))),
         }
     ]
+    save_fbs(fld, out_dir / cfg["prefix"])
     summary = [f"realization range [{rows[0]['min']:.4f}, {rows[0]['max']:.4f}]"]
-    return rows, summary, ("fbs", fld, prefix)
+    return rows, summary
 
 
-def _run_assumptions(cfg, seed):
-    p = cfg.get("params", {})
-    params = RegularityParams(
-        tau=p.get("tau", 0.9), lam=p.get("lam", 0.5), beta=p.get("beta", 0.0),
-        p=p.get("p", 2.05), eps=p.get("eps"), k=p.get("k"),
-    )
-    hurst = HurstParams(**cfg["hurst"]) if "hurst" in cfg else None
+def _run_assumptions(cfg, out_dir):
+    params = RegularityParams(**cfg["params"])
+    hurst = HurstParams(**cfg["hurst"]) if cfg["hurst"] is not None else None
     rep = assumption_check(params, hurst)
     rows = [
         {"check": "H0", "result": "PASS" if rep.h0 else "FAIL"},
@@ -708,46 +737,27 @@ _RUNNERS = {
 }
 
 _NUMERIC_FAILURES = (
-    FloatingPointError,
-    np.linalg.LinAlgError,
+    NoContractionError, RegressionError, FlowError, CflError, SewingError,
+    FloatingPointError, np.linalg.LinAlgError,
 )
 
 
-def write_results(rows: list[dict], path: Path) -> None:
-    if not rows:
-        rows = [{"empty": True}]
-    fields = list(rows[0].keys())
-    write_csv(path, fields, ([row.get(f, "") for f in fields] for row in rows))
-
-
 def run_config(cfg: dict, out_dir: Path) -> int:
-    from .bsde import NoContractionError, RegressionError
-    from .flow import FlowError
-    from .pde import CflError
-    from .sewing import SewingError
-
-    cfg = validate_config(cfg)
+    """Runs a config that validate_config returned and writes its outputs."""
     name = cfg["experiment"]
-    seed = cfg.get("seed", 0)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     try:
-        result = _RUNNERS[name](cfg, seed)
-    except (NoContractionError, RegressionError, FlowError, CflError, SewingError,
-            *_NUMERIC_FAILURES) as exc:
+        rows, summary = _RUNNERS[name](cfg, out_dir)
+    except _NUMERIC_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if len(result) == 3:
-        rows, summary, extra = result
-        if extra[0] == "fbs":
-            save_fbs(extra[1], out_dir / extra[2])
-    else:
-        rows, summary = result
     wall = time.time() - t0
-    write_results(rows, out_dir / "results.csv")
+    fields = list(rows[0].keys())
+    write_csv(out_dir / "results.csv", fields, ([row.get(f, "") for f in fields] for row in rows))
     manifest = {
         "config": cfg,
-        "seed": seed,
+        "seed": cfg["seed"],
         "library_version": __version__,
         "wall_time_s": wall,
     }
@@ -765,38 +775,22 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", type=Path)
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (results are independent of the cap)")
     p_run.add_argument("--out", type=Path, default=None)
     p_check = sub.add_parser("check", help="validate a config without running")
     p_check.add_argument("config", type=Path)
     args = parser.parse_args(argv)
 
     try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = validate_config(json.loads(Path(args.config).read_text()))
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "check":
-        try:
-            validate_config(cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
         print("config ok")
         return 0
-
-    if getattr(args, "threads", None):
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
-    out_dir = args.out or Path(
-        _strip_comments(cfg).get("output_dir", os.environ.get("YOUNGBSDE_OUT", "youngbsde-out"))
-    )
-    try:
-        return run_config(cfg, Path(out_dir))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    out_dir = cfg["output_dir"] or os.environ.get("YOUNGBSDE_OUT", "youngbsde-out")
+    return run_config(cfg, args.out or Path(out_dir))
 
 
 if __name__ == "__main__":

@@ -421,6 +421,7 @@ class TestDiagnostics:
         )
         sol = backward_solve(spec, ens)
         d = diagnostics(sol, ens)
+        assert all(type(t) is float for t in d["times"])  # plain floats for summary.txt
         assert d["m_pk"] == pytest.approx(0.0, abs=1e-9)
         assert d["z_bmo"] == pytest.approx(0.0, abs=1e-9)
         assert d["sup_y"] == pytest.approx(1.5)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ class TestCliRuns:
             ({"experiment": "nonlinear-bsde", "seed": 1, "driver": {"kind": "nope"}},
              "driver.kind"),
             ({"experiment": "assumptions", "hurst": {"h0": 0.9}}, "hurst.h"),
+            ({"experiment": "linear-bsde", "seed": 1, "bsde": {"terminal": {"name": []}}},
+             "bsde.terminal.name"),
+            ({"experiment": "linear-bsde", "seed": 1, "bsde": {"terminal": {"name": {}}}},
+             "bsde.terminal.name"),
+            ({"experiment": "localize", "seed": 1, "bsde": {"terminal": {"name": []}}},
+             "bsde.terminal.name"),
+            ({"experiment": "localize", "seed": 1, "bsde": {"terminal": {"name": {}}}},
+             "bsde.terminal.name"),
+            ({"experiment": "neumann", "seed": 1, "driver": {"kind": "analytic"},
+              "terminal_name": "nope"}, "terminal_name"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "basis": {"degree": -1}}, "basis.degree"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "picard": {"max_iter": "x"}},
+             "picard.max_iter"),
+            ({"experiment": "nonlinear-bsde", "seed": 1, "diag_p": 0.5}, "diag_p"),
+            ({"experiment": "integrate", "tolerances": {"picard": 1e-9}}, "tolerances"),
+            ({"experiment": "integrate", "threads": 2}, "threads"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):
@@ -206,6 +223,7 @@ class TestCliRuns:
         out1 = tmp_path / "r1"
         assert main(["run", str(p), "--out", str(out1)]) == 0
         echoed = json.loads((out1 / "manifest.json").read_text())["config"]
+        assert echoed["basis"] == {"degree": 3, "ridge": 1e-8}  # defaults filled in
         p2 = write_cfg(tmp_path, echoed, name="echo.json")
         out2 = tmp_path / "r2"
         assert main(["run", str(p2), "--out", str(out2)]) == 0
@@ -222,6 +240,24 @@ class TestCliRuns:
         p = write_cfg(tmp_path, cfg)
         assert main(["run", str(p), "--out", str(tmp_path / "o3")]) == 3
         assert "no contraction" in capsys.readouterr().err
+
+    def test_compare_running_max_gap_is_shift(self, tmp_path):
+        # zero generator and coupling: Y is the conditional expectation of the
+        # terminal, so shifting the terminal by s shifts Y0 by s
+        cfg = {
+            "experiment": "compare",
+            "seed": 9,
+            "paths": 300,
+            "forward": {"steps": 8},
+            "bsde": {"terminal": {"name": "running-max"}},
+            "shift": 0.5,
+        }
+        p = write_cfg(tmp_path, cfg)
+        out = tmp_path / "cmp"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        header, vals = (out / "results.csv").read_text().strip().splitlines()
+        row = dict(zip(header.split(","), vals.split(",")))
+        assert float(row["y0_gap"]) == pytest.approx(0.5, abs=1e-12)
 
     def test_compare_experiment(self, tmp_path):
         cfg = {
@@ -276,3 +312,56 @@ class TestCliRuns:
         rows = (out / "results.csv").read_text().strip().splitlines()
         est = float(rows[1].split(",")[0])
         assert est == pytest.approx(np.e, rel=1e-9)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# the shipped configs cut to sizes that run in milliseconds
+_CUT = {"paths": 40, "steps": 8, "time_cells": 32, "space_cells": 16, "levels": 6, "cells": 16,
+        "time_steps": 8, "space_steps": 16, "mc_time_steps": 8}
+
+
+def _cut(obj):
+    if isinstance(obj, dict):
+        return {k: _CUT[k] if k in _CUT and isinstance(v, int) else _cut(v) for k, v in obj.items()}
+    return obj
+
+
+def _leaves(obj, prefix=()):
+    for k, v in obj.items():
+        if k.startswith("_comment"):
+            continue
+        if isinstance(v, dict):
+            yield from _leaves(v, prefix + (k,))
+        else:
+            yield prefix + (k,)
+
+
+def _mutant(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    sub = cfg
+    for k in path[:-1]:
+        sub = sub[k]
+    sub[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_mutation_sweep_check_passing_means_run_builds(tmp_path, capsys, name):
+    """Every leaf of a shipped config set in turn to each of seven values:
+    either check and run both exit 2 naming the key, or check passes and
+    run exits 0 or 3."""
+    base = _cut(json.loads((CONFIGS / name).read_text()))
+    bad = []
+    for path in _leaves(base):
+        key = ".".join(path)
+        for value in (0, -1, "x", 2.5, None, [], {}):
+            p = write_cfg(tmp_path, _mutant(base, path, value))
+            try:
+                codes = main(["check", str(p)]), main(["run", str(p), "--out", str(tmp_path / "o")])
+            except Exception as exc:  # a crash is a finding, reported with the others
+                codes = repr(exc)
+            err = capsys.readouterr().err
+            if not (codes == (2, 2) and err.count(key) >= 2 or codes in ((0, 0), (0, 3))):
+                bad.append(f"{key} = {value!r}: {codes} {err.strip()}")
+    assert not bad, "\n".join(bad)
