@@ -433,14 +433,22 @@ def validate_config(cfg: dict) -> dict:
 
 def _check_relations(cfg: dict) -> None:
     """The checks that relate two keys of a walked config."""
+    exp = cfg["experiment"]
     driver, key = cfg.get("driver"), "driver"
     while driver is not None and driver["kind"] == "mollified":
         driver, key = driver["base"], f"{key}.base"
+    horizon = None if driver is None else (
+        driver["horizon"] if driver["kind"] == "fbs" else ANALYTIC_FIELDS[driver["name"]]().horizon)
     if driver is not None and driver["kind"] == "fbs":
         if not driver["space_min"] < driver["space_max"]:
             raise ConfigError(f"{key}.space_min: expected a number below {key}.space_max")
         if not driver["theta"] < min(driver["hurst"]["h0"], driver["hurst"]["h"]):
             raise ConfigError(f"{key}.theta: expected a number below {key}.hurst.h0 and .h")
+        # the space dimension of the points the experiment evaluates the driver at
+        state_dim = (len(cfg["forward"]["x0"]) if "forward" in cfg
+                     else cfg["pde"]["dim"] if "pde" in cfg else 1)
+        if exp != "fbs-generate" and driver["hurst"]["d"] > state_dim:
+            raise ConfigError(f"{key}.hurst.d: expected at most the state dimension {state_dim}")
     fwd = cfg.get("forward")
     if fwd is not None and max(abs(fwd["drift"]), abs(fwd["diffusion"])) > fwd["bound"]:
         raise ConfigError("forward.bound: expected at least |drift| and |diffusion|")
@@ -450,8 +458,34 @@ def _check_relations(cfg: dict) -> None:
         or top["kind"] == "analytic" and ANALYTIC_FIELDS[top["name"]]().has_time_derivative
     ):
         raise ConfigError("driver: the PDE needs a driver with a time derivative")
-    if cfg["experiment"] == "localization-error" and len(set(cfg["n_list"])) < 2:
+    if exp == "localization-error" and len(set(cfg["n_list"])) < 2:
         raise ConfigError("n_list: expected at least two distinct box half-widths")
+    if exp in ("pde-table", "localization-error"):
+        boxes = [("n_list", n) for n in cfg["n_list"]]
+        boxes += [("n_max", cfg["n_max"])] if exp == "localization-error" else []
+        for name, n in boxes:
+            if int(2 * n * cfg["cells_per_unit"]) < 2:
+                raise ConfigError(f"{name}: half-width {n} gives under 2 cells per axis "
+                                  f"at cells_per_unit {cfg['cells_per_unit']}")
+    if exp in ("pde-table", "cross-check", "localization-error"):
+        pde = cfg["pde"]
+        half = pde["halfwidth"] if exp == "cross-check" else min(n for _, n in boxes)
+        # the Monte Carlo side of cross-check starts the driver at t
+        t_end = min(pde["horizon"], horizon) if exp == "cross-check" else pde["horizon"]
+        for t, x in cfg["points"]:
+            xs = x if isinstance(x, list) else [x]
+            if not (0 <= t < t_end and len(xs) == pde["dim"] and all(abs(c) <= half for c in xs)):
+                raise ConfigError(
+                    f"points: expected [t, x] with t in [0, {t_end}) and x of "
+                    f"{pde['dim']} coordinates in [-{half}, {half}], got {[t, x]}"
+                )
+    if exp == "neumann":
+        (a, b), (t0, x0) = cfg["interval"], cfg["start"]
+        if not a < b:
+            raise ConfigError(f"interval: expected [a, b] with a < b, got {[a, b]}")
+        if not (0 <= t0 < horizon and a <= x0 <= b):
+            raise ConfigError(f"start: expected [t, x] with t in [0, {horizon}) and x in "
+                              f"[{a}, {b}], got {[t0, x0]}")
 
 
 # -------------------------------------------------------------- experiments

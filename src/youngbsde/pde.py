@@ -14,12 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from .bsde import (
@@ -29,7 +28,7 @@ from .bsde import (
     localized_solve,
     terminal_h_of_xt,
 )
-from .driver import DriverField, mollify, shift_field
+from .driver import DriverField, _blend, _locate, mollify, shift_field
 from .forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
 from .paths import TimeGrid, write_csv
 
@@ -123,15 +122,15 @@ class PdeSolution:
     dt: float
     dx: float
 
-    @cached_property
-    def _interp(self) -> RegularGridInterpolator:
-        return RegularGridInterpolator(
-            (self.times, *self.axes), self.u, method="linear", bounds_error=True
-        )
-
     def value_at(self, t: float, x) -> float:
-        pt = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self._interp(np.concatenate([[t], pt]))[0])
+        """Multilinear interpolation of u at (t, x); ValueError off the grid."""
+        grids = (self.times, *self.axes)
+        pt = np.concatenate([[t], np.atleast_1d(np.asarray(x, dtype=float))])
+        if pt.size != len(grids):
+            raise ValueError(f"expected t and {len(grids) - 1} space coordinates, got {pt}")
+        if not all(g[0] <= c <= g[-1] for g, c in zip(grids, pt)):
+            raise ValueError(f"point {pt} outside the solution grid")
+        return float(_blend(self.u, [_locate(g, pt[i : i + 1]) for i, g in enumerate(grids)])[0])
 
 
 def _nodes(axes) -> np.ndarray:
@@ -139,36 +138,38 @@ def _nodes(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _operator(spec: PdeSpec, axes) -> sp.csr_matrix:
+def _stencils(spec: PdeSpec, axes):
     """The elliptic operator 1/2 tr(D grad^2 u) + b . grad u, D = sigma sigma^T,
-    on every node of the tensor grid over `axes`, as a sum of Kronecker
-    products of the 1-D central differences with D and b taken per node.
-    Rows of boundary nodes are built too; callers keep the interior ones."""
+    and the map to sigma^T grad u (block a of its rows gives component a),
+    on every node of the tensor grid over `axes`, from Kronecker products of
+    the 1-D central differences with sigma, D and b taken per node.  Rows of
+    boundary nodes are built too; callers keep the interior ones."""
     pts = _nodes(axes)
     sig = spec.sigma_matrix(pts)
     dd = np.einsum("kab,kcb->kac", sig, sig)
     b = spec.drift_vector(pts)
-    hs = [ax[1] - ax[0] for ax in axes]
-    # unscaled 1-D stencils: second difference and central first difference
-    d2 = [sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ax.size, ax.size)) for ax in axes]
-    d1 = [sp.diags([-1.0, 1.0], [-1, 1], shape=(ax.size, ax.size)) for ax in axes]
+    hs, dims = [ax[1] - ax[0] for ax in axes], range(len(axes))
 
-    def along(ops: dict):
-        """Kronecker product of the 1-D `ops` {axis: matrix}, identity elsewhere."""
-        mats = [ops.get(j, sp.identity(ax.size)) for j, ax in enumerate(axes)]
+    def along(j, diagonals, offsets):
+        """The 1-D difference on axis j, identity on the other axes."""
+        mats = [sp.diags(diagonals, offsets, shape=(ax.size,) * 2) if i == j
+                else sp.identity(ax.size) for i, ax in enumerate(axes)]
         return reduce(sp.kron, mats).tocsr()
 
-    terms = [sp.diags(0.5 * dd[:, j, j] / h**2) @ along({j: d2[j]}) for j, h in enumerate(hs)]
-    terms += [sp.diags(b[:, j] / (2 * h)) @ along({j: d1[j]}) for j, h in enumerate(hs)]
-    terms += [
-        sp.diags(0.5 * (dd[:, i, j] + dd[:, j, i]) / (4 * hs[i] * hs[j]))
-        @ along({i: d1[i], j: d1[j]})
-        for j in range(len(hs))
-        for i in range(j)
-    ]
+    d2 = [along(j, [1.0, -2.0, 1.0], [-1, 0, 1]) / hs[j] ** 2 for j in dims]
+    d1 = [along(j, [-1.0, 1.0], [-1, 1]) / (2 * hs[j]) for j in dims]
+    terms = [sp.diags(0.5 * dd[:, j, j]) @ d2[j] + sp.diags(b[:, j]) @ d1[j] for j in dims]
+    terms += [sp.diags(0.5 * (dd[:, i, j] + dd[:, j, i])) @ (d1[i] @ d1[j])
+              for j in dims for i in range(j)]
     lmat = sum(terms[1:], terms[0]).tocsr()
     lmat.eliminate_zeros()
-    return lmat
+    grad_w = sp.vstack([sum(sp.diags(sig[:, j, a]) @ d1[j] for j in dims) for a in dims])
+    return lmat, grad_w.tocsr()
+
+
+def _operator(spec: PdeSpec, axes) -> sp.csr_matrix:
+    """The elliptic operator of `_stencils` alone."""
+    return _stencils(spec, axes)[0]
 
 
 def fd_dirichlet_solve(
@@ -181,19 +182,21 @@ def fd_dirichlet_solve(
     h(x) exactly.  theta = 0 (fully explicit) is guarded by the Gershgorin
     CFL bound dt <= 2 / max_k sum_i |L[k, i]| over the interior operator L;
     for sigma sigma^T = D I in d dimensions and no drift it is dx^2 / (d D).
+    The implicit matrix is factored once, ordered by minimum degree on
+    A^T + A, which suits the structurally symmetric stencil.
     """
     nt = time_steps
     dt = spec.horizon / nt
     times = np.linspace(0.0, spec.horizon, nt + 1)
     axes = [np.linspace(-spec.halfwidth, spec.halfwidth, space_steps + 1)] * spec.dim
     shape = tuple(ax.size for ax in axes)
-    hs = [ax[1] - ax[0] for ax in axes]
     inner = (slice(1, -1),) * spec.dim
     interior = np.zeros(shape, dtype=bool)
     interior[inner] = True
     interior = interior.ravel()
 
-    rows = _operator(spec, axes)[interior]
+    full, grad_w = _stencils(spec, axes)
+    rows = full[interior]
     lmat = rows[:, interior]
     if theta == 0.0:
         dt_max = 2.0 / abs(lmat).sum(axis=1).max()
@@ -202,23 +205,15 @@ def fd_dirichlet_solve(
     h_vals = np.asarray(spec.terminal(_nodes(axes)), dtype=float).reshape(shape)
     bfeed = dt * (rows @ np.where(interior, 0.0, h_vals.ravel()))
     eye = sp.identity(lmat.shape[0], format="csc")
-    lhs = splu((eye - theta * dt * lmat).tocsc())
+    lhs = splu((eye - theta * dt * lmat).tocsc(), permc_spec="MMD_AT_PLUS_A")
     rhs_op = eye + (1 - theta) * dt * lmat
-
+    # sigma^T grad u at the interior nodes from the full grid, (d, k) raveled
+    grad_w = grad_w[np.tile(interior, spec.dim)]
     grid_pts = _nodes([ax[1:-1] for ax in axes])
-    sig_int = spec.sigma_matrix(grid_pts)
 
-    def central(u_full, j):
-        # (u(x + h e_j) - u(x - h e_j)) / 2h at the interior nodes
-        hi, lo = list(inner), list(inner)
-        hi[j], lo[j] = slice(2, None), slice(None, -2)
-        return ((u_full[tuple(hi)] - u_full[tuple(lo)]) / (2 * hs[j])).ravel()
-
-    def nonlinear(t, u_full):
-        grad = np.stack([central(u_full, j) for j in range(spec.dim)], axis=-1)
-        w = np.einsum("kba,kb->ka", sig_int, grad)
+    def nonlinear(t, u_full, dt_eta):
+        w = (grad_w @ u_full.ravel()).reshape(spec.dim, -1).T
         uu = u_full[inner].ravel()
-        dt_eta = spec.fieldv.time_derivative(t, grid_pts)
         return spec.generator(t, grid_pts, uu, w) + np.einsum(
             "km,km->k", spec.coupling(uu), dt_eta
         )
@@ -226,15 +221,18 @@ def fd_dirichlet_solve(
     shape_int = tuple(n - 2 for n in shape)
     u = np.empty((nt + 1, *shape))
     u[-1] = h_vals
+    # each level's driver derivative serves two steps: corrector, then predictor
+    dt_eta = spec.fieldv.time_derivative(times[-1], grid_pts)
     for k in range(nt - 1, -1, -1):
         base = rhs_op @ u[k + 1][inner].ravel() + bfeed
-        n_hi = nonlinear(times[k + 1], u[k + 1])
+        n_hi = nonlinear(times[k + 1], u[k + 1], dt_eta)
         # predictor in u[k], then the corrector over it
         u[k] = h_vals
         u[k][inner] = lhs.solve(base + dt * n_hi).reshape(shape_int)
-        n_lo = nonlinear(times[k], u[k])
+        dt_eta = spec.fieldv.time_derivative(times[k], grid_pts)
+        n_lo = nonlinear(times[k], u[k], dt_eta)
         u[k][inner] = lhs.solve(base + dt * 0.5 * (n_hi + n_lo)).reshape(shape_int)
-    return PdeSolution(times=times, axes=axes, u=u, theta=theta, dt=dt, dx=hs[0])
+    return PdeSolution(times=times, axes=axes, u=u, theta=theta, dt=dt, dx=axes[0][1] - axes[0][0])
 
 
 def save_solution(solution: PdeSolution, prefix, spec: PdeSpec | None = None) -> None:

@@ -203,6 +203,37 @@ class TestCliRuns:
             ({"experiment": "nonlinear-bsde", "seed": 1, "diag_p": 0.5}, "diag_p"),
             ({"experiment": "integrate", "tolerances": {"picard": 1e-9}}, "tolerances"),
             ({"experiment": "integrate", "threads": 2}, "threads"),
+            # PDE points outside the smallest box, off the time range or of
+            # the wrong dimension, and boxes under two cells
+            ({"experiment": "cross-check", "seed": 1, "driver": {"kind": "analytic"},
+              "points": [[0.0, 5.0]]}, "points"),
+            ({"experiment": "cross-check", "seed": 1, "driver": {"kind": "analytic"},
+              "points": [[0.5, 0.0]]}, "points"),
+            ({"experiment": "pde-table", "driver": {"kind": "analytic"}, "pde": {"dim": 2}},
+             "points"),
+            ({"experiment": "localization-error", "points": [[0.0, [0.0, 0.0]]]}, "points"),
+            ({"experiment": "localization-error", "points": [[0.1, 2.5]]}, "points"),
+            ({"experiment": "pde-table", "driver": {"kind": "analytic"},
+              "points": [[-0.1, 0.0]]}, "points"),
+            ({"experiment": "pde-table", "driver": {"kind": "analytic"}, "n_list": [0.01, 1.0]},
+             "n_list"),
+            ({"experiment": "localization-error", "n_list": [1.0, 2.0], "n_max": 0.01}, "n_max"),
+            ({"experiment": "cross-check", "seed": 1, "driver": {"kind": "analytic"},
+              "pde": {"horizon": 2.0}, "points": [[1.5, 0.0]]}, "points"),
+            # neumann start and interval, and an fbs driver wider than the state
+            ({"experiment": "neumann", "seed": 1, "driver": {"kind": "analytic"},
+              "start": [0.0, 5.0]}, "start"),
+            ({"experiment": "neumann", "seed": 1, "driver": {"kind": "analytic"},
+              "interval": [1.0, 0.0]}, "interval"),
+            ({"experiment": "neumann", "seed": 1, "driver": {"kind": "analytic"},
+              "start": [2.0, 0.5]}, "start"),
+            ({"experiment": "linear-bsde", "seed": 1,
+              "driver": {"kind": "fbs", "hurst": {"h0": 0.9, "h": 0.5, "d": 2}}},
+             "driver.hurst.d"),
+            ({"experiment": "localization-error",
+              "driver": {"kind": "mollified",
+                         "base": {"kind": "fbs", "hurst": {"h0": 0.9, "h": 0.5, "d": 2}}}},
+             "driver.base.hurst.d"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import heat_solution_gaussian_bump, reflected_bm_expectation
@@ -5,9 +10,11 @@ from oracles import heat_solution_gaussian_bump, reflected_bm_expectation
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.pde import (
     CflError,
+    PdeSolution,
     PdeSpec,
     _nodes,
     _operator,
+    _stencils,
     fd_dirichlet_solve,
     feynman_kac_cross_check,
     localization_error_experiment,
@@ -182,6 +189,80 @@ class TestFdSolve:
         assert dim == 1 or np.abs(dd[:, 0, 1]).min() > 0.1
         np.testing.assert_allclose(got[interior], want[interior], rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sigma_grad_map_exact_on_quadratics(self, dim):
+        # with the sigma and drift of test_operator_exact_on_quadratics, the
+        # map's a-th block gives sum_b sigma_ba (g + Q x)_b at interior nodes
+        def sigma(x):
+            diag = (1.0 + 0.3 * np.sin(x))[:, :, None] * np.eye(dim)
+            off = (0.4 + 0.2 * np.sin(x.sum(axis=1)))[:, None, None]
+            return diag + off * np.triu(np.ones((dim, dim)), 1)
+
+        spec = PdeSpec(
+            halfwidth=1.0, dim=dim, horizon=0.5, terminal=gaussian_bump,
+            sigma=sigma, drift=lambda x: 0.5 - 0.8 * x[:, ::-1], generator=zero_f,
+            coupling=zero_g, fieldv=smooth_field(), name="quadratic",
+        )
+        q = np.array([[1.3, -0.7], [-0.7, 0.9]])[:dim, :dim]
+        g = np.array([0.4, -1.1])[:dim]
+        axes = [np.linspace(-1.0, 1.0, 9)] * dim
+        pts = _nodes(axes)
+        u = pts @ g + 0.5 * np.einsum("ki,ij,kj->k", pts, q, pts)
+        want = np.einsum("kba,kb->ka", sigma(pts), g + pts @ q)
+        got = (_stencils(spec, axes)[1] @ u).reshape(dim, -1).T
+        interior = np.all(np.abs(pts) < 1.0 - 1e-12, axis=1)
+        assert dim == 1 or np.abs(sigma(pts)[:, 0, 1]).min() > 0.1
+        np.testing.assert_allclose(got[interior], want[interior], rtol=0, atol=1e-12)
+
+    def test_driver_derivative_once_per_time_level(self):
+        spec = heat_spec(halfwidth=1.0, g=lambda u: u[:, None])
+        field, times = spec.fieldv, []
+        derivative = field.time_derivative
+
+        def counting(t, x):
+            times.append(float(t))
+            return derivative(t, x)
+
+        field.time_derivative = counting
+        sol = fd_dirichlet_solve(spec, 16, 8)
+        assert len(times) == 17
+        assert sorted(times) == list(sol.times)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_value_at_exact_on_multilinear(self, dim):
+        # multilinear interpolation reproduces a function multilinear in (t, x)
+        coef = np.array([0.3, 1.1, -0.7, 0.4, 0.9, -0.5, 0.2, 0.6])
+
+        def f(t, x):
+            x2 = x[..., 1] if dim == 2 else 0.0
+            x1 = x[..., 0]
+            terms = [1, t, x1, t * x1, x2, t * x2, x1 * x2, t * x1 * x2]
+            return sum(c * term for c, term in zip(coef, terms))
+
+        times = np.linspace(0.0, 0.5, 7)
+        axes = [np.linspace(-1.5, 1.5, 11)] * dim
+        pts = _nodes(axes).reshape(*(ax.size for ax in axes), dim)
+        u = np.stack([f(t, pts) for t in times])
+        sol = PdeSolution(times=times, axes=axes, u=u, theta=0.5, dt=times[1], dx=0.3)
+        rng = np.random.default_rng(4)
+        for t, x in zip(rng.uniform(0.0, 0.5, 20), rng.uniform(-1.5, 1.5, (20, dim))):
+            assert abs(sol.value_at(t, x) - f(t, x)) <= 1e-14
+        assert abs(sol.value_at(0.5, [1.5] * dim) - f(0.5, np.full(dim, 1.5))) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_value_at_rejects_points_off_the_grid(self, dim):
+        sol = fd_dirichlet_solve(heat_spec(halfwidth=1.0, dim=dim), 4, 8)
+        with pytest.raises(ValueError):
+            sol.value_at(0.26, [0.0] * dim)
+        with pytest.raises(ValueError):
+            sol.value_at(-0.01, [0.0] * dim)
+        with pytest.raises(ValueError):
+            sol.value_at(0.1, [0.0] * (dim - 1) + [1.01])
+        with pytest.raises(ValueError):
+            sol.value_at(0.1, [0.0] * (dim + 1))
+        with pytest.raises(ValueError):
+            sol.value_at(0.1, [np.nan] * dim)
+
     def test_2d_heat_against_product_oracle(self):
         spec = heat_spec(halfwidth=2.0, dim=2)
         sol = fd_dirichlet_solve(spec, 48, 72)
@@ -307,3 +388,13 @@ class TestExport:
         lines = (tmp_path / "u.csv").read_text().splitlines()
         assert lines[0] == "t,x1,x2,u"
         assert len(lines) == 1 + 5 * 9**2
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    src = str(Path(__import__("youngbsde").__file__).resolve().parents[1])
+    code = "import sys, youngbsde.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
