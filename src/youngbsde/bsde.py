@@ -435,22 +435,6 @@ def backward_solve(
     return _backward(spec, ensemble, k_exit, basis, picard)
 
 
-def _path_functional(value, ensemble: PathEnsemble, suffix: tuple) -> np.ndarray:
-    """Normalize scalars / arrays / callables(t, x) to (n_paths, n) + suffix."""
-    k, n, d = ensemble.x.shape
-    shape = (k, n) + suffix
-    if value is None:
-        return np.zeros(shape)
-    if callable(value):
-        out = np.empty(shape)
-        for j in range(n):
-            val = np.asarray(value(ensemble.grid.points[j], ensemble.x[:, j]), dtype=float)
-            out[:, j] = val.reshape((k,) + suffix)
-        return out
-    arr = np.asarray(value, dtype=float)
-    return np.broadcast_to(arr, shape).copy()
-
-
 @dataclass
 class ClosedFormResult:
     y0: np.ndarray
@@ -463,9 +447,9 @@ def linear_closed_form(
     ensemble: PathEnsemble,
     fieldv: DriverField,
     terminal: Terminal,
-    alpha=None,
-    drift=None,
-    girsanov=None,
+    alpha=1.0,
+    drift=0.0,
+    girsanov=0.0,
     n_dim: int = 1,
     basis: RegressionBasis | None = None,
     return_path: bool = False,
@@ -476,24 +460,21 @@ def linear_closed_form(
     flow from the left-point Euler products and M the discrete exponential
     martingale of the Girsanov integrand (default 0).  Y_0 is the sample
     mean; later Y_t (optional) regresses w_t = inv(G_t^0)^T [...] M_T / M_t
-    on basis(X_t).
+    on basis(X_t).  ``alpha``, ``drift`` and ``girsanov`` are constants or
+    arrays broadcast to (paths, n, M, N, N), (paths, n, N) and
+    (paths, n, d); a scalar alpha stands for alpha times the identity.
     """
     k, n, d = ensemble.x.shape
     nn = n_dim
     m = fieldv.channels
     grid = ensemble.grid
-    if alpha is None:
-        a = np.broadcast_to(np.eye(nn), (k, n, m, nn, nn)).copy()
-    elif callable(alpha):
-        a = _path_functional(alpha, ensemble, (m, nn, nn))
-    else:
-        arr = np.asarray(alpha, dtype=float)
-        if arr.ndim == 0:
-            a = np.broadcast_to(float(arr) * np.eye(nn), (k, n, m, nn, nn)).copy()
-        else:
-            a = np.broadcast_to(arr, (k, n, m, nn, nn)).copy()
-    f = _path_functional(drift, ensemble, (nn,))
-    g = _path_functional(girsanov, ensemble, (d,))
+
+    def per_path(value, suffix):
+        return np.broadcast_to(np.asarray(value, dtype=float), (k, n) + suffix).copy()
+
+    a = per_path(alpha * np.eye(nn) if np.ndim(alpha) == 0 else alpha, (m, nn, nn))
+    f = per_path(drift, (nn,))
+    g = per_path(girsanov, (d,))
 
     # flows Gamma_{t_j}^0 per path: products of (I + sum_ch alpha^T d_eta)
     gammas = np.empty((k, n, nn, nn))

@@ -460,6 +460,9 @@ def _check_relations(cfg: dict) -> None:
         raise ConfigError("driver: the PDE needs a driver with a time derivative")
     if exp == "localization-error" and len(set(cfg["n_list"])) < 2:
         raise ConfigError("n_list: expected at least two distinct box half-widths")
+    if exp == "localization-error" and not cfg["n_max"] > max(cfg["n_list"]):
+        raise ConfigError(f"n_max: expected a half-width above every entry of n_list, "
+                          f"got {cfg['n_max']}")
     if exp in ("pde-table", "localization-error"):
         boxes = [("n_list", n) for n in cfg["n_list"]]
         boxes += [("n_max", cfg["n_max"])] if exp == "localization-error" else []
@@ -525,7 +528,7 @@ def _run_flow(cfg, out_dir):
     x = _brownian_sample(cells, cfg["path_seed"])
     rng = np.random.default_rng(cfg["alpha_seed"])
     alpha = rng.standard_normal((x.grid.n, fld.channels, dim, dim)) * 0.4
-    flow = solve_linear_yode(alpha, x, fld, levels=cfg["levels"], dim=dim)
+    flow = solve_linear_yode(alpha, x, fld, levels=cfg["levels"])
     inv = inverse_flow(flow)
     full = flow.segment(0.0, 1.0)
     coc = 0.0

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .paths import TimeGrid
+from .paths import TimeGrid, blend, locate
 
 __all__ = [
     "RegularityParams",
@@ -102,12 +102,13 @@ class DriverField:
 
     A field sampled on a space lattice (``_lattice`` is its list of space
     axes) also gives its slices at single times as profiles on that lattice
-    (``_rows``); same-time calls reduce time first and then interpolate space
-    once per point.  Other fields evaluate pointwise.
+    (``_rows``); calls at one time reduce time first and then interpolate
+    space once per point.  Every other query goes to ``_values``.
     """
 
     kind = "abstract"
     _lattice = None
+    has_time_derivative = False
 
     def __init__(self, params: RegularityParams, channels: int, dim: int, horizon: float):
         self.params = params
@@ -121,12 +122,18 @@ class DriverField:
         Returns shape (M,) for a scalar t with one point given as x of shape
         () or (d,), else (k, M); x of shape (1, d) gives (1, M).
         """
-        return self._pointwise(self._evaluate, t, x)
+        return self._query(t, x, False)
 
-    def _pointwise(self, kernel, t, x, at_time=None) -> np.ndarray:
-        # the argument shapes evaluate accepts, normalized to t (k,) and
-        # x (k, d) for a kernel returning (k, M); a scalar t goes to
-        # at_time(t, x) instead when it is given
+    def time_derivative(self, t, x) -> np.ndarray:
+        """d/dt eta with evaluate's argument shapes."""
+        return self._query(t, x, True)
+
+    def _query(self, t, x, derivative: bool) -> np.ndarray:
+        # the argument shapes evaluate accepts: a scalar t on a lattice
+        # field reduces time first, to one profile; every other query goes
+        # to _values with t (k,) and x (k, d)
+        if derivative and not self.has_time_derivative:
+            raise NotImplementedError(f"{self.kind} field has no time derivative")
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         x_arr = np.asarray(x, dtype=float)
         scalar = np.isscalar(t) or np.asarray(t).ndim == 0
@@ -138,14 +145,14 @@ class DriverField:
                 x_arr = x_arr[None, :]
             else:
                 x_arr = x_arr[:, None]
-        if scalar and at_time is not None:
-            out = at_time(t_arr[0], x_arr)
+        if scalar and self._lattice is not None:
+            out = self._interpolate(self._rows(t_arr, derivative)[0], x_arr)
         else:
             if t_arr.size == 1 and x_arr.shape[0] > 1:
                 t_arr = np.full(x_arr.shape[0], t_arr[0])
             if x_arr.shape[0] == 1 and t_arr.size > 1:
                 x_arr = np.repeat(x_arr, t_arr.size, axis=0)
-            out = kernel(t_arr, x_arr)
+            out = self._values(t_arr, x_arr, derivative)
         if squeeze and out.shape[0] == 1:
             return out[0]
         return out
@@ -154,85 +161,33 @@ class DriverField:
         """eta(t1, x) - eta(t0, x) at points x (k, d), for one pair of times
         or for (k,) arrays of them, one pair per point; returns (k, M)."""
         x = np.asarray(x, dtype=float)
-        if np.ndim(t0) or np.ndim(t1):
+        if self._lattice is None or np.ndim(t0) or np.ndim(t1):
             ends = (np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1]) for t in (t0, t1))
             return self._increment(*ends, x)
-        if self._lattice is None:
-            return self._at_time(t1, x) - self._at_time(t0, x)
         rows = self._rows(np.array([t0, t1], dtype=float))
         return self._interpolate(rows[1] - rows[0], x)
 
-    def time_derivative(self, t, x) -> np.ndarray:
-        """d/dt eta with evaluate's argument shapes."""
-        return self._pointwise(
-            self._derivative, t, x, lambda s, y: self._at_time(s, y, derivative=True)
-        )
-
-    def _at_time(self, t: float, x: np.ndarray, derivative: bool = False) -> np.ndarray:
-        # the field (or its time derivative) at one time t across points
-        # x (k, d), (k, M): one profile on the lattice, or pointwise
-        if self._lattice is None:
-            kernel = self._derivative if derivative else self._evaluate
-            return kernel(np.full(x.shape[0], t), x)
-        return self._interpolate(self._rows(np.array([t]), derivative)[0], x)
-
     def _interpolate(self, profile: np.ndarray, x: np.ndarray) -> np.ndarray:
         # clamped multilinear interpolation of one lattice profile, (k, 1)
-        return _blend(profile, self._space_cells(x))[:, None]
+        return blend(profile, self._space_cells(x))[:, None]
 
     def _space_cells(self, x: np.ndarray):
         # the lattice cell of each point of x (k, d), clamped into the box
-        return [_locate(axis, x[:, j]) for j, axis in enumerate(self._lattice)]
+        return [locate(axis, x[:, j]) for j, axis in enumerate(self._lattice)]
 
     def _rows(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
         """Slices of the field (or of its time derivative) at times t (n,)
         on the space lattice: shape (n, *lattice shape)."""
         raise NotImplementedError
 
-    def _evaluate(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _values(self, t: np.ndarray, x: np.ndarray, derivative: bool) -> np.ndarray:
+        """The field (or its time derivative) at per-point times t (k,) and
+        points x (k, d): shape (k, M)."""
         raise NotImplementedError
 
     def _increment(self, t0: np.ndarray, t1: np.ndarray, x: np.ndarray) -> np.ndarray:
         # eta(t1, x) - eta(t0, x) at per-point times t0, t1 (k,), (k, M)
-        return self._evaluate(t1, x) - self._evaluate(t0, x)
-
-    def _derivative(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{self.kind} field has no time derivative")
-
-    @property
-    def has_time_derivative(self) -> bool:
-        try:
-            self.time_derivative(self.horizon / 2, np.zeros(self.dim))
-            return True
-        except NotImplementedError:
-            return False
-
-
-def _locate(axis: np.ndarray, c: np.ndarray):
-    """Cell (lo index, fraction) of each coordinate c clamped into axis."""
-    c = np.clip(c, axis[0], axis[-1])
-    hi = np.clip(np.searchsorted(axis, c), 1, axis.size - 1)
-    lo = hi - 1
-    return lo, (c - axis[lo]) / (axis[hi] - axis[lo])
-
-
-def _blend(values: np.ndarray, cells) -> np.ndarray:
-    """Multilinear blend over the 2^n corners of cells [(lo, frac), ...] on
-    the leading n axes of values; trailing axes are carried along."""
-    out = 0.0
-    for mask in range(2 ** len(cells)):
-        idx = []
-        w = 1.0
-        for a, (lo, frac) in enumerate(cells):
-            if mask >> a & 1:
-                idx.append(lo + 1)
-                w = w * frac
-            else:
-                idx.append(lo)
-                w = w * (1.0 - frac)
-        corner = values[tuple(idx)]
-        out = out + w.reshape(w.shape + (1,) * (corner.ndim - w.ndim)) * corner
-    return out
+        return self._values(t1, x, False) - self._values(t0, x, False)
 
 
 class AnalyticField(DriverField):
@@ -252,17 +207,18 @@ class AnalyticField(DriverField):
         out = np.asarray(fn(t, x), dtype=float)
         return out[:, None] if out.ndim == 1 else out
 
-    def _evaluate(self, t, x):
+    @property
+    def has_time_derivative(self) -> bool:
+        return self._dt_fn is not None
+
+    def _values(self, t, x, derivative):
+        if derivative:
+            return self._columns(self._dt_fn, t, x)
         return self._columns(self._fn, t, x) - self._columns(self._fn, np.zeros_like(t), x)
 
     def _increment(self, t0, t1, x):
         # the t = 0 slices of the two ends cancel
         return self._columns(self._fn, t1, x) - self._columns(self._fn, t0, x)
-
-    def _derivative(self, t, x):
-        if self._dt_fn is None:
-            raise NotImplementedError("analytic field built without dt_fn")
-        return self._columns(self._dt_fn, t, x)
 
 
 def _fbm_cov(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -304,7 +260,7 @@ class FbsGridField(DriverField):
     def _lattice(self):
         return self.space_axes
 
-    def _evaluate(self, t, x):
+    def _values(self, t, x, derivative):
         return self._at_cells(t, self._space_cells(x))
 
     def _increment(self, t0, t1, x):
@@ -315,13 +271,11 @@ class FbsGridField(DriverField):
     def _at_cells(self, t, space):
         # multilinear blend over the 2^(1+d) cell corners, coordinates
         # clamped into the lattice box
-        return _blend(self.values, [_locate(self.time_points, t)] + space)[:, None]
+        return blend(self.values, [locate(self.time_points, t)] + space)[:, None]
 
     def _rows(self, t, derivative=False):
         # two lattice rows blended in time
-        if derivative:
-            raise NotImplementedError(f"{self.kind} field has no time derivative")
-        return _blend(self.values, [_locate(self.time_points, t)])
+        return blend(self.values, [locate(self.time_points, t)])
 
 
 def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: float = 0.05, p: float = 2.5) -> FbsGridField:
@@ -401,6 +355,7 @@ class MollifiedField(DriverField):
     """
 
     kind = "mollified"
+    has_time_derivative = True
 
     N_QUAD = 64
 
@@ -435,13 +390,13 @@ class MollifiedField(DriverField):
         folded = terms[: q // 2] + terms[q // 2 :][::-1]
         return folded.sum(axis=0)
 
-    def _convolve(self, t, x, weights):
+    def _values(self, t, x, derivative):
         # one batched base evaluation across all quadrature nodes
         q, k = self._s_nodes.size, t.shape[0]
         x_rep = np.broadcast_to(x, (q,) + x.shape).reshape(q * k, x.shape[1])
         return self._fold(
-            t, weights,
-            lambda s: self.base._evaluate(s.reshape(q * k), x_rep).reshape(q, k, -1),
+            t, self._wd if derivative else self._w,
+            lambda s: self.base._values(s.reshape(q * k), x_rep, False).reshape(q, k, -1),
         )
 
     def _rows(self, t, derivative=False):
@@ -451,12 +406,6 @@ class MollifiedField(DriverField):
             return rows.reshape(s.shape + rows.shape[1:])
 
         return self._fold(t, self._wd if derivative else self._w, base_at)
-
-    def _evaluate(self, t, x):
-        return self._convolve(t, x, self._w)
-
-    def _derivative(self, t, x):
-        return self._convolve(t, x, self._wd)
 
     @staticmethod
     def mollifier_mass(n_nodes: int = 64) -> float:
@@ -488,17 +437,17 @@ class ShiftedField(DriverField):
     def _lattice(self):
         return self.base._lattice
 
-    def _evaluate(self, t, x):
-        return self.base._evaluate(t + self.t0, x) - self.base._evaluate(
-            np.full_like(t, self.t0), x
-        )
+    @property
+    def has_time_derivative(self) -> bool:
+        return self.base.has_time_derivative
+
+    def _values(self, t, x, derivative):
+        out = self.base._values(t + self.t0, x, derivative)
+        return out if derivative else out - self.base._values(np.full_like(t, self.t0), x, False)
 
     def _increment(self, t0, t1, x):
         # the t0 slice cancels
         return self.base._increment(t0 + self.t0, t1 + self.t0, x)
-
-    def _derivative(self, t, x):
-        return self.base._derivative(t + self.t0, x)
 
     def _rows(self, t, derivative=False):
         rows = self.base._rows(t + self.t0, derivative)
@@ -527,7 +476,7 @@ def seminorm_estimate(field: DriverField, params: RegularityParams, time_points,
     if nt < 2 or nx < 2:
         raise ValueError("need at least 2 points per axis")
 
-    vals = np.stack([field._at_time(t, xs) for t in ts])
+    vals = np.stack([field.evaluate(t, xs) for t in ts])
     mag = np.linalg.norm(vals, axis=2) if field.channels > 1 else vals[..., 0]
 
     xnorm = np.linalg.norm(xs, axis=1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import DriverField
-from .paths import SamplePath, TimeGrid, aligned_index, dyadic_interp
+from .paths import SamplePath, aligned_index, dyadic_interp
 from .sewing import nonlinear_young_integral
 
 __all__ = ["FlowMatrix", "FlowError", "solve_linear_yode", "inverse_flow", "exp_formula_1d"]
@@ -68,48 +68,27 @@ class FlowMatrix:
         return out
 
 
-def _alpha_array(alpha, grid: TimeGrid, channels: int, dim: int) -> np.ndarray:
-    """Normalize alpha to shape (n, M, N, N)."""
-    n = grid.n
-    if isinstance(alpha, SamplePath):
-        v = alpha.values
-        if v.ndim == 1:
-            v = v[:, None, None, None]
-        alpha = v
-    a = np.asarray(alpha, dtype=float)
-    if a.ndim == 0:
-        a = np.full((n, channels, dim, dim), float(a)) * np.eye(dim)
-    if a.ndim == 2 and a.shape == (dim, dim):
-        a = np.broadcast_to(a, (n, channels, dim, dim)).copy()
-    if a.ndim == 3:  # (n, N, N) single channel
-        a = a[:, None, :, :]
-    if a.shape != (n, channels, dim, dim):
-        raise ValueError(f"alpha must broadcast to (n, M, N, N) = {(n, channels, dim, dim)}")
-    return a
-
-
 def solve_linear_yode(
     alpha,
     x: SamplePath,
     fieldv: DriverField,
     base_time: float = 0.0,
     levels: int = 0,
-    dim: int | None = None,
 ) -> FlowMatrix:
     """Euler flow of the linear Young ODE from base_time along x's grid.
 
-    ``alpha`` is an (n, M, N, N) array (or anything broadcastable: scalar,
-    single matrix, per-time (n, N, N) path).  ``levels`` refines each grid
-    cell dyadically before stepping; the returned matrices and step factors
-    live on the original grid tail, so the cocycle identity holds exactly.
+    ``alpha`` is an (n, M, N, N) array: one N x N matrix per grid point and
+    driver channel.  ``levels`` refines each grid cell dyadically before
+    stepping; the returned matrices and step factors live on the original
+    grid tail, so the cocycle identity holds exactly.
     """
     grid = x.grid
     i0 = grid.index_of(base_time)
     m = fieldv.channels
-    if dim is None:
-        a_probe = np.asarray(alpha, dtype=float)
-        dim = a_probe.shape[-1] if a_probe.ndim >= 2 else 1
-    a = _alpha_array(alpha, grid, m, dim)
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim != 4 or a.shape[:2] != (grid.n, m) or a.shape[2] != a.shape[3]:
+        raise ValueError(f"alpha must have shape (n, M, N, N) with n = {grid.n}, M = {m}")
+    dim = a.shape[-1]
 
     tail = grid.points[i0:]
     cells, k = tail.size - 1, 2**levels
@@ -168,22 +147,15 @@ def exp_formula_1d(
 ) -> np.ndarray:
     """Closed-form scalar flow exp(sum_i int a^i eta_i(dr, x_r)) on the grid.
 
-    Returns the flow values at the grid points of the (restricted) interval;
-    the integrand is the sewing-module nonlinear Young integral.
+    ``alpha`` is an (n, M) array.  Returns the flow values at the grid
+    points of the (restricted) interval; the integrand is the sewing-module
+    nonlinear Young integral.
     """
     grid = x.grid
-    n = grid.n
     m = fieldv.channels
-    if isinstance(alpha, SamplePath):
-        av = alpha.values
-    else:
-        av = np.asarray(alpha, dtype=float)
-        if av.ndim == 0:
-            av = np.full((n, m), float(av))
-    if av.ndim == 1:
-        av = av[:, None]
-    if av.shape != (n, m):
-        raise ValueError("alpha must have shape (n,) or (n, M)")
+    av = np.asarray(alpha, dtype=float)
+    if av.shape != (grid.n, m):
+        raise ValueError(f"alpha must have shape (n, M) = {(grid.n, m)}")
     y = SamplePath(grid, av if m > 1 else av[:, 0])
     res = nonlinear_young_integral(y, x, fieldv, interval=interval, levels=levels, tol=0.0)
     return np.exp(res.cumulative)

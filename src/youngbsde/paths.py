@@ -1,5 +1,6 @@
-"""Time grids, sampled paths, path norms (p-variation, Holder, uniform), and
-the CSV writer every export goes through.
+"""Time grids, sampled paths, the interpolation kernels (dyadic refinement,
+clamped multilinear locate-and-blend), path norms (p-variation, Holder,
+uniform), and the CSV writer every export goes through.
 
 All norms are computed over the observation grid: the p-variation is the
 exact supremum over sub-partitions of the grid points, which coincides with
@@ -19,6 +20,8 @@ __all__ = [
     "SamplePath",
     "aligned_index",
     "dyadic_interp",
+    "locate",
+    "blend",
     "ControlValue",
     "p_variation",
     "p_variation_paths",
@@ -119,6 +122,35 @@ def dyadic_interp(values: np.ndarray, level: int) -> np.ndarray:
     np.multiply(frac, np.diff(v, axis=0)[:, None], out=body)
     body += v[:-1, None]
     out[-1] = v[-1]
+    return out
+
+
+def locate(axis: np.ndarray, c: np.ndarray):
+    """Cell (lo index, fraction) of each coordinate c clamped into the
+    increasing array axis."""
+    c = np.clip(c, axis[0], axis[-1])
+    hi = np.clip(np.searchsorted(axis, c), 1, axis.size - 1)
+    lo = hi - 1
+    return lo, (c - axis[lo]) / (axis[hi] - axis[lo])
+
+
+def blend(values: np.ndarray, cells) -> np.ndarray:
+    """Multilinear blend over the 2^n corners of cells [(lo, frac), ...]
+    from locate on the leading n axes of values; trailing axes are carried
+    along."""
+    out = 0.0
+    for mask in range(2 ** len(cells)):
+        idx = []
+        w = 1.0
+        for a, (lo, frac) in enumerate(cells):
+            if mask >> a & 1:
+                idx.append(lo + 1)
+                w = w * frac
+            else:
+                idx.append(lo)
+                w = w * (1.0 - frac)
+        corner = values[tuple(idx)]
+        out = out + w.reshape(w.shape + (1,) * (corner.ndim - w.ndim)) * corner
     return out
 
 

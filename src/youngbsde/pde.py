@@ -28,9 +28,9 @@ from .bsde import (
     localized_solve,
     terminal_h_of_xt,
 )
-from .driver import DriverField, _blend, _locate, mollify, shift_field
+from .driver import DriverField, mollify, shift_field
 from .forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
-from .paths import TimeGrid, write_csv
+from .paths import TimeGrid, blend, locate, write_csv
 
 __all__ = [
     "PdeSpec",
@@ -130,7 +130,7 @@ class PdeSolution:
             raise ValueError(f"expected t and {len(grids) - 1} space coordinates, got {pt}")
         if not all(g[0] <= c <= g[-1] for g, c in zip(grids, pt)):
             raise ValueError(f"point {pt} outside the solution grid")
-        return float(_blend(self.u, [_locate(g, pt[i : i + 1]) for i, g in enumerate(grids)])[0])
+        return float(blend(self.u, [locate(g, pt[i : i + 1]) for i, g in enumerate(grids)])[0])
 
 
 def _nodes(axes) -> np.ndarray:

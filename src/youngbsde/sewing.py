@@ -107,15 +107,13 @@ class IntegralResult:
 
 
 def sew(
-    germ: Germ | DyadicGerm | callable, grid: TimeGrid, levels: int = 12, tol: float = 1e-9
+    germ: Germ | DyadicGerm, grid: TimeGrid, levels: int = 12, tol: float = 1e-9
 ) -> IntegralResult:
     """Riemann sums of a germ over successive dyadic refinements of grid.
 
     Stops early once two successive whole-interval values differ by less
     than tol (geometric Cauchy decay is what the sewing bound guarantees).
     """
-    if not isinstance(germ, (Germ, DyadicGerm)):
-        germ = Germ(germ)
     totals = []
     last_cum = None
     used = 0

@@ -122,7 +122,7 @@ def test_criterion_03_flow_cocycle():
     _, ens = bm_ensemble(1, 64, 4)
     x = ens.path(0)
     alpha = rng.standard_normal((x.grid.n, 1, 2, 2)) * 0.5
-    flow = solve_linear_yode(alpha, x, field, dim=2)
+    flow = solve_linear_yode(alpha, x, field)
     pts = x.grid.points
     full_scale = max(1.0, float(np.max(np.abs(flow.matrices))))
     worst_coc = 0.0

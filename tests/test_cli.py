@@ -234,6 +234,9 @@ class TestCliRuns:
               "driver": {"kind": "mollified",
                          "base": {"kind": "fbs", "hurst": {"h0": 0.9, "h": 0.5, "d": 2}}}},
              "driver.base.hurst.d"),
+            # n_max must lie above every n_list box
+            ({"experiment": "localization-error", "n_list": [1.0, 2.0], "n_max": 2.0,
+              "time_steps": 16, "points": [[0.0, 0.5]]}, "n_max"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):

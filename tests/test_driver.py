@@ -349,10 +349,10 @@ class TestTimeSlice:
         want_inc = f.increment(0.05, 0.2, x)
         want_dt = f.time_derivative(0.2, x)
 
-        def pointwise(self, t, x):
+        def pointwise(self, t, x, derivative):
             raise AssertionError("same-time call fell back to pointwise evaluation")
 
-        monkeypatch.setattr(FbsGridField, "_evaluate", pointwise)
+        monkeypatch.setattr(FbsGridField, "_values", pointwise)
         np.testing.assert_array_equal(f.increment(0.05, 0.2, x), want_inc)
         np.testing.assert_array_equal(f.time_derivative(0.2, x), want_dt)
         with pytest.raises(AssertionError, match="pointwise"):
@@ -362,6 +362,29 @@ class TestTimeSlice:
         f = slice_fields()["mollified"]
         assert f.increment(0.0, 0.2, np.array([[0.3]])).shape == (1, 1)
         assert f.time_derivative(0.2, np.array([0.3])).shape == (1,)
+
+
+class TestHasTimeDerivative:
+    """has_time_derivative follows from how a field is built: it never
+    evaluates the field."""
+
+    def test_analytic_does_not_call_dt_fn(self):
+        def dt_fn(t, x):
+            raise AssertionError("has_time_derivative evaluated dt_fn")
+
+        params = RegularityParams(tau=1.0, lam=1.0, p=2.5)
+        assert AnalyticField(lambda t, x: t, params, dt_fn=dt_fn).has_time_derivative
+        assert not AnalyticField(lambda t, x: t, params).has_time_derivative
+
+    def test_lattice_and_wrapped_fields(self):
+        fbs = slice_fields()["fbs-1d"]
+        assert not fbs.has_time_derivative
+        assert mollify(fbs, 8).has_time_derivative
+        assert not shift_field(fbs, 0.1).has_time_derivative
+        assert shift_field(mollify(fbs, 8), 0.1).has_time_derivative
+        assert shift_field(linear_field(), 0.25).has_time_derivative
+        with pytest.raises(NotImplementedError):
+            fbs.time_derivative(0.1, np.zeros((3, 1)))
 
 
 class TestPerPointIncrement:

@@ -51,7 +51,7 @@ def sequential_flow(alpha, x, field, levels, dim):
 class TestEulerFlow:
     def test_zero_alpha_identity(self):
         x = brownian_path(32, 0)
-        flow = solve_linear_yode(np.zeros((33, 1, 2, 2)), x, time_field(), dim=2)
+        flow = solve_linear_yode(np.zeros((33, 1, 2, 2)), x, time_field())
         np.testing.assert_array_equal(flow.matrices, np.broadcast_to(np.eye(2), (33, 2, 2)))
 
     def test_scalar_exponential_limit(self):
@@ -81,7 +81,7 @@ class TestEulerFlow:
             lambda t, x: np.stack([np.sin(3 * x[:, 0]) * t**0.8, np.cos(x[:, 0]) * t], axis=-1),
             RegularityParams(tau=0.8, lam=1.0, p=2.5), channels=2,
         )
-        flow = solve_linear_yode(alpha, x, field, levels=levels, dim=2)
+        flow = solve_linear_yode(alpha, x, field, levels=levels)
         mats, steps = sequential_flow(alpha, x, field, levels, 2)
         scale = max(1.0, np.max(np.abs(mats)))
         np.testing.assert_allclose(flow.matrices, mats, rtol=0, atol=1e-13 * scale)
@@ -96,14 +96,14 @@ class TestEulerFlow:
         step = sequential_flow(alpha, x, field, levels, 2)
         assert 0 < step < 63
         with pytest.raises(FlowError, match=f"blew up at step {step} "):
-            solve_linear_yode(alpha, x, field, levels=levels, dim=2)
+            solve_linear_yode(alpha, x, field, levels=levels)
 
     def test_cocycle_exact(self):
         # G_T^s G_s^t = G_T^t by re-bracketing the same step-factor product
         rng = np.random.default_rng(3)
         x = brownian_path(64, 4)
         alpha = rng.standard_normal((65, 1, 2, 2)) * 0.5
-        flow = solve_linear_yode(alpha, x, rough_field(), dim=2)
+        flow = solve_linear_yode(alpha, x, rough_field())
         pts = x.grid.points
         full = flow.segment(0.0, 1.0)
         for s in (0.25, 0.5, 0.75):
@@ -117,7 +117,7 @@ class TestEulerFlow:
         rng = np.random.default_rng(8)
         x = brownian_path(64, 9)
         alpha = rng.standard_normal((65, 1, 2, 2)) * 0.3
-        flow = solve_linear_yode(alpha, x, rough_field(seed=33), dim=2)
+        flow = solve_linear_yode(alpha, x, rough_field(seed=33))
         inv = inverse_flow(flow)
         for g, gi in zip(flow.matrices, inv.matrices):
             np.testing.assert_allclose(g @ gi, np.eye(2), atol=1e-10)
@@ -135,13 +135,13 @@ class TestEulerFlow:
         assert i2.matrices[-1, 0, 0] == pytest.approx(1.0 / f2.matrices[-1, 0, 0], rel=1e-12)
 
     def test_singular_flow_rejected(self):
-        flow = solve_linear_yode(np.zeros((9, 1, 2, 2)), brownian_path(8, 3), time_field(), dim=2)
+        flow = solve_linear_yode(np.zeros((9, 1, 2, 2)), brownian_path(8, 3), time_field())
         flow.matrices[4] = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(FlowError, match="singular flow matrix at grid index 4"):
             inverse_flow(flow)
 
     def test_near_singular_step_factor_rejected(self):
-        flow = solve_linear_yode(np.zeros((9, 1, 2, 2)), brownian_path(8, 3), time_field(), dim=2)
+        flow = solve_linear_yode(np.zeros((9, 1, 2, 2)), brownian_path(8, 3), time_field())
         flow.step_factors[3] = np.diag([1.0, 1e-13])
         with pytest.raises(FlowError, match="singular step factor at grid index 3"):
             inverse_flow(flow)
@@ -156,7 +156,7 @@ class TestEulerFlow:
         alpha_full = rng.standard_normal((base.grid.n, 1, 2, 2)) * 0.4
         errs = []
         for lev in range(3):
-            flow = solve_linear_yode(alpha_full, base, field, levels=lev, dim=2)
+            flow = solve_linear_yode(alpha_full, base, field, levels=lev)
             inv = inverse_flow(flow)
             # right-multiplicative Euler for the inverse: H_{j+1} = H_j (I - incr)
             fine = base.grid.refine(lev)
@@ -171,6 +171,24 @@ class TestEulerFlow:
             errs.append(np.max(np.abs(h - inv.matrices[-1])))
         assert errs[1] <= errs[0] / 2**0.3
         assert errs[2] <= errs[1] / 2**0.3
+
+
+class TestAlphaShape:
+    """The flow takes alpha as (n, M, N, N) and the closed form as (n, M)."""
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [np.float64(0.5), np.eye(2), np.zeros((8, 1, 2, 2)), np.zeros((9, 1, 2, 3))],
+        ids=["scalar", "single-matrix", "wrong-n", "non-square"],
+    )
+    def test_flow_rejects(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            solve_linear_yode(alpha, brownian_path(8, 3), time_field())
+
+    @pytest.mark.parametrize("alpha", [np.float64(0.5), np.ones(9)], ids=["scalar", "per-time"])
+    def test_exp_formula_rejects(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            exp_formula_1d(alpha, brownian_path(8, 3), time_field())
 
 
 class TestExpFormula:
@@ -224,7 +242,7 @@ class TestSegment:
     def test_rejects(self, a, b, match):
         rng = np.random.default_rng(30)
         flow = solve_linear_yode(
-            rng.standard_normal((9, 1, 2, 2)), brownian_path(8, 31), rough_field(), dim=2
+            rng.standard_normal((9, 1, 2, 2)), brownian_path(8, 31), rough_field()
         )
         with pytest.raises(ValueError, match=match):
             flow.segment(a, b)
@@ -233,7 +251,7 @@ class TestSegment:
         rng = np.random.default_rng(32)
         x = brownian_path(8, 33)
         flow = solve_linear_yode(
-            rng.standard_normal((9, 1, 2, 2)), x, rough_field(), base_time=0.25, dim=2
+            rng.standard_normal((9, 1, 2, 2)), x, rough_field(), base_time=0.25
         )
         np.testing.assert_array_equal(flow.segment(0.25, 0.25), np.eye(2))
         np.testing.assert_array_equal(flow.segment(0.25, 1.0), flow.matrices[-1])
