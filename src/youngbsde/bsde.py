@@ -92,48 +92,53 @@ class RegressionBasis:
         return out
 
     def design(self, x: np.ndarray) -> np.ndarray:
+        """The (k, f) design on the states x (k, d), column-major so that
+        every feature is one contiguous column."""
         # each monomial is its parent (first non-zero exponent lowered by
         # one, listed earlier by _exponents) times one coordinate
         k, d = x.shape
-        monomials = {(0,) * d: np.ones(k)}
-        for expo in self._exponents(d):
+        exponents = self._exponents(d)
+        xt = np.ascontiguousarray(x.T)
+        out = np.empty((1 + len(exponents) + len(self.ball_centers), k)).T
+        out[:, 0] = 1.0
+        column = {(0,) * d: 0}
+        for q, expo in enumerate(exponents, start=1):
             j = next(j for j, e in enumerate(expo) if e)
             parent = expo[:j] + (expo[j] - 1,) + expo[j + 1 :]
-            monomials[expo] = monomials[parent] * x[:, j]
-        cols = list(monomials.values())
-        for c in self.ball_centers:
+            np.multiply(out[:, column[parent]], xt[j], out=out[:, q])
+            column[expo] = q
+        for q, c in enumerate(self.ball_centers, start=1 + len(exponents)):
             c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-            dist = np.linalg.norm(x - c_arr[None, :], axis=1)
-            cols.append((dist <= self.ball_radius).astype(float))
-        return np.column_stack(cols)
+            out[:, q] = np.linalg.norm(x - c_arr[None, :], axis=1) <= self.ball_radius
+        return out
 
 
 class _Fit:
     """Ridge fit with unpenalized intercept and per-batch standardization.
 
-    The Gram matrix is factored once by Cholesky and every fit is a pair of
-    triangular solves.  No explicit inverse is formed: on standard normal
-    states the Gram condition number is about 1e6 at degree 11 and 1e9 at
-    degree 15, and an inverse loses those digits.
+    The design is centred and scaled in place, a feature that is constant
+    on the batch is dropped, and the Gram matrix is factored once by
+    Cholesky, so every fit is a pair of triangular solves.  No explicit
+    inverse is formed: on standard normal states the Gram condition number
+    is about 1e6 at degree 11 and 1e9 at degree 15, and an inverse loses
+    those digits.
 
     Keeping the intercept penalty-free makes the cross-path mean of the
     fitted values equal the target mean exactly (first normal equation).
     """
 
     def __init__(self, basis: RegressionBasis, x: np.ndarray):
-        raw = basis.design(x)
-        mean = raw.mean(axis=0)
-        std = raw.std(axis=0)
-        keep = np.concatenate([[True], std[1:] > 1e-12])
-        self._keep = keep
-        self._mean = mean
-        self._std = np.where(std > 1e-12, std, 1.0)
-        a = raw[:, keep].copy()
-        a[:, 1:] = (a[:, 1:] - mean[keep][1:]) / self._std[keep][1:]
+        a = basis.design(x)
+        feats = a[:, 1:]
+        feats -= feats.mean(axis=0)
+        std = np.sqrt(np.einsum("kf,kf->f", feats, feats) / a.shape[0])
+        keep = std > 1e-12
+        if not keep.all():
+            a = a[:, np.concatenate([[True], keep])]
+            feats, std = a[:, 1:], std[keep]
+        feats /= std
         self._a = a
-        self._basis = basis
-        f = a.shape[1]
-        pen = np.eye(f) * basis.ridge
+        pen = np.eye(a.shape[1]) * basis.ridge
         pen[0, 0] = 0.0
         try:
             self._chol = cho_factor(a.T @ a + pen, check_finite=False)
@@ -258,6 +263,9 @@ class BsdeSolution:
     picard_residuals: list
     halvings: list
     spec_hash: str = ""
+    # step index -> final Picard residual of a step accepted after running
+    # out of iterations above tol, its trace still shrinking
+    unconverged: dict = field(default_factory=dict)
 
     @property
     def y0(self) -> np.ndarray:
@@ -277,8 +285,11 @@ class BsdeSolution:
 def _picard_sweep(fit: _Fit, make_target, y_start, picard: PicardParams):
     """Iterate y -> fit(make_target(y)).
 
-    Returns (y, residuals, contracted, final_target) where final_target is
-    the target whose fit produced y, so the fitted mean equals its mean.
+    Returns (y, residuals, contracted, final_target, unconverged) where
+    final_target is the target whose fit produced y, so the fitted mean
+    equals its mean, and unconverged is the last residual of a run that
+    ran out of iterations above tol but is accepted because its trace kept
+    shrinking (None otherwise).
     """
     target = make_target(y_start)
     y_cur = fit.fit(target)
@@ -291,16 +302,17 @@ def _picard_sweep(fit: _Fit, make_target, y_start, picard: PicardParams):
         residuals.append(r)
         y_cur = y_new
         if r < picard.tol:
-            return y_cur, residuals, True, target
+            return y_cur, residuals, True, target, None
         if len(residuals) >= 2 and residuals[-1] >= residuals[-2] - 1e-16:
             bad_run += 1
             if bad_run >= 3:
-                return y_cur, residuals, False, target
+                return y_cur, residuals, False, target, None
         else:
             bad_run = 0
-    # ran out of iterations: accept if the trace kept shrinking
+    # ran out of iterations: accept if the trace kept shrinking, and say so
     ok = len(residuals) < 3 or residuals[-1] < residuals[0]
-    return y_cur, residuals, ok, target
+    last = residuals[-1] if residuals else float("nan")
+    return y_cur, residuals, ok, target, last if ok else None
 
 
 def _z_regression(fit: _Fit, y_next: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
@@ -322,8 +334,8 @@ def _step(spec, basis, picard, t_i, t_next, x, dw, y_next):
     """One regression step on [t_i, t_next] for the paths at x with Brownian
     increments dw and values y_next at t_next.
 
-    Returns (y, z, residuals, contracted, target) as _picard_sweep does,
-    with z from the martingale-increment regression.
+    Returns (y, z, residuals, contracted, target, unconverged) as
+    _picard_sweep does, with z from the martingale-increment regression.
     """
     dt = t_next - t_i
     fit = _Fit(basis, x)
@@ -335,8 +347,8 @@ def _step(spec, basis, picard, t_i, t_next, x, dw, y_next):
     def make_target(y_for_f):
         return y_next + spec.generator(t_i, x, y_for_f, z) * dt + young
 
-    y, residuals, ok, target = _picard_sweep(fit, make_target, y_next, picard)
-    return y, z, residuals, ok, target
+    y, residuals, ok, target, unconverged = _picard_sweep(fit, make_target, y_next, picard)
+    return y, z, residuals, ok, target, unconverged
 
 
 def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
@@ -346,7 +358,8 @@ def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
 
     The bridge normals are drawn for every path and then restricted to rows,
     so a path gets the same midpoint whichever other paths are active.
-    Returns (y, z, realized increment over y_next).
+    Returns (y, z, realized increment over y_next, the larger unconverged
+    residual of the two halves or None).
     """
     t_i, t_next = ensemble.grid.points[i], ensemble.grid.points[i + 1]
     dt = t_next - t_i
@@ -359,15 +372,16 @@ def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
         + np.einsum("kab,kb->ka", spec.forward.sigma(t_i, x), dw1)
     )
     t_mid = t_i + dt / 2
-    y_mid, _, _, ok, target_hi = _step(
+    y_mid, _, _, ok, target_hi, open_hi = _step(
         spec, basis, picard, t_mid, t_next, x_mid, dw - dw1, y_next
     )
     if not ok:
         raise NoContractionError("no contraction")
-    y, z, _, ok, target_lo = _step(spec, basis, picard, t_i, t_mid, x, dw1, y_mid)
+    y, z, _, ok, target_lo, open_lo = _step(spec, basis, picard, t_i, t_mid, x, dw1, y_mid)
     if not ok:
         raise NoContractionError("no contraction")
-    return y, z, (target_hi - y_next) + (target_lo - y_mid)
+    unconverged = max((r for r in (open_hi, open_lo) if r is not None), default=None)
+    return y, z, (target_hi - y_next) + (target_lo - y_mid), unconverged
 
 
 def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
@@ -391,6 +405,7 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
 
     residual_log = [None] * (n - 1)
     halvings = []
+    unconverged = {}
     realized = xi.copy()
     for i in range(n - 2, -1, -1):
         active = k_exit > i
@@ -398,15 +413,17 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
             continue
         rows = slice(None) if active.all() else active
         y_next = y[rows, i + 1]
-        y_i, z_i, residuals, ok, target = _step(
+        y_i, z_i, residuals, ok, target, open_r = _step(
             spec, basis, picard, grid.points[i], grid.points[i + 1],
             ensemble.x[rows, i], ensemble.dw[rows, i], y_next,
         )
         gain = target - y_next
         if not ok:
-            y_i, z_i, gain = _halved_step(spec, ensemble, basis, picard, i, rows, y_next)
+            y_i, z_i, gain, open_r = _halved_step(spec, ensemble, basis, picard, i, rows, y_next)
             halvings.append(i)
             residuals = residuals + ["halved"]
+        if open_r is not None:
+            unconverged[i] = open_r
         residual_log[i] = residuals
         realized[rows] += gain
         y[rows, i] = y_i
@@ -418,6 +435,7 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
         picard_residuals=residual_log,
         halvings=halvings,
         spec_hash=spec.content_hash(),
+        unconverged=unconverged,
         realized=realized,
     )
 
@@ -690,13 +708,16 @@ def diagnostics(
     z = solution.z[sel]
     x = ensemble.x[sel]
     dts = np.diff(pts)
-    pvar = p_variation_suffixes(y, p)  # column j: p-variation of y[:, j:]
+    starts = [int(np.argmin(np.abs(pts - u))) for u in times]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        pvar = p_variation_suffixes(y, p, starts)  # column q: y[:, starts[q]:]
+    if np.all(np.isfinite(y)) and not np.all(np.isfinite(pvar)):
+        raise FloatingPointError(f"p-variation of Y overflows at diag_p = {p}")
 
     m_pk = 0.0
     bmo = 0.0
-    for u in times:
-        j = int(np.argmin(np.abs(pts - u)))
-        pv = pvar[:, j] ** k_mom
+    for q, j in enumerate(starts):
+        pv = pvar[:, q] ** k_mom
         fit = _Fit(basis, x[:, j])
         m_pk = max(m_pk, float(np.max(fit.fit(pv))) ** (1.0 / k_mom) if np.max(pv) > 0 else 0.0)
         zsq = np.einsum("kjnd,kjnd->kj", z[:, j:], z[:, j:]) * dts[j:][None, :]

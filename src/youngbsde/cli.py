@@ -621,7 +621,11 @@ def _run_nonlinear_bsde(cfg, out_dir):
             "halvings": len(sol.halvings),
         }
     ]
-    summary = [f"Y0 = {sol.y0[0]:.6f} (se {sol.y0_se[0]:.2e})", f"diagnostics: {diag}"]
+    summary = [
+        f"Y0 = {sol.y0[0]:.6f} (se {sol.y0_se[0]:.2e})",
+        f"diagnostics: {diag}",
+        f"Picard steps accepted unconverged: {len(sol.unconverged)}",
+    ]
     return rows, summary
 
 

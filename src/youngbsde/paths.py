@@ -215,33 +215,78 @@ def _increment_matrix_row(v: np.ndarray, j: int) -> np.ndarray:
     return np.sqrt(np.sum(d * d, axis=1))
 
 
-def p_variation_suffixes(values: np.ndarray, p: float) -> np.ndarray:
-    """Exact grid p-variation of every suffix of each of k paths on one grid.
+def _check_exponent(p: float) -> None:
+    if not 1 <= p < np.inf:  # also rejects nan
+        raise ValueError("invalid exponent: need 1 <= p < inf")
+
+
+def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
+    """Exact grid p-variation of the suffixes values[:, s:] for s in starts,
+    for each of k paths on one grid.
 
     values has shape (k, n) for scalar paths or (k, n, d); increments are
     Euclidean.  Backward dynamic programme W(i) = max_{j>i} |g_j - g_i|^p
-    + W(j) with W(n-1) = 0, O(n^2) and vectorised over the paths.  Returns
-    shape (k, n): column i is the p-variation of values[:, i:].
+    + W(j) over the last point and the candidate partition points, then
+    one masked row max_{j>s} |g_j - g_s|^p + W(j) per start s.  For a
+    scalar path the candidates skip every point strictly inside a monotone
+    run (d_{i-1} d_i > 0): for p >= 1 the supremum is attained on local
+    extrema (Butkus & Norvaisa, Lith. Math. J. 58, 2018).  Ties, plateaus
+    and non-finite values stay candidates; vector paths keep every point.
+    O(m^2 k) for at most m candidates per path.  Returns shape
+    (k, len(starts)): column q is the p-variation of values[:, starts[q]:].
     """
-    if p < 1:
-        raise ValueError("invalid exponent")
-    # a time-major copy, so each step works on contiguous rows of k paths
-    v = np.moveaxis(np.asarray(values, dtype=float), 1, 0).copy()
+    _check_exponent(p)
+    v = np.moveaxis(np.asarray(values, dtype=float), 1, 0)  # time-major view
     n, k = v.shape[:2]
-    best = np.zeros((n, k))
-    for i in range(n - 2, -1, -1):
-        d = v[i + 1 :] - v[i]
-        inc = np.abs(d, out=d) if d.ndim == 2 else np.sqrt(np.sum(d * d, axis=2))
+    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    if np.any((starts < 0) | (starts >= n)):
+        raise ValueError("starts must lie in [0, n)")
+    cand = np.ones((n, k), dtype=bool)
+    if v.ndim == 2:
+        d = np.diff(v, axis=0)
+        cand[1:-1] = ~(d[:-1] * d[1:] > 0)
+        del d  # the DP below runs at the caller's peak memory
+    counts = cand.sum(axis=0)
+    # gather each path's candidates in order into contiguous rows, padded
+    # with its last point, which adds nothing to any partition; after[q]
+    # counts the candidates at or before starts[q]
+    c = np.empty((int(counts.max()), k) + v.shape[2:])
+    c[:] = v[-1]
+    filled = np.zeros(k, dtype=np.intp)
+    after = np.empty((starts.size, k), dtype=np.intp)
+    for i in range(n):
+        cols = np.flatnonzero(cand[i])
+        c[filled[cols], cols] = v[i, cols]
+        filled[cols] += 1
+        after[starts == i] = filled
+    m = c.shape[0]
+
+    def gains(j0, at):
+        # |c_j - at|^p for the candidates j >= j0
+        inc = c[j0:] - at
+        inc = np.abs(inc, out=inc) if inc.ndim == 2 else np.sqrt(np.sum(inc * inc, axis=2))
         inc **= p
+        return inc
+
+    best = np.zeros((m, k))
+    for i in range(m - 2, -1, -1):
+        inc = gains(i + 1, c[i])
         inc += best[i + 1 :]
         best[i] = inc.max(axis=0)
-    return (best ** (1.0 / p)).T
+    idx = np.arange(m)[:, None]
+    out = np.empty((starts.size, k))
+    for q, s in enumerate(starts):
+        inc = gains(0, v[s])
+        inc += best
+        inc[(idx < after[q]) | (idx >= counts)] = 0.0
+        out[q] = inc.max(axis=0)
+    return (out ** (1.0 / p)).T
 
 
 def p_variation_paths(values: np.ndarray, p: float) -> np.ndarray:
     """Exact grid p-variation of each of k paths sampled on one grid: the
     full-grid column of p_variation_suffixes.  Returns shape (k,)."""
-    return p_variation_suffixes(values, p)[:, 0]
+    return p_variation_suffixes(values, p, (0,))[:, 0]
 
 
 def p_variation(path: SamplePath, p: float, interval=None) -> float:
@@ -256,8 +301,7 @@ def p_variation(path: SamplePath, p: float, interval=None) -> float:
 
 def p_variation_brute_force(path: SamplePath, p: float, interval=None) -> float:
     """Direct enumeration of all sub-partitions; oracle for small grids."""
-    if p < 1:
-        raise ValueError("invalid exponent")
+    _check_exponent(p)
     ia, ib = _slice_indices(path.grid, interval)
     v = path.values[ia : ib + 1]
     n = v.shape[0]
@@ -340,8 +384,7 @@ class ControlValue:
 
 def control_from_pvar(path: SamplePath, p: float) -> ControlValue:
     """The control w(s, t) = ||path||_{p-var;[s,t]}^p."""
-    if p < 1:
-        raise ValueError("invalid exponent")
+    _check_exponent(p)
 
     def w(s, t):
         if t <= s:

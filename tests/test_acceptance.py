@@ -173,6 +173,7 @@ def test_criterion_05_linear_feynman_kac_oracle():
         terminal=terminal_h_of_xt(h), n_dim=1,
     )
     sol = backward_solve(spec, ens, basis=RegressionBasis(degree=11))
+    assert sol.unconverged == {}  # every Picard step reached tol
     ref = linear_closed_form(ens, field, terminal_h_of_xt(h), alpha=1.0)
     combined = float(np.sqrt(sol.y0_se[0] ** 2 + ref.se[0] ** 2))
     diff = float(abs(sol.y0[0] - ref.y0[0]))

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from youngbsde.bsde import (
+    BsdeSolution,
     BsdeSpec,
     NoContractionError,
     PicardParams,
@@ -132,6 +133,9 @@ class TestBackwardSolve:
         sol = backward_solve(spec, ens, picard=PicardParams(max_iter=10, tol=1e-10))
         assert len(sol.halvings) > 0
         assert np.all(np.isfinite(sol.y))
+        # the halves run out of iterations above tol and are accepted visibly
+        assert len(sol.unconverged) > 0
+        assert all(r >= 1e-10 for r in sol.unconverged.values())
 
     def test_localized_halving_rescues_marginal_contraction(self):
         # the halving problem above, stopped at |X| = 1 so that steps run on
@@ -149,6 +153,8 @@ class TestBackwardSolve:
         sol = localized_solve(spec, ens, 1.0, picard=PicardParams(max_iter=10, tol=1e-10))
         assert len(sol.halvings) > 0
         assert np.all(np.isfinite(sol.y))
+        assert len(sol.unconverged) > 0
+        assert all(r >= 1e-10 for r in sol.unconverged.values())
 
     def test_no_contraction_error(self):
         fwd, ens = bm_ensemble(200, 4, seed=8)
@@ -192,6 +198,30 @@ class TestRegression:
         got = _Fit(basis, x).fit(target)
         assert np.max(np.abs(got - target)) <= 1e-10 * np.max(np.abs(target))
 
+    def test_dropped_constant_columns_match_lstsq(self):
+        # x_2 is constant, so its powers are constant and its products with
+        # x_1 repeat the x_1 columns; no point reaches the ball
+        from youngbsde.bsde import _Fit
+
+        rng = np.random.default_rng(3)
+        x = np.column_stack([rng.standard_normal(2000), np.full(2000, 0.7)])
+        x_before = x.copy()
+        basis = RegressionBasis(degree=4, ridge=1e-8, ball_centers=((50.0, 50.0),))
+        target = np.sin(2 * x[:, 0]) + 0.1 * rng.standard_normal(2000)
+        got = _Fit(basis, x).fit(target)
+        np.testing.assert_array_equal(x, x_before)
+
+        raw = basis.design(x)
+        std = raw.std(axis=0)
+        keep = std > 1e-12
+        # x_1, ..., x_1^4 and their multiples by powers of x_2; no intercept or ball
+        assert not keep[0] and not keep[-1] and keep.sum() == 10
+        a = (raw[:, keep] - raw[:, keep].mean(axis=0)) / std[keep]
+        a = np.column_stack([np.ones(2000), a])
+        pen = np.sqrt(basis.ridge) * np.eye(a.shape[1])[1:]
+        beta = np.linalg.lstsq(np.vstack([a, pen]), np.append(target, np.zeros(len(pen))),
+                               rcond=None)[0]
+        np.testing.assert_allclose(got, a @ beta, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("balls", [False, True])
     @pytest.mark.parametrize("degree", [0, 1, 5, 11])
@@ -469,6 +499,20 @@ class TestDiagnostics:
             m_pk = max(m_pk, float(np.max(_Fit(basis, x[:, j]).fit(pv))) ** 0.5)
         assert len(d["times"]) == 4 and m_pk > 0
         assert d["m_pk"] == pytest.approx(m_pk, rel=1e-12)
+
+
+    def test_overflowing_exponent_names_diag_p(self):
+        # |increment|^p overflows for increments above 1 at p = 1e6
+        fwd, ens = bm_ensemble(200, 16, seed=31)
+        sol = BsdeSolution(
+            grid_points=ens.grid.points,
+            y=4.0 * ens.x[:, :, :1],
+            z=np.zeros((ens.n_paths, ens.grid.n - 1, 1, 1)),
+            picard_residuals=[],
+            halvings=[],
+        )
+        with pytest.raises(FloatingPointError, match="diag_p"):
+            diagnostics(sol, ens, p=1e6)
 
 
 class TestExport:

@@ -124,6 +124,22 @@ class TestCliRuns:
         assert main(["run", str(p), "--out", str(out)]) == 0
         assert "within 3 combined se: PASS" in (out / "summary.txt").read_text()
 
+    def test_nonlinear_summary_counts_unconverged_steps(self, tmp_path):
+        cfg = {"experiment": "nonlinear-bsde", "seed": 1, "paths": 300, "forward": {"steps": 8}}
+        out = tmp_path / "nl"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert "Picard steps accepted unconverged: 0" in (out / "summary.txt").read_text()
+        header = (out / "results.csv").read_text().splitlines()[0]
+        assert header == "y0,se,sup_y,m_pk,z_bmo,halvings"
+
+    def test_overflowing_diag_p_exits_3_naming_it(self, tmp_path, capsys):
+        cfg = {"experiment": "nonlinear-bsde", "seed": 1, "paths": 500,
+               "forward": {"steps": 16}, "diag_p": 1e6}
+        p = write_cfg(tmp_path, cfg)
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "diag_p" in err and "singular" not in err
+
     @pytest.mark.parametrize(
         "bsde, key",
         [

@@ -160,7 +160,7 @@ class TestSuffixDp:
     def test_columns_match_slices(self, shape):
         v = np.cumsum(np.random.default_rng(11).standard_normal(shape), axis=1)
         for p in (1.0, 2.5):
-            suffixes = p_variation_suffixes(v, p)
+            suffixes = p_variation_suffixes(v, p, range(shape[1]))
             assert suffixes.shape == shape[:2]
             np.testing.assert_array_equal(suffixes[:, -1], 0.0)
             np.testing.assert_array_equal(suffixes[:, 0], p_variation_paths(v, p))
@@ -177,10 +177,112 @@ class TestSuffixDp:
             vals = rng.standard_normal((n, dim) if dim > 1 else n)
             path = path_on_unit_grid(vals)
             for p in (1.0, 2.0, 3.5):
-                got = p_variation_suffixes(vals[None], p)[0]
+                got = p_variation_suffixes(vals[None], p, range(n))[0]
                 pts = path.grid.points
                 want = [p_variation_brute_force(path, p, (pts[j], pts[-1])) for j in range(n)]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def suffix_oracles(vals, p, starts):
+    # forward DP on each suffix, and brute force where the grid allows it
+    got = p_variation_suffixes(vals, p, starts)
+    want = np.stack([forward_dp(vals[:, s:], p) for s in starts], axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    if 2 <= vals.shape[1] <= 12:
+        for row, path in zip(got, vals):
+            sample = path_on_unit_grid(path)
+            pts = sample.grid.points
+            brute = [p_variation_brute_force(sample, p, (pts[s], pts[-1])) for s in starts]
+            np.testing.assert_allclose(row, brute, rtol=1e-12, atol=1e-12)
+    return got
+
+
+class TestTurningPointDp:
+    # the scalar DP runs on turning points only; each case below has
+    # partitions that need a point the turning-point test must not drop
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_plateaus_and_repeated_values(self, p):
+        vals = np.array([
+            [0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 2.0, -1.0, -1.0],
+            [1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0],
+            [5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0],
+        ])
+        got = suffix_oracles(vals, p, range(10))
+        # [0, 1, 1, 0]: the plateau ends are needed, 1 + 1
+        assert p_variation_suffixes(vals[:1, :4], p, (0,))[0, 0] == pytest.approx(2.0 ** (1 / p))
+        np.testing.assert_array_equal(got[3], 0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_strictly_monotone(self, p):
+        up = np.cumsum(np.random.default_rng(40).uniform(0.1, 1.0, (3, 11)), axis=1)
+        vals = np.concatenate([up, -up])
+        got = suffix_oracles(vals, p, range(11))
+        # one increment from the start to the end is optimal for p >= 1
+        want = np.abs(vals[:, -1:] - vals)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_one_and_two_points(self, p):
+        one = p_variation_suffixes(np.array([[4.0], [-1.0]]), p, (0,))
+        np.testing.assert_array_equal(one, 0.0)
+        two = suffix_oracles(np.array([[0.0, 3.0], [1.0, 1.0], [2.0, -0.5]]), p, (0, 1))
+        np.testing.assert_array_equal(two, [[3.0, 0.0], [0.0, 0.0], [2.5, 0.0]])
+
+    def test_total_variation_p1(self):
+        rng = np.random.default_rng(41)
+        vals = np.round(np.cumsum(rng.standard_normal((6, 12)), axis=1), 1)
+        got = suffix_oracles(vals, 1.0, range(12))
+        want = [np.abs(np.diff(vals[:, s:], axis=1)).sum(axis=1) for s in range(12)]
+        np.testing.assert_allclose(got, np.stack(want, axis=1), rtol=1e-12, atol=1e-12)
+
+    def test_unsorted_and_duplicate_starts(self):
+        vals = np.cumsum(np.random.default_rng(42).standard_normal((5, 40)), axis=1)
+        starts = [17, 3, 39, 3, 0, 17, 25]
+        got = suffix_oracles(vals, 2.5, starts)
+        full = p_variation_suffixes(vals, 2.5, range(40))
+        np.testing.assert_array_equal(got, full[:, starts])
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_vector_paths(self, p):
+        rng = np.random.default_rng(43)
+        vals = np.cumsum(rng.standard_normal((4, 10, 2)), axis=1)
+        vals[0, :, 1] = vals[0, :, 0]  # moves on a line
+        vals[1, 3:7] = vals[1, 3]  # a plateau
+        suffix_oracles(vals, p, [9, 0, 4, 4])
+
+    def test_nan_inside_a_monotone_run(self):
+        vals = np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]])
+        vals[0, 2] = np.nan
+        got = p_variation_suffixes(vals, 2.0, range(6))
+        assert np.all(np.isnan(got[0, :3]))
+        np.testing.assert_array_equal(got[0, 3:], [2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(got[1], [5.0, 4.0, 3.0, 2.0, 1.0, 0.0])
+        # a one-point suffix has no increment, even at a NaN
+        vals[1, -1] = np.nan
+        got = p_variation_suffixes(vals, 2.0, range(6))
+        assert np.all(np.isnan(got[1, :-1])) and got[1, -1] == 0.0
+
+    def test_starts_out_of_range(self):
+        with pytest.raises(ValueError, match="starts"):
+            p_variation_suffixes(np.zeros((2, 5)), 2.0, (5,))
+        with pytest.raises(ValueError, match="starts"):
+            p_variation_suffixes(np.zeros((2, 5)), 2.0, (-1,))
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, 0.5, -np.inf])
+    def test_invalid_exponent_everywhere(self, p):
+        vals = np.array([[0.0, 2.0, 0.5, 3.0]])
+        path = path_on_unit_grid(vals[0])
+        for call in (
+            lambda: p_variation_suffixes(vals, p, (0,)),
+            lambda: p_variation_paths(vals, p),
+            lambda: p_variation(path, p),
+            lambda: p_variation_brute_force(path, p),
+            lambda: control_from_pvar(path, p),
+        ):
+            with pytest.raises(ValueError, match="invalid exponent"):
+                call()
 
 
 class TestHolderUniform:
