@@ -19,17 +19,14 @@ martingale of the Girsanov integrand.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .driver import DriverField
 from .forward import PathEnsemble, SdeSpec, exit_indices, step_normals
-from .paths import p_variation_suffixes, write_csv
+from .paths import p_variation_suffixes
 
 __all__ = [
     "RegressionBasis",
@@ -39,8 +36,10 @@ __all__ = [
     "Terminal",
     "terminal_h_of_xt",
     "terminal_running_max",
-    "terminal_h_of_marginals",
     "BsdeSpec",
+    "zero_generator",
+    "zero_coupling",
+    "scalar_coupling",
     "BsdeSolution",
     "backward_solve",
     "ClosedFormResult",
@@ -191,25 +190,10 @@ def terminal_running_max(coord: int = 0, name="sup X") -> Terminal:
     return Terminal(value_at, name=name)
 
 
-def terminal_h_of_marginals(h, times, name="h(marginals)") -> Terminal:
-    """Xi_t = h(X_{t_1 ^ t}, ..., X_{t_m ^ t}) for fixed observation times."""
-
-    def value_at(ensemble, idx):
-        cols = []
-        t_idx = [ensemble.grid.index_of(t) for t in times]
-        for j in t_idx:
-            jj = np.minimum(np.asarray(idx), j)
-            cols.append(ensemble.x[np.arange(ensemble.n_paths), jj])
-        out = np.asarray(h(*cols), dtype=float)
-        return out[:, None] if out.ndim == 1 else out
-
-    return Terminal(value_at, name=name)
-
-
 @dataclass
 class BsdeSpec:
-    """Problem data: forward SDE, driver field, generator f, coupling g,
-    terminal functional, and recorded constants."""
+    """Problem data: forward SDE, driver field, generator f, coupling g and
+    terminal functional."""
 
     forward: SdeSpec
     fieldv: DriverField
@@ -217,21 +201,7 @@ class BsdeSpec:
     coupling: callable  # g(y (k,N)) -> (k,N,M)
     terminal: Terminal
     n_dim: int = 1
-    lip_const: float = 1.0
-    bound_const: float = 1.0
     name: str = "bsde"
-
-    def content_hash(self) -> str:
-        parts = [
-            self.name,
-            self.forward.content_hash(),
-            getattr(self.generator, "__name__", repr(self.generator)),
-            getattr(self.coupling, "__name__", repr(self.coupling)),
-            self.terminal.name,
-            str(self.n_dim),
-            self.fieldv.kind,
-        ]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
 def zero_generator(t, x, y, z):
@@ -262,7 +232,6 @@ class BsdeSolution:
     z: np.ndarray
     picard_residuals: list
     halvings: list
-    spec_hash: str = ""
     # step index -> final Picard residual of a step accepted after running
     # out of iterations above tol, its trace still shrinking
     unconverged: dict = field(default_factory=dict)
@@ -434,7 +403,6 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
         z=z,
         picard_residuals=residual_log,
         halvings=halvings,
-        spec_hash=spec.content_hash(),
         unconverged=unconverged,
         realized=realized,
     )
@@ -637,52 +605,6 @@ def comparison_experiment(
     )
 
 
-def save_solution(
-    solution: BsdeSolution,
-    prefix,
-    basis: RegressionBasis | None = None,
-    picard: PicardParams | None = None,
-    seed: int | None = None,
-    max_paths: int | None = None,
-) -> None:
-    """CSV export (path, t, Y_1..Y_N, Z_11..Z_Nd) plus a JSON run manifest
-    carrying the spec hash, seed, basis, tolerances, and residual trace."""
-    prefix = Path(prefix)
-    y, z = solution.y, solution.z
-    k, n, nn = y.shape
-    d = z.shape[-1]
-    k_out = k if max_paths is None else min(k, max_paths)
-    header = ["path", "t"] + [f"Y{a+1}" for a in range(nn)] + [
-        f"Z{a+1}{b+1}" for a in range(nn) for b in range(d)
-    ]
-    no_z = [""] * (nn * d)  # Z is not defined at the terminal time
-    write_csv(
-        prefix.with_suffix(".csv"),
-        header,
-        (
-            [p_idx, t, *y[p_idx, j], *(z[p_idx, j].ravel() if j < n - 1 else no_z)]
-            for p_idx in range(k_out)
-            for j, t in enumerate(solution.grid_points)
-        ),
-    )
-    manifest = {
-        "spec_hash": solution.spec_hash,
-        "seed": seed,
-        "basis": None
-        if basis is None
-        else {"degree": basis.degree, "ridge": basis.ridge},
-        "tolerances": None
-        if picard is None
-        else {"max_iter": picard.max_iter, "tol": picard.tol},
-        "residual_trace": [
-            [r if isinstance(r, str) else float(r) for r in (trace or [])]
-            for trace in solution.picard_residuals
-        ],
-        "halvings": [int(i) for i in solution.halvings],
-    }
-    prefix.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
-
-
 def diagnostics(
     solution: BsdeSolution,
     ensemble: PathEnsemble,
@@ -714,14 +636,21 @@ def diagnostics(
     if np.all(np.isfinite(y)) and not np.all(np.isfinite(pvar)):
         raise FloatingPointError(f"p-variation of Y overflows at diag_p = {p}")
 
+    def moment(base, k):
+        with np.errstate(over="ignore"):
+            out = base**k
+        if np.all(np.isfinite(base)) and not np.all(np.isfinite(out)):
+            raise FloatingPointError(f"moment of the diagnostics overflows at diag_k = {k_mom}")
+        return out
+
     m_pk = 0.0
     bmo = 0.0
     for q, j in enumerate(starts):
-        pv = pvar[:, q] ** k_mom
+        pv = moment(pvar[:, q], k_mom)
         fit = _Fit(basis, x[:, j])
         m_pk = max(m_pk, float(np.max(fit.fit(pv))) ** (1.0 / k_mom) if np.max(pv) > 0 else 0.0)
         zsq = np.einsum("kjnd,kjnd->kj", z[:, j:], z[:, j:]) * dts[j:][None, :]
-        tail = zsq.sum(axis=1) ** (k_mom / 2.0)
+        tail = moment(zsq.sum(axis=1), k_mom / 2.0)
         bmo = max(bmo, float(np.max(fit.fit(tail))) ** (1.0 / k_mom) if np.max(tail) > 0 else 0.0)
     return {
         "m_pk": m_pk,

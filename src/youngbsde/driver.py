@@ -1,4 +1,4 @@
-"""Space-time driver fields eta(t, x) and their empirical regularity.
+"""Space-time driver fields eta(t, x) and checks of their declared regularity.
 
 Fields are normalized so that eta(0, x) = 0 (the t = 0 slice is subtracted
 at construction). Concrete kinds: closed-form analytic fields, grid-sampled
@@ -28,11 +28,9 @@ __all__ = [
     "fbs_generate",
     "mollify",
     "shift_field",
-    "seminorm_estimate",
     "assumption_check",
     "AssumptionReport",
     "save_fbs",
-    "load_fbs",
 ]
 
 MAX_FBS_AXIS = 2048
@@ -323,7 +321,7 @@ def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: fl
     return FbsGridField(hurst, full_axes[0], full_axes[1:], values, seed, theta=theta, p=p)
 
 
-def _bump_nodes(n_nodes: int = 64):
+def _bump_nodes(n_nodes: int):
     # compactly supported bump on [-1/2, 1/2], midpoint rule; weights
     # normalized so the discrete mass is exactly 1
     u = (np.arange(n_nodes) + 0.5) / n_nodes - 0.5
@@ -407,11 +405,6 @@ class MollifiedField(DriverField):
 
         return self._fold(t, self._wd if derivative else self._w, base_at)
 
-    @staticmethod
-    def mollifier_mass(n_nodes: int = 64) -> float:
-        u, rho, _, du = _bump_nodes(n_nodes)
-        return float(np.sum(rho) * du)
-
 
 def mollify(field: DriverField, m: int) -> MollifiedField:
     return MollifiedField(field, m)
@@ -458,51 +451,6 @@ def shift_field(field: DriverField, t0: float) -> DriverField:
     if t0 == 0.0:
         return field
     return ShiftedField(field, t0)
-
-
-def seminorm_estimate(field: DriverField, params: RegularityParams, time_points, space_points, weighted: bool = False) -> float:
-    """Grid estimate of the driver seminorm: the largest of the three
-    quotient terms (mixed increment, time increment, space increment) over
-    all pairs drawn from the evaluation grid.
-
-    This is a lower bound of the true seminorm; enlarging the grid never
-    decreases it.
-    """
-    ts = np.asarray(time_points, dtype=float)
-    xs = np.asarray(space_points, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    nt, nx = ts.size, xs.shape[0]
-    if nt < 2 or nx < 2:
-        raise ValueError("need at least 2 points per axis")
-
-    vals = np.stack([field.evaluate(t, xs) for t in ts])
-    mag = np.linalg.norm(vals, axis=2) if field.channels > 1 else vals[..., 0]
-
-    xnorm = np.linalg.norm(xs, axis=1)
-    dx = np.linalg.norm(xs[:, None, :] - xs[None, :, :], axis=2)
-    dt = np.abs(ts[:, None] - ts[None, :])
-    i_t, j_t = np.triu_indices(nt, k=1)
-    pair_x, pair_y = np.triu_indices(nx, k=1)
-
-    w_xy = 1.0 + xnorm[pair_x] ** params.beta + xnorm[pair_y] ** params.beta if weighted else 1.0
-    w_x = 1.0 + xnorm ** (params.beta + params.lam) if weighted else np.ones(nx)
-
-    best = 0.0
-    # time term: |eta(s,x) - eta(t,x)| / (|t-s|^tau * w)
-    for a, b in zip(i_t, j_t):
-        num = np.abs(mag[b] - mag[a])
-        best = max(best, float(np.max(num / (dt[a, b] ** params.tau * w_x))))
-    # space term: |eta(t,y) - eta(t,x)| / (|x-y|^lam * w)
-    denom_x = dx[pair_x, pair_y] ** params.lam * w_xy
-    for a in range(nt):
-        num = np.abs(mag[a, pair_y] - mag[a, pair_x])
-        best = max(best, float(np.max(num / denom_x)))
-    # mixed term: double increment / (|t-s|^tau |x-y|^lam * w)
-    for a, b in zip(i_t, j_t):
-        num = np.abs(mag[a, pair_x] - mag[b, pair_x] - mag[a, pair_y] + mag[b, pair_y])
-        best = max(best, float(np.max(num / (dt[a, b] ** params.tau * denom_x))))
-    return best
 
 
 _EPS_SEARCH = np.round(np.arange(0.01, 1.0, 0.01), 2)
@@ -581,18 +529,3 @@ def save_fbs(field: FbsGridField, prefix: str | Path) -> None:
         "order": "C",
     }
     prefix.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_fbs(prefix: str | Path) -> FbsGridField:
-    prefix = Path(prefix)
-    sidecar = json.loads(prefix.with_suffix(".json").read_text())
-    raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
-    values = raw.reshape(sidecar["shape"])
-    hurst = HurstParams(**sidecar["hurst"])
-    return FbsGridField(
-        hurst,
-        np.asarray(sidecar["time_points"]),
-        [np.asarray(a) for a in sidecar["space_axes"]],
-        values,
-        sidecar["seed"],
-    )

@@ -1,4 +1,4 @@
-"""Forward diffusion simulation, exit times, and 1-D reflection.
+"""Forward diffusion simulation, exit indices, and 1-D reflection.
 
 Brownian increments come from counter-based Philox streams: the increment
 block for step j is generated from (key=seed, counter=[0,0,j,0]) and the
@@ -8,25 +8,19 @@ function of (seed, path, step) and identical however the work is scheduled.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .paths import SamplePath, TimeGrid, write_csv
+from .paths import SamplePath, TimeGrid
 
 __all__ = [
     "SdeSpec",
     "PathEnsemble",
     "euler_maruyama",
     "step_normals",
-    "exit_time",
     "exit_indices",
     "reflect_1d",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 
@@ -68,16 +62,6 @@ class SdeSpec:
             s = float(s) * np.eye(d)
         return np.broadcast_to(s, (k, d, d))
 
-    def content_hash(self) -> str:
-        parts = [
-            self.name,
-            getattr(self.drift, "__name__", repr(self.drift)),
-            getattr(self.diffusion, "__name__", repr(self.diffusion)),
-            repr(self.x0.tolist()),
-            repr(self.bound),
-        ]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
-
 
 @dataclass
 class PathEnsemble:
@@ -87,7 +71,6 @@ class PathEnsemble:
     x: np.ndarray
     dw: np.ndarray
     seed: int
-    spec_hash: str = ""
 
     @property
     def n_paths(self) -> int:
@@ -100,21 +83,6 @@ class PathEnsemble:
     def path(self, i: int) -> SamplePath:
         vals = self.x[i]
         return SamplePath(self.grid, vals[:, 0] if self.dim == 1 else vals)
-
-    def increment_moments_ok(self, z: float = 5.0) -> bool:
-        """Smoke check: per-step mean within z SE of 0, variance within z SE of dt."""
-        n = self.n_paths
-        dts = self.grid.dt
-        for j in range(self.dw.shape[1]):
-            for a in range(self.dim):
-                col = self.dw[:, j, a]
-                se_mean = np.sqrt(dts[j] / n)
-                if abs(col.mean()) > z * se_mean:
-                    return False
-                se_var = dts[j] * np.sqrt(2.0 / (n - 1))
-                if abs(col.var(ddof=1) - dts[j]) > z * se_var:
-                    return False
-        return True
 
 
 def step_normals(seed: int, step: int, n_paths: int, dim: int) -> np.ndarray:
@@ -142,7 +110,7 @@ def euler_maruyama(spec: SdeSpec, grid: TimeGrid, n_paths: int, seed: int) -> Pa
         z = step_normals(seed, j, n_paths, d)
         dw[:, j] = np.sqrt(dts[j]) * z
         x[:, j + 1] = xj + bj * dts[j] + np.einsum("kab,kb->ka", sj, dw[:, j])
-    return PathEnsemble(grid=grid, x=x, dw=dw, seed=int(seed), spec_hash=spec.content_hash())
+    return PathEnsemble(grid=grid, x=x, dw=dw, seed=int(seed))
 
 
 def exit_indices(ensemble: PathEnsemble, radius: float) -> np.ndarray:
@@ -151,16 +119,6 @@ def exit_indices(ensemble: PathEnsemble, radius: float) -> np.ndarray:
     exceeded = norms > radius
     out = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), ensemble.grid.n - 1)
     return out
-
-
-def exit_time(path: SamplePath, radius: float) -> float:
-    """First grid time with |X_t| > radius, else the horizon T."""
-    v = path.as_matrix()
-    norms = np.linalg.norm(v, axis=1)
-    hits = np.nonzero(norms > radius)[0]
-    if hits.size == 0:
-        return path.grid.horizon
-    return float(path.grid.points[hits[0]])
 
 
 def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0: float, dts=None):
@@ -195,46 +153,3 @@ def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0: float,
     if single:
         return x[0], loc[0]
     return x, loc
-
-
-def save_ensemble(ensemble: PathEnsemble, prefix: str | Path, paths_csv: int = 0) -> None:
-    """Binary tensor + JSON sidecar; optionally the first paths as CSV."""
-    prefix = Path(prefix)
-    data = np.ascontiguousarray(ensemble.x, dtype="<f8")
-    prefix.with_suffix(".bin").write_bytes(data.tobytes())
-    dw = np.ascontiguousarray(ensemble.dw, dtype="<f8")
-    prefix.with_suffix(".dw.bin").write_bytes(dw.tobytes())
-    sidecar = {
-        "spec_hash": ensemble.spec_hash,
-        "grid": ensemble.grid.points.tolist(),
-        "seed": ensemble.seed,
-        "shape": list(data.shape),
-        "dtype": "<f8",
-    }
-    prefix.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
-    if paths_csv > 0:
-        write_csv(
-            prefix.with_suffix(".csv"),
-            ["t"] + [f"path{i}_x{a}" for i in range(paths_csv) for a in range(ensemble.dim)],
-            (
-                [t, *ensemble.x[np.arange(paths_csv), j].ravel()]
-                for j, t in enumerate(ensemble.grid.points)
-            ),
-        )
-
-
-def load_ensemble(prefix: str | Path) -> PathEnsemble:
-    prefix = Path(prefix)
-    sidecar = json.loads(prefix.with_suffix(".json").read_text())
-    shape = sidecar["shape"]
-    x = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8").reshape(shape)
-    dw = np.frombuffer(prefix.with_suffix(".dw.bin").read_bytes(), dtype="<f8").reshape(
-        shape[0], shape[1] - 1, shape[2]
-    )
-    return PathEnsemble(
-        grid=TimeGrid(np.asarray(sidecar["grid"])),
-        x=x.copy(),
-        dw=dw.copy(),
-        seed=sidecar["seed"],
-        spec_hash=sidecar["spec_hash"],
-    )

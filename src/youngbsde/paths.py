@@ -1,17 +1,17 @@
 """Time grids, sampled paths, the interpolation kernels (dyadic refinement,
-clamped multilinear locate-and-blend), path norms (p-variation, Holder,
-uniform), and the CSV writer every export goes through.
+clamped multilinear locate-and-blend), the p-variation, and the CSV writer
+every export goes through.
 
-All norms are computed over the observation grid: the p-variation is the
-exact supremum over sub-partitions of the grid points, which coincides with
-the continuous-time value for the piecewise-linear interpolant when p >= 1.
-That grid-supremum convention is used everywhere in this package.
+The p-variation is the exact supremum over sub-partitions of the
+observation grid, which coincides with the continuous-time value for the
+piecewise-linear interpolant when p >= 1.  That grid-supremum convention is
+used everywhere in this package.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,10 @@ __all__ = [
     "dyadic_interp",
     "locate",
     "blend",
-    "ControlValue",
     "p_variation",
     "p_variation_paths",
     "p_variation_suffixes",
     "p_variation_brute_force",
-    "holder_norm",
-    "uniform_norm",
-    "control_from_pvar",
-    "product_control",
     "write_csv",
 ]
 
@@ -74,10 +69,6 @@ class TimeGrid:
     @property
     def dt(self) -> np.ndarray:
         return np.diff(self.points)
-
-    @property
-    def mesh(self) -> float:
-        return float(np.max(self.dt))
 
     def index_of(self, t: float) -> int:
         """Index of the grid point equal to t, error if t is off-grid."""
@@ -177,24 +168,9 @@ class SamplePath:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
     def as_matrix(self) -> np.ndarray:
         v = self.values
         return v[:, None] if v.ndim == 1 else v
-
-    def interp(self, times: np.ndarray) -> np.ndarray:
-        """Piecewise-linear interpolation at arbitrary times in [0, T]."""
-        t = np.asarray(times, dtype=float)
-        v = self.as_matrix()
-        out = np.empty(t.shape + (v.shape[1],))
-        for j in range(v.shape[1]):
-            out[..., j] = np.interp(t, self.grid.points, v[:, j])
-        if self.values.ndim == 1:
-            return out[..., 0]
-        return out
 
 
 def _slice_indices(grid: TimeGrid, interval) -> tuple[int, int]:
@@ -205,14 +181,6 @@ def _slice_indices(grid: TimeGrid, interval) -> tuple[int, int]:
     if ia > ib:
         raise ValueError("interval must satisfy a <= b")
     return ia, ib
-
-
-def _increment_matrix_row(v: np.ndarray, j: int) -> np.ndarray:
-    # |v_j - v_i| for i < j, Euclidean norm across columns
-    d = v[j] - v[:j]
-    if d.ndim == 1:
-        return np.abs(d)
-    return np.sqrt(np.sum(d * d, axis=1))
 
 
 def _check_exponent(p: float) -> None:
@@ -324,85 +292,6 @@ def p_variation_brute_force(path: SamplePath, p: float, interval=None) -> float:
             s = np.sum(np.sqrt(np.sum(d * d, axis=1)) ** p)
         best = max(best, float(s))
     return best ** (1.0 / p)
-
-
-def holder_norm(path: SamplePath, gamma: float, interval=None) -> float:
-    """Max over grid pairs of |g_b - g_a| / |b - a|**gamma."""
-    if not 0 < gamma <= 1:
-        raise ValueError("invalid exponent")
-    ia, ib = _slice_indices(path.grid, interval)
-    v = path.values[ia : ib + 1]
-    t = path.grid.points[ia : ib + 1]
-    n = v.shape[0]
-    if n < 2:
-        return 0.0
-    out = 0.0
-    for j in range(1, n):
-        num = _increment_matrix_row(v, j)
-        out = max(out, float(np.max(num / (t[j] - t[:j]) ** gamma)))
-    return out
-
-
-def uniform_norm(path: SamplePath, interval=None) -> float:
-    ia, ib = _slice_indices(path.grid, interval)
-    v = path.values[ia : ib + 1]
-    if v.ndim == 1:
-        return float(np.max(np.abs(v)))
-    return float(np.max(np.sqrt(np.sum(v * v, axis=1))))
-
-
-@dataclass(frozen=True)
-class ControlValue:
-    """Superadditive two-parameter function w(s, t) >= 0 with w(s, s) = 0."""
-
-    evaluator: callable
-    label: str = field(default="control")
-
-    def __call__(self, s: float, t: float) -> float:
-        if t < s:
-            raise ValueError("need s <= t")
-        return float(self.evaluator(s, t))
-
-    def superadditivity_defect(self, grid: TimeGrid, max_triples: int = 2000, seed: int = 0) -> float:
-        """Largest w(s,u) + w(u,t) - w(s,t) over sampled grid triples.
-
-        Nonpositive (up to rounding) for a genuine control.
-        """
-        pts = grid.points
-        n = pts.size
-        triples = [(i, k, j) for i in range(n) for k in range(i, n) for j in range(k, n)]
-        if len(triples) > max_triples:
-            rng = np.random.default_rng(seed)
-            sel = rng.choice(len(triples), size=max_triples, replace=False)
-            triples = [triples[i] for i in sel]
-        worst = -np.inf
-        for i, k, j in triples:
-            s, u, t = pts[i], pts[k], pts[j]
-            worst = max(worst, self(s, u) + self(u, t) - self(s, t))
-        return float(worst)
-
-
-def control_from_pvar(path: SamplePath, p: float) -> ControlValue:
-    """The control w(s, t) = ||path||_{p-var;[s,t]}^p."""
-    _check_exponent(p)
-
-    def w(s, t):
-        if t <= s:
-            return 0.0
-        return p_variation(path, p, (s, t)) ** p
-
-    return ControlValue(w, label=f"pvar^{p}")
-
-
-def product_control(w1: ControlValue, w2: ControlValue, a1: float, a2: float) -> ControlValue:
-    """w1^a1 * w2^a2; a control whenever a1 + a2 >= 1 (and a1, a2 > 0)."""
-    if a1 <= 0 or a2 <= 0 or a1 + a2 < 1:
-        raise ValueError("exponents must be positive with a1 + a2 >= 1")
-
-    def w(s, t):
-        return w1(s, t) ** a1 * w2(s, t) ** a2
-
-    return ControlValue(w, label=f"({w1.label})^{a1}*({w2.label})^{a2}")
 
 
 def write_csv(path, header, rows) -> None:

@@ -11,11 +11,8 @@ through one fixed-point sweep per step.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,13 +27,14 @@ from .bsde import (
 )
 from .driver import DriverField, mollify, shift_field
 from .forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
-from .paths import TimeGrid, blend, locate, write_csv
+from .paths import TimeGrid, blend, locate
 
 __all__ = [
     "PdeSpec",
     "PdeSolution",
     "CflError",
     "fd_dirichlet_solve",
+    "YoungPdeTable",
     "young_pde_table",
     "feynman_kac_cross_check",
     "localization_error_experiment",
@@ -96,20 +94,6 @@ class PdeSpec:
             return np.asarray(self.drift(x), dtype=float).reshape(x.shape)
         return np.broadcast_to(np.asarray(self.drift, dtype=float), x.shape)
 
-    def content_hash(self) -> str:
-        parts = [
-            self.name,
-            repr(self.halfwidth),
-            repr(self.dim),
-            repr(self.horizon),
-            getattr(self.terminal, "__name__", repr(self.terminal)),
-            getattr(self.generator, "__name__", repr(self.generator)),
-            getattr(self.coupling, "__name__", repr(self.coupling)),
-            self.fieldv.kind,
-            repr(getattr(self.fieldv, "m", None)),
-        ]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
-
 
 @dataclass
 class PdeSolution:
@@ -165,11 +149,6 @@ def _stencils(spec: PdeSpec, axes):
     lmat.eliminate_zeros()
     grad_w = sp.vstack([sum(sp.diags(sig[:, j, a]) @ d1[j] for j in dims) for a in dims])
     return lmat, grad_w.tocsr()
-
-
-def _operator(spec: PdeSpec, axes) -> sp.csr_matrix:
-    """The elliptic operator of `_stencils` alone."""
-    return _stencils(spec, axes)[0]
 
 
 def fd_dirichlet_solve(
@@ -235,30 +214,6 @@ def fd_dirichlet_solve(
     return PdeSolution(times=times, axes=axes, u=u, theta=theta, dt=dt, dx=axes[0][1] - axes[0][0])
 
 
-def save_solution(solution: PdeSolution, prefix, spec: PdeSpec | None = None) -> None:
-    """CSV export (t, x..., u) plus a JSON manifest with the grid metadata."""
-    prefix = Path(prefix)
-    dim = len(solution.axes)
-    pts = _nodes(solution.axes)
-    write_csv(
-        prefix.with_suffix(".csv"),
-        ["t"] + [f"x{j+1}" for j in range(dim)] + ["u"],
-        (
-            [t, *x, v]
-            for t, u_t in zip(solution.times, solution.u)
-            for x, v in zip(pts, u_t.ravel())
-        ),
-    )
-    manifest = {
-        "spec_hash": None if spec is None else spec.content_hash(),
-        "theta": solution.theta,
-        "dt": solution.dt,
-        "dx": solution.dx,
-        "times": [float(t) for t in solution.times[:: max(1, solution.times.size // 8)]],
-    }
-    prefix.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
-
-
 @dataclass
 class YoungPdeTable:
     n_list: list
@@ -312,26 +267,19 @@ def feynman_kac_cross_check(
     basis: RegressionBasis | None = None,
     picard: PicardParams | None = None,
     bound: float = 8.0,
-    mc_values=None,
 ):
     """|u_FD - u_MC| at interior points with tolerance fd_error + 3 MC SE.
 
     The MC side solves the stopped BSDE from each point with exit at the
-    box boundary, sharing (h, f, g, sigma, b, eta) with the FD side; a
-    precomputed MC table is accepted only with a matching spec hash.
+    box boundary, sharing (h, f, g, sigma, b, eta) with the FD side.
     """
-    if mc_values is not None and mc_values.get("spec_hash") != spec.content_hash():
-        raise ValueError("mismatched spec hash")
     sol = fd_dirichlet_solve(spec, time_steps, space_steps)
     sol_half = fd_dirichlet_solve(spec, 2 * time_steps, 2 * space_steps)
     report = []
     for q, (t0, x0) in enumerate(points):
         u_fd = sol.value_at(t0, x0)
         fd_err = abs(u_fd - sol_half.value_at(t0, x0))
-        if mc_values is not None:
-            u_mc, se = mc_values["values"][q], mc_values["se"][q]
-        else:
-            u_mc, se = _mc_point(spec, t0, x0, n_paths, seed + q, mc_time_steps, basis, picard, bound)
+        u_mc, se = _mc_point(spec, t0, x0, n_paths, seed + q, mc_time_steps, basis, picard, bound)
         tol = fd_err + 3.0 * se
         report.append(
             {

@@ -12,12 +12,12 @@ by one blend per level (paths.dyadic_interp), without a search.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .driver import DriverField
-from .paths import ControlValue, SamplePath, TimeGrid, dyadic_interp
+from .paths import SamplePath, TimeGrid, dyadic_interp
 
 __all__ = [
     "Germ",
@@ -26,8 +26,6 @@ __all__ = [
     "SewingError",
     "sew",
     "nonlinear_young_integral",
-    "young_integral_against_path",
-    "remainder_certificate",
 ]
 
 
@@ -90,20 +88,13 @@ class IntegralResult:
     cumulative: np.ndarray
     level_totals: np.ndarray
     cauchy_increments: np.ndarray
-    mesh_used: float
     levels_used: int
     germ_defect: np.ndarray
-    remainder_bound: np.ndarray | None = None
-    converged: bool = field(default=False)
+    converged: bool = False
 
     @property
     def value(self) -> float:
         return float(self.cumulative[-1])
-
-    def segment(self, a: float, b: float) -> float:
-        """I[a, b] for grid-aligned a <= b; exactly additive over splits."""
-        ia, ib = self.grid.index_of(a), self.grid.index_of(b)
-        return float(self.cumulative[ib] - self.cumulative[ia])
 
 
 def sew(
@@ -134,7 +125,6 @@ def sew(
         cumulative=last_cum,
         level_totals=totals,
         cauchy_increments=np.abs(np.diff(totals)),
-        mesh_used=grid.mesh / 2**used,
         levels_used=used,
         germ_defect=defect,
         converged=bool(totals.size >= 2 and abs(totals[-1] - totals[-2]) < tol),
@@ -195,47 +185,3 @@ def nonlinear_young_integral(
         return np.sum(ys * d_eta, axis=1)
 
     return sew(DyadicGerm(germ_fn), grid, levels=levels, tol=tol)
-
-
-def young_integral_against_path(
-    y: SamplePath, m_path: SamplePath, levels: int = 12, tol: float = 1e-9
-) -> IntegralResult:
-    """Classical left-point Young integral of y against a scalar path.
-
-    Convergence needs the declared exponents to satisfy tau + 1/p2 > 1
-    (time regularity of m_path against the variation exponent of y).
-    """
-    grid = m_path.grid
-    if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
-        raise ValueError("y and M must share a time grid")
-
-    def germ_fn(level, s, t):
-        ys = dyadic_interp(y.as_matrix()[:, 0], level)[:-1]
-        return ys * np.diff(dyadic_interp(m_path.as_matrix()[:, 0], level))
-
-    return sew(DyadicGerm(germ_fn), grid, levels=levels, tol=tol)
-
-
-def remainder_certificate(
-    result: IntegralResult, controls: list[tuple[ControlValue, float]]
-) -> np.ndarray:
-    """Check |I[s,t] - A(s,t)| <= l^{e0}/(1 - 2^{-e0}) * sum_i w_i(s,t)^{1+e_i}
-    on every base-grid cell; exponents are passed as 1 + e_i.
-
-    Returns the boolean verdict per cell and stores the bound on the result.
-    """
-    if not controls:
-        raise ValueError("need at least one control")
-    eps = [ex - 1.0 for _, ex in controls]
-    if min(eps) <= 0:
-        raise ValueError("exponents must exceed 1")
-    e0 = min(eps)
-    const = len(controls) ** e0 / (1.0 - 2.0 ** (-e0))
-    pts = result.grid.points
-    bounds = np.zeros(pts.size - 1)
-    for w, ex in controls:
-        for i in range(pts.size - 1):
-            bounds[i] += w(pts[i], pts[i + 1]) ** ex
-    bounds *= const
-    result.remainder_bound = bounds
-    return result.germ_defect <= bounds + 1e-15

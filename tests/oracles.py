@@ -1,7 +1,14 @@
 """Independent reference values used across test modules."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 from scipy.stats import norm
+
+from youngbsde.driver import FbsGridField, HurstParams
+from youngbsde.paths import _slice_indices, dyadic_interp
+from youngbsde.sewing import DyadicGerm, sew
 
 
 def prob_sup_abs_bm_exceeds(n: float, horizon: float = 1.0, terms: int = 20) -> float:
@@ -46,3 +53,103 @@ def heat_solution_gaussian_bump(x: float, t_to_go: float, amp: float = 1.0, widt
     convolution of the bump with the heat kernel of variance 2 a t_to_go."""
     var = width**2 + 2.0 * a * t_to_go
     return amp * width / np.sqrt(var) * np.exp(-(x**2) / (2 * var))
+
+
+def interp(path, times):
+    """Piecewise-linear values of a SamplePath at arbitrary times in [0, T],
+    by np.interp per column; same shape rule as path.values."""
+    t = np.asarray(times, dtype=float)
+    v = path.as_matrix()
+    out = np.stack([np.interp(t, path.grid.points, v[:, j]) for j in range(v.shape[1])], axis=-1)
+    return out[..., 0] if path.values.ndim == 1 else out
+
+
+def exit_time(path, radius: float) -> float:
+    """First grid time with |X_t| > radius along one SamplePath, else the horizon."""
+    hits = np.nonzero(np.linalg.norm(path.as_matrix(), axis=1) > radius)[0]
+    return path.grid.horizon if hits.size == 0 else float(path.grid.points[hits[0]])
+
+
+def increment_moments_ok(ensemble, z: float = 5.0) -> bool:
+    """Per step and coordinate, the Brownian increments' mean lies within z
+    standard errors of 0 and their variance within z standard errors of dt."""
+    n = ensemble.n_paths
+    dts = ensemble.grid.dt[:, None]
+    mean_ok = np.abs(ensemble.dw.mean(axis=0)) <= z * np.sqrt(dts / n)
+    var_ok = np.abs(ensemble.dw.var(axis=0, ddof=1) - dts) <= z * dts * np.sqrt(2.0 / (n - 1))
+    return bool(np.all(mean_ok & var_ok))
+
+
+def holder_norm(path, gamma: float, interval=None) -> float:
+    """Max over grid pairs of |g_b - g_a| / |b - a|**gamma (Euclidean)."""
+    if not 0 < gamma <= 1:
+        raise ValueError("invalid exponent")
+    ia, ib = _slice_indices(path.grid, interval)
+    v = path.as_matrix()[ia : ib + 1]
+    t = path.grid.points[ia : ib + 1]
+    i, j = np.triu_indices(t.size, k=1)
+    if i.size == 0:
+        return 0.0
+    return float(np.max(np.linalg.norm(v[j] - v[i], axis=1) / (t[j] - t[i]) ** gamma))
+
+
+def uniform_norm(path, interval=None) -> float:
+    """Max over the grid points of |g_t| (Euclidean)."""
+    ia, ib = _slice_indices(path.grid, interval)
+    return float(np.max(np.linalg.norm(path.as_matrix()[ia : ib + 1], axis=1)))
+
+
+def superadditivity_defect(w, grid, max_triples: int = 2000, seed: int = 0) -> float:
+    """Largest w(s, u) + w(u, t) - w(s, t) over sampled grid triples s <= u <= t;
+    nonpositive (up to rounding) for a control w."""
+    pts = grid.points
+    n = pts.size
+    triples = [(i, k, j) for i in range(n) for k in range(i, n) for j in range(k, n)]
+    if len(triples) > max_triples:
+        sel = np.random.default_rng(seed).choice(len(triples), size=max_triples, replace=False)
+        triples = [triples[i] for i in sel]
+    return max(w(pts[i], pts[k]) + w(pts[k], pts[j]) - w(pts[i], pts[j]) for i, k, j in triples)
+
+
+def remainder_certificate(result, controls):
+    """The sewing bound l^{e0} / (1 - 2^{-e0}) * sum_i w_i(s, t)^{1 + e_i} on
+    every base cell of a sewn result, for controls [(w_i, 1 + e_i), ...].
+    Returns (germ_defect <= bound per cell, bound)."""
+    if not controls:
+        raise ValueError("need at least one control")
+    e0 = min(ex for _, ex in controls) - 1.0
+    if e0 <= 0:
+        raise ValueError("exponents must exceed 1")
+    pts = result.grid.points
+    bound = sum(np.array([w(s, t) for s, t in zip(pts[:-1], pts[1:])]) ** ex for w, ex in controls)
+    bound = bound * len(controls) ** e0 / (1.0 - 2.0 ** (-e0))
+    return result.germ_defect <= bound + 1e-15, bound
+
+
+def young_integral_against_path(y, m_path, levels: int = 12, tol: float = 1e-9):
+    """Classical left-point Young integral of a scalar SamplePath y against a
+    scalar path M on the same grid, sewn over dyadic refinements."""
+    grid = m_path.grid
+    if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
+        raise ValueError("y and M must share a time grid")
+
+    def germ_fn(level, s, t):
+        ys = dyadic_interp(y.as_matrix()[:, 0], level)[:-1]
+        return ys * np.diff(dyadic_interp(m_path.as_matrix()[:, 0], level))
+
+    return sew(DyadicGerm(germ_fn), grid, levels=levels, tol=tol)
+
+
+def load_fbs(prefix):
+    """Read back a realization written by driver.save_fbs, following the
+    sidecar layout that save_fbs documents."""
+    prefix = Path(prefix)
+    sidecar = json.loads(prefix.with_suffix(".json").read_text())
+    raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype=sidecar["dtype"])
+    return FbsGridField(
+        HurstParams(**sidecar["hurst"]),
+        np.asarray(sidecar["time_points"]),
+        [np.asarray(a) for a in sidecar["space_axes"]],
+        raw.reshape(sidecar["shape"], order=sidecar["order"]),
+        sidecar["seed"],
+    )

@@ -243,22 +243,6 @@ class TestRegression:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-class TestTerminals:
-    def test_marginals_terminal(self):
-        from youngbsde.bsde import terminal_h_of_marginals
-
-        fwd, ens = bm_ensemble(40, 8, seed=31)
-        term = terminal_h_of_marginals(
-            lambda a, b: a[:, 0] + 2 * b[:, 0], times=[0.5, 1.0]
-        )
-        got = term.terminal(ens)[:, 0]
-        want = ens.x[:, ens.grid.index_of(0.5), 0] + 2 * ens.x[:, -1, 0]
-        np.testing.assert_allclose(got, want)
-        # the running version freezes marginals after the evaluation index
-        early = term.value_at(ens, np.full(40, ens.grid.index_of(0.5)))[:, 0]
-        np.testing.assert_allclose(early, 3 * ens.x[:, ens.grid.index_of(0.5), 0])
-
-
 class TestLinearClosedForm:
     def test_constant_terminal(self):
         _, ens = bm_ensemble(500, 16, seed=10)
@@ -514,23 +498,16 @@ class TestDiagnostics:
         with pytest.raises(FloatingPointError, match="diag_p"):
             diagnostics(sol, ens, p=1e6)
 
-
-class TestExport:
-    def test_save_solution_roundtrip(self, tmp_path):
-        fwd, ens = bm_ensemble(50, 8, seed=30)
-        spec = make_spec(
-            fwd, time_field(), zero_generator, zero_coupling,
-            terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
+    @pytest.mark.parametrize("y_scale, z_value", [(4.0, 0.0), (0.0, 100.0)])
+    def test_overflowing_moment_names_diag_k(self, y_scale, z_value):
+        # pvar^k (Y moving) or the Z tail^(k/2) (Y still) overflows at k = 1e4
+        fwd, ens = bm_ensemble(200, 16, seed=31)
+        sol = BsdeSolution(
+            grid_points=ens.grid.points,
+            y=y_scale * ens.x[:, :, :1],
+            z=np.full((ens.n_paths, ens.grid.n - 1, 1, 1), z_value),
+            picard_residuals=[],
+            halvings=[],
         )
-        from youngbsde.bsde import save_solution
-
-        sol = backward_solve(spec, ens)
-        save_solution(sol, tmp_path / "sol", basis=RegressionBasis(), seed=30)
-        text = (tmp_path / "sol.csv").read_text()
-        header = text.splitlines()[0].split(",")
-        assert header == ["path", "t", "Y1", "Z11"]
-        import json
-
-        manifest = json.loads((tmp_path / "sol.json").read_text())
-        assert manifest["spec_hash"] == sol.spec_hash
-        assert manifest["basis"]["degree"] == 3
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="diag_k"):
+            diagnostics(sol, ens, k_mom=1e4)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import load_fbs
 
 from youngbsde.cli import main, validate_config, ConfigError
 
@@ -139,6 +140,14 @@ class TestCliRuns:
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "diag_p" in err and "singular" not in err
+
+    def test_overflowing_diag_k_exits_3_naming_it(self, tmp_path, capsys):
+        cfg = {"experiment": "nonlinear-bsde", "seed": 1, "paths": 500,
+               "forward": {"steps": 16}, "diag_k": 1e4}
+        p = write_cfg(tmp_path, cfg)
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "diag_k" in err and "singular" not in err
 
     @pytest.mark.parametrize(
         "bsde, key",
@@ -344,6 +353,8 @@ class TestCliRuns:
         out = tmp_path / "fb"
         assert main(["run", str(p), "--out", str(out)]) == 0
         assert (out / "field.bin").exists() and (out / "field.json").exists()
+        g = load_fbs(out / "field")
+        assert g.seed == 4 and g.values.shape == (17, 17) and np.all(g.values[0] == 0.0)
 
     def test_neumann_smooth_driver(self, tmp_path):
         cfg = {

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
+from oracles import load_fbs
 
 from youngbsde.driver import (
     AnalyticField,
     FbsGridField,
     HurstParams,
-    MollifiedField,
     RegularityParams,
     ShiftedField,
     assumption_check,
     fbs_generate,
-    load_fbs,
     mollify,
     save_fbs,
-    seminorm_estimate,
     shift_field,
 )
 from youngbsde.paths import TimeGrid
@@ -180,7 +178,8 @@ class TestFbs:
 
 class TestMollify:
     def test_mass_is_one(self):
-        assert MollifiedField.mollifier_mass() == pytest.approx(1.0, abs=1e-10)
+        # the quadrature weights of eta_m carry the bump's unit mass
+        assert np.sum(mollify(linear_field(), 3)._w) == pytest.approx(1.0, abs=1e-10)
 
     def test_m_positive(self):
         with pytest.raises(ValueError):
@@ -358,6 +357,16 @@ class TestTimeSlice:
         with pytest.raises(AssertionError, match="pointwise"):
             f.evaluate(np.full(50, 0.2), x)
 
+    def test_lattice_field_slices_match_pointwise(self):
+        # evaluate at a scalar t reduces time first on a lattice field; at
+        # an array of equal times it goes through the per-point kernel
+        for name, f in slice_fields().items():
+            x = np.random.default_rng(4).uniform(-3.0, 3.0, (300, f.dim))
+            for t in np.linspace(0.0, f.horizon, 6):
+                sliced = f.evaluate(t, x)
+                pointwise = f.evaluate(np.full(x.shape[0], t), x)
+                np.testing.assert_allclose(sliced, pointwise, rtol=0, atol=1e-13, err_msg=name)
+
     def test_one_point_keeps_shape(self):
         f = slice_fields()["mollified"]
         assert f.increment(0.0, 0.2, np.array([[0.3]])).shape == (1, 1)
@@ -421,40 +430,6 @@ class TestPerPointIncrement:
         np.testing.assert_allclose(f.increment(t[:-1], t[1:], x[:-1]),
                                    (np.sin(x[:-1]) * np.diff(t)[:, None]), rtol=0, atol=1e-15)
         assert calls == [10, 10]
-
-
-class TestSeminorm:
-    def test_pure_time_field(self):
-        p = RegularityParams(tau=1.0, lam=1.0, p=2.5)
-        got = seminorm_estimate(linear_field(), p, np.linspace(0, 1, 5), np.linspace(-1, 1, 5))
-        assert got == pytest.approx(1.0)
-
-    def test_zero_field(self):
-        f = AnalyticField(lambda t, x: np.zeros_like(t), RegularityParams(tau=1.0, lam=1.0, p=2.5))
-        got = seminorm_estimate(f, f.params, np.linspace(0, 1, 4), np.linspace(0, 1, 4))
-        assert got == 0.0
-
-    def test_bilinear_field_sup_is_one(self):
-        f = AnalyticField(lambda t, x: t * x[:, 0], RegularityParams(tau=1.0, lam=1.0, p=2.5))
-        got = seminorm_estimate(f, f.params, np.linspace(0, 1, 5), np.linspace(0, 1, 5))
-        assert got == pytest.approx(1.0)
-
-    def test_lattice_field_slices_match_pointwise(self, monkeypatch):
-        f = slice_fields()["mollified"]
-        ts, xs = np.linspace(0, 0.5, 6), np.linspace(-2.5, 2.5, 9)
-        sliced = seminorm_estimate(f, f.params, ts, xs, weighted=True)
-        monkeypatch.setattr(MollifiedField, "_lattice", None)
-        pointwise = seminorm_estimate(f, f.params, ts, xs, weighted=True)
-        assert sliced == pytest.approx(pointwise, rel=1e-12)
-
-    def test_monotone_in_grid(self):
-        f = AnalyticField(
-            lambda t, x: np.sin(3 * x[:, 0]) * t ** 0.8,
-            RegularityParams(tau=0.8, lam=1.0, p=2.5),
-        )
-        coarse = seminorm_estimate(f, f.params, np.linspace(0, 1, 4), np.linspace(-1, 1, 4))
-        fine = seminorm_estimate(f, f.params, np.linspace(0, 1, 7), np.linspace(-1, 1, 7))
-        assert fine >= coarse - 1e-12
 
 
 class TestAssumptions:

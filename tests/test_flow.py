@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import interp
 
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
@@ -32,7 +33,7 @@ def sequential_flow(alpha, x, field, levels, dim):
     the reference for the batched solver.  Returns (matrices, step factors),
     or the index of the first step after which the flow is not finite."""
     fine = x.grid.refine(levels)
-    xf = x.interp(fine.points)[:-1, None]
+    xf = interp(x, fine.points)[:-1, None]
     d_eta = field.evaluate(fine.points[1:], xf) - field.evaluate(fine.points[:-1], xf)
     k, eye = 2**levels, np.eye(dim)
     mats, steps = [eye], []
@@ -160,7 +161,7 @@ class TestEulerFlow:
             inv = inverse_flow(flow)
             # right-multiplicative Euler for the inverse: H_{j+1} = H_j (I - incr)
             fine = base.grid.refine(lev)
-            xf = base.interp(fine.points)
+            xf = interp(base, fine.points)
             d_eta = field.evaluate(fine.points[1:], xf[:-1, None]) - field.evaluate(
                 fine.points[:-1], xf[:-1, None]
             )

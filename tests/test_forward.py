@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
-from oracles import prob_sup_abs_bm_exceeds
+from oracles import exit_time, increment_moments_ok, prob_sup_abs_bm_exceeds
 from scipy import stats
 
-from youngbsde.forward import (
-    SdeSpec,
-    euler_maruyama,
-    exit_indices,
-    exit_time,
-    load_ensemble,
-    reflect_1d,
-    save_ensemble,
-    step_normals,
-)
+from youngbsde.forward import SdeSpec, euler_maruyama, exit_indices, reflect_1d, step_normals
 from youngbsde.paths import TimeGrid
 
 
@@ -55,34 +46,24 @@ class TestEulerMaruyama:
 
     def test_increment_smoke_check(self):
         ens = euler_maruyama(bm_spec(), TimeGrid.uniform(1.0, 8), 4000, seed=5)
-        assert ens.increment_moments_ok()
-
-    def test_save_load_roundtrip(self, tmp_path):
-        ens = euler_maruyama(bm_spec(2), TimeGrid.uniform(1.0, 8), 20, seed=6)
-        save_ensemble(ens, tmp_path / "ens", paths_csv=2)
-        back = load_ensemble(tmp_path / "ens")
-        np.testing.assert_array_equal(ens.x, back.x)
-        np.testing.assert_array_equal(ens.dw, back.dw)
-        assert back.spec_hash == ens.spec_hash
-        assert (tmp_path / "ens.csv").exists()
+        assert increment_moments_ok(ens)
 
 
 class TestExitTime:
     def test_no_exit_returns_horizon(self):
         spec = SdeSpec(drift=0.0, diffusion=0.0, x0=[0.0], bound=1.0)
         ens = euler_maruyama(spec, TimeGrid.uniform(1.0, 10), 1, seed=0)
-        assert exit_time(ens.path(0), 1.0) == 1.0
+        assert ens.grid.points[exit_indices(ens, 1.0)[0]] == 1.0
 
     def test_deterministic_ramp(self):
         spec = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0], bound=1.5)
         ens = euler_maruyama(spec, TimeGrid.uniform(1.0, 1000), 1, seed=0)
-        assert exit_time(ens.path(0), 0.5) == pytest.approx(0.501)
+        assert ens.grid.points[exit_indices(ens, 0.5)[0]] == pytest.approx(0.501)
 
     def test_monotone_in_radius(self):
         ens = euler_maruyama(bm_spec(), TimeGrid.uniform(1.0, 256), 200, seed=7)
-        for i in range(0, 200, 17):
-            times = [exit_time(ens.path(i), n) for n in (0.5, 1.0, 2.0, 3.0)]
-            assert all(times[k] <= times[k + 1] for k in range(3))
+        idx = np.stack([exit_indices(ens, n) for n in (0.5, 1.0, 2.0, 3.0)])
+        assert np.all(np.diff(idx, axis=0) >= 0)
 
     def test_exit_indices_vectorized(self):
         ens = euler_maruyama(bm_spec(), TimeGrid.uniform(1.0, 128), 300, seed=8)

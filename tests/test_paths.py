@@ -2,26 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import holder_norm, superadditivity_defect, uniform_norm
 
 from youngbsde.paths import (
-    ControlValue,
     SamplePath,
     TimeGrid,
-    control_from_pvar,
     dyadic_interp,
-    holder_norm,
     p_variation,
     p_variation_brute_force,
     p_variation_paths,
     p_variation_suffixes,
-    product_control,
-    uniform_norm,
 )
 
 
 def path_on_unit_grid(values):
     values = np.asarray(values, dtype=float)
     return SamplePath(TimeGrid(np.linspace(0, 1, values.shape[0])), values)
+
+
+def pvar_control(path, p):
+    """w(s, t) = ||path||_{p-var;[s,t]}^p, a control for p >= 1."""
+    return lambda s, t: p_variation(path, p, (s, t)) ** p if t > s else 0.0
 
 
 class TestTimeGrid:
@@ -279,7 +280,6 @@ class TestTurningPointDp:
             lambda: p_variation_paths(vals, p),
             lambda: p_variation(path, p),
             lambda: p_variation_brute_force(path, p),
-            lambda: control_from_pvar(path, p),
         ):
             with pytest.raises(ValueError, match="invalid exponent"):
                 call()
@@ -320,40 +320,31 @@ class TestHolderUniform:
 
 class TestControls:
     def test_constant_path_zero_control(self):
-        w = control_from_pvar(path_on_unit_grid(np.zeros(6)), 2.0)
+        w = pvar_control(path_on_unit_grid(np.zeros(6)), 2.0)
         assert w(0.0, 1.0) == 0.0
 
     def test_identity_path_gives_length(self):
         g = TimeGrid.uniform(1.0, 10)
-        w = control_from_pvar(SamplePath(g, g.points), 1.0)
+        w = pvar_control(SamplePath(g, g.points), 1.0)
         assert w(0.2, 0.7) == pytest.approx(0.5)
 
     def test_pvar_control_superadditive(self):
         rng = np.random.default_rng(11)
         p = path_on_unit_grid(np.cumsum(rng.standard_normal(12)))
         for q in (1.0, 2.0, 2.5):
-            w = control_from_pvar(p, q)
-            assert w.superadditivity_defect(p.grid) <= 1e-10
+            w = pvar_control(p, q)
+            assert superadditivity_defect(w, p.grid) <= 1e-10
 
     def test_product_control_superadditive(self):
         # closure under products with exponents summing to >= 1
         rng = np.random.default_rng(13)
         g = TimeGrid.uniform(1.0, 10)
-        p1 = SamplePath(g, np.cumsum(rng.standard_normal(11)))
-        p2 = SamplePath(g, np.cumsum(rng.standard_normal(11)))
-        w1 = control_from_pvar(p1, 2.0)
-        w2 = control_from_pvar(p2, 3.0)
-        w = product_control(w1, w2, 0.4, 0.7)
-        assert w.superadditivity_defect(g) <= 1e-10
-
-    def test_product_control_exponent_guard(self):
-        w = control_from_pvar(path_on_unit_grid(np.arange(4.0)), 1.0)
-        with pytest.raises(ValueError):
-            product_control(w, w, 0.3, 0.3)
+        w1 = pvar_control(SamplePath(g, np.cumsum(rng.standard_normal(11))), 2.0)
+        w2 = pvar_control(SamplePath(g, np.cumsum(rng.standard_normal(11))), 3.0)
+        assert superadditivity_defect(lambda s, t: w1(s, t) ** 0.4 * w2(s, t) ** 0.7, g) <= 1e-10
 
     def test_length_control(self):
-        w = ControlValue(lambda s, t: t - s)
-        assert w.superadditivity_defect(TimeGrid.uniform(1.0, 7)) <= 1e-12
+        assert superadditivity_defect(lambda s, t: t - s, TimeGrid.uniform(1.0, 7)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,5 +363,4 @@ def test_dp_equals_enumeration_property(values, p):
 @given(st.lists(st.floats(-3, 3), min_size=4, max_size=10), st.floats(1.0, 3.0))
 def test_pvar_control_superadditivity_property(values, p):
     path = path_on_unit_grid(values)
-    w = control_from_pvar(path, p)
-    assert w.superadditivity_defect(path.grid, max_triples=300) <= 1e-9
+    assert superadditivity_defect(pvar_control(path, p), path.grid, max_triples=300) <= 1e-9

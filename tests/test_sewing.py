@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import interp, remainder_certificate, uniform_norm, young_integral_against_path
+
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
-from youngbsde.paths import ControlValue, SamplePath, TimeGrid, p_variation, uniform_norm
-from youngbsde.sewing import (
-    Germ,
-    SewingError,
-    nonlinear_young_integral,
-    remainder_certificate,
-    sew,
-    young_integral_against_path,
-)
+from youngbsde.paths import SamplePath, TimeGrid, p_variation
+from youngbsde.sewing import Germ, SewingError, nonlinear_young_integral, sew
 
 
 def brownian_path(n_cells, seed, horizon=1.0):
@@ -56,10 +51,14 @@ class TestSew:
         grid = TimeGrid.uniform(1.0, 8)
         vals = rng.standard_normal(9)
         y = SamplePath(grid, vals)
-        res = nonlinear_young_integral(y, brownian_path(8, 1), sin_t_field(), levels=4)
-        lhs = res.segment(0.0, 1.0)
-        rhs = res.segment(0.0, 0.5) + res.segment(0.5, 1.0)
-        assert lhs == pytest.approx(rhs, abs=1e-15)
+        x, field = brownian_path(8, 1), sin_t_field()
+        res = nonlinear_young_integral(y, x, field, levels=4, tol=0.0)
+        halves = [
+            nonlinear_young_integral(y, x, field, interval=iv, levels=4, tol=0.0).value
+            for iv in ((0.0, 0.5), (0.5, 1.0))
+        ]
+        assert res.cumulative[4] == pytest.approx(halves[0], abs=1e-15)
+        assert res.value == pytest.approx(halves[0] + halves[1], abs=1e-15)
 
 
 class TestNonlinearYoung:
@@ -163,8 +162,8 @@ class TestNonlinearYoung:
         y = SamplePath(x.grid, np.cos(x.grid.points))
         res = nonlinear_young_integral(y, x, field, levels=4, tol=0.0)
         fine = x.grid.refine(4)
-        ys = y.interp(fine.points[:-1])
-        xs = x.interp(fine.points[:-1])[:, None]
+        ys = interp(y, fine.points[:-1])
+        xs = interp(x, fine.points[:-1])[:, None]
         dts = np.diff(fine.points)
         quad = np.sum(ys * field.time_derivative(fine.points[:-1], xs)[:, 0] * dts)
         assert res.value == pytest.approx(quad, abs=1e-12)
@@ -220,16 +219,15 @@ class TestRemainderCertificate:
     def test_exact_additive_germ(self):
         grid = TimeGrid.uniform(1.0, 4)
         res = sew(Germ(lambda s, t: 1.5 * (t - s)), grid, levels=5, tol=0.0)
-        w = ControlValue(lambda s, t: t - s)
-        ok = remainder_certificate(res, [(w, 2.0)])
+        ok, bound = remainder_certificate(res, [(lambda s, t: t - s, 2.0)])
         assert ok.all()
-        assert np.all(res.remainder_bound >= 0)
+        assert np.all(bound >= 0)
 
     def test_square_germ_bound(self):
         grid = TimeGrid.uniform(1.0, 4)
         res = sew(Germ(lambda s, t: (t - s) ** 2), grid, levels=10, tol=0.0)
-        w = ControlValue(lambda s, t: t - s)
-        assert remainder_certificate(res, [(w, 2.0)]).all()
+        ok, _ = remainder_certificate(res, [(lambda s, t: t - s, 2.0)])
+        assert ok.all()
 
     def test_rough_case_certificate(self):
         # controls built from an analytic seminorm bound and measured p-variation
@@ -251,14 +249,14 @@ class TestRemainderCertificate:
                 eta_bound * (t - s) ** tau * p_variation(xb, p, (s, t)) ** lam
             ) ** (1.0 / (1.0 + delta))
 
-        ok = remainder_certificate(res, [(ControlValue(w1), 1.0 + delta)])
+        ok, _ = remainder_certificate(res, [(w1, 1.0 + delta)])
         assert ok.all()
 
     def test_exponent_guard(self):
         grid = TimeGrid.uniform(1.0, 2)
         res = sew(Germ(lambda s, t: t - s), grid, levels=2)
         with pytest.raises(ValueError):
-            remainder_certificate(res, [(ControlValue(lambda s, t: t - s), 1.0)])
+            remainder_certificate(res, [(lambda s, t: t - s, 1.0)])
 
 
 class TestEstimates:
