@@ -12,9 +12,8 @@ to contract the step is halved once (Brownian-bridge midpoint) and retried.
 The full-horizon and the localized (stopped at exit) solves share one
 backward loop over the paths still active at each step.
 
-Linear problems admit the flow/Girsanov closed form used as an oracle:
-Y_0 = E[((G_T^0)^T xi + int (G_s^0)^T f_s ds) M_T] with M the exponential
-martingale of the Girsanov integrand.
+The scalar linear problem (g(y) = alpha y, f = 0) admits the flow closed
+form Y_0 = E[G_T^0 xi] used as an oracle.
 """
 
 from __future__ import annotations
@@ -68,13 +67,11 @@ class PicardParams:
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Polynomial-in-state features up to total degree, plus optional
-    indicator-of-ball features; always includes the constant."""
+    """Polynomial-in-state features up to total degree; always includes
+    the constant."""
 
     degree: int = 3
     ridge: float = 1e-8
-    ball_centers: tuple = ()
-    ball_radius: float = 1.0
 
     def _exponents(self, d: int):
         out = []
@@ -98,7 +95,7 @@ class RegressionBasis:
         k, d = x.shape
         exponents = self._exponents(d)
         xt = np.ascontiguousarray(x.T)
-        out = np.empty((1 + len(exponents) + len(self.ball_centers), k)).T
+        out = np.empty((1 + len(exponents), k)).T
         out[:, 0] = 1.0
         column = {(0,) * d: 0}
         for q, expo in enumerate(exponents, start=1):
@@ -106,9 +103,6 @@ class RegressionBasis:
             parent = expo[:j] + (expo[j] - 1,) + expo[j + 1 :]
             np.multiply(out[:, column[parent]], xt[j], out=out[:, q])
             column[expo] = q
-        for q, c in enumerate(self.ball_centers, start=1 + len(exponents)):
-            c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-            out[:, q] = np.linalg.norm(x - c_arr[None, :], axis=1) <= self.ball_radius
         return out
 
 
@@ -180,11 +174,11 @@ def terminal_h_of_xt(h, name="h(X_T)") -> Terminal:
     return Terminal(value_at, name=name)
 
 
-def terminal_running_max(coord: int = 0, name="sup X") -> Terminal:
-    """Xi_t = max_{s <= t} X^coord_s."""
+def terminal_running_max(name="sup X") -> Terminal:
+    """Xi_t = max_{s <= t} X^0_s, the running maximum of the first coordinate."""
 
     def value_at(ensemble, idx):
-        run = np.maximum.accumulate(ensemble.x[:, :, coord], axis=1)
+        run = np.maximum.accumulate(ensemble.x[:, :, 0], axis=1)
         return run[np.arange(ensemble.n_paths), idx][:, None]
 
     return Terminal(value_at, name=name)
@@ -425,95 +419,30 @@ def backward_solve(
 class ClosedFormResult:
     y0: np.ndarray
     se: np.ndarray
-    weights: np.ndarray
-    y_path: np.ndarray | None = None
 
 
 def linear_closed_form(
     ensemble: PathEnsemble,
     fieldv: DriverField,
     terminal: Terminal,
-    alpha=1.0,
-    drift=0.0,
-    girsanov=0.0,
-    n_dim: int = 1,
-    basis: RegressionBasis | None = None,
-    return_path: bool = False,
+    alpha: float = 1.0,
 ) -> ClosedFormResult:
-    """Monte Carlo evaluation of the linear flow/Girsanov representation.
+    """Monte Carlo evaluation of the flow representation of the scalar
+    linear problem g(y) = alpha y (on every driver channel), f = 0.
 
-    Per path: w = (G_T^0)^T xi M_T + sum_j (G_{t_j}^0)^T f_j dt M_T, with the
-    flow from the left-point Euler products and M the discrete exponential
-    martingale of the Girsanov integrand (default 0).  Y_0 is the sample
-    mean; later Y_t (optional) regresses w_t = inv(G_t^0)^T [...] M_T / M_t
-    on basis(X_t).  ``alpha``, ``drift`` and ``girsanov`` are constants or
-    arrays broadcast to (paths, n, M, N, N), (paths, n, N) and
-    (paths, n, d); a scalar alpha stands for alpha times the identity.
+    Per path: w = G_T^0 xi, with the flow G the left-point Euler product of
+    1 + alpha sum_ch d_eta.  Y_0 is the sample mean of w.
     """
-    k, n, d = ensemble.x.shape
-    nn = n_dim
-    m = fieldv.channels
+    if np.ndim(alpha) != 0:
+        raise ValueError("alpha must be a scalar")
+    k, n, _ = ensemble.x.shape
     grid = ensemble.grid
-
-    def per_path(value, suffix):
-        return np.broadcast_to(np.asarray(value, dtype=float), (k, n) + suffix).copy()
-
-    a = per_path(alpha * np.eye(nn) if np.ndim(alpha) == 0 else alpha, (m, nn, nn))
-    f = per_path(drift, (nn,))
-    g = per_path(girsanov, (d,))
-
-    # flows Gamma_{t_j}^0 per path: products of (I + sum_ch alpha^T d_eta)
-    gammas = np.empty((k, n, nn, nn))
-    gammas[:, 0] = np.eye(nn)
-    cur = gammas[:, 0].copy()
+    flow = np.ones(k)
     for j in range(n - 1):
         d_eta = fieldv.increment(grid.points[j], grid.points[j + 1], ensemble.x[:, j])
-        incr = np.einsum("kcij,kc->kji", a[:, j], d_eta)
-        cur = np.einsum("kab,kbc->kac", np.eye(nn)[None] + incr, cur)
-        gammas[:, j + 1] = cur
-
-    dts = grid.dt
-    log_m = np.concatenate(
-        [
-            np.zeros((k, 1)),
-            np.cumsum(
-                np.einsum("kjd,kjd->kj", g[:, :-1], ensemble.dw)
-                - 0.5 * np.einsum("kjd,kjd->kj", g[:, :-1], g[:, :-1]) * dts[None, :],
-                axis=1,
-            ),
-        ],
-        axis=1,
-    )
-    m_t = np.exp(log_m)
-    xi = terminal.terminal(ensemble)  # (k, nn)
-    gt_xi = np.einsum("kba,kb->ka", gammas[:, -1], xi)  # (G_T^0)^T xi
-    drift_term = np.einsum("kjba,kjb,j->ka", gammas[:, :-1], f[:, :-1], dts)
-    weights = (gt_xi + drift_term) * m_t[:, -1:]
-    y0 = weights.mean(axis=0)
-    se = weights.std(axis=0, ddof=1) / np.sqrt(k)
-
-    y_path = None
-    if return_path:
-        basis = basis or RegressionBasis()
-        y_path = np.empty((k, n, nn))
-        suffix_sum = np.zeros((k, nn))
-        # suffix drift integrals sum_{j>=t} (G_j^0)^T f_j dt, built backwards
-        suffix = np.empty((k, n, nn))
-        suffix[:, -1] = 0.0
-        for j in range(n - 2, -1, -1):
-            suffix[:, j] = suffix[:, j + 1] + np.einsum(
-                "kba,kb->ka", gammas[:, j], f[:, j]
-            ) * dts[j]
-        for j in range(n):
-            inv_g = np.linalg.inv(gammas[:, j])
-            v = np.einsum("kab,kb->ka", np.transpose(inv_g, (0, 2, 1)), gt_xi + suffix[:, j])
-            v = v * (m_t[:, -1] / m_t[:, j])[:, None]
-            if j == 0:
-                y_path[:, 0] = v.mean(axis=0)
-            else:
-                fit = _Fit(basis, ensemble.x[:, j])
-                y_path[:, j] = fit.fit(v)
-    return ClosedFormResult(y0=y0, se=se, weights=weights, y_path=y_path)
+        flow = (1.0 + alpha * d_eta.sum(axis=1)) * flow
+    weights = flow[:, None] * terminal.terminal(ensemble)
+    return ClosedFormResult(y0=weights.mean(axis=0), se=weights.std(axis=0, ddof=1) / np.sqrt(k))
 
 
 def localized_solve(

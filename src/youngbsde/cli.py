@@ -58,7 +58,6 @@ from .flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
 from .paths import SamplePath, TimeGrid, dyadic_interp, write_csv
 from .pde import (
-    CflError,
     PdeSpec,
     feynman_kac_cross_check,
     localization_error_experiment,
@@ -291,7 +290,7 @@ _PDE = {
     "dim": _count(1, hi=2),
     "horizon": _num(0.5, lo=0),
     "terminal": _enum("cos", PDE_TERMINALS),
-    # sigma^2 stays above PdeSpec's ellipticity floor of 1e-8
+    # sigma^2 stays above pde.ELLIPTICITY_FLOOR = 1e-8
     "sigma": _num(1.0, lo=1e-4, lo_in=True),
     "drift": _num(0.0),
     "generator": _enum("zero", PDE_GENERATORS),
@@ -367,8 +366,10 @@ _TABLE = {
     ),
     "fbs-generate": _experiment(
         driver=_Obj(_REQUIRED, {"fbs": _DRIVERS["fbs"]}, kinds=True),
-        prefix=_Leaf("a file name", lambda v: isinstance(v, str) and v not in ("", ".", "..")
-                     and Path(v).name == v, "fbs_realization"),
+        # the run writes <prefix>.bin and <prefix>.json next to manifest.json
+        prefix=_Leaf("a file name other than manifest", lambda v: isinstance(v, str)
+                     and v not in ("", ".", "..", "manifest") and Path(v).name == v,
+                     "fbs_realization"),
     ),
     "assumptions": _experiment(
         seed=0,
@@ -778,7 +779,7 @@ _RUNNERS = {
 }
 
 _NUMERIC_FAILURES = (
-    NoContractionError, RegressionError, FlowError, CflError, SewingError,
+    NoContractionError, RegressionError, FlowError, SewingError,
     FloatingPointError, np.linalg.LinAlgError,
 )
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .paths import TimeGrid, blend, locate
+from .paths import blend, locate
 
 __all__ = [
     "RegularityParams",
@@ -115,11 +115,8 @@ class DriverField:
         self.horizon = float(horizon)
 
     def evaluate(self, t, x) -> np.ndarray:
-        """Evaluate at times t (scalar or (k,)) and points x ((d,) or (k, d)).
-
-        Returns shape (M,) for a scalar t with one point given as x of shape
-        () or (d,), else (k, M); x of shape (1, d) gives (1, M).
-        """
+        """Evaluate at times t (scalar or (k,)) and points x (k, d); returns
+        (k, M)."""
         return self._query(t, x, False)
 
     def time_derivative(self, t, x) -> np.ndarray:
@@ -127,33 +124,14 @@ class DriverField:
         return self._query(t, x, True)
 
     def _query(self, t, x, derivative: bool) -> np.ndarray:
-        # the argument shapes evaluate accepts: a scalar t on a lattice
-        # field reduces time first, to one profile; every other query goes
-        # to _values with t (k,) and x (k, d)
+        # a scalar t on a lattice field reduces time first, to one profile;
+        # every other query goes to _values with t broadcast to (k,)
         if derivative and not self.has_time_derivative:
             raise NotImplementedError(f"{self.kind} field has no time derivative")
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        x_arr = np.asarray(x, dtype=float)
-        scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-        squeeze = scalar and x_arr.ndim <= 1
-        if x_arr.ndim == 0:
-            x_arr = x_arr[None]
-        if x_arr.ndim == 1:
-            if x_arr.size == self.dim and scalar:
-                x_arr = x_arr[None, :]
-            else:
-                x_arr = x_arr[:, None]
-        if scalar and self._lattice is not None:
-            out = self._interpolate(self._rows(t_arr, derivative)[0], x_arr)
-        else:
-            if t_arr.size == 1 and x_arr.shape[0] > 1:
-                t_arr = np.full(x_arr.shape[0], t_arr[0])
-            if x_arr.shape[0] == 1 and t_arr.size > 1:
-                x_arr = np.repeat(x_arr, t_arr.size, axis=0)
-            out = self._values(t_arr, x_arr, derivative)
-        if squeeze and out.shape[0] == 1:
-            return out[0]
-        return out
+        x = np.asarray(x, dtype=float)
+        if np.ndim(t) == 0 and self._lattice is not None:
+            return self._interpolate(self._rows(np.array([t], dtype=float), derivative)[0], x)
+        return self._values(np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1]), x, derivative)
 
     def increment(self, t0, t1, x) -> np.ndarray:
         """eta(t1, x) - eta(t0, x) at points x (k, d), for one pair of times
@@ -277,14 +255,15 @@ class FbsGridField(DriverField):
 
 
 def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: float = 0.05, p: float = 2.5) -> FbsGridField:
-    """Sample a fractional Brownian sheet on time_grid x space_grid.
+    """Sample a fractional Brownian sheet on time_grid x space_grid: time_grid
+    is a 1-D array of times, space_grid one axis array or a list of them.
 
     The covariance is an exact product of per-axis fractional-Brownian
     covariances, so each axis is factorized separately (Cholesky with a
     small diagonal jitter) and combined by tensor contraction with i.i.d.
     standard normals.  The 0-slices are exactly zero.
     """
-    t_pts = time_grid.points if isinstance(time_grid, TimeGrid) else np.asarray(time_grid, dtype=float)
+    t_pts = np.asarray(time_grid, dtype=float)
     if isinstance(space_grid, np.ndarray) and space_grid.ndim == 1 or (
         not isinstance(space_grid, (list, tuple))
     ):
@@ -438,9 +417,9 @@ class ShiftedField(DriverField):
         out = self.base._values(t + self.t0, x, derivative)
         return out if derivative else out - self.base._values(np.full_like(t, self.t0), x, False)
 
-    def _increment(self, t0, t1, x):
-        # the t0 slice cancels
-        return self.base._increment(t0 + self.t0, t1 + self.t0, x)
+    def increment(self, t0, t1, x):
+        # the base's slice at the shift cancels, so it is never formed
+        return self.base.increment(t0 + self.t0, t1 + self.t0, x)
 
     def _rows(self, t, derivative=False):
         rows = self.base._rows(t + self.t0, derivative)
@@ -511,14 +490,14 @@ def save_fbs(field: FbsGridField, prefix: str | Path) -> None:
     """Write a realization as a flat binary tensor plus a JSON sidecar.
 
     ``<prefix>.bin`` holds the C-ordered little-endian float64 values with
-    shape ``sidecar["shape"]`` = (time points, space points per axis...).
-    Sidecar fields: ``hurst`` {h0, h, d}, ``time_points`` (grid, seconds),
-    ``space_axes`` (one list per axis), ``seed`` (generation seed),
-    ``shape``, ``dtype`` ("<f8"), ``order`` ("C").
+    shape ``sidecar["shape"]`` = (time points, space points per axis...),
+    and ``<prefix>.json`` the sidecar; both suffixes are appended to the
+    whole prefix, dots included.  Sidecar fields: ``hurst`` {h0, h, d},
+    ``time_points`` (grid, seconds), ``space_axes`` (one list per axis),
+    ``seed`` (generation seed), ``shape``, ``dtype`` ("<f8"), ``order`` ("C").
     """
-    prefix = Path(prefix)
     data = np.ascontiguousarray(field.values, dtype="<f8")
-    prefix.with_suffix(".bin").write_bytes(data.tobytes())
+    Path(f"{prefix}.bin").write_bytes(data.tobytes())
     sidecar = {
         "hurst": {"h0": field.hurst.h0, "h": field.hurst.h, "d": field.hurst.d},
         "time_points": field.time_points.tolist(),
@@ -528,4 +507,4 @@ def save_fbs(field: FbsGridField, prefix: str | Path) -> None:
         "dtype": "<f8",
         "order": "C",
     }
-    prefix.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
+    Path(f"{prefix}.json").write_text(json.dumps(sidecar, indent=2))

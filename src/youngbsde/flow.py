@@ -38,28 +38,25 @@ class FlowError(RuntimeError):
 
 @dataclass
 class FlowMatrix:
-    """Flow matrices G_s^t on the grid tail s >= t_base.
+    """Flow matrices G_s^0 at the grid points s.
 
-    ``matrices[j]`` is G_{tail[j]}^{t_base} (so matrices[0] = identity);
+    ``matrices[j]`` is G_{times[j]}^0 (so matrices[0] = identity);
     ``step_factors[j]`` is the aggregated one-cell factor mapping
-    G_{tail[j]} to G_{tail[j+1]}.
+    G_{times[j]} to G_{times[j+1]}.
     """
 
-    base_time: float
-    tail: np.ndarray
+    times: np.ndarray
     matrices: np.ndarray
-    step_factors: np.ndarray | None = None
+    step_factors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrices.shape[-1]
 
     def segment(self, a: float, b: float) -> np.ndarray:
-        """G_b^a for tail points a <= b, the product of step factors; a or b
-        off the tail, or a > b, raises ValueError."""
-        if self.step_factors is None:
-            raise ValueError("flow stored without step factors")
-        ia, ib = aligned_index(self.tail, a), aligned_index(self.tail, b)
+        """G_b^a for grid points a <= b, the product of step factors; a or b
+        off the grid, or a > b, raises ValueError."""
+        ia, ib = aligned_index(self.times, a), aligned_index(self.times, b)
         if ia > ib:
             raise ValueError("interval must satisfy a <= b")
         out = np.eye(self.dim)
@@ -72,29 +69,26 @@ def solve_linear_yode(
     alpha,
     x: SamplePath,
     fieldv: DriverField,
-    base_time: float = 0.0,
     levels: int = 0,
 ) -> FlowMatrix:
-    """Euler flow of the linear Young ODE from base_time along x's grid.
+    """Euler flow of the linear Young ODE from time 0 along x's grid.
 
     ``alpha`` is an (n, M, N, N) array: one N x N matrix per grid point and
     driver channel.  ``levels`` refines each grid cell dyadically before
     stepping; the returned matrices and step factors live on the original
-    grid tail, so the cocycle identity holds exactly.
+    grid, so the cocycle identity holds exactly.
     """
     grid = x.grid
-    i0 = grid.index_of(base_time)
     m = fieldv.channels
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 4 or a.shape[:2] != (grid.n, m) or a.shape[2] != a.shape[3]:
         raise ValueError(f"alpha must have shape (n, M, N, N) with n = {grid.n}, M = {m}")
     dim = a.shape[-1]
 
-    tail = grid.points[i0:]
-    cells, k = tail.size - 1, 2**levels
-    # fine left points and field increments, on the tail only
-    tf = dyadic_interp(tail, levels)
-    xf = dyadic_interp(x.as_matrix()[i0:], levels)[:-1]
+    cells, k = grid.n - 1, 2**levels
+    # fine left points and field increments
+    tf = dyadic_interp(grid.points, levels)
+    xf = dyadic_interp(x.as_matrix(), levels)[:-1]
     d_eta = fieldv.increment(tf[:-1], tf[1:], xf).reshape(cells, k, m)
 
     eye = np.eye(dim)
@@ -103,7 +97,7 @@ def solve_linear_yode(
     with np.errstate(over="ignore", invalid="ignore"):
         # every fine factor I + sum_c a_c^T d_eta_c, alpha left-constant in
         # cells, then pairwise products inside each cell, later on the left
-        f = np.einsum("cmij,ckm->ckji", a[i0:-1], d_eta) + eye
+        f = np.einsum("cmij,ckm->ckji", a[:-1], d_eta) + eye
         while f.shape[1] > 1:
             f = f[:, 1::2] @ f[:, 0::2]
         steps = f[:, 0]
@@ -112,17 +106,15 @@ def solve_linear_yode(
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
         jc = int(np.argmin(finite)) - 1
-        raise FlowError(f"flow blew up at step {jc} (t = {tail[jc]:.6g})")
-    return FlowMatrix(base_time=float(base_time), tail=tail, matrices=mats, step_factors=steps)
+        raise FlowError(f"flow blew up at step {jc} (t = {grid.points[jc]:.6g})")
+    return FlowMatrix(times=grid.points, matrices=mats, step_factors=steps)
 
 
 def inverse_flow(flow: FlowMatrix) -> FlowMatrix:
     """Exact matrix inverses of the stored flow matrices and step factors,
     one batched call for all; every one is guarded by the condition number."""
     n = flow.matrices.shape[0]
-    stack = flow.matrices
-    if flow.step_factors is not None:
-        stack = np.concatenate([stack, flow.step_factors])
+    stack = np.concatenate([flow.matrices, flow.step_factors])
     bad = ~(np.linalg.cond(stack) <= COND_LIMIT)
     if bad.any():
         j = int(np.argmax(bad))
@@ -130,26 +122,19 @@ def inverse_flow(flow: FlowMatrix) -> FlowMatrix:
             raise FlowError(f"singular flow matrix at grid index {j}")
         raise FlowError(f"singular step factor at grid index {j - n}")
     inv = np.linalg.inv(stack)
-    return FlowMatrix(
-        base_time=flow.base_time,
-        tail=flow.tail,
-        matrices=inv[:n],
-        step_factors=None if flow.step_factors is None else inv[n:],
-    )
+    return FlowMatrix(times=flow.times, matrices=inv[:n], step_factors=inv[n:])
 
 
 def exp_formula_1d(
     alpha,
     x: SamplePath,
     fieldv: DriverField,
-    interval=None,
     levels: int = 0,
 ) -> np.ndarray:
     """Closed-form scalar flow exp(sum_i int a^i eta_i(dr, x_r)) on the grid.
 
     ``alpha`` is an (n, M) array.  Returns the flow values at the grid
-    points of the (restricted) interval; the integrand is the sewing-module
-    nonlinear Young integral.
+    points; the integrand is the sewing-module nonlinear Young integral.
     """
     grid = x.grid
     m = fieldv.channels
@@ -157,5 +142,5 @@ def exp_formula_1d(
     if av.shape != (grid.n, m):
         raise ValueError(f"alpha must have shape (n, M) = {(grid.n, m)}")
     y = SamplePath(grid, av if m > 1 else av[:, 0])
-    res = nonlinear_young_integral(y, x, fieldv, interval=interval, levels=levels, tol=0.0)
+    res = nonlinear_young_integral(y, x, fieldv, levels=levels, tol=0.0)
     return np.exp(res.cumulative)

@@ -121,13 +121,13 @@ def exit_indices(ensemble: PathEnsemble, radius: float) -> np.ndarray:
     return out
 
 
-def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0: float, dts=None):
+def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0):
     """Discrete two-sided Skorohod map on [a, b].
 
     Proposes X' = X + dW each step, clips into [a, b], and accumulates the
     clipped amount into the nondecreasing local time L (the inward push;
-    both boundaries push inward, so magnitudes add).  increments may be
-    (n_steps,) for one path or (n_paths, n_steps).
+    both boundaries push inward, so magnitudes add).  increments has shape
+    (n_paths, n_steps); x0 is one start or one per path.
 
     Returns (X, L) with one more column than increments.
     """
@@ -138,9 +138,6 @@ def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0: float,
     if np.any(x0_arr < a) or np.any(x0_arr > b):
         raise ValueError("x0 outside the reflection interval")
     inc = np.asarray(increments, dtype=float)
-    single = inc.ndim == 1
-    if single:
-        inc = inc[None, :]
     n_paths, n_steps = inc.shape
     x = np.empty((n_paths, n_steps + 1))
     loc = np.zeros((n_paths, n_steps + 1))
@@ -150,6 +147,4 @@ def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0: float,
         clipped = np.clip(prop, a, b)
         loc[:, j + 1] = loc[:, j] + np.abs(prop - clipped)
         x[:, j + 1] = clipped
-    if single:
-        return x[0], loc[0]
     return x, loc

@@ -59,20 +59,12 @@ class TimeGrid:
         return cls(np.linspace(0.0, horizon, n_steps + 1))
 
     @property
-    def horizon(self) -> float:
-        return float(self.points[-1])
-
-    @property
     def n(self) -> int:
         return self.points.size
 
     @property
     def dt(self) -> np.ndarray:
         return np.diff(self.points)
-
-    def index_of(self, t: float) -> int:
-        """Index of the grid point equal to t, error if t is off-grid."""
-        return aligned_index(self.points, t)
 
     def refine(self, levels: int) -> "TimeGrid":
         """Split every cell into 2**levels equal parts."""
@@ -173,16 +165,6 @@ class SamplePath:
         return v[:, None] if v.ndim == 1 else v
 
 
-def _slice_indices(grid: TimeGrid, interval) -> tuple[int, int]:
-    if interval is None:
-        return 0, grid.n - 1
-    a, b = interval
-    ia, ib = grid.index_of(a), grid.index_of(b)
-    if ia > ib:
-        raise ValueError("interval must satisfy a <= b")
-    return ia, ib
-
-
 def _check_exponent(p: float) -> None:
     if not 1 <= p < np.inf:  # also rejects nan
         raise ValueError("invalid exponent: need 1 <= p < inf")
@@ -257,21 +239,19 @@ def p_variation_paths(values: np.ndarray, p: float) -> np.ndarray:
     return p_variation_suffixes(values, p, (0,))[:, 0]
 
 
-def p_variation(path: SamplePath, p: float, interval=None) -> float:
+def p_variation(path: SamplePath, p: float) -> float:
     """Exact grid p-variation, sup over all sub-partitions of the grid.
 
     The one-path case of p_variation_paths.  For p = 1 this is the total
     variation over the grid.
     """
-    ia, ib = _slice_indices(path.grid, interval)
-    return float(p_variation_paths(path.values[None, ia : ib + 1], p)[0])
+    return float(p_variation_paths(path.values[None], p)[0])
 
 
-def p_variation_brute_force(path: SamplePath, p: float, interval=None) -> float:
+def p_variation_brute_force(path: SamplePath, p: float) -> float:
     """Direct enumeration of all sub-partitions; oracle for small grids."""
     _check_exponent(p)
-    ia, ib = _slice_indices(path.grid, interval)
-    v = path.values[ia : ib + 1]
+    v = path.values
     n = v.shape[0]
     if n < 2:
         return 0.0

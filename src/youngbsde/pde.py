@@ -3,8 +3,8 @@ experiments built on it: the (domain, mollification) double-limit table,
 Monte Carlo cross-validation through the backward solver, the localization
 error sweep on growing boxes, and the 1-D Neumann functional estimate.
 
-The stepping is a backward-in-time theta scheme (Crank-Nicolson default)
-for the frozen-coefficient elliptic part, with the nonlinear terms
+The stepping is a backward-in-time Crank-Nicolson scheme for the
+frozen-coefficient elliptic part, with the nonlinear terms
 f(t, x, u, sigma^T grad u) + sum_i g_i(u) dt_eta_i treated explicitly
 through one fixed-point sweep per step.
 """
@@ -32,7 +32,6 @@ from .paths import TimeGrid, blend, locate
 __all__ = [
     "PdeSpec",
     "PdeSolution",
-    "CflError",
     "fd_dirichlet_solve",
     "YoungPdeTable",
     "young_pde_table",
@@ -41,9 +40,8 @@ __all__ = [
     "neumann_fk_estimate",
 ]
 
-
-class CflError(RuntimeError):
-    pass
+# sigma sigma^T must have every eigenvalue at least this large
+ELLIPTICITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class PdeSpec:
     generator: callable  # f(t, x (k,d), u (k,), w (k,d)) -> (k,)
     coupling: callable  # g(u (k,)) -> (k, M)
     fieldv: DriverField
-    ellipticity: float = 1e-8
     name: str = "pde"
 
     def __post_init__(self):
@@ -77,7 +74,7 @@ class PdeSpec:
         a = self.sigma_matrix(_nodes([probe] * self.dim))
         dd = np.einsum("kab,kcb->kac", a, a)
         eig = np.linalg.eigvalsh(dd)
-        if np.min(eig) < self.ellipticity - 1e-12:
+        if np.min(eig) < ELLIPTICITY_FLOOR - 1e-12:
             raise ValueError("sigma sigma^T falls below the ellipticity floor")
 
     def sigma_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -102,9 +99,6 @@ class PdeSolution:
     times: np.ndarray
     axes: list
     u: np.ndarray
-    theta: float
-    dt: float
-    dx: float
 
     def value_at(self, t: float, x) -> float:
         """Multilinear interpolation of u at (t, x); ValueError off the grid."""
@@ -151,18 +145,13 @@ def _stencils(spec: PdeSpec, axes):
     return lmat, grad_w.tocsr()
 
 
-def fd_dirichlet_solve(
-    spec: PdeSpec, time_steps: int, space_steps: int, theta: float = 0.5
-) -> PdeSolution:
-    """theta-scheme solve of the terminal/boundary problem on the tensor grid
-    with `space_steps` cells per axis.
+def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeSolution:
+    """Crank-Nicolson solve of the terminal/boundary problem on the tensor
+    grid with `space_steps` cells per axis.
 
     Boundary nodes carry h(x) exactly at all times; the terminal slice is
-    h(x) exactly.  theta = 0 (fully explicit) is guarded by the Gershgorin
-    CFL bound dt <= 2 / max_k sum_i |L[k, i]| over the interior operator L;
-    for sigma sigma^T = D I in d dimensions and no drift it is dx^2 / (d D).
-    The implicit matrix is factored once, ordered by minimum degree on
-    A^T + A, which suits the structurally symmetric stencil.
+    h(x) exactly.  The implicit matrix is factored once, ordered by minimum
+    degree on A^T + A, which suits the structurally symmetric stencil.
     """
     nt = time_steps
     dt = spec.horizon / nt
@@ -177,15 +166,12 @@ def fd_dirichlet_solve(
     full, grad_w = _stencils(spec, axes)
     rows = full[interior]
     lmat = rows[:, interior]
-    if theta == 0.0:
-        dt_max = 2.0 / abs(lmat).sum(axis=1).max()
-        if dt > dt_max:
-            raise CflError(f"CFL violation in fully explicit mode; need dt <= {dt_max:.3g}")
     h_vals = np.asarray(spec.terminal(_nodes(axes)), dtype=float).reshape(shape)
     bfeed = dt * (rows @ np.where(interior, 0.0, h_vals.ravel()))
     eye = sp.identity(lmat.shape[0], format="csc")
-    lhs = splu((eye - theta * dt * lmat).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    rhs_op = eye + (1 - theta) * dt * lmat
+    half_step = 0.5 * dt * lmat
+    lhs = splu((eye - half_step).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    rhs_op = eye + half_step
     # sigma^T grad u at the interior nodes from the full grid, (d, k) raveled
     grad_w = grad_w[np.tile(interior, spec.dim)]
     grid_pts = _nodes([ax[1:-1] for ax in axes])
@@ -211,7 +197,7 @@ def fd_dirichlet_solve(
         dt_eta = spec.fieldv.time_derivative(times[k], grid_pts)
         n_lo = nonlinear(times[k], u[k], dt_eta)
         u[k][inner] = lhs.solve(base + dt * 0.5 * (n_hi + n_lo)).reshape(shape_int)
-    return PdeSolution(times=times, axes=axes, u=u, theta=theta, dt=dt, dx=axes[0][1] - axes[0][0])
+    return PdeSolution(times=times, axes=axes, u=u)
 
 
 @dataclass
@@ -266,7 +252,6 @@ def feynman_kac_cross_check(
     mc_time_steps: int = 128,
     basis: RegressionBasis | None = None,
     picard: PicardParams | None = None,
-    bound: float = 8.0,
 ):
     """|u_FD - u_MC| at interior points with tolerance fd_error + 3 MC SE.
 
@@ -279,7 +264,7 @@ def feynman_kac_cross_check(
     for q, (t0, x0) in enumerate(points):
         u_fd = sol.value_at(t0, x0)
         fd_err = abs(u_fd - sol_half.value_at(t0, x0))
-        u_mc, se = _mc_point(spec, t0, x0, n_paths, seed + q, mc_time_steps, basis, picard, bound)
+        u_mc, se = _mc_point(spec, t0, x0, n_paths, seed + q, mc_time_steps, basis, picard)
         tol = fd_err + 3.0 * se
         report.append(
             {
@@ -297,15 +282,14 @@ def feynman_kac_cross_check(
     return report
 
 
-def _mc_point(spec, t0, x0, n_paths, seed, mc_time_steps, basis, picard, bound):
+def _mc_point(spec, t0, x0, n_paths, seed, mc_time_steps, basis, picard):
     horizon = spec.horizon - t0
     grid = TimeGrid.uniform(horizon, mc_time_steps)
     fwd = SdeSpec(
         drift=lambda t, x: spec.drift_vector(x),
         diffusion=lambda t, x: spec.sigma_matrix(x),
         x0=np.atleast_1d(x0),
-        bound=bound,
-        name=spec.name + "-forward",
+        bound=8.0,  # euler_maruyama rejects |b| or |sigma| above it
     )
     ens = euler_maruyama(fwd, grid, n_paths, seed)
     fieldv = shift_field(spec.fieldv, t0)
@@ -323,7 +307,6 @@ def _mc_point(spec, t0, x0, n_paths, seed, mc_time_steps, basis, picard, bound):
         coupling=coup,
         terminal=terminal_h_of_xt(lambda x: spec.terminal(x)),
         n_dim=1,
-        name=spec.name + "-mc",
     )
     bsol = localized_solve(bspec, ens, spec.halfwidth, basis=basis, picard=picard)
     return float(bsol.y0[0]), float(bsol.y0_se[0])

@@ -131,25 +131,12 @@ def sew(
     )
 
 
-def _restrict(path: SamplePath, interval) -> SamplePath:
-    if interval is None:
-        return path
-    a, b = interval
-    ia, ib = path.grid.index_of(a), path.grid.index_of(b)
-    if ib <= ia:
-        raise ValueError("interval must have positive length")
-    pts = path.grid.points[ia : ib + 1] - path.grid.points[ia]
-    return SamplePath(TimeGrid(pts), path.values[ia : ib + 1])
-
-
 def nonlinear_young_integral(
     y: SamplePath,
     x: SamplePath,
     fieldv: DriverField,
-    interval=None,
     levels: int = 12,
     tol: float = 1e-9,
-    p: float | None = None,
 ) -> IntegralResult:
     """Integral of y against eta(dr, x_r) via the left-point germ.
 
@@ -157,28 +144,22 @@ def nonlinear_young_integral(
     the declared exponents violate tau + lam/p > 1 a warning is emitted; the
     sums are still formed.
     """
-    p_used = p if p is not None else fieldv.params.p
-    if fieldv.params.tau + fieldv.params.lam / p_used <= 1:
+    if fieldv.params.tau + fieldv.params.lam / fieldv.params.p <= 1:
         warnings.warn(
             "declared exponents do not guarantee convergence: tau + lam/p <= 1",
             stacklevel=2,
         )
-    offset = 0.0 if interval is None else interval[0]
-    y_r = _restrict(y, interval)
-    x_r = _restrict(x, interval)
-    grid = x_r.grid
-    if y_r.grid.n != grid.n or not np.allclose(y_r.grid.points, grid.points):
+    grid = x.grid
+    if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
         raise ValueError("y and x must share a time grid")
     m = fieldv.channels
-    yv = y_r.values[:, None] if y_r.values.ndim == 1 else y_r.values
+    yv = y.as_matrix()
     if yv.shape[1] not in (1, m):
         raise ValueError("y must have 1 or M columns")
 
     def germ_fn(level, s, t):
-        if offset:  # adding 0 would copy both time arrays at every level
-            s, t = s + offset, t + offset
         ys = dyadic_interp(yv, level)[:-1]
-        xs = dyadic_interp(x_r.as_matrix(), level)[:-1]
+        xs = dyadic_interp(x.as_matrix(), level)[:-1]
         d_eta = fieldv.increment(s, t, xs)
         if ys.shape[1] == 1 and m > 1:
             ys = np.repeat(ys, m, axis=1)

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.stats import norm
 
 from youngbsde.driver import FbsGridField, HurstParams
-from youngbsde.paths import _slice_indices, dyadic_interp
+from youngbsde.paths import SamplePath, TimeGrid, aligned_index, dyadic_interp
 from youngbsde.sewing import DyadicGerm, sew
 
 
@@ -67,7 +67,7 @@ def interp(path, times):
 def exit_time(path, radius: float) -> float:
     """First grid time with |X_t| > radius along one SamplePath, else the horizon."""
     hits = np.nonzero(np.linalg.norm(path.as_matrix(), axis=1) > radius)[0]
-    return path.grid.horizon if hits.size == 0 else float(path.grid.points[hits[0]])
+    return float(path.grid.points[hits[0] if hits.size else -1])
 
 
 def increment_moments_ok(ensemble, z: float = 5.0) -> bool:
@@ -78,6 +78,25 @@ def increment_moments_ok(ensemble, z: float = 5.0) -> bool:
     mean_ok = np.abs(ensemble.dw.mean(axis=0)) <= z * np.sqrt(dts / n)
     var_ok = np.abs(ensemble.dw.var(axis=0, ddof=1) - dts) <= z * dts * np.sqrt(2.0 / (n - 1))
     return bool(np.all(mean_ok & var_ok))
+
+
+def _slice_indices(grid, interval) -> tuple[int, int]:
+    """Grid indices of the ends of interval = (a, b), or of the whole grid."""
+    if interval is None:
+        return 0, grid.n - 1
+    a, b = interval
+    ia, ib = aligned_index(grid.points, a), aligned_index(grid.points, b)
+    if ia > ib:
+        raise ValueError("interval must satisfy a <= b")
+    return ia, ib
+
+
+def restrict(path, interval):
+    """The SamplePath on the grid points of interval = (a, b), a < b, with
+    time re-based so that a becomes 0."""
+    ia, ib = _slice_indices(path.grid, interval)
+    pts = path.grid.points[ia : ib + 1]
+    return SamplePath(TimeGrid(pts - pts[0]), path.values[ia : ib + 1])
 
 
 def holder_norm(path, gamma: float, interval=None) -> float:
@@ -143,9 +162,8 @@ def young_integral_against_path(y, m_path, levels: int = 12, tol: float = 1e-9):
 def load_fbs(prefix):
     """Read back a realization written by driver.save_fbs, following the
     sidecar layout that save_fbs documents."""
-    prefix = Path(prefix)
-    sidecar = json.loads(prefix.with_suffix(".json").read_text())
-    raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype=sidecar["dtype"])
+    sidecar = json.loads(Path(f"{prefix}.json").read_text())
+    raw = np.frombuffer(Path(f"{prefix}.bin").read_bytes(), dtype=sidecar["dtype"])
     return FbsGridField(
         HurstParams(**sidecar["hurst"]),
         np.asarray(sidecar["time_points"]),

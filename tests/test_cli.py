@@ -262,6 +262,10 @@ class TestCliRuns:
             # n_max must lie above every n_list box
             ({"experiment": "localization-error", "n_list": [1.0, 2.0], "n_max": 2.0,
               "time_steps": 16, "points": [[0.0, 0.5]]}, "n_max"),
+            # manifest.json would overwrite the sidecar manifest.json
+            ({"experiment": "fbs-generate", "seed": 1, "prefix": "manifest",
+              "driver": {"kind": "fbs", "hurst": {"h0": 0.7, "h": 0.5},
+                         "time_cells": 4, "space_cells": 4}}, "prefix"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):
@@ -355,6 +359,20 @@ class TestCliRuns:
         assert (out / "field.bin").exists() and (out / "field.json").exists()
         g = load_fbs(out / "field")
         assert g.seed == 4 and g.values.shape == (17, 17) and np.all(g.values[0] == 0.0)
+
+    def test_fbs_generate_prefix_keeps_its_dots(self, tmp_path):
+        cfg = {
+            "experiment": "fbs-generate",
+            "seed": 1,
+            "driver": {"kind": "fbs", "hurst": {"h0": 0.7, "h": 0.5}, "time_cells": 4,
+                       "space_cells": 4, "seed": 4},
+            "prefix": "fbs.2024",
+        }
+        out = tmp_path / "fb"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir() if f.name.startswith("fbs")) == [
+            "fbs.2024.bin", "fbs.2024.json"]
+        assert load_fbs(out / "fbs.2024").values.shape == (5, 5)
 
     def test_neumann_smooth_driver(self, tmp_path):
         cfg = {

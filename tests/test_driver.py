@@ -14,7 +14,6 @@ from youngbsde.driver import (
     save_fbs,
     shift_field,
 )
-from youngbsde.paths import TimeGrid
 
 
 def fbs_cov(t, x, s, y, h0, h):
@@ -58,7 +57,7 @@ class TestAnalyticField:
 
     def test_evaluate_shapes(self):
         f = linear_field()
-        assert f.evaluate(0.5, np.array([1.0])).shape == (1,)
+        assert f.evaluate(0.5, np.array([[1.0]])).shape == (1, 1)
         assert f.evaluate(np.array([0.1, 0.2]), np.array([[0.0], [1.0]])).shape == (2, 1)
 
     def test_shifted_field(self):
@@ -75,7 +74,7 @@ class TestAnalyticField:
 class TestFbs:
     def test_zero_slices_exact(self):
         hp = HurstParams(h0=0.6, h=0.7)
-        field = fbs_generate(hp, TimeGrid.uniform(1.0, 8), np.linspace(0.0, 1.0, 9), seed=42)
+        field = fbs_generate(hp, np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9), seed=42)
         xs = field.space_axes[0][:, None]
         np.testing.assert_array_equal(field.evaluate(np.zeros(xs.shape[0]), xs), 0.0)
         ts = field.time_points
@@ -84,8 +83,8 @@ class TestFbs:
 
     def test_determinism(self):
         hp = HurstParams(h0=0.6, h=0.7)
-        a = fbs_generate(hp, TimeGrid.uniform(1.0, 6), np.linspace(0, 1, 7), seed=5)
-        b = fbs_generate(hp, TimeGrid.uniform(1.0, 6), np.linspace(0, 1, 7), seed=5)
+        a = fbs_generate(hp, np.linspace(0.0, 1.0, 7), np.linspace(0, 1, 7), seed=5)
+        b = fbs_generate(hp, np.linspace(0.0, 1.0, 7), np.linspace(0, 1, 7), seed=5)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_factorization_failure_reported(self, monkeypatch):
@@ -94,12 +93,12 @@ class TestFbs:
 
         monkeypatch.setattr(np.linalg, "cholesky", boom)
         with pytest.raises(ValueError, match="covariance factorization failed"):
-            fbs_generate(HurstParams(h0=0.6, h=0.7), TimeGrid.uniform(1.0, 4), np.linspace(0, 1, 5), seed=1)
+            fbs_generate(HurstParams(h0=0.6, h=0.7), np.linspace(0.0, 1.0, 5), np.linspace(0, 1, 5), seed=1)
 
     def test_oversize_axis_rejected(self):
         hp = HurstParams(h0=0.5, h=0.5)
         with pytest.raises(ValueError, match="axis too large"):
-            fbs_generate(hp, TimeGrid.uniform(1.0, 3000), np.array([0.0, 1.0]), seed=0)
+            fbs_generate(hp, np.linspace(0.0, 1.0, 3001), np.array([0.0, 1.0]), seed=0)
 
     def test_variance_brownian_sheet(self):
         # H0 = H = 1/2: Var B(t, x) = t * x
@@ -169,7 +168,7 @@ class TestFbs:
 
     def test_save_load_roundtrip(self, tmp_path):
         hp = HurstParams(h0=0.6, h=0.7)
-        f = fbs_generate(hp, TimeGrid.uniform(1.0, 5), np.linspace(0, 1, 6), seed=9)
+        f = fbs_generate(hp, np.linspace(0.0, 1.0, 6), np.linspace(0, 1, 6), seed=9)
         save_fbs(f, tmp_path / "real")
         g = load_fbs(tmp_path / "real")
         np.testing.assert_array_equal(f.values, g.values)
@@ -279,8 +278,7 @@ def shape_fields():
 
 
 class TestShapeRules:
-    """A scalar t with one point given as x of shape () or (d,) returns (M,);
-    x of shape (1, d) or (k, d) returns (1, M) or (k, M)."""
+    """x has shape (k, d) and t is a scalar or (k,); the result is (k, M)."""
 
     @pytest.mark.parametrize("name", list(shape_fields()))
     @pytest.mark.parametrize("method", ["evaluate", "time_derivative"])
@@ -296,14 +294,10 @@ class TestShapeRules:
         assert many.shape == (4, m)
         one_row = call(t, xk[:1])
         assert one_row.shape == (1, m)
-        one_point = call(t, xk[0])
-        assert one_point.shape == (m,)
-        np.testing.assert_array_equal(one_row[0], one_point)
         np.testing.assert_allclose(one_row, many[:1], rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(call(np.full(4, t), xk).shape, (4, m))
-        if d == 1:
-            assert call(t, xk[0, 0]).shape == (m,)
-            np.testing.assert_array_equal(call(t, xk[0, 0]), one_point)
+        per_point = call(np.full(4, t), xk)
+        assert per_point.shape == (4, m)
+        np.testing.assert_allclose(per_point, many, rtol=0, atol=1e-13)
 
 
 class TestTimeSlice:
@@ -370,7 +364,7 @@ class TestTimeSlice:
     def test_one_point_keeps_shape(self):
         f = slice_fields()["mollified"]
         assert f.increment(0.0, 0.2, np.array([[0.3]])).shape == (1, 1)
-        assert f.time_derivative(0.2, np.array([0.3])).shape == (1,)
+        assert f.time_derivative(0.2, np.array([[0.3]])).shape == (1, 1)
 
 
 class TestHasTimeDerivative:
@@ -416,6 +410,19 @@ class TestPerPointIncrement:
             f.increment(0.1, t1, x), f.evaluate(t1, x) - f.evaluate(np.full(k, 0.1), x),
             rtol=0, atol=1e-13,
         )
+
+    @pytest.mark.parametrize("name", ["fbs-1d", "fbs-2d", "mollified", "mollified-analytic",
+                                      "analytic", "analytic-2d"])
+    def test_shifted_increment_is_base_increment(self, name):
+        # a shifted field hands both ends to its base: the base's slice at the
+        # shift never enters, so the results agree bit for bit
+        f, s = shape_fields()[name], 0.1
+        g = shift_field(f, s)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-3.0, 3.0, (200, f.dim))
+        t0, t1 = rng.uniform(0.0, g.horizon, (2, 200))
+        np.testing.assert_array_equal(g.increment(0.05, 0.3, x), f.increment(0.05 + s, 0.3 + s, x))
+        np.testing.assert_array_equal(g.increment(t0, t1, x), f.increment(t0 + s, t1 + s, x))
 
     def test_analytic_field_calls_fn_twice(self):
         calls = []

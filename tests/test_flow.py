@@ -247,14 +247,3 @@ class TestSegment:
         )
         with pytest.raises(ValueError, match=match):
             flow.segment(a, b)
-
-    def test_aligned_from_interior_base(self):
-        rng = np.random.default_rng(32)
-        x = brownian_path(8, 33)
-        flow = solve_linear_yode(
-            rng.standard_normal((9, 1, 2, 2)), x, rough_field(), base_time=0.25
-        )
-        np.testing.assert_array_equal(flow.segment(0.25, 0.25), np.eye(2))
-        np.testing.assert_array_equal(flow.segment(0.25, 1.0), flow.matrices[-1])
-        with pytest.raises(ValueError, match="misaligned"):
-            flow.segment(0.0, 0.5)

@@ -95,16 +95,16 @@ class TestExitTime:
 
 class TestReflect:
     def test_interior_increments_untouched(self):
-        inc = np.full(10, 0.01)
+        inc = np.full((1, 10), 0.01)
         x, loc = reflect_1d(inc, (0.0, 1.0), 0.5)
-        np.testing.assert_allclose(x, 0.5 + 0.01 * np.arange(11))
+        np.testing.assert_allclose(x, 0.5 + 0.01 * np.arange(11)[None])
         np.testing.assert_array_equal(loc, 0.0)
 
     def test_push_at_lower_boundary(self):
         h = 0.05
-        x, loc = reflect_1d(np.full(20, -h), (0.0, 1.0), 0.0)
+        x, loc = reflect_1d(np.full((1, 20), -h), (0.0, 1.0), 0.0)
         np.testing.assert_array_equal(x, 0.0)
-        np.testing.assert_allclose(loc, h * np.arange(21))
+        np.testing.assert_allclose(loc, h * np.arange(21)[None])
 
     def test_confinement_and_monotone_local_time(self):
         rng = np.random.default_rng(13)
@@ -118,7 +118,7 @@ class TestReflect:
 
     def test_x0_outside_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            reflect_1d(np.zeros(3), (0.0, 1.0), 1.5)
+            reflect_1d(np.zeros((1, 3)), (0.0, 1.0), 1.5)
 
     def test_long_run_uniform_occupancy(self):
         # doubly reflected BM equilibrates to the uniform law; chi-square at

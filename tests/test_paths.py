@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import holder_norm, superadditivity_defect, uniform_norm
+from oracles import holder_norm, restrict, superadditivity_defect, uniform_norm
 
 from youngbsde.paths import (
     SamplePath,
     TimeGrid,
+    aligned_index,
     dyadic_interp,
     p_variation,
     p_variation_brute_force,
@@ -22,7 +23,7 @@ def path_on_unit_grid(values):
 
 def pvar_control(path, p):
     """w(s, t) = ||path||_{p-var;[s,t]}^p, a control for p >= 1."""
-    return lambda s, t: p_variation(path, p, (s, t)) ** p if t > s else 0.0
+    return lambda s, t: p_variation(restrict(path, (s, t)), p) ** p if t > s else 0.0
 
 
 class TestTimeGrid:
@@ -36,9 +37,9 @@ class TestTimeGrid:
 
     def test_index_of_misaligned(self):
         g = TimeGrid.uniform(1.0, 4)
-        assert g.index_of(0.25) == 1
+        assert aligned_index(g.points, 0.25) == 1
         with pytest.raises(ValueError, match="misaligned interval"):
-            g.index_of(0.3)
+            aligned_index(g.points, 0.3)
 
     def test_refine_dyadic(self):
         g = TimeGrid(np.array([0.0, 0.5, 1.0]))
@@ -99,14 +100,9 @@ class TestPVariation:
         with pytest.raises(ValueError, match="invalid exponent"):
             p_variation(p, 0.5)
 
-    def test_misaligned_interval(self):
-        p = path_on_unit_grid(np.arange(5.0))
-        with pytest.raises(ValueError, match="misaligned interval"):
-            p_variation(p, 2.0, (0.0, 0.3))
-
     def test_single_point_interval(self):
         p = path_on_unit_grid(np.arange(5.0))
-        assert p_variation(p, 2.0, (0.25, 0.25)) == 0.0
+        assert p_variation_paths(p.values[None, 1:2], 2.0)[0] == 0.0
         assert holder_norm(p, 0.5, (0.25, 0.25)) == 0.0
 
     def test_dp_matches_brute_force_random(self):
@@ -156,6 +152,11 @@ def forward_dp(values, p):
     return np.array(out)
 
 
+def brute_suffix(values, p, s):
+    """Brute-force p-variation of values[s:]; a one-point suffix has none."""
+    return p_variation_brute_force(path_on_unit_grid(values[s:]), p) if s < len(values) - 1 else 0.0
+
+
 class TestSuffixDp:
     @pytest.mark.parametrize("shape", [(5, 30), (5, 30, 2)])
     def test_columns_match_slices(self, shape):
@@ -176,11 +177,9 @@ class TestSuffixDp:
         rng = np.random.default_rng(12)
         for n in range(2, 13):
             vals = rng.standard_normal((n, dim) if dim > 1 else n)
-            path = path_on_unit_grid(vals)
             for p in (1.0, 2.0, 3.5):
                 got = p_variation_suffixes(vals[None], p, range(n))[0]
-                pts = path.grid.points
-                want = [p_variation_brute_force(path, p, (pts[j], pts[-1])) for j in range(n)]
+                want = [brute_suffix(vals, p, j) for j in range(n)]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -191,9 +190,7 @@ def suffix_oracles(vals, p, starts):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     if 2 <= vals.shape[1] <= 12:
         for row, path in zip(got, vals):
-            sample = path_on_unit_grid(path)
-            pts = sample.grid.points
-            brute = [p_variation_brute_force(sample, p, (pts[s], pts[-1])) for s in starts]
+            brute = [brute_suffix(path, p, s) for s in starts]
             np.testing.assert_allclose(row, brute, rtol=1e-12, atol=1e-12)
     return got
 

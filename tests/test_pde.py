@@ -9,7 +9,6 @@ from oracles import heat_solution_gaussian_bump, reflected_bm_expectation
 
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.pde import (
-    CflError,
     PdeSolution,
     PdeSpec,
     _nodes,
@@ -119,16 +118,6 @@ class TestFdSolve:
         assert np.all(np.isfinite(sol.u))
         np.testing.assert_array_equal(sol.u[:, 0], gaussian_bump(sol.axes[0][:1, None])[0])
 
-    def test_cfl_guard_explicit(self):
-        spec = heat_spec()
-        with pytest.raises(CflError, match="suggested|need dt"):
-            fd_dirichlet_solve(spec, 4, 200, theta=0.0)
-
-    def test_cfl_guard_explicit_2d(self):
-        spec = heat_spec(dim=2)
-        with pytest.raises(CflError, match="suggested|need dt"):
-            fd_dirichlet_solve(spec, 4, 200, theta=0.0)
-
     def test_driver_without_derivative_rejected(self):
         rough = fbs_generate(
             HurstParams(h0=0.8, h=0.6), np.linspace(0, 0.25, 65),
@@ -138,12 +127,18 @@ class TestFdSolve:
             heat_spec(field=rough)
 
     def test_ellipticity_floor(self):
-        with pytest.raises(ValueError, match="ellipticity"):
-            PdeSpec(
+        # sigma^2 = 1e-8 is the floor, the smallest sigma the CLI accepts
+        def spec(sigma):
+            return PdeSpec(
                 halfwidth=1.0, dim=1, horizon=0.5, terminal=gaussian_bump,
-                sigma=0.0, drift=0.0, generator=zero_f, coupling=zero_g,
-                fieldv=smooth_field(), ellipticity=1e-4,
+                sigma=sigma, drift=0.0, generator=zero_f, coupling=zero_g,
+                fieldv=smooth_field(),
             )
+
+        spec(1e-4)
+        for sigma in (0.0, 1e-5):
+            with pytest.raises(ValueError, match="ellipticity"):
+                spec(sigma)
 
     def test_continuity_in_driver(self):
         base = heat_spec(g=lambda u: u[:, None], sigma=1.0)
@@ -242,7 +237,7 @@ class TestFdSolve:
         axes = [np.linspace(-1.5, 1.5, 11)] * dim
         pts = _nodes(axes).reshape(*(ax.size for ax in axes), dim)
         u = np.stack([f(t, pts) for t in times])
-        sol = PdeSolution(times=times, axes=axes, u=u, theta=0.5, dt=times[1], dx=0.3)
+        sol = PdeSolution(times=times, axes=axes, u=u)
         rng = np.random.default_rng(4)
         for t, x in zip(rng.uniform(0.0, 0.5, 20), rng.uniform(-1.5, 1.5, (20, dim))):
             assert abs(sol.value_at(t, x) - f(t, x)) <= 1e-14

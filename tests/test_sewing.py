@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import interp, remainder_certificate, uniform_norm, young_integral_against_path
+from oracles import (
+    interp,
+    remainder_certificate,
+    restrict,
+    uniform_norm,
+    young_integral_against_path,
+)
 
-from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
+from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate, shift_field
 from youngbsde.paths import SamplePath, TimeGrid, p_variation
 from youngbsde.sewing import Germ, SewingError, nonlinear_young_integral, sew
 
@@ -54,7 +60,9 @@ class TestSew:
         x, field = brownian_path(8, 1), sin_t_field()
         res = nonlinear_young_integral(y, x, field, levels=4, tol=0.0)
         halves = [
-            nonlinear_young_integral(y, x, field, interval=iv, levels=4, tol=0.0).value
+            nonlinear_young_integral(
+                restrict(y, iv), restrict(x, iv), shift_field(field, iv[0]), levels=4, tol=0.0
+            ).value
             for iv in ((0.0, 0.5), (0.5, 1.0))
         ]
         assert res.cumulative[4] == pytest.approx(halves[0], abs=1e-15)
@@ -114,14 +122,17 @@ class TestNonlinearYoung:
     def test_matches_searching_germ(self):
         # the dyadic germ against a germ that finds each point by np.interp
         # and differences two evaluations: every level, on an fbs field, on
-        # the whole grid and on an interior interval (shifted time)
+        # the whole grid and on an interior interval (paths restricted to it,
+        # the field shifted to its start)
         field = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
                              np.linspace(-2.0, 2.0, 33), seed=40, p=2.05)
         x = brownian_path(16, 41)
         y = SamplePath(x.grid, np.cos(x.grid.points) + x.values)
         for interval in (None, (0.25, 0.75)):
-            got = nonlinear_young_integral(y, x, field, interval=interval, levels=6, tol=0.0)
             a, b = (0.0, 1.0) if interval is None else interval
+            got = nonlinear_young_integral(
+                restrict(y, (a, b)), restrict(x, (a, b)), shift_field(field, a), levels=6, tol=0.0
+            )
             keep = (x.grid.points >= a - 1e-12) & (x.grid.points <= b + 1e-12)
             pts, xv, yv = x.grid.points[keep], x.values[keep], y.values[keep]
 
@@ -246,7 +257,7 @@ class TestRemainderCertificate:
             if t <= s:
                 return 0.0
             return (
-                eta_bound * (t - s) ** tau * p_variation(xb, p, (s, t)) ** lam
+                eta_bound * (t - s) ** tau * p_variation(restrict(xb, (s, t)), p) ** lam
             ) ** (1.0 / (1.0 + delta))
 
         ok, _ = remainder_certificate(res, [(w1, 1.0 + delta)])
@@ -283,12 +294,12 @@ class TestEstimates:
             res = nonlinear_young_integral(y, x, field, levels=3, tol=0.0)
             integral_path = SamplePath(x.grid, res.cumulative)
             for (s, t) in [(0.0, 1.0), (0.0, 0.5), (0.25, 0.75)]:
-                lhs = p_variation(integral_path, 1.0 / tau, (s, t))
-                y_inf = max(abs(y.values[x.grid.index_of(s): x.grid.index_of(t) + 1]).max(), 0.0)
+                lhs = p_variation(restrict(integral_path, (s, t)), 1.0 / tau)
+                y_inf = np.abs(restrict(y, (s, t)).values).max()
                 rhs = (
                     const * eta_bound * (t - s) ** tau
-                    * ((1 + p_variation(x, p1, (s, t)) ** lam) * y_inf
-                       + p_variation(y, p2, (s, t)))
+                    * ((1 + p_variation(restrict(x, (s, t)), p1) ** lam) * y_inf
+                       + p_variation(restrict(y, (s, t)), p2))
                 )
                 assert lhs <= rhs
 
@@ -305,13 +316,12 @@ class TestEstimates:
             res = nonlinear_young_integral(y, x, field, levels=3, tol=0.0)
             integral_path = SamplePath(x.grid, res.cumulative)
             for (s, t) in [(0.0, 1.0), (0.5, 1.0)]:
-                lhs = p_variation(integral_path, 1.0 / tau, (s, t))
-                ia, ib = x.grid.index_of(s), x.grid.index_of(t)
-                y_inf = abs(y.values[ia: ib + 1]).max()
-                y_pv = p_variation(y, p, (s, t))
+                lhs = p_variation(restrict(integral_path, (s, t)), 1.0 / tau)
+                y_inf = np.abs(restrict(y, (s, t)).values).max()
+                y_pv = p_variation(restrict(y, (s, t)), p)
                 rhs = (
                     const * eta_bound * (t - s) ** tau
-                    * (p_variation(x, p, (s, t)) ** lam * y_inf
+                    * (p_variation(restrict(x, (s, t)), p) ** lam * y_inf
                        + (y_inf + y_inf**eps * y_pv ** (1 - eps)))
                 )
                 assert lhs <= rhs
