@@ -4,13 +4,13 @@ Backward induction over the grid with one global polynomial regression per
 time step standing in for the conditional expectation (Longstaff-Schwartz
 style).  At step i the per-path target is
 
-    T_i = Y_{i+1} + f(t_i, X_i, Y, Z_i) dt + g(Y_{i+1}) . (eta(t_{i+1}, X_i) - eta(t_i, X_i)),
+    T_i = Y_{i+1} + f(t_i, X_i, Y, Z_i) dt + g(Y_{i+1}) (eta(t_{i+1}, X_i) - eta(t_i, X_i)),
 
-with Z_i from the martingale-increment regression of Y_{i+1} dW^T / dt, and
-an inner Picard loop updating only the Y argument of f.  If the loop fails
-to contract the step is halved once (Brownian-bridge midpoint) and retried.
-The full-horizon and the localized (stopped at exit) solves share one
-backward loop over the paths still active at each step.
+for the scalar unknown Y, with Z_i from the martingale-increment regression
+of Y_{i+1} dW / dt, and an inner Picard loop updating only the Y argument of
+f.  If the loop fails to contract the step is halved once (Brownian-bridge
+midpoint) and retried.  The full-horizon and the localized (stopped at exit)
+solves share one backward loop over the paths still active at each step.
 
 The scalar linear problem (g(y) = alpha y, f = 0) admits the flow closed
 form Y_0 = E[G_T^0 xi] used as an oracle.
@@ -38,7 +38,6 @@ __all__ = [
     "BsdeSpec",
     "zero_generator",
     "zero_coupling",
-    "scalar_coupling",
     "BsdeSolution",
     "backward_solve",
     "ClosedFormResult",
@@ -139,49 +138,45 @@ class _Fit:
             raise RegressionError("regression normal equations singular") from exc
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
-        t = targets if targets.ndim == 2 else targets[:, None]
-        beta = cho_solve(self._chol, self._a.T @ t, check_finite=False)
+        """Fitted values of targets (k,) or (k, c), one fit per column."""
+        beta = cho_solve(self._chol, self._a.T @ targets, check_finite=False)
         if not np.all(np.isfinite(beta)):
             raise RegressionError("regression normal equations singular")
-        fitted = self._a @ beta
-        return fitted if targets.ndim == 2 else fitted[:, 0]
+        return self._a @ beta
 
 
 @dataclass(frozen=True)
 class Terminal:
     """Terminal data xi = Xi_T together with its running version Xi_t.
 
-    ``value_at(ensemble, idx)`` evaluates Xi at a per-path grid index; the
-    plain terminal is value_at at the last index.
+    ``value_at(ensemble, idx)`` evaluates Xi (k,) at a per-path grid index;
+    the plain terminal is value_at at the last index.
     """
 
     value_at: callable
-    name: str = "terminal"
 
     def terminal(self, ensemble: PathEnsemble) -> np.ndarray:
         idx = np.full(ensemble.n_paths, ensemble.grid.n - 1)
         return self.value_at(ensemble, idx)
 
 
-def terminal_h_of_xt(h, name="h(X_T)") -> Terminal:
-    """Xi_t = h(X_t); h maps (k, d) -> (k,) or (k, N)."""
+def terminal_h_of_xt(h) -> Terminal:
+    """Xi_t = h(X_t); h maps (k, d) -> (k,)."""
 
     def value_at(ensemble, idx):
-        x = ensemble.x[np.arange(ensemble.n_paths), idx]
-        out = np.asarray(h(x), dtype=float)
-        return out[:, None] if out.ndim == 1 else out
+        return np.asarray(h(ensemble.x[np.arange(ensemble.n_paths), idx]), dtype=float)
 
-    return Terminal(value_at, name=name)
+    return Terminal(value_at)
 
 
-def terminal_running_max(name="sup X") -> Terminal:
+def terminal_running_max() -> Terminal:
     """Xi_t = max_{s <= t} X^0_s, the running maximum of the first coordinate."""
 
     def value_at(ensemble, idx):
         run = np.maximum.accumulate(ensemble.x[:, :, 0], axis=1)
-        return run[np.arange(ensemble.n_paths), idx][:, None]
+        return run[np.arange(ensemble.n_paths), idx]
 
-    return Terminal(value_at, name=name)
+    return Terminal(value_at)
 
 
 @dataclass
@@ -191,11 +186,9 @@ class BsdeSpec:
 
     forward: SdeSpec
     fieldv: DriverField
-    generator: callable  # f(t, x (k,d), y (k,N), z (k,N,d)) -> (k,N)
-    coupling: callable  # g(y (k,N)) -> (k,N,M)
+    generator: callable  # f(t, x (k,d), y (k,), z (k,d)) -> (k,)
+    coupling: callable  # g(y (k,)) -> (k,)
     terminal: Terminal
-    n_dim: int = 1
-    name: str = "bsde"
 
 
 def zero_generator(t, x, y, z):
@@ -203,23 +196,12 @@ def zero_generator(t, x, y, z):
 
 
 def zero_coupling(y):
-    return np.zeros(y.shape + (1,))
-
-
-def scalar_coupling(fn, name=None) -> callable:
-    """Wrap a scalar function g so it maps (k, 1) -> (k, 1, 1)."""
-
-    def g(y):
-        return np.asarray(fn(y[:, 0]), dtype=float)[:, None, None]
-
-    if name:
-        g.__name__ = name
-    return g
+    return np.zeros_like(y)
 
 
 @dataclass
 class BsdeSolution:
-    """Backward-induction output: y (k, n, N), z (k, n-1, N, d)."""
+    """Backward-induction output: y (k, n), z (k, n-1, d)."""
 
     grid_points: np.ndarray
     y: np.ndarray
@@ -231,16 +213,16 @@ class BsdeSolution:
     unconverged: dict = field(default_factory=dict)
 
     @property
-    def y0(self) -> np.ndarray:
-        return self.y[:, 0].mean(axis=0)
+    def y0(self) -> float:
+        return float(self.y[:, 0].mean())
 
     @property
-    def y0_se(self) -> np.ndarray:
+    def y0_se(self) -> float:
         # every regression preserves its target mean exactly, so mean(Y_0)
         # equals the mean of the per-path realized values
         # xi + sum_i (target_i - Y_{i+1}); their spread is the honest
         # standard error of the Y_0 estimate
-        return self.realized.std(axis=0, ddof=1) / np.sqrt(self.y.shape[0])
+        return float(self.realized.std(ddof=1) / np.sqrt(self.y.shape[0]))
 
     realized: np.ndarray = field(default=None, repr=False)
 
@@ -285,12 +267,8 @@ def _z_regression(fit: _Fit, y_next: np.ndarray, dw: np.ndarray, dt: float) -> n
     (dW is mean-zero given X) and removes the finite-sample noise entirely
     when Y is X-measurable; a constant Y gives Z = 0 exactly.
     """
-    k, nn = y_next.shape
-    d = dw.shape[1]
     centered = y_next - fit.fit(y_next)
-    return fit.fit(
-        np.einsum("kn,kd->knd", centered, dw).reshape(k, nn * d)
-    ).reshape(k, nn, d) / dt
+    return fit.fit(centered[:, None] * dw) / dt
 
 
 def _step(spec, basis, picard, t_i, t_next, x, dw, y_next):
@@ -303,9 +281,7 @@ def _step(spec, basis, picard, t_i, t_next, x, dw, y_next):
     dt = t_next - t_i
     fit = _Fit(basis, x)
     z = _z_regression(fit, y_next, dw, dt)
-    young = np.einsum(
-        "knm,km->kn", spec.coupling(y_next), spec.fieldv.increment(t_i, t_next, x)
-    )
+    young = spec.coupling(y_next) * spec.fieldv.increment(t_i, t_next, x)
 
     def make_target(y_for_f):
         return y_next + spec.generator(t_i, x, y_for_f, z) * dt + young
@@ -359,12 +335,10 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
     picard = picard or PicardParams()
     grid = ensemble.grid
     k, n, d = ensemble.x.shape
-    xi = spec.terminal.value_at(ensemble, k_exit)  # (k, N)
-    y = np.empty((k, n, spec.n_dim))
-    z = np.zeros((k, n - 1, spec.n_dim, d))
-    for j in range(n):
-        frozen = k_exit <= j
-        y[frozen, j] = xi[frozen]
+    xi = spec.terminal.value_at(ensemble, k_exit)
+    # frozen entries hold xi; the loop below fills every active one
+    y = np.where(np.arange(n) >= k_exit[:, None], xi[:, None], 0.0)
+    z = np.zeros((k, n - 1, d))
 
     residual_log = [None] * (n - 1)
     halvings = []
@@ -417,8 +391,8 @@ def backward_solve(
 
 @dataclass
 class ClosedFormResult:
-    y0: np.ndarray
-    se: np.ndarray
+    y0: float
+    se: float
 
 
 def linear_closed_form(
@@ -428,10 +402,10 @@ def linear_closed_form(
     alpha: float = 1.0,
 ) -> ClosedFormResult:
     """Monte Carlo evaluation of the flow representation of the scalar
-    linear problem g(y) = alpha y (on every driver channel), f = 0.
+    linear problem g(y) = alpha y, f = 0.
 
     Per path: w = G_T^0 xi, with the flow G the left-point Euler product of
-    1 + alpha sum_ch d_eta.  Y_0 is the sample mean of w.
+    1 + alpha d_eta.  Y_0 is the sample mean of w.
     """
     if np.ndim(alpha) != 0:
         raise ValueError("alpha must be a scalar")
@@ -440,9 +414,9 @@ def linear_closed_form(
     flow = np.ones(k)
     for j in range(n - 1):
         d_eta = fieldv.increment(grid.points[j], grid.points[j + 1], ensemble.x[:, j])
-        flow = (1.0 + alpha * d_eta.sum(axis=1)) * flow
-    weights = flow[:, None] * terminal.terminal(ensemble)
-    return ClosedFormResult(y0=weights.mean(axis=0), se=weights.std(axis=0, ddof=1) / np.sqrt(k))
+        flow = (1.0 + alpha * d_eta) * flow
+    weights = flow * terminal.terminal(ensemble)
+    return ClosedFormResult(y0=float(weights.mean()), se=float(weights.std(ddof=1) / np.sqrt(k)))
 
 
 def localized_solve(
@@ -458,12 +432,7 @@ def localized_solve(
     exit index; after the exit Y stays frozen and Z = 0.  Regressions at
     step i use the still-active paths only.
     """
-    k_exit = (
-        exit_indices(ensemble, radius)
-        if np.isfinite(radius)
-        else np.full(ensemble.n_paths, ensemble.grid.n - 1)
-    )
-    return _backward(spec, ensemble, k_exit, basis, picard)
+    return _backward(spec, ensemble, exit_indices(ensemble, radius), basis, picard)
 
 
 def localization_sweep(
@@ -480,11 +449,11 @@ def localization_sweep(
     n_last = ensemble.grid.n - 1
     for r in radii:
         sol = localized_solve(spec, ensemble, r, basis=basis, picard=picard)
-        y0 = float(sol.y0[0]) if spec.n_dim == 1 else sol.y0
         p_exit = float(np.mean(exit_indices(ensemble, r) < n_last))
-        diff = np.nan if prev is None else float(np.max(np.abs(np.atleast_1d(y0 - prev))))
-        rows.append({"radius": float(r), "y0": y0, "diff_prev": diff, "p_exit": p_exit, "solution": sol})
-        prev = y0
+        diff = np.nan if prev is None else abs(sol.y0 - prev)
+        rows.append({"radius": float(r), "y0": sol.y0, "diff_prev": diff, "p_exit": p_exit,
+                     "solution": sol})
+        prev = sol.y0
     return rows
 
 
@@ -507,15 +476,13 @@ def comparison_experiment(
 ) -> ComparisonReport:
     """Solve two ordered problems (xi_a >= xi_b, f_a >= f_b, same g) on one
     ensemble and report how often the discrete solutions stay ordered."""
-    if spec_a.n_dim != 1 or spec_b.n_dim != 1:
-        raise ValueError("comparison requires N = 1")
     xi_a = spec_a.terminal.terminal(ensemble)
     xi_b = spec_b.terminal.terminal(ensemble)
     if np.any(xi_a < xi_b - 1e-12):
         raise ValueError("inputs not ordered")
     k, n, d = ensemble.x.shape
-    probe_y = np.zeros((k, 1))
-    probe_z = np.zeros((k, 1, d))
+    probe_y = np.zeros(k)
+    probe_z = np.zeros((k, d))
     for j in range(0, n - 1, max(1, (n - 1) // 8)):
         fa = spec_a.generator(ensemble.grid.points[j], ensemble.x[:, j], probe_y, probe_z)
         fb = spec_b.generator(ensemble.grid.points[j], ensemble.x[:, j], probe_y, probe_z)
@@ -527,7 +494,7 @@ def comparison_experiment(
     gap_targets = sol_a.realized - sol_b.realized
     return ComparisonReport(
         fraction_ordered=float(np.mean(ordered)),
-        y0_gap=float(sol_a.y0[0] - sol_b.y0[0]),
+        y0_gap=sol_a.y0 - sol_b.y0,
         y0_gap_se=float(gap_targets.std(ddof=1) / np.sqrt(k)),
         solution_a=sol_a,
         solution_b=sol_b,
@@ -555,7 +522,7 @@ def diagnostics(
     if times is None:
         times = pts[:: max(1, (n - 1) // 4)][:4]
     sel = slice(0, min(solution.y.shape[0], max_paths))
-    y = solution.y[sel, :, 0]
+    y = solution.y[sel]
     z = solution.z[sel]
     x = ensemble.x[sel]
     dts = np.diff(pts)
@@ -578,7 +545,7 @@ def diagnostics(
         pv = moment(pvar[:, q], k_mom)
         fit = _Fit(basis, x[:, j])
         m_pk = max(m_pk, float(np.max(fit.fit(pv))) ** (1.0 / k_mom) if np.max(pv) > 0 else 0.0)
-        zsq = np.einsum("kjnd,kjnd->kj", z[:, j:], z[:, j:]) * dts[j:][None, :]
+        zsq = np.einsum("kjd,kjd->kj", z[:, j:], z[:, j:]) * dts[j:][None, :]
         tail = moment(zsq.sum(axis=1), k_mom / 2.0)
         bmo = max(bmo, float(np.max(fit.fit(tail))) ** (1.0 / k_mom) if np.max(tail) > 0 else 0.0)
     return {

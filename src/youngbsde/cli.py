@@ -38,7 +38,6 @@ from .bsde import (
     diagnostics,
     linear_closed_form,
     localization_sweep,
-    scalar_coupling,
     terminal_h_of_xt,
     terminal_running_max,
     zero_coupling,
@@ -58,6 +57,7 @@ from .flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
 from .paths import SamplePath, TimeGrid, dyadic_interp, write_csv
 from .pde import (
+    MC_BOUND,
     PdeSpec,
     feynman_kac_cross_check,
     localization_error_experiment,
@@ -73,25 +73,24 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- registries
 
-def _affine_in_time(name, profile):
+def _affine_in_time(profile):
     # the field profile(x) t, whose time derivative is profile(x)
     return lambda: AnalyticField(
         lambda t, x: profile(x) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: profile(x), name=name,
+        dt_fn=lambda t, x: profile(x),
     )
 
 
 ANALYTIC_FIELDS = {
-    "time": _affine_in_time("time", lambda x: np.ones(x.shape[0])),
-    "bilinear": _affine_in_time("bilinear", lambda x: x[:, 0]),
-    "sin_x_time": _affine_in_time("sin_x_time", lambda x: np.sin(x[:, 0])),
-    "cos_x_time": _affine_in_time("cos_x_time", lambda x: np.cos(x[:, 0])),
-    "gauss_x_time": _affine_in_time("gauss_x_time", lambda x: np.exp(-x[:, 0] ** 2)),
+    "time": _affine_in_time(lambda x: np.ones(x.shape[0])),
+    "bilinear": _affine_in_time(lambda x: x[:, 0]),
+    "sin_x_time": _affine_in_time(lambda x: np.sin(x[:, 0])),
+    "cos_x_time": _affine_in_time(lambda x: np.cos(x[:, 0])),
+    "gauss_x_time": _affine_in_time(lambda x: np.exp(-x[:, 0] ** 2)),
     "sin_x_t08": lambda: AnalyticField(
         lambda t, x: np.sin(x[:, 0]) * t**0.8, RegularityParams(tau=0.8, lam=1.0, p=2.5),
-        name="sin_x_t08",
     ),
-    "zero": _affine_in_time("zero", lambda x: np.zeros(x.shape[0])),
+    "zero": _affine_in_time(lambda x: np.zeros(x.shape[0])),
 }
 
 
@@ -111,15 +110,11 @@ def build_field(cfg: dict):
 
 
 TERMINALS = {
-    "cos": lambda shift: terminal_h_of_xt(lambda x: np.cos(x[:, 0]) + shift, name=f"cos+{shift}"),
-    "gauss": lambda shift: terminal_h_of_xt(
-        lambda x: np.exp(-np.sum(x**2, axis=1)) + shift, name=f"gauss+{shift}"
-    ),
-    "constant": lambda shift: terminal_h_of_xt(
-        lambda x: np.full(x.shape[0], shift), name=f"const {shift}"
-    ),
+    "cos": lambda shift: terminal_h_of_xt(lambda x: np.cos(x[:, 0]) + shift),
+    "gauss": lambda shift: terminal_h_of_xt(lambda x: np.exp(-np.sum(x**2, axis=1)) + shift),
+    "constant": lambda shift: terminal_h_of_xt(lambda x: np.full(x.shape[0], shift)),
     "running-max": lambda shift: Terminal(
-        lambda ens, idx: terminal_running_max().value_at(ens, idx) + shift, name=f"sup X+{shift}"
+        lambda ens, idx: terminal_running_max().value_at(ens, idx) + shift
     ),
 }
 
@@ -127,14 +122,14 @@ GENERATORS = {
     "zero": lambda coef: zero_generator,
     "linear-y": lambda coef: lambda t, x, y, z: coef * y,
     "sin-y": lambda coef: lambda t, x, y, z: coef * np.sin(y),
-    "sqrt-sin": lambda coef: lambda t, x, y, z: coef * np.sqrt(np.abs(x[:, :1])) * np.sin(y),
+    "sqrt-sin": lambda coef: lambda t, x, y, z: coef * np.sqrt(np.abs(x[:, 0])) * np.sin(y),
 }
 
 COUPLINGS = {
     "zero": zero_coupling,
-    "identity": scalar_coupling(lambda y: y, name="identity"),
-    "sin": scalar_coupling(np.sin, name="sin"),
-    "cos": scalar_coupling(np.cos, name="cos"),
+    "identity": lambda y: y,
+    "sin": np.sin,
+    "cos": np.cos,
 }
 
 PDE_TERMINALS = {
@@ -143,15 +138,11 @@ PDE_TERMINALS = {
 }
 
 PDE_GENERATORS = {
-    "zero": lambda t, x, u, w: np.zeros_like(u),
+    "zero": zero_generator,
     "sqrt-sin": lambda t, x, u, w: np.sqrt(np.abs(x[:, 0])) * np.sin(u),
 }
 
-PDE_COUPLINGS = {
-    "zero": lambda u: np.zeros((u.shape[0], 1)),
-    "identity": lambda u: u[:, None],
-    "sin": lambda u: np.sin(u)[:, None],
-}
+PDE_COUPLINGS = {name: COUPLINGS[name] for name in ("zero", "identity", "sin")}
 
 NEUMANN_TERMINALS = {
     "one": lambda x: np.ones_like(x),
@@ -160,7 +151,7 @@ NEUMANN_TERMINALS = {
 
 
 def build_forward(cfg: dict) -> tuple[SdeSpec, TimeGrid]:
-    spec = {key: cfg[key] for key in ("drift", "diffusion", "x0", "bound", "name")}
+    spec = {key: cfg[key] for key in ("drift", "diffusion", "x0", "bound")}
     return SdeSpec(**spec), TimeGrid.uniform(cfg["horizon"], cfg["steps"])
 
 
@@ -272,7 +263,6 @@ _FORWARD = {
     "bound": _num(4.0, lo=0),
     "steps": _count(64),
     "horizon": _num(1.0, lo=0),
-    "name": _text("forward"),
 }
 
 _BSDE = {
@@ -295,7 +285,6 @@ _PDE = {
     "drift": _num(0.0),
     "generator": _enum("zero", PDE_GENERATORS),
     "coupling": _enum("zero", PDE_COUPLINGS),
-    "name": _text("pde"),
 }
 
 _POINTS = _list([[0.0, 0.0]], _Leaf("a [t, x] point", _is_point))
@@ -453,6 +442,11 @@ def _check_relations(cfg: dict) -> None:
     fwd = cfg.get("forward")
     if fwd is not None and max(abs(fwd["drift"]), abs(fwd["diffusion"])) > fwd["bound"]:
         raise ConfigError("forward.bound: expected at least |drift| and |diffusion|")
+    if exp == "cross-check":
+        for name in ("sigma", "drift"):
+            if abs(cfg["pde"][name]) > MC_BOUND:
+                raise ConfigError(f"pde.{name}: expected |{name}| at most {MC_BOUND}, the bound "
+                                  f"of the Monte Carlo paths, got {cfg['pde'][name]}")
     top = cfg.get("driver")
     if cfg["experiment"] in ("cross-check", "localization-error") and not (
         top["kind"] == "mollified"
@@ -512,7 +506,7 @@ def _run_integrate(cfg, out_dir):
         fine = dyadic_interp(grid.points, res.levels_used)
         ys = dyadic_interp(y.values, res.levels_used)[:-1]
         xs = dyadic_interp(x.as_matrix(), res.levels_used)[:-1]
-        quad = float(np.sum(ys * fld.time_derivative(fine[:-1], xs)[:, 0] * np.diff(fine)))
+        quad = float(np.sum(ys * fld.time_derivative(fine[:-1], xs) * np.diff(fine)))
         rows.append(
             {"case": name, "young": res.value, "riemann": quad, "abs_diff": abs(res.value - quad)}
         )
@@ -528,7 +522,7 @@ def _run_flow(cfg, out_dir):
     dim = cfg["dim"]
     x = _brownian_sample(cells, cfg["path_seed"])
     rng = np.random.default_rng(cfg["alpha_seed"])
-    alpha = rng.standard_normal((x.grid.n, fld.channels, dim, dim)) * 0.4
+    alpha = rng.standard_normal((x.grid.n, dim, dim)) * 0.4
     flow = solve_linear_yode(alpha, x, fld, levels=cfg["levels"])
     inv = inverse_flow(flow)
     full = flow.segment(0.0, 1.0)
@@ -539,13 +533,10 @@ def _run_flow(cfg, out_dir):
     inv_res = max(
         np.max(np.abs(g @ gi - np.eye(dim))) for g, gi in zip(flow.matrices, inv.matrices)
     )
-    alpha_1d = np.ones((x.grid.n, fld.channels))
     errs = []
     for lev in range(3):
-        euler = solve_linear_yode(
-            np.ones((x.grid.n, fld.channels, 1, 1)), x, fld, levels=lev
-        ).matrices[:, 0, 0]
-        closed = exp_formula_1d(alpha_1d, x, fld, levels=lev)
+        euler = solve_linear_yode(np.ones((x.grid.n, 1, 1)), x, fld, levels=lev).matrices[:, 0, 0]
+        closed = exp_formula_1d(np.ones(x.grid.n), x, fld, levels=lev)
         errs.append(float(np.max(np.abs(euler - closed))))
     rows = [
         {
@@ -575,7 +566,6 @@ def _bsde_ingredients(cfg):
         generator=GENERATORS[bc["generator"]["name"]](bc["generator"]["coef"]),
         coupling=COUPLINGS[bc["coupling"]["name"]],
         terminal=TERMINALS[bc["terminal"]["name"]](bc["terminal"]["shift"]),
-        n_dim=1,
     )
     return spec, ens, RegressionBasis(**cfg["basis"]), PicardParams(**cfg["picard"]), fld
 
@@ -586,14 +576,14 @@ def _run_linear_bsde(cfg, out_dir):
     ref = linear_closed_form(
         ens, fld, spec.terminal, alpha=_LINEAR_COUPLINGS[cfg["bsde"]["coupling"]["name"]]
     )
-    combined = float(np.sqrt(sol.y0_se[0] ** 2 + ref.se[0] ** 2))
-    diff = float(abs(sol.y0[0] - ref.y0[0]))
+    combined = float(np.sqrt(sol.y0_se ** 2 + ref.se ** 2))
+    diff = abs(sol.y0 - ref.y0)
     rows = [
         {
-            "y0_backward": float(sol.y0[0]),
-            "se_backward": float(sol.y0_se[0]),
-            "y0_closed_form": float(ref.y0[0]),
-            "se_closed_form": float(ref.se[0]),
+            "y0_backward": sol.y0,
+            "se_backward": sol.y0_se,
+            "y0_closed_form": ref.y0,
+            "se_closed_form": ref.se,
             "combined_se": combined,
             "abs_diff": diff,
             "z_score": diff / combined if combined > 0 else 0.0,
@@ -601,8 +591,8 @@ def _run_linear_bsde(cfg, out_dir):
     ]
     ok = diff <= 3 * combined
     summary = [
-        f"backward Y0 = {sol.y0[0]:.6f} (se {sol.y0_se[0]:.2e})",
-        f"closed form Y0 = {ref.y0[0]:.6f} (se {ref.se[0]:.2e})",
+        f"backward Y0 = {sol.y0:.6f} (se {sol.y0_se:.2e})",
+        f"closed form Y0 = {ref.y0:.6f} (se {ref.se:.2e})",
         f"agreement within 3 combined se: {'PASS' if ok else 'FAIL'}",
     ]
     return rows, summary
@@ -614,8 +604,8 @@ def _run_nonlinear_bsde(cfg, out_dir):
     diag = diagnostics(sol, ens, p=cfg["diag_p"], k_mom=cfg["diag_k"])
     rows = [
         {
-            "y0": float(sol.y0[0]),
-            "se": float(sol.y0_se[0]),
+            "y0": sol.y0,
+            "se": sol.y0_se,
             "sup_y": diag["sup_y"],
             "m_pk": diag["m_pk"],
             "z_bmo": diag["z_bmo"],
@@ -623,7 +613,7 @@ def _run_nonlinear_bsde(cfg, out_dir):
         }
     ]
     summary = [
-        f"Y0 = {sol.y0[0]:.6f} (se {sol.y0_se[0]:.2e})",
+        f"Y0 = {sol.y0:.6f} (se {sol.y0_se:.2e})",
         f"diagnostics: {diag}",
         f"Picard steps accepted unconverged: {len(sol.unconverged)}",
     ]

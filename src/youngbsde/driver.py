@@ -96,7 +96,7 @@ class HurstParams:
 
 
 class DriverField:
-    """Base class: deterministic field (t, x) -> R^M with eta(0, x) = 0.
+    """Base class: deterministic scalar field (t, x) -> R with eta(0, x) = 0.
 
     A field sampled on a space lattice (``_lattice`` is its list of space
     axes) also gives its slices at single times as profiles on that lattice
@@ -108,15 +108,14 @@ class DriverField:
     _lattice = None
     has_time_derivative = False
 
-    def __init__(self, params: RegularityParams, channels: int, dim: int, horizon: float):
+    def __init__(self, params: RegularityParams, dim: int, horizon: float):
         self.params = params
-        self.channels = channels
         self.dim = dim
         self.horizon = float(horizon)
 
     def evaluate(self, t, x) -> np.ndarray:
         """Evaluate at times t (scalar or (k,)) and points x (k, d); returns
-        (k, M)."""
+        (k,)."""
         return self._query(t, x, False)
 
     def time_derivative(self, t, x) -> np.ndarray:
@@ -135,7 +134,7 @@ class DriverField:
 
     def increment(self, t0, t1, x) -> np.ndarray:
         """eta(t1, x) - eta(t0, x) at points x (k, d), for one pair of times
-        or for (k,) arrays of them, one pair per point; returns (k, M)."""
+        or for (k,) arrays of them, one pair per point; returns (k,)."""
         x = np.asarray(x, dtype=float)
         if self._lattice is None or np.ndim(t0) or np.ndim(t1):
             ends = (np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1]) for t in (t0, t1))
@@ -144,8 +143,8 @@ class DriverField:
         return self._interpolate(rows[1] - rows[0], x)
 
     def _interpolate(self, profile: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # clamped multilinear interpolation of one lattice profile, (k, 1)
-        return blend(profile, self._space_cells(x))[:, None]
+        # clamped multilinear interpolation of one lattice profile, (k,)
+        return blend(profile, self._space_cells(x))
 
     def _space_cells(self, x: np.ndarray):
         # the lattice cell of each point of x (k, d), clamped into the box
@@ -158,30 +157,28 @@ class DriverField:
 
     def _values(self, t: np.ndarray, x: np.ndarray, derivative: bool) -> np.ndarray:
         """The field (or its time derivative) at per-point times t (k,) and
-        points x (k, d): shape (k, M)."""
+        points x (k, d): shape (k,)."""
         raise NotImplementedError
 
     def _increment(self, t0: np.ndarray, t1: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # eta(t1, x) - eta(t0, x) at per-point times t0, t1 (k,), (k, M)
+        # eta(t1, x) - eta(t0, x) at per-point times t0, t1 (k,), (k,)
         return self._values(t1, x, False) - self._values(t0, x, False)
 
 
 class AnalyticField(DriverField):
-    """Closed-form field. ``fn(t, x)`` is vectorized: t (k,), x (k, d) -> (k,)
-    or (k, M).  The t = 0 slice is subtracted automatically."""
+    """Closed-form field. ``fn(t, x)`` is vectorized: t (k,), x (k, d) -> (k,).
+    The t = 0 slice is subtracted automatically."""
 
     kind = "analytic"
 
-    def __init__(self, fn, params, dim=1, channels=1, horizon=1.0, dt_fn=None, name="analytic"):
-        super().__init__(params, channels, dim, horizon)
+    def __init__(self, fn, params, dim=1, horizon=1.0, dt_fn=None):
+        super().__init__(params, dim, horizon)
         self._fn = fn
         self._dt_fn = dt_fn
-        self.name = name
 
     @staticmethod
-    def _columns(fn, t, x):
-        out = np.asarray(fn(t, x), dtype=float)
-        return out[:, None] if out.ndim == 1 else out
+    def _call(fn, t, x):
+        return np.asarray(fn(t, x), dtype=float)
 
     @property
     def has_time_derivative(self) -> bool:
@@ -189,12 +186,12 @@ class AnalyticField(DriverField):
 
     def _values(self, t, x, derivative):
         if derivative:
-            return self._columns(self._dt_fn, t, x)
-        return self._columns(self._fn, t, x) - self._columns(self._fn, np.zeros_like(t), x)
+            return self._call(self._dt_fn, t, x)
+        return self._call(self._fn, t, x) - self._call(self._fn, np.zeros_like(t), x)
 
     def _increment(self, t0, t1, x):
         # the t = 0 slices of the two ends cancel
-        return self._columns(self._fn, t1, x) - self._columns(self._fn, t0, x)
+        return self._call(self._fn, t1, x) - self._call(self._fn, t0, x)
 
 
 def _fbm_cov(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -217,7 +214,7 @@ class FbsGridField(DriverField):
 
     Values off the nodes come from multilinear interpolation; coordinates
     outside the lattice are clamped to its boundary, so the field stays
-    bounded.  Single channel (M = 1).
+    bounded.
     """
 
     kind = "fbs-grid"
@@ -225,7 +222,7 @@ class FbsGridField(DriverField):
     def __init__(self, hurst: HurstParams, time_points, space_axes, values, seed, theta=0.05, p=2.5):
         params = hurst.regularity(theta=theta, p=p)
         d = len(space_axes)
-        super().__init__(params, channels=1, dim=d, horizon=float(time_points[-1]))
+        super().__init__(params, dim=d, horizon=float(time_points[-1]))
         self.hurst = hurst
         self.time_points = np.asarray(time_points, dtype=float)
         self.space_axes = [np.asarray(a, dtype=float) for a in space_axes]
@@ -247,7 +244,7 @@ class FbsGridField(DriverField):
     def _at_cells(self, t, space):
         # multilinear blend over the 2^(1+d) cell corners, coordinates
         # clamped into the lattice box
-        return blend(self.values, [locate(self.time_points, t)] + space)[:, None]
+        return blend(self.values, [locate(self.time_points, t)] + space)
 
     def _rows(self, t, derivative=False):
         # two lattice rows blended in time
@@ -339,7 +336,7 @@ class MollifiedField(DriverField):
     def __init__(self, base: DriverField, m: int):
         if m <= 0:
             raise ValueError("m must be a positive integer")
-        super().__init__(base.params, base.channels, base.dim, base.horizon)
+        super().__init__(base.params, base.dim, base.horizon)
         self.base = base
         self.m = int(m)
         u, rho, drho, du = _bump_nodes(self.N_QUAD)
@@ -373,7 +370,7 @@ class MollifiedField(DriverField):
         x_rep = np.broadcast_to(x, (q,) + x.shape).reshape(q * k, x.shape[1])
         return self._fold(
             t, self._wd if derivative else self._w,
-            lambda s: self.base._values(s.reshape(q * k), x_rep, False).reshape(q, k, -1),
+            lambda s: self.base._values(s.reshape(q * k), x_rep, False).reshape(q, k),
         )
 
     def _rows(self, t, derivative=False):
@@ -401,7 +398,7 @@ class ShiftedField(DriverField):
     def __init__(self, base: DriverField, t0: float):
         if not 0 <= t0 <= base.horizon:
             raise ValueError("t0 must lie in [0, horizon]")
-        super().__init__(base.params, base.channels, base.dim, base.horizon - t0)
+        super().__init__(base.params, base.dim, base.horizon - t0)
         self.base = base
         self.t0 = float(t0)
 

@@ -1,11 +1,11 @@
 """Linear Young ODE flows and their inverses.
 
-The flow G_s^t solves dG = sum_i (a^i_r)^T G eta_i(dr, x_r) from G_t^t = I.
+The flow G_s^t solves dG = a_r^T G eta(dr, x_r) from G_t^t = I.
 The scheme is the explicit left-point Euler step on the grid refined
 dyadically ``levels`` times,
 
-    G_{j+1} = (I + sum_i (a^i_{t_j})^T d_eta^i_j) G_j,
-    d_eta^i_j = eta_i(t_{j+1}, x_{t_j}) - eta_i(t_j, x_{t_j}),
+    G_{j+1} = (I + a_{t_j}^T d_eta_j) G_j,
+    d_eta_j = eta(t_{j+1}, x_{t_j}) - eta(t_j, x_{t_j}),
 
 which matches the sewing germ.  The step factor of one base cell is the
 product of its 2^levels fine factors, formed pairwise in ``levels`` rounds
@@ -73,31 +73,30 @@ def solve_linear_yode(
 ) -> FlowMatrix:
     """Euler flow of the linear Young ODE from time 0 along x's grid.
 
-    ``alpha`` is an (n, M, N, N) array: one N x N matrix per grid point and
-    driver channel.  ``levels`` refines each grid cell dyadically before
-    stepping; the returned matrices and step factors live on the original
-    grid, so the cocycle identity holds exactly.
+    ``alpha`` is an (n, N, N) array: one N x N matrix per grid point.
+    ``levels`` refines each grid cell dyadically before stepping; the
+    returned matrices and step factors live on the original grid, so the
+    cocycle identity holds exactly.
     """
     grid = x.grid
-    m = fieldv.channels
     a = np.asarray(alpha, dtype=float)
-    if a.ndim != 4 or a.shape[:2] != (grid.n, m) or a.shape[2] != a.shape[3]:
-        raise ValueError(f"alpha must have shape (n, M, N, N) with n = {grid.n}, M = {m}")
+    if a.ndim != 3 or a.shape[0] != grid.n or a.shape[1] != a.shape[2]:
+        raise ValueError(f"alpha must have shape (n, N, N) with n = {grid.n}")
     dim = a.shape[-1]
 
     cells, k = grid.n - 1, 2**levels
     # fine left points and field increments
     tf = dyadic_interp(grid.points, levels)
     xf = dyadic_interp(x.as_matrix(), levels)[:-1]
-    d_eta = fieldv.increment(tf[:-1], tf[1:], xf).reshape(cells, k, m)
+    d_eta = fieldv.increment(tf[:-1], tf[1:], xf).reshape(cells, k)
 
     eye = np.eye(dim)
     mats = np.empty((cells + 1, dim, dim))
     mats[0] = eye
     with np.errstate(over="ignore", invalid="ignore"):
-        # every fine factor I + sum_c a_c^T d_eta_c, alpha left-constant in
-        # cells, then pairwise products inside each cell, later on the left
-        f = np.einsum("cmij,ckm->ckji", a[:-1], d_eta) + eye
+        # every fine factor I + a^T d_eta, alpha left-constant in cells,
+        # then pairwise products inside each cell, later on the left
+        f = np.einsum("cij,ck->ckji", a[:-1], d_eta) + eye
         while f.shape[1] > 1:
             f = f[:, 1::2] @ f[:, 0::2]
         steps = f[:, 0]
@@ -131,16 +130,15 @@ def exp_formula_1d(
     fieldv: DriverField,
     levels: int = 0,
 ) -> np.ndarray:
-    """Closed-form scalar flow exp(sum_i int a^i eta_i(dr, x_r)) on the grid.
+    """Closed-form scalar flow exp(int a eta(dr, x_r)) on the grid.
 
-    ``alpha`` is an (n, M) array.  Returns the flow values at the grid
+    ``alpha`` is an (n,) array.  Returns the flow values at the grid
     points; the integrand is the sewing-module nonlinear Young integral.
     """
     grid = x.grid
-    m = fieldv.channels
     av = np.asarray(alpha, dtype=float)
-    if av.shape != (grid.n, m):
-        raise ValueError(f"alpha must have shape (n, M) = {(grid.n, m)}")
-    y = SamplePath(grid, av if m > 1 else av[:, 0])
+    if av.shape != (grid.n,):
+        raise ValueError(f"alpha must have shape (n,) = {(grid.n,)}")
+    y = SamplePath(grid, av)
     res = nonlinear_young_integral(y, x, fieldv, levels=levels, tol=0.0)
     return np.exp(res.cumulative)

@@ -15,6 +15,7 @@ import numpy as np
 from .paths import SamplePath, TimeGrid
 
 __all__ = [
+    "coefficient",
     "SdeSpec",
     "PathEnsemble",
     "euler_maruyama",
@@ -22,6 +23,20 @@ __all__ = [
     "exit_indices",
     "reflect_1d",
 ]
+
+
+def coefficient(c, x: np.ndarray, matrix: bool = False, t=None) -> np.ndarray:
+    """A drift (k, d) or, with matrix, a diffusion (k, d, d) at the points x
+    (k, d).  A callable c is called as c(t, x), or c(x) when t is None, and
+    reshaped; a constant is broadcast, a scalar diffusion s meaning s I."""
+    k, d = x.shape
+    shape = (k, d, d) if matrix else (k, d)
+    if callable(c):
+        return np.asarray(c(x) if t is None else c(t, x), dtype=float).reshape(shape)
+    s = np.asarray(c, dtype=float)
+    if matrix and s.ndim == 0:
+        s = float(s) * np.eye(d)
+    return np.broadcast_to(s, shape)
 
 
 @dataclass(frozen=True)
@@ -37,7 +52,6 @@ class SdeSpec:
     diffusion: object
     x0: np.ndarray
     bound: float
-    name: str = "sde"
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -49,18 +63,10 @@ class SdeSpec:
         return self.x0.size
 
     def b(self, t: float, x: np.ndarray) -> np.ndarray:
-        if callable(self.drift):
-            return np.asarray(self.drift(t, x), dtype=float).reshape(x.shape)
-        return np.broadcast_to(np.asarray(self.drift, dtype=float), x.shape)
+        return coefficient(self.drift, x, t=t)
 
     def sigma(self, t: float, x: np.ndarray) -> np.ndarray:
-        k, d = x.shape
-        if callable(self.diffusion):
-            return np.asarray(self.diffusion(t, x), dtype=float).reshape(k, d, d)
-        s = np.asarray(self.diffusion, dtype=float)
-        if s.ndim == 0:
-            s = float(s) * np.eye(d)
-        return np.broadcast_to(s, (k, d, d))
+        return coefficient(self.diffusion, x, matrix=True, t=t)
 
 
 @dataclass

@@ -5,12 +5,13 @@ error sweep on growing boxes, and the 1-D Neumann functional estimate.
 
 The stepping is a backward-in-time Crank-Nicolson scheme for the
 frozen-coefficient elliptic part, with the nonlinear terms
-f(t, x, u, sigma^T grad u) + sum_i g_i(u) dt_eta_i treated explicitly
+f(t, x, u, sigma^T grad u) + g(u) dt_eta treated explicitly
 through one fixed-point sweep per step.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -26,7 +27,7 @@ from .bsde import (
     terminal_h_of_xt,
 )
 from .driver import DriverField, mollify, shift_field
-from .forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
+from .forward import SdeSpec, coefficient, euler_maruyama, reflect_1d, step_normals
 from .paths import TimeGrid, blend, locate
 
 __all__ = [
@@ -42,6 +43,9 @@ __all__ = [
 
 # sigma sigma^T must have every eigenvalue at least this large
 ELLIPTICITY_FLOOR = 1e-8
+# the declared bound on |b| and |sigma| of the Monte Carlo side of the
+# Feynman-Kac cross-check; euler_maruyama rejects a coefficient above it
+MC_BOUND = 8.0
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class PdeSpec:
     """Terminal/boundary problem on the box [-halfwidth, halfwidth]^d.
 
     sigma(x) and b(x) are time-independent; f(t, x, u, w) takes the
-    sigma^T-gradient slot w; g(u) returns one column per driver channel.
+    sigma^T-gradient slot w; g(u) multiplies the driver's time derivative.
     The driver must expose a time derivative (mollified or analytic-smooth).
     """
 
@@ -60,9 +64,8 @@ class PdeSpec:
     sigma: object  # scalar, matrix, or callable x -> (k, d, d)
     drift: object  # scalar or callable x -> (k, d)
     generator: callable  # f(t, x (k,d), u (k,), w (k,d)) -> (k,)
-    coupling: callable  # g(u (k,)) -> (k, M)
+    coupling: callable  # g(u (k,)) -> (k,)
     fieldv: DriverField
-    name: str = "pde"
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -78,18 +81,10 @@ class PdeSpec:
             raise ValueError("sigma sigma^T falls below the ellipticity floor")
 
     def sigma_matrix(self, x: np.ndarray) -> np.ndarray:
-        k, d = x.shape
-        if callable(self.sigma):
-            return np.asarray(self.sigma(x), dtype=float).reshape(k, d, d)
-        s = np.asarray(self.sigma, dtype=float)
-        if s.ndim == 0:
-            s = float(s) * np.eye(d)
-        return np.broadcast_to(s, (k, d, d))
+        return coefficient(self.sigma, x, matrix=True)
 
     def drift_vector(self, x: np.ndarray) -> np.ndarray:
-        if callable(self.drift):
-            return np.asarray(self.drift(x), dtype=float).reshape(x.shape)
-        return np.broadcast_to(np.asarray(self.drift, dtype=float), x.shape)
+        return coefficient(self.drift, x)
 
 
 @dataclass
@@ -179,9 +174,7 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     def nonlinear(t, u_full, dt_eta):
         w = (grad_w @ u_full.ravel()).reshape(spec.dim, -1).T
         uu = u_full[inner].ravel()
-        return spec.generator(t, grid_pts, uu, w) + np.einsum(
-            "km,km->k", spec.coupling(uu), dt_eta
-        )
+        return spec.generator(t, grid_pts, uu, w) + spec.coupling(uu) * dt_eta
 
     shape_int = tuple(n - 2 for n in shape)
     u = np.empty((nt + 1, *shape))
@@ -289,27 +282,18 @@ def _mc_point(spec, t0, x0, n_paths, seed, mc_time_steps, basis, picard):
         drift=lambda t, x: spec.drift_vector(x),
         diffusion=lambda t, x: spec.sigma_matrix(x),
         x0=np.atleast_1d(x0),
-        bound=8.0,  # euler_maruyama rejects |b| or |sigma| above it
+        bound=MC_BOUND,
     )
     ens = euler_maruyama(fwd, grid, n_paths, seed)
-    fieldv = shift_field(spec.fieldv, t0)
-
-    def gen(t, x, y, z):
-        return spec.generator(t0 + t, x, y[:, 0], z[:, 0, :])[:, None]
-
-    def coup(y):
-        return spec.coupling(y[:, 0])[:, None, :]
-
     bspec = BsdeSpec(
         forward=fwd,
-        fieldv=fieldv,
-        generator=gen,
-        coupling=coup,
-        terminal=terminal_h_of_xt(lambda x: spec.terminal(x)),
-        n_dim=1,
+        fieldv=shift_field(spec.fieldv, t0),
+        generator=lambda t, x, y, z: spec.generator(t0 + t, x, y, z),
+        coupling=spec.coupling,
+        terminal=terminal_h_of_xt(spec.terminal),
     )
     bsol = localized_solve(bspec, ens, spec.halfwidth, basis=basis, picard=picard)
-    return float(bsol.y0[0]), float(bsol.y0_se[0])
+    return bsol.y0, bsol.y0_se
 
 
 def localization_error_experiment(
@@ -357,8 +341,6 @@ def neumann_fk_estimate(
     """
     hurst = getattr(fieldv, "hurst", None)
     if hurst is not None and hurst.h0 + hurst.h / 2 <= 1:
-        import warnings
-
         warnings.warn("driver outside the declared window H0 + H/2 > 1", stacklevel=2)
     a, b = interval
     t0, x0 = start
@@ -374,6 +356,6 @@ def neumann_fk_estimate(
     times = np.linspace(0.0, horizon, n_steps + 1)
     integral = np.zeros(n_paths)
     for j in range(n_steps):
-        integral += shifted.increment(times[j], times[j + 1], x[:, j][:, None])[:, 0]
+        integral += shifted.increment(times[j], times[j + 1], x[:, j][:, None])
     vals = np.asarray(h(x[:, -1]), dtype=float) * np.exp(integral)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))

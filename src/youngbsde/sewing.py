@@ -138,11 +138,9 @@ def nonlinear_young_integral(
     levels: int = 12,
     tol: float = 1e-9,
 ) -> IntegralResult:
-    """Integral of y against eta(dr, x_r) via the left-point germ.
-
-    y may carry one column per driver channel (channels are summed).  When
-    the declared exponents violate tau + lam/p > 1 a warning is emitted; the
-    sums are still formed.
+    """Integral of the scalar path y against eta(dr, x_r) via the left-point
+    germ.  When the declared exponents violate tau + lam/p > 1 a warning is
+    emitted; the sums are still formed.
     """
     if fieldv.params.tau + fieldv.params.lam / fieldv.params.p <= 1:
         warnings.warn(
@@ -152,17 +150,12 @@ def nonlinear_young_integral(
     grid = x.grid
     if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
         raise ValueError("y and x must share a time grid")
-    m = fieldv.channels
-    yv = y.as_matrix()
-    if yv.shape[1] not in (1, m):
-        raise ValueError("y must have 1 or M columns")
+    if y.values.ndim != 1:
+        raise ValueError("y must be a scalar path, values of shape (n,)")
 
     def germ_fn(level, s, t):
-        ys = dyadic_interp(yv, level)[:-1]
+        ys = dyadic_interp(y.values, level)[:-1]
         xs = dyadic_interp(x.as_matrix(), level)[:-1]
-        d_eta = fieldv.increment(s, t, xs)
-        if ys.shape[1] == 1 and m > 1:
-            ys = np.repeat(ys, m, axis=1)
-        return np.sum(ys * d_eta, axis=1)
+        return ys * fieldv.increment(s, t, xs)
 
     return sew(DyadicGerm(germ_fn), grid, levels=levels, tol=tol)

@@ -18,7 +18,6 @@ from youngbsde.bsde import (
     comparison_experiment,
     linear_closed_form,
     localization_sweep,
-    scalar_coupling,
     terminal_h_of_xt,
     terminal_running_max,
     zero_generator,
@@ -43,7 +42,7 @@ def brownian_sample(n_cells, seed, horizon=1.0):
 
 
 def bm_ensemble(n_paths, steps, seed):
-    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0, name="bm")
+    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
     return spec, euler_maruyama(spec, TimeGrid.uniform(1.0, steps), n_paths, seed)
 
 
@@ -66,7 +65,7 @@ def test_criterion_01_sewing_convergence():
 
     def germ_fn(s, t):
         xs = np.interp(s, tgrid, xp)[:, None]
-        return field.evaluate(t, xs)[:, 0] - field.evaluate(s, xs)[:, 0]
+        return field.evaluate(t, xs) - field.evaluate(s, xs)
 
     res = sew(Germ(germ_fn), TimeGrid(np.array([0.0, 1.0])), levels=14, tol=0.0)
     diffs = res.cauchy_increments  # |I_{l+1} - I_l| for l = 0..13
@@ -102,7 +101,7 @@ def test_criterion_02_smooth_reduction():
         quad = float(
             np.sum(
                 y.values[:-1]
-                * fld.time_derivative(tgrid[:-1], xp[:-1, None])[:, 0]
+                * fld.time_derivative(tgrid[:-1], xp[:-1, None])
                 * np.diff(tgrid)
             )
         )
@@ -121,7 +120,7 @@ def test_criterion_03_flow_cocycle():
     rng = np.random.default_rng(3)
     _, ens = bm_ensemble(1, 64, 4)
     x = ens.path(0)
-    alpha = rng.standard_normal((x.grid.n, 1, 2, 2)) * 0.5
+    alpha = rng.standard_normal((x.grid.n, 2, 2)) * 0.5
     flow = solve_linear_yode(alpha, x, field)
     pts = x.grid.points
     full_scale = max(1.0, float(np.max(np.abs(flow.matrices))))
@@ -148,10 +147,10 @@ def test_criterion_04_exp_formula_1d():
     )
     _, ens = bm_ensemble(1, 2**4, 13)
     x = ens.path(0)
-    alpha = np.ones((x.grid.n, 1))
+    alpha = np.ones(x.grid.n)
     errs = []
     for lev in (1, 2, 3, 4, 5):
-        euler = solve_linear_yode(np.ones((x.grid.n, 1, 1, 1)), x, field, levels=lev).matrices[:, 0, 0]
+        euler = solve_linear_yode(np.ones((x.grid.n, 1, 1)), x, field, levels=lev).matrices[:, 0, 0]
         closed = exp_formula_1d(alpha, x, field, levels=lev)
         errs.append(np.max(np.abs(euler - closed)))
     ratios = [errs[i] / errs[i + 1] for i in range(4)]
@@ -169,14 +168,14 @@ def test_criterion_05_linear_feynman_kac_oracle():
     h = lambda x: np.cos(x[:, 0])
     spec = BsdeSpec(
         forward=fwd, fieldv=field, generator=zero_generator,
-        coupling=scalar_coupling(lambda y: y, name="identity"),
-        terminal=terminal_h_of_xt(h), n_dim=1,
+        coupling=lambda y: y,
+        terminal=terminal_h_of_xt(h),
     )
     sol = backward_solve(spec, ens, basis=RegressionBasis(degree=11))
     assert sol.unconverged == {}  # every Picard step reached tol
     ref = linear_closed_form(ens, field, terminal_h_of_xt(h), alpha=1.0)
-    combined = float(np.sqrt(sol.y0_se[0] ** 2 + ref.se[0] ** 2))
-    diff = float(abs(sol.y0[0] - ref.y0[0]))
+    combined = float(np.sqrt(sol.y0_se ** 2 + ref.se ** 2))
+    diff = float(abs(sol.y0 - ref.y0))
     elapsed = time.time() - t_start
     ok = diff <= 3 * combined and elapsed < 60.0
     assert _line(
@@ -192,15 +191,14 @@ def test_criterion_06_comparison():
     field = region_field(seed=61)
     fwd, ens = bm_ensemble(10_000, 64, 77)
 
-    def mk(shift, name):
+    def mk(shift):
         return BsdeSpec(
             forward=fwd, fieldv=field, generator=zero_generator,
-            coupling=scalar_coupling(np.sin, name="sin"),
+            coupling=np.sin,
             terminal=terminal_h_of_xt(lambda x, s=shift: np.cos(x[:, 0]) + s),
-            n_dim=1, name=name,
         )
 
-    rep = comparison_experiment(mk(0.1, "A"), mk(0.0, "B"), ens, eps_reg=1e-2)
+    rep = comparison_experiment(mk(0.1), mk(0.0), ens, eps_reg=1e-2)
     ok = rep.fraction_ordered >= 0.99 and rep.y0_gap > 3 * rep.y0_gap_se
     assert _line(
         6,
@@ -237,8 +235,8 @@ def test_criterion_07_localization():
     fwd, ens = bm_ensemble(10_000, 64, 77)
     spec = BsdeSpec(
         forward=fwd, fieldv=field, generator=zero_generator,
-        coupling=scalar_coupling(np.sin, name="sin"),
-        terminal=terminal_running_max(), n_dim=1,
+        coupling=np.sin,
+        terminal=terminal_running_max(),
     )
     rows = localization_sweep(spec, ens, [1.0, 2.0, 3.0, 4.0])
     diffs = [r["diff_prev"] for r in rows[1:]]
@@ -308,8 +306,8 @@ def test_criterion_09_nonlinear_feynman_kac_cross_check():
         terminal=lambda x: np.cos(x[:, 0]),
         sigma=1.0, drift=0.0,
         generator=lambda t, x, u, w: np.zeros_like(u),
-        coupling=lambda u: np.sin(u)[:, None],
-        fieldv=mollify(base, 8), name="fk-sin",
+        coupling=np.sin,
+        fieldv=mollify(base, 8),
     )
     points = [(0.0, 0.0), (0.0, 0.5), (0.0, -0.5), (0.1, 0.25), (0.2, -0.4)]
     report = feynman_kac_cross_check(
@@ -329,15 +327,15 @@ def test_criterion_10_localization_error():
     # largest box decrease monotonically and fit exp(-c n^2), R^2 >= 0.8
     fld = AnalyticField(
         lambda t, x: t * np.ones(t.shape), RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: np.ones(t.shape), name="time",
+        dt_fn=lambda t, x: np.ones(t.shape),
     )
     spec = PdeSpec(
         halfwidth=2.0, dim=1, horizon=1.0,
         terminal=lambda x: np.cos(x[:, 0]),
         sigma=np.sqrt(2.0), drift=0.0,
         generator=lambda t, x, u, w: np.sqrt(np.abs(x[:, 0])) * np.sin(u),
-        coupling=lambda u: np.zeros((u.shape[0], 1)),
-        fieldv=fld, name="loc-err",
+        coupling=np.zeros_like,
+        fieldv=fld,
     )
     out = localization_error_experiment(
         spec, [2.0, 4.0, 6.0], [(0.0, 0.0), (0.25, 0.5), (0.5, -0.5)],
@@ -366,7 +364,7 @@ def test_criterion_11_reflection():
 
     zero = AnalyticField(
         lambda t, x_: np.zeros(t.shape), RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x_: np.zeros(t.shape), name="zero",
+        dt_fn=lambda t, x_: np.zeros(t.shape),
     )
     zero.horizon = 1.0
     h = lambda v: np.cos(np.pi * v)

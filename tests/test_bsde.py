@@ -13,7 +13,6 @@ from youngbsde.bsde import (
     linear_closed_form,
     localization_sweep,
     localized_solve,
-    scalar_coupling,
     terminal_h_of_xt,
     terminal_running_max,
     zero_coupling,
@@ -39,19 +38,17 @@ def rough_field(seed=11, h0=0.9, h=0.5, halfwidth=6.0):
 
 
 def bm_ensemble(n_paths=2000, steps=64, seed=1, horizon=1.0):
-    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0, name="bm")
+    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
     return spec, euler_maruyama(spec, TimeGrid.uniform(horizon, steps), n_paths, seed)
 
 
-def make_spec(forward, fieldv, generator, coupling, terminal, n_dim=1, name="b"):
+def make_spec(forward, fieldv, generator, coupling, terminal):
     return BsdeSpec(
         forward=forward,
         fieldv=fieldv,
         generator=generator,
         coupling=coupling,
         terminal=terminal,
-        n_dim=n_dim,
-        name=name,
     )
 
 
@@ -71,7 +68,7 @@ class TestBackwardSolve:
         h = lambda x: np.cos(x[:, 0])
         spec = make_spec(fwd, time_field(), zero_generator, zero_coupling, terminal_h_of_xt(h))
         sol = backward_solve(spec, ens)
-        np.testing.assert_array_equal(sol.y[:, -1, 0], h(ens.x[:, -1]))
+        np.testing.assert_array_equal(sol.y[:, -1], h(ens.x[:, -1]))
 
     def test_linear_generator_exponential(self):
         # g = 0, f = lam*y, xi = c: Y_t = c e^{lam (T - t)}
@@ -87,18 +84,18 @@ class TestBackwardSolve:
         )
         sol = backward_solve(spec, ens, picard=PicardParams(max_iter=16, tol=1e-12))
         want = c * np.exp(lam * (1.0 - ens.grid.points))
-        got = sol.y[:, :, 0].mean(axis=0)
+        got = sol.y.mean(axis=0)
         assert np.max(np.abs(got - want)) <= 1e-3
 
     def test_mean_preservation_identity(self):
         fwd, ens = bm_ensemble(800, 32, seed=5)
         spec = make_spec(
-            fwd, rough_field(), zero_generator, scalar_coupling(np.sin),
+            fwd, rough_field(), zero_generator, np.sin,
             terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
         )
         sol = backward_solve(spec, ens)
         # mean preservation telescopes: mean fitted Y_0 = mean realized value
-        assert abs(sol.y[:, 0, 0].mean() - sol.realized[:, 0].mean()) <= 1e-10
+        assert abs(sol.y[:, 0].mean() - sol.realized.mean()) <= 1e-10
 
     def test_picard_residuals_decrease(self):
         fwd, ens = bm_ensemble(500, 32, seed=6)
@@ -107,7 +104,7 @@ class TestBackwardSolve:
             return np.sin(y)
 
         spec = make_spec(
-            fwd, rough_field(), gen, scalar_coupling(np.sin),
+            fwd, rough_field(), gen, np.sin,
             terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
         )
         sol = backward_solve(spec, ens, picard=PicardParams(max_iter=12, tol=1e-12))
@@ -175,11 +172,11 @@ class TestBackwardSolve:
         y0s = []
         for m in (4, 8, 16):
             spec = make_spec(
-                fwd, mollify(base, m), zero_generator, scalar_coupling(np.sin),
+                fwd, mollify(base, m), zero_generator, np.sin,
                 terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
             )
             sol = backward_solve(spec, ens)
-            y0s.append(sol.y0[0])
+            y0s.append(sol.y0)
         assert abs(y0s[2] - y0s[1]) < abs(y0s[1] - y0s[0])
 
 
@@ -248,8 +245,8 @@ class TestLinearClosedForm:
             ens, time_field(), terminal_h_of_xt(lambda x: np.full(x.shape[0], 3.0)),
             alpha=0.0,
         )
-        assert res.y0[0] == pytest.approx(3.0, abs=1e-12)
-        assert res.se[0] == pytest.approx(0.0, abs=1e-12)
+        assert res.y0 == pytest.approx(3.0, abs=1e-12)
+        assert res.se == pytest.approx(0.0, abs=1e-12)
 
     def test_array_alpha_rejected(self):
         _, ens = bm_ensemble(20, 4, seed=10)
@@ -263,7 +260,7 @@ class TestLinearClosedForm:
         res = linear_closed_form(
             ens, time_field(), terminal_h_of_xt(lambda x: np.full(x.shape[0], c)), alpha=a
         )
-        assert res.y0[0] == pytest.approx(c * np.exp(a), rel=2e-3)
+        assert res.y0 == pytest.approx(c * np.exp(a), rel=2e-3)
 
     def test_backward_solver_agrees_with_closed_form(self):
         # the linear-oracle battery at module scale (full scale in acceptance)
@@ -271,20 +268,20 @@ class TestLinearClosedForm:
         field = rough_field(seed=31)
         h = lambda x: np.cos(x[:, 0])
         spec = make_spec(
-            fwd, field, zero_generator, scalar_coupling(lambda y: y, name="identity"),
+            fwd, field, zero_generator, lambda y: y,
             terminal_h_of_xt(h),
         )
         sol = backward_solve(spec, ens)
         ref = linear_closed_form(ens, field, terminal_h_of_xt(h), alpha=1.0)
-        combined = np.sqrt(sol.y0_se[0] ** 2 + ref.se[0] ** 2)
-        assert abs(sol.y0[0] - ref.y0[0]) <= 3 * combined
+        combined = np.sqrt(sol.y0_se ** 2 + ref.se ** 2)
+        assert abs(sol.y0 - ref.y0) <= 3 * combined
 
 
 class TestLocalized:
     def test_infinite_radius_matches_plain(self):
         fwd, ens = bm_ensemble(800, 32, seed=17)
         spec = make_spec(
-            fwd, rough_field(seed=41), zero_generator, scalar_coupling(np.sin),
+            fwd, rough_field(seed=41), zero_generator, np.sin,
             terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
         )
         plain = backward_solve(spec, ens)
@@ -294,7 +291,7 @@ class TestLocalized:
         assert local.halvings == plain.halvings
 
     def test_deterministic_exit(self):
-        fwd = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0], bound=1.5, name="ramp")
+        fwd = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0], bound=1.5)
         ens = euler_maruyama(fwd, TimeGrid.uniform(1.0, 200), 50, seed=18)
         spec = make_spec(
             fwd, time_field(), zero_generator, zero_coupling,
@@ -313,7 +310,7 @@ class TestLocalized:
         rows = localization_sweep(spec, ens, [4.0, 5.0, 6.0])
         assert rows[-1]["p_exit"] < 1e-3
         spread = max(r["y0"] for r in rows) - min(r["y0"] for r in rows)
-        assert spread <= 3 * rows[-1]["solution"].y0_se[0] + 1e-6
+        assert spread <= 3 * rows[-1]["solution"].y0_se + 1e-6
 
     def test_sweep_p_exit_matches_exit_indices(self):
         fwd, ens = bm_ensemble(3000, 64, seed=20)
@@ -329,7 +326,7 @@ class TestLocalized:
     def test_sweep_cauchy_for_running_sup(self):
         fwd, ens = bm_ensemble(4000, 64, seed=21)
         spec = make_spec(
-            fwd, rough_field(seed=51), zero_generator, scalar_coupling(np.sin),
+            fwd, rough_field(seed=51), zero_generator, np.sin,
             terminal_running_max(),
         )
         rows = localization_sweep(spec, ens, [1.0, 2.0, 3.0, 4.0])
@@ -341,7 +338,7 @@ class TestLocalized:
         fwd, ens = bm_ensemble(3000, 64, seed=22)
 
         def gen(t, x, y, z):
-            return np.sqrt(np.abs(x[:, :1])) * np.sin(y)
+            return np.sqrt(np.abs(x[:, 0])) * np.sin(y)
 
         spec = make_spec(
             fwd, time_field(), gen, zero_coupling,
@@ -353,37 +350,37 @@ class TestLocalized:
 
 
 class TestComparison:
-    def _specs(self, fieldv, shift, coupling, name):
+    def _specs(self, fieldv, shift, coupling):
         h_b = lambda x: np.cos(x[:, 0])
         h_a = lambda x: np.cos(x[:, 0]) + shift
-        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0, name="bm")
-        sa = make_spec(fwd, fieldv, zero_generator, coupling, terminal_h_of_xt(h_a), name=name + "A")
-        sb = make_spec(fwd, fieldv, zero_generator, coupling, terminal_h_of_xt(h_b), name=name + "B")
+        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
+        sa = make_spec(fwd, fieldv, zero_generator, coupling, terminal_h_of_xt(h_a))
+        sb = make_spec(fwd, fieldv, zero_generator, coupling, terminal_h_of_xt(h_b))
         return sa, sb
 
     def test_identical_specs(self):
         fwd, ens = bm_ensemble(600, 16, seed=23)
-        sa, sb = self._specs(time_field(), 0.0, zero_coupling, "same")
+        sa, sb = self._specs(time_field(), 0.0, zero_coupling)
         rep = comparison_experiment(sa, sb, ens)
         assert rep.fraction_ordered == 1.0
         assert rep.y0_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_shift_exact(self):
         fwd, ens = bm_ensemble(600, 16, seed=24)
-        sa, sb = self._specs(time_field(), 0.1, zero_coupling, "shift")
+        sa, sb = self._specs(time_field(), 0.1, zero_coupling)
         rep = comparison_experiment(sa, sb, ens)
         diff = rep.solution_a.y - rep.solution_b.y
         np.testing.assert_allclose(diff, 0.1, atol=1e-9)
 
     def test_unordered_inputs_rejected(self):
         fwd, ens = bm_ensemble(100, 8, seed=25)
-        sa, sb = self._specs(time_field(), -0.2, zero_coupling, "bad")
+        sa, sb = self._specs(time_field(), -0.2, zero_coupling)
         with pytest.raises(ValueError, match="inputs not ordered"):
             comparison_experiment(sa, sb, ens)
 
     def test_nonlinear_coupling_statistical(self):
         fwd, ens = bm_ensemble(4000, 48, seed=26)
-        sa, sb = self._specs(rough_field(seed=61), 0.1, scalar_coupling(np.sin), "stat")
+        sa, sb = self._specs(rough_field(seed=61), 0.1, np.sin)
         rep = comparison_experiment(sa, sb, ens)
         assert rep.fraction_ordered >= 0.99
         assert rep.y0_gap > 3 * rep.y0_gap_se
@@ -411,8 +408,8 @@ class TestDiagnostics:
         fwd, ens = bm_ensemble(1500, 64, seed=28)
         sol = BsdeSolution(
             grid_points=ens.grid.points,
-            y=ens.x[:, :, :1].copy(),
-            z=np.zeros((ens.n_paths, ens.grid.n - 1, 1, 1)),
+            y=ens.x[:, :, 0].copy(),
+            z=np.zeros((ens.n_paths, ens.grid.n - 1, 1)),
             picard_residuals=[],
             halvings=[],
         )
@@ -433,12 +430,12 @@ class TestDiagnostics:
         fwd, ens = bm_ensemble(400, 16, seed=30)
         spec = make_spec(
             fwd, time_field(), lambda t, x, y, z: 0.5 * np.sin(y),
-            scalar_coupling(np.sin, name="sin"), terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
+            np.sin, terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
         )
         sol = backward_solve(spec, ens)
         basis = RegressionBasis(degree=3)
         d = diagnostics(sol, ens, p=2.5, k_mom=2.0, basis=basis)
-        y, x, pts = sol.y[:, :, 0], ens.x, sol.grid_points
+        y, x, pts = sol.y, ens.x, sol.grid_points
         m_pk = 0.0
         for u in d["times"]:
             j = int(np.argmin(np.abs(pts - u)))
@@ -453,8 +450,8 @@ class TestDiagnostics:
         fwd, ens = bm_ensemble(200, 16, seed=31)
         sol = BsdeSolution(
             grid_points=ens.grid.points,
-            y=4.0 * ens.x[:, :, :1],
-            z=np.zeros((ens.n_paths, ens.grid.n - 1, 1, 1)),
+            y=4.0 * ens.x[:, :, 0],
+            z=np.zeros((ens.n_paths, ens.grid.n - 1, 1)),
             picard_residuals=[],
             halvings=[],
         )
@@ -467,8 +464,8 @@ class TestDiagnostics:
         fwd, ens = bm_ensemble(200, 16, seed=31)
         sol = BsdeSolution(
             grid_points=ens.grid.points,
-            y=y_scale * ens.x[:, :, :1],
-            z=np.full((ens.n_paths, ens.grid.n - 1, 1, 1), z_value),
+            y=y_scale * ens.x[:, :, 0],
+            z=np.full((ens.n_paths, ens.grid.n - 1, 1), z_value),
             picard_residuals=[],
             halvings=[],
         )

@@ -266,6 +266,17 @@ class TestCliRuns:
             ({"experiment": "fbs-generate", "seed": 1, "prefix": "manifest",
               "driver": {"kind": "fbs", "hurst": {"h0": 0.7, "h": 0.5},
                          "time_cells": 4, "space_cells": 4}}, "prefix"),
+            # the Monte Carlo paths of cross-check bound |sigma| and |drift|
+            ({"experiment": "cross-check", "seed": 1, "paths": 50,
+              "driver": {"kind": "analytic", "name": "time"},
+              "pde": {"sigma": 10.0, "halfwidth": 2.0}, "time_steps": 8, "space_steps": 16,
+              "mc_time_steps": 8}, "pde.sigma"),
+            ({"experiment": "cross-check", "seed": 1, "paths": 50,
+              "driver": {"kind": "analytic", "name": "time"}, "pde": {"drift": -9.0},
+              "time_steps": 8, "space_steps": 16, "mc_time_steps": 8}, "pde.drift"),
+            # labels that fed nothing are no longer keys
+            ({"experiment": "localize", "seed": 1, "forward": {"name": "bm"}}, "forward.name"),
+            ({"experiment": "localization-error", "pde": {"name": "heat"}}, "pde.name"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):

@@ -25,7 +25,7 @@ def fbs_cov(t, x, s, y, h0, h):
 def linear_field(horizon=1.0):
     return AnalyticField(
         lambda t, x: t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dim=1, horizon=horizon, dt_fn=lambda t, x: np.ones_like(t), name="time",
+        dim=1, horizon=horizon, dt_fn=lambda t, x: np.ones_like(t),
     )
 
 
@@ -57,8 +57,8 @@ class TestAnalyticField:
 
     def test_evaluate_shapes(self):
         f = linear_field()
-        assert f.evaluate(0.5, np.array([[1.0]])).shape == (1, 1)
-        assert f.evaluate(np.array([0.1, 0.2]), np.array([[0.0], [1.0]])).shape == (2, 1)
+        assert f.evaluate(0.5, np.array([[1.0]])).shape == (1,)
+        assert f.evaluate(np.array([0.1, 0.2]), np.array([[0.0], [1.0]])).shape == (2,)
 
     def test_shifted_field(self):
         f = AnalyticField(
@@ -67,7 +67,7 @@ class TestAnalyticField:
         g = shift_field(f, 0.25)
         # eta'(t, x) = (0.25 + t) x - 0.25 x = t x
         got = g.evaluate(np.array([0.5]), np.array([[2.0]]))
-        assert got[0, 0] == pytest.approx(1.0)
+        assert got[0] == pytest.approx(1.0)
         assert g.horizon == pytest.approx(0.75)
 
 
@@ -193,7 +193,7 @@ class TestMollify:
         g = mollify(f, 8)
         xs = np.linspace(-2, 2, 7)[:, None]
         got = g.time_derivative(np.full(7, 0.5), xs)
-        np.testing.assert_allclose(got[:, 0], np.cos(xs[:, 0]), atol=1e-8)
+        np.testing.assert_allclose(got, np.cos(xs[:, 0]), atol=1e-8)
 
     def test_sup_distance_linear_rate(self):
         # eta = sin(x) t: ||eta_m - eta||_inf <= C / m with stable C
@@ -239,7 +239,7 @@ class TestMollify:
         ts = np.linspace(0.2, 0.8, 13)
         xt = np.zeros((13, 1))
         np.testing.assert_allclose(
-            g.evaluate(ts, xt)[:, 0], f.evaluate(ts, xt)[:, 0], atol=1e-8
+            g.evaluate(ts, xt), f.evaluate(ts, xt), atol=1e-8
         )
 
 
@@ -265,7 +265,7 @@ def slice_fields():
 def shape_fields():
     analytic2 = AnalyticField(
         lambda t, x: np.sin(x[:, 0] + 2 * x[:, 1]) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dim=2, dt_fn=lambda t, x: np.sin(x[:, 0] + 2 * x[:, 1]), name="sin2",
+        dim=2, dt_fn=lambda t, x: np.sin(x[:, 0] + 2 * x[:, 1]),
     )
     fields = slice_fields()
     fields.update({
@@ -278,7 +278,7 @@ def shape_fields():
 
 
 class TestShapeRules:
-    """x has shape (k, d) and t is a scalar or (k,); the result is (k, M)."""
+    """x has shape (k, d) and t is a scalar or (k,); the result is (k,)."""
 
     @pytest.mark.parametrize("name", list(shape_fields()))
     @pytest.mark.parametrize("method", ["evaluate", "time_derivative"])
@@ -288,15 +288,15 @@ class TestShapeRules:
             assert isinstance(f, (FbsGridField, ShiftedField))
             return
         call = getattr(f, method)
-        d, m, t = f.dim, f.channels, 0.1
+        d, t = f.dim, 0.1
         xk = np.random.default_rng(3).uniform(-1.0, 1.0, (4, d))
         many = call(t, xk)
-        assert many.shape == (4, m)
+        assert many.shape == (4,)
         one_row = call(t, xk[:1])
-        assert one_row.shape == (1, m)
+        assert one_row.shape == (1,)
         np.testing.assert_allclose(one_row, many[:1], rtol=0, atol=1e-15)
         per_point = call(np.full(4, t), xk)
-        assert per_point.shape == (4, m)
+        assert per_point.shape == (4,)
         np.testing.assert_allclose(per_point, many, rtol=0, atol=1e-13)
 
 
@@ -317,7 +317,7 @@ class TestTimeSlice:
             for t1 in times:
                 got = f.increment(t0, t1, x)
                 want = f.evaluate(np.full(k, t1), x) - f.evaluate(np.full(k, t0), x)
-                assert got.shape == (k, 1)
+                assert got.shape == (k,)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         if not f.has_time_derivative:
             assert name.startswith("fbs")
@@ -325,7 +325,7 @@ class TestTimeSlice:
         for t in times:
             got = f.time_derivative(t, x)
             want = f.time_derivative(np.full(k, t), x)
-            assert got.shape == (k, 1)
+            assert got.shape == (k,)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("name", list(slice_fields()))
@@ -363,8 +363,8 @@ class TestTimeSlice:
 
     def test_one_point_keeps_shape(self):
         f = slice_fields()["mollified"]
-        assert f.increment(0.0, 0.2, np.array([[0.3]])).shape == (1, 1)
-        assert f.time_derivative(0.2, np.array([[0.3]])).shape == (1, 1)
+        assert f.increment(0.0, 0.2, np.array([[0.3]])).shape == (1,)
+        assert f.time_derivative(0.2, np.array([[0.3]])).shape == (1,)
 
 
 class TestHasTimeDerivative:
@@ -403,7 +403,7 @@ class TestPerPointIncrement:
         t0 = rng.uniform(0.0, 1.5 * f.horizon, k)
         t1 = rng.uniform(0.0, 1.5 * f.horizon, k)
         got = f.increment(t0, t1, x)
-        assert got.shape == (k, f.channels)
+        assert got.shape == (k,)
         np.testing.assert_allclose(got, f.evaluate(t1, x) - f.evaluate(t0, x), rtol=0, atol=1e-13)
         # a scalar end is broadcast over the points
         np.testing.assert_allclose(
@@ -435,7 +435,7 @@ class TestPerPointIncrement:
         t = np.linspace(0.0, 1.0, 11)
         x = np.linspace(-1.0, 1.0, 11)[:, None]
         np.testing.assert_allclose(f.increment(t[:-1], t[1:], x[:-1]),
-                                   (np.sin(x[:-1]) * np.diff(t)[:, None]), rtol=0, atol=1e-15)
+                                   np.sin(x[:-1, 0]) * np.diff(t), rtol=0, atol=1e-15)
         assert calls == [10, 10]
 
 

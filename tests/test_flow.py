@@ -41,7 +41,7 @@ def sequential_flow(alpha, x, field, levels, dim):
         for jc in range(x.grid.n - 1):
             factor = eye
             for jf in range(jc * k, (jc + 1) * k):
-                factor = (eye + np.einsum("cij,c->ji", alpha[jc], d_eta[jf])) @ factor
+                factor = (eye + alpha[jc].T * d_eta[jf]) @ factor
             steps.append(factor)
             mats.append(factor @ mats[-1])
             if not np.all(np.isfinite(mats[-1])):
@@ -52,7 +52,7 @@ def sequential_flow(alpha, x, field, levels, dim):
 class TestEulerFlow:
     def test_zero_alpha_identity(self):
         x = brownian_path(32, 0)
-        flow = solve_linear_yode(np.zeros((33, 1, 2, 2)), x, time_field())
+        flow = solve_linear_yode(np.zeros((33, 2, 2)), x, time_field())
         np.testing.assert_array_equal(flow.matrices, np.broadcast_to(np.eye(2), (33, 2, 2)))
 
     def test_scalar_exponential_limit(self):
@@ -60,30 +60,26 @@ class TestEulerFlow:
         a = 1.0
         grid = TimeGrid.uniform(1.0, 2**12)
         x = SamplePath(grid, np.zeros(grid.n))
-        flow = solve_linear_yode(np.full((grid.n, 1, 1, 1), a), x, time_field())
+        flow = solve_linear_yode(np.full((grid.n, 1, 1), a), x, time_field())
         got = flow.matrices[-1, 0, 0]
         assert abs(got - np.e) <= 1e-3
 
     def test_blowup_reported(self):
         field = AnalyticField(lambda t, x: 1e8 * t, RegularityParams(tau=1.0, lam=1.0, p=2.5))
         x = brownian_path(64, 1)
-        alpha = np.full((65, 1, 1, 1), 1e80)
+        alpha = np.full((65, 1, 1), 1e80)
         with pytest.raises(FlowError, match="blew up"):
             solve_linear_yode(alpha, x, field)
 
     @pytest.mark.parametrize("levels", range(4))
-    @pytest.mark.parametrize("channels", [1, 2])
-    def test_matches_sequential_loop(self, levels, channels):
-        # with two channels the fine factors inside a cell do not commute
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_sequential_loop(self, levels, dim):
         rng = np.random.default_rng(20 + levels)
         x = brownian_path(32, 21)
-        alpha = rng.standard_normal((33, channels, 2, 2)) * 0.4
-        field = rough_field(seed=34) if channels == 1 else AnalyticField(
-            lambda t, x: np.stack([np.sin(3 * x[:, 0]) * t**0.8, np.cos(x[:, 0]) * t], axis=-1),
-            RegularityParams(tau=0.8, lam=1.0, p=2.5), channels=2,
-        )
+        alpha = rng.standard_normal((33, dim, dim)) * 0.4
+        field = rough_field(seed=34)
         flow = solve_linear_yode(alpha, x, field, levels=levels)
-        mats, steps = sequential_flow(alpha, x, field, levels, 2)
+        mats, steps = sequential_flow(alpha, x, field, levels, dim)
         scale = max(1.0, np.max(np.abs(mats)))
         np.testing.assert_allclose(flow.matrices, mats, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(flow.step_factors, steps, rtol=0, atol=1e-13 * scale)
@@ -93,7 +89,7 @@ class TestEulerFlow:
         field = AnalyticField(lambda t, x: 1e8 * t * (1.0 + x[:, 0] ** 2),
                               RegularityParams(tau=1.0, lam=1.0, p=2.5))
         x = brownian_path(64, 22)
-        alpha = np.abs(np.random.default_rng(23).standard_normal((65, 1, 2, 2)))
+        alpha = np.abs(np.random.default_rng(23).standard_normal((65, 2, 2)))
         step = sequential_flow(alpha, x, field, levels, 2)
         assert 0 < step < 63
         with pytest.raises(FlowError, match=f"blew up at step {step} "):
@@ -103,7 +99,7 @@ class TestEulerFlow:
         # G_T^s G_s^t = G_T^t by re-bracketing the same step-factor product
         rng = np.random.default_rng(3)
         x = brownian_path(64, 4)
-        alpha = rng.standard_normal((65, 1, 2, 2)) * 0.5
+        alpha = rng.standard_normal((65, 2, 2)) * 0.5
         flow = solve_linear_yode(alpha, x, rough_field())
         pts = x.grid.points
         full = flow.segment(0.0, 1.0)
@@ -117,7 +113,7 @@ class TestEulerFlow:
     def test_inverse_flow(self):
         rng = np.random.default_rng(8)
         x = brownian_path(64, 9)
-        alpha = rng.standard_normal((65, 1, 2, 2)) * 0.3
+        alpha = rng.standard_normal((65, 2, 2)) * 0.3
         flow = solve_linear_yode(alpha, x, rough_field(seed=33))
         inv = inverse_flow(flow)
         for g, gi in zip(flow.matrices, inv.matrices):
@@ -125,24 +121,24 @@ class TestEulerFlow:
 
     def test_inverse_identity_and_scalar(self):
         x = brownian_path(8, 2)
-        flow = solve_linear_yode(np.zeros((9, 1, 1, 1)), x, time_field())
+        flow = solve_linear_yode(np.zeros((9, 1, 1)), x, time_field())
         inv = inverse_flow(flow)
         np.testing.assert_array_equal(inv.matrices, flow.matrices)
         # scalar flow e^c inverts to e^-c
         grid = TimeGrid.uniform(1.0, 2**10)
         xs = SamplePath(grid, np.zeros(grid.n))
-        f2 = solve_linear_yode(np.ones((grid.n, 1, 1, 1)), xs, time_field())
+        f2 = solve_linear_yode(np.ones((grid.n, 1, 1)), xs, time_field())
         i2 = inverse_flow(f2)
         assert i2.matrices[-1, 0, 0] == pytest.approx(1.0 / f2.matrices[-1, 0, 0], rel=1e-12)
 
     def test_singular_flow_rejected(self):
-        flow = solve_linear_yode(np.zeros((9, 1, 2, 2)), brownian_path(8, 3), time_field())
+        flow = solve_linear_yode(np.zeros((9, 2, 2)), brownian_path(8, 3), time_field())
         flow.matrices[4] = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(FlowError, match="singular flow matrix at grid index 4"):
             inverse_flow(flow)
 
     def test_near_singular_step_factor_rejected(self):
-        flow = solve_linear_yode(np.zeros((9, 1, 2, 2)), brownian_path(8, 3), time_field())
+        flow = solve_linear_yode(np.zeros((9, 2, 2)), brownian_path(8, 3), time_field())
         flow.step_factors[3] = np.diag([1.0, 1e-13])
         with pytest.raises(FlowError, match="singular step factor at grid index 3"):
             inverse_flow(flow)
@@ -154,7 +150,7 @@ class TestEulerFlow:
         field = rough_field(seed=55)
         rng = np.random.default_rng(10)
         base = brownian_path(2**6, 11)
-        alpha_full = rng.standard_normal((base.grid.n, 1, 2, 2)) * 0.4
+        alpha_full = rng.standard_normal((base.grid.n, 2, 2)) * 0.4
         errs = []
         for lev in range(3):
             flow = solve_linear_yode(alpha_full, base, field, levels=lev)
@@ -168,25 +164,25 @@ class TestEulerFlow:
             af = np.repeat(alpha_full, 2**lev, axis=0)[: fine.n]
             h = np.eye(2)
             for j in range(fine.n - 1):
-                h = h @ (np.eye(2) - af[j, 0].T * d_eta[j, 0])
+                h = h @ (np.eye(2) - af[j].T * d_eta[j])
             errs.append(np.max(np.abs(h - inv.matrices[-1])))
         assert errs[1] <= errs[0] / 2**0.3
         assert errs[2] <= errs[1] / 2**0.3
 
 
 class TestAlphaShape:
-    """The flow takes alpha as (n, M, N, N) and the closed form as (n, M)."""
+    """The flow takes alpha as (n, N, N) and the closed form as (n,)."""
 
     @pytest.mark.parametrize(
         "alpha",
-        [np.float64(0.5), np.eye(2), np.zeros((8, 1, 2, 2)), np.zeros((9, 1, 2, 3))],
+        [np.float64(0.5), np.eye(2), np.zeros((8, 2, 2)), np.zeros((9, 2, 3))],
         ids=["scalar", "single-matrix", "wrong-n", "non-square"],
     )
     def test_flow_rejects(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             solve_linear_yode(alpha, brownian_path(8, 3), time_field())
 
-    @pytest.mark.parametrize("alpha", [np.float64(0.5), np.ones(9)], ids=["scalar", "per-time"])
+    @pytest.mark.parametrize("alpha", [np.float64(0.5), np.ones((9, 1))], ids=["scalar", "per-time"])
     def test_exp_formula_rejects(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             exp_formula_1d(alpha, brownian_path(8, 3), time_field())
@@ -195,13 +191,13 @@ class TestAlphaShape:
 class TestExpFormula:
     def test_zero_alpha_gives_one(self):
         x = brownian_path(32, 12)
-        vals = exp_formula_1d(np.zeros((33, 1)), x, rough_field(seed=2))
+        vals = exp_formula_1d(np.zeros(33), x, rough_field(seed=2))
         np.testing.assert_allclose(vals, 1.0)
 
     def test_smooth_field_exponential(self):
         grid = TimeGrid.uniform(1.0, 256)
         x = SamplePath(grid, np.zeros(grid.n))
-        vals = exp_formula_1d(np.full((grid.n, 1), 0.7), x, time_field(), levels=2)
+        vals = exp_formula_1d(np.full(grid.n, 0.7), x, time_field(), levels=2)
         np.testing.assert_allclose(vals, np.exp(0.7 * grid.points), rtol=1e-6)
 
     def test_euler_converges_to_exp_formula(self):
@@ -209,13 +205,12 @@ class TestExpFormula:
         # >= 2^0.3 per refinement (full-strength version in acceptance)
         field = rough_field(seed=5, h0=0.8)
         x = brownian_path(2**4, 13)
-        alpha = np.ones((x.grid.n, 1))
         errs = []
         for lev in range(3):
             euler = solve_linear_yode(
-                np.ones((x.grid.n, 1, 1, 1)), x, field, levels=lev
+                np.ones((x.grid.n, 1, 1)), x, field, levels=lev
             ).matrices[:, 0, 0]
-            closed = exp_formula_1d(alpha, x, field, levels=lev)
+            closed = exp_formula_1d(np.ones(x.grid.n), x, field, levels=lev)
             errs.append(np.max(np.abs(euler - closed)))
         assert errs[1] <= errs[0] / 2**0.3
         assert errs[2] <= errs[1] / 2**0.3
@@ -223,11 +218,11 @@ class TestExpFormula:
     def test_log_flow_matches_integral(self):
         field = rough_field(seed=5)
         x = brownian_path(2**6, 14)
-        euler = solve_linear_yode(np.ones((x.grid.n, 1, 1, 1)), x, field, levels=2)
-        closed = exp_formula_1d(np.ones((x.grid.n, 1)), x, field, levels=2)
+        euler = solve_linear_yode(np.ones((x.grid.n, 1, 1)), x, field, levels=2)
+        closed = exp_formula_1d(np.ones(x.grid.n), x, field, levels=2)
         gap_low = np.max(np.abs(np.log(euler.matrices[:, 0, 0]) - np.log(closed)))
-        euler_f = solve_linear_yode(np.ones((x.grid.n, 1, 1, 1)), x, field, levels=4)
-        closed_f = exp_formula_1d(np.ones((x.grid.n, 1)), x, field, levels=4)
+        euler_f = solve_linear_yode(np.ones((x.grid.n, 1, 1)), x, field, levels=4)
+        closed_f = exp_formula_1d(np.ones(x.grid.n), x, field, levels=4)
         gap_high = np.max(np.abs(np.log(euler_f.matrices[:, 0, 0]) - np.log(closed_f)))
         assert gap_high < gap_low
 
@@ -243,7 +238,7 @@ class TestSegment:
     def test_rejects(self, a, b, match):
         rng = np.random.default_rng(30)
         flow = solve_linear_yode(
-            rng.standard_normal((9, 1, 2, 2)), brownian_path(8, 31), rough_field()
+            rng.standard_normal((9, 2, 2)), brownian_path(8, 31), rough_field()
         )
         with pytest.raises(ValueError, match=match):
             flow.segment(a, b)

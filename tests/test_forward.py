@@ -3,12 +3,19 @@ import pytest
 from oracles import exit_time, increment_moments_ok, prob_sup_abs_bm_exceeds
 from scipy import stats
 
-from youngbsde.forward import SdeSpec, euler_maruyama, exit_indices, reflect_1d, step_normals
+from youngbsde.forward import (
+    SdeSpec,
+    coefficient,
+    euler_maruyama,
+    exit_indices,
+    reflect_1d,
+    step_normals,
+)
 from youngbsde.paths import TimeGrid
 
 
 def bm_spec(d=1):
-    return SdeSpec(drift=0.0, diffusion=1.0, x0=np.zeros(d), bound=2.0, name="bm")
+    return SdeSpec(drift=0.0, diffusion=1.0, x0=np.zeros(d), bound=2.0)
 
 
 class TestEulerMaruyama:
@@ -47,6 +54,24 @@ class TestEulerMaruyama:
     def test_increment_smoke_check(self):
         ens = euler_maruyama(bm_spec(), TimeGrid.uniform(1.0, 8), 4000, seed=5)
         assert increment_moments_ok(ens)
+
+
+class TestCoefficient:
+    """One normaliser for the drift and diffusion of SdeSpec and PdeSpec."""
+
+    def test_constants_broadcast(self):
+        x = np.zeros((3, 2))
+        np.testing.assert_array_equal(coefficient(0.5, x), np.full((3, 2), 0.5))
+        np.testing.assert_array_equal(coefficient(2.0, x, matrix=True),
+                                      np.broadcast_to(2.0 * np.eye(2), (3, 2, 2)))
+        m = np.array([[1.0, 2.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(coefficient(m, x, matrix=True), np.broadcast_to(m, (3, 2, 2)))
+
+    def test_callables_called_and_reshaped(self):
+        x = np.arange(3.0)[:, None]
+        np.testing.assert_array_equal(coefficient(lambda x: 2 * x[:, 0], x), 2 * x)
+        got = coefficient(lambda t, x: t * x[:, 0], x, matrix=True, t=0.5)
+        np.testing.assert_array_equal(got, 0.5 * x[:, :, None])
 
 
 class TestExitTime:

@@ -26,7 +26,6 @@ def smooth_field(scale=1.0):
         lambda t, x: scale * t * np.ones(t.shape),
         RegularityParams(tau=1.0, lam=1.0, p=2.5),
         dt_fn=lambda t, x: scale * np.ones(t.shape),
-        name="time",
     )
 
 
@@ -35,7 +34,7 @@ def zero_f(t, x, u, w):
 
 
 def zero_g(u):
-    return np.zeros((u.shape[0], 1))
+    return np.zeros_like(u)
 
 
 def gaussian_bump(x):
@@ -53,7 +52,6 @@ def heat_spec(halfwidth=3.0, sigma=np.sqrt(2.0), g=zero_g, f=zero_f, field=None,
         generator=f,
         coupling=g,
         fieldv=field or smooth_field(),
-        name="heat",
     )
 
 
@@ -63,7 +61,7 @@ class TestFdSolve:
             halfwidth=1.0, dim=1, horizon=0.5,
             terminal=lambda x: np.full(x.shape[0], 2.0),
             sigma=1.0, drift=0.0, generator=zero_f, coupling=zero_g,
-            fieldv=smooth_field(), name="const",
+            fieldv=smooth_field(),
         )
         sol = fd_dirichlet_solve(spec, 32, 40)
         np.testing.assert_allclose(sol.u, 2.0, atol=1e-12)
@@ -92,7 +90,7 @@ class TestFdSolve:
         # g(u) = u with dt_eta = 1, small sigma: u = e^{T-t} * heat solution
         spec = heat_spec(
             sigma=0.2,
-            g=lambda u: u[:, None],
+            g=lambda u: u,
             field=smooth_field(),
             halfwidth=2.0,
         )
@@ -111,8 +109,8 @@ class TestFdSolve:
         assert d2 <= 0.6 * d1
 
     def test_single_interior_node(self):
-        # one interior node: the driver term is one row, not a squeezed vector
-        spec = heat_spec(halfwidth=1.0, g=lambda u: u[:, None])
+        # one interior node: the driver term is a one-entry vector, not a scalar
+        spec = heat_spec(halfwidth=1.0, g=lambda u: u)
         sol = fd_dirichlet_solve(spec, 8, 2)
         assert sol.u.shape == (9, 3)
         assert np.all(np.isfinite(sol.u))
@@ -141,11 +139,11 @@ class TestFdSolve:
                 spec(sigma)
 
     def test_continuity_in_driver(self):
-        base = heat_spec(g=lambda u: u[:, None], sigma=1.0)
+        base = heat_spec(g=lambda u: u, sigma=1.0)
         u0 = fd_dirichlet_solve(base, 64, 128).value_at(0.0, 0.0)
         gaps = []
         for delta in (1e-2, 1e-3):
-            pert = heat_spec(g=lambda u: u[:, None], sigma=1.0, field=smooth_field(1.0 + delta))
+            pert = heat_spec(g=lambda u: u, sigma=1.0, field=smooth_field(1.0 + delta))
             gaps.append(abs(fd_dirichlet_solve(pert, 64, 128).value_at(0.0, 0.0) - u0))
         ratio = gaps[0] / gaps[1]
         assert 5 <= ratio <= 20  # O(delta) response
@@ -167,7 +165,7 @@ class TestFdSolve:
         spec = PdeSpec(
             halfwidth=1.0, dim=dim, horizon=0.5, terminal=gaussian_bump,
             sigma=sigma, drift=drift, generator=zero_f, coupling=zero_g,
-            fieldv=smooth_field(), name="quadratic",
+            fieldv=smooth_field(),
         )
         q = np.array([[1.3, -0.7], [-0.7, 0.9]])[:dim, :dim]
         g = np.array([0.4, -1.1])[:dim]
@@ -195,7 +193,7 @@ class TestFdSolve:
         spec = PdeSpec(
             halfwidth=1.0, dim=dim, horizon=0.5, terminal=gaussian_bump,
             sigma=sigma, drift=lambda x: 0.5 - 0.8 * x[:, ::-1], generator=zero_f,
-            coupling=zero_g, fieldv=smooth_field(), name="quadratic",
+            coupling=zero_g, fieldv=smooth_field(),
         )
         q = np.array([[1.3, -0.7], [-0.7, 0.9]])[:dim, :dim]
         g = np.array([0.4, -1.1])[:dim]
@@ -209,7 +207,7 @@ class TestFdSolve:
         np.testing.assert_allclose(got[interior], want[interior], rtol=0, atol=1e-12)
 
     def test_driver_derivative_once_per_time_level(self):
-        spec = heat_spec(halfwidth=1.0, g=lambda u: u[:, None])
+        spec = heat_spec(halfwidth=1.0, g=lambda u: u)
         field, times = spec.fieldv, []
         derivative = field.time_derivative
 
@@ -267,7 +265,7 @@ class TestFdSolve:
 
 class TestYoungPdeTable:
     def test_smooth_driver_table_constant(self):
-        spec = heat_spec(g=lambda u: u[:, None], sigma=0.5, halfwidth=3.0)
+        spec = heat_spec(g=lambda u: u, sigma=0.5, halfwidth=3.0)
         table = young_pde_table(
             spec, smooth_field(), n_list=[3.0, 4.0], m_list=[4, 8],
             points=[(0.0, 0.0)], time_steps=48, cells_per_unit=16,
@@ -280,7 +278,7 @@ class TestYoungPdeTable:
             HurstParams(h0=0.9, h=0.6), np.linspace(0, 0.25, 129),
             np.linspace(-5, 5, 65), seed=7, p=2.05,
         )
-        spec = heat_spec(g=lambda u: u[:, None], sigma=1.0, halfwidth=3.0, field=smooth_field())
+        spec = heat_spec(g=lambda u: u, sigma=1.0, halfwidth=3.0, field=smooth_field())
         table = young_pde_table(
             spec, base, n_list=[3.0], m_list=[4, 8, 16],
             points=[(0.0, 0.0), (0.1, 0.4)], time_steps=64, cells_per_unit=16,
@@ -308,7 +306,7 @@ class TestLocalizationError:
             halfwidth=2.0, dim=1, horizon=0.25,
             terminal=lambda x: np.cos(x[:, 0]),
             sigma=1.0, drift=0.0, generator=gen, coupling=zero_g,
-            fieldv=smooth_field(), name="sqrt-gen",
+            fieldv=smooth_field(),
         )
         out = localization_error_experiment(
             spec, n_list=[2.0, 3.0], points=[(0.0, 0.0), (0.1, 0.5)],
@@ -323,7 +321,7 @@ class TestNeumann:
     def test_unit_terminal_zero_driver(self):
         field = AnalyticField(
             lambda t, x: np.zeros(t.shape), RegularityParams(tau=1.0, lam=1.0, p=2.5),
-            dt_fn=lambda t, x: np.zeros(t.shape), name="zero",
+            dt_fn=lambda t, x: np.zeros(t.shape),
         )
         est, se = neumann_fk_estimate(
             lambda x: np.ones_like(x), field, (0.0, 1.0), (0.0, 0.5),
@@ -345,7 +343,7 @@ class TestNeumann:
     def test_zero_driver_matches_occupation_quadrature(self):
         field = AnalyticField(
             lambda t, x: np.zeros(t.shape), RegularityParams(tau=1.0, lam=1.0, p=2.5),
-            dt_fn=lambda t, x: np.zeros(t.shape), name="zero",
+            dt_fn=lambda t, x: np.zeros(t.shape),
         )
         field.horizon = 1.0
         h = lambda x: np.cos(np.pi * x)

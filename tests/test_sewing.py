@@ -106,18 +106,13 @@ class TestNonlinearYoung:
         with pytest.warns(UserWarning, match="tau \\+ lam/p"):
             nonlinear_young_integral(y, brownian_path(8, 2), field, levels=2)
 
-    def test_channels_summed(self):
-        # two channels t and 2t with weights (1, 3) -> 1 + 6 = 7
-        field = AnalyticField(
-            lambda t, x: np.stack([t, 2 * t], axis=-1),
-            RegularityParams(tau=1.0, lam=1.0, p=2.5),
-            channels=2,
-        )
+    def test_vector_y_rejected(self):
+        # the integrand is scalar: a path with columns is refused
+        field = AnalyticField(lambda t, x: t, RegularityParams(tau=1.0, lam=1.0, p=2.5))
         grid = TimeGrid.uniform(1.0, 8)
-        y = SamplePath(grid, np.column_stack([np.ones(9), 3 * np.ones(9)]))
-        x = SamplePath(grid, np.zeros(9))
-        res = nonlinear_young_integral(y, x, field, levels=2)
-        assert res.value == pytest.approx(7.0, abs=1e-12)
+        y = SamplePath(grid, np.ones((9, 1)))
+        with pytest.raises(ValueError, match="scalar path"):
+            nonlinear_young_integral(y, SamplePath(grid, np.zeros(9)), field)
 
     def test_matches_searching_germ(self):
         # the dyadic germ against a germ that finds each point by np.interp
@@ -139,7 +134,7 @@ class TestNonlinearYoung:
             def germ(s, t, pts=pts, xv=xv, yv=yv, a=a):
                 xs = np.interp(s + a, pts, xv)[:, None]
                 ys = np.interp(s + a, pts, yv)
-                return ys * (field.evaluate(t + a, xs) - field.evaluate(s + a, xs))[:, 0]
+                return ys * (field.evaluate(t + a, xs) - field.evaluate(s + a, xs))
 
             want = sew(Germ(germ), TimeGrid(pts - a), levels=6, tol=0.0)
             np.testing.assert_allclose(got.level_totals, want.level_totals, rtol=0, atol=1e-13)
@@ -176,7 +171,7 @@ class TestNonlinearYoung:
         ys = interp(y, fine.points[:-1])
         xs = interp(x, fine.points[:-1])[:, None]
         dts = np.diff(fine.points)
-        quad = np.sum(ys * field.time_derivative(fine.points[:-1], xs)[:, 0] * dts)
+        quad = np.sum(ys * field.time_derivative(fine.points[:-1], xs) * dts)
         assert res.value == pytest.approx(quad, abs=1e-12)
 
 
@@ -368,9 +363,7 @@ class TestEstimates:
             t = grid_f[::step]
             wi = w[::step]
             xi = w[::step]
-            d_eta = field.evaluate(t[1:], xi[:-1, None])[:, 0] - field.evaluate(
-                t[:-1], xi[:-1, None]
-            )[:, 0]
+            d_eta = field.evaluate(t[1:], xi[:-1, None]) - field.evaluate(t[:-1], xi[:-1, None])
             dt = np.diff(t)
             dwi = np.diff(wi)
             f1, g1, z1 = np.cos(t), np.sin(t) + 1.2, 0.1 * np.ones_like(t)
