@@ -271,6 +271,13 @@ def _z_regression(fit: _Fit, y_next: np.ndarray, dw: np.ndarray, dt: float) -> n
     return fit.fit(centered[:, None] * dw) / dt
 
 
+def _per_path(name, out, y):
+    # what the callable `name` returned, if it is one value per path like y
+    if np.shape(out) != y.shape:
+        raise ValueError(f"{name} must return shape {y.shape}, got shape {np.shape(out)}")
+    return out
+
+
 def _step(spec, basis, picard, t_i, t_next, x, dw, y_next):
     """One regression step on [t_i, t_next] for the paths at x with Brownian
     increments dw and values y_next at t_next.
@@ -281,10 +288,12 @@ def _step(spec, basis, picard, t_i, t_next, x, dw, y_next):
     dt = t_next - t_i
     fit = _Fit(basis, x)
     z = _z_regression(fit, y_next, dw, dt)
-    young = spec.coupling(y_next) * spec.fieldv.increment(t_i, t_next, x)
+    g = _per_path("coupling", spec.coupling(y_next), y_next)
+    young = g * spec.fieldv.increment(t_i, t_next, x)
 
     def make_target(y_for_f):
-        return y_next + spec.generator(t_i, x, y_for_f, z) * dt + young
+        f = _per_path("generator", spec.generator(t_i, x, y_for_f, z), y_next)
+        return y_next + f * dt + young
 
     y, residuals, ok, target, unconverged = _picard_sweep(fit, make_target, y_next, picard)
     return y, z, residuals, ok, target, unconverged

@@ -239,6 +239,11 @@ _HURST = {"h0": _num(lo=0, hi=1), "h": _num(lo=0, hi=1), "d": _count(1)}
 
 _FBS_CELLS = MAX_FBS_AXIS - 2  # cells + 1 nodes, plus 0 when the axis misses it
 
+# the most fine cells, cells * 2^levels, that integrate and flow refine to
+# (flow counts the dim^2 entries of each fine factor); 2^22 fine cells take
+# about 0.35 GB in integrate
+MAX_FINE_POINTS = 2**22
+
 _DRIVERS = {
     "analytic": {"name": _enum("time", ANALYTIC_FIELDS)},
     "fbs": {
@@ -439,6 +444,13 @@ def _check_relations(cfg: dict) -> None:
                      else cfg["pde"]["dim"] if "pde" in cfg else 1)
         if exp != "fbs-generate" and driver["hurst"]["d"] > state_dim:
             raise ConfigError(f"{key}.hurst.d: expected at most the state dimension {state_dim}")
+    if exp in ("integrate", "flow"):
+        level0 = cfg["cells"] * (cfg["dim"] ** 2 if exp == "flow" else 1)
+        if level0 > MAX_FINE_POINTS >> cfg["levels"]:
+            raise ConfigError(
+                f"levels: cells * 2^levels{' * dim^2' if exp == 'flow' else ''} must be at "
+                f"most {MAX_FINE_POINTS}, got {level0} * 2^{cfg['levels']}"
+            )
     fwd = cfg.get("forward")
     if fwd is not None and max(abs(fwd["drift"]), abs(fwd["diffusion"])) > fwd["bound"]:
         raise ConfigError("forward.bound: expected at least |drift| and |diffusion|")
@@ -496,20 +508,18 @@ def _brownian_sample(cells: int, seed: int, horizon: float = 1.0) -> SamplePath:
 
 def _run_integrate(cfg, out_dir):
     x = _brownian_sample(cfg["cells"], cfg["path_seed"])
-    grid = x.grid
+    grid, levels = x.grid, cfg["levels"]
     cases = ["time", "bilinear", "sin_x_time", "cos_x_time", "gauss_x_time"]
     rows = []
+    y = SamplePath(grid, np.cos(grid.points))
+    fine = dyadic_interp(grid.points, levels)
+    ys = dyadic_interp(y.values, levels)[:-1]
+    xs = dyadic_interp(x.as_matrix(), levels)[:-1]
     for name in cases:
         fld = ANALYTIC_FIELDS[name]()
-        y = SamplePath(grid, np.cos(grid.points))
-        res = nonlinear_young_integral(y, x, fld, levels=cfg["levels"], tol=0.0)
-        fine = dyadic_interp(grid.points, res.levels_used)
-        ys = dyadic_interp(y.values, res.levels_used)[:-1]
-        xs = dyadic_interp(x.as_matrix(), res.levels_used)[:-1]
+        young = float(nonlinear_young_integral(y, x, fld, levels=levels).values[-1])
         quad = float(np.sum(ys * fld.time_derivative(fine[:-1], xs) * np.diff(fine)))
-        rows.append(
-            {"case": name, "young": res.value, "riemann": quad, "abs_diff": abs(res.value - quad)}
-        )
+        rows.append({"case": name, "young": young, "riemann": quad, "abs_diff": abs(young - quad)})
     summary = [f"{r['case']}: |Young - Riemann| = {r['abs_diff']:.3e}" for r in rows]
     ok = all(r["abs_diff"] <= 1e-6 for r in rows)
     summary.append(f"smooth reduction (tol 1e-6): {'PASS' if ok else 'FAIL'}")

@@ -7,9 +7,10 @@ dyadically ``levels`` times,
     G_{j+1} = (I + a_{t_j}^T d_eta_j) G_j,
     d_eta_j = eta(t_{j+1}, x_{t_j}) - eta(t_j, x_{t_j}),
 
-which matches the sewing germ.  The step factor of one base cell is the
-product of its 2^levels fine factors, formed pairwise in ``levels`` rounds
-for all cells at once; the pairwise bracketing moves it by rounding only.
+which is the one left-point sum sewing.nonlinear_young_integral forms on
+the same refinement.  The step factor of one base cell is the product of
+its 2^levels fine factors, formed pairwise in ``levels`` rounds for all
+cells at once; the pairwise bracketing moves it by rounding only.
 The flow matrices are the sequential product of the stored step factors
 over the base cells, and FlowMatrix.segment re-brackets that same product,
 so the cocycle G_T^s G_s^t = G_T^t is still exact on grid-aligned triples.
@@ -133,12 +134,13 @@ def exp_formula_1d(
     """Closed-form scalar flow exp(int a eta(dr, x_r)) on the grid.
 
     ``alpha`` is an (n,) array.  Returns the flow values at the grid
-    points; the integrand is the sewing-module nonlinear Young integral.
+    points; the exponent is sewing.nonlinear_young_integral, one
+    left-point sum on the same level-``levels`` refinement as the Euler
+    flow's (no Cauchy record; sew a Germ for one).
     """
     grid = x.grid
     av = np.asarray(alpha, dtype=float)
     if av.shape != (grid.n,):
         raise ValueError(f"alpha must have shape (n,) = {(grid.n,)}")
     y = SamplePath(grid, av)
-    res = nonlinear_young_integral(y, x, fieldv, levels=levels, tol=0.0)
-    return np.exp(res.cumulative)
+    return np.exp(nonlinear_young_integral(y, x, fieldv, levels=levels).values)

@@ -1,12 +1,13 @@
 """Sewing-lemma integration and the nonlinear Young integral.
 
-The integral of a two-point germ A(s, t) is the limit of left-point Riemann
-sums over dyadic refinements of a base grid.  For the nonlinear Young
-integral the germ is A(s, t) = y_s (eta(t, x_s) - eta(s, x_s)); paths are
-extended to refinement points by linear interpolation, matching the
-grid-supremum path-norm convention used throughout.  The refinement points
-lie at known fractions of the base cells, so the germ reads the paths there
-by one blend per level (paths.dyadic_interp), without a search.
+``sew`` forms the left-point Riemann sums of a two-point germ A(s, t), a
+``Germ``, on every dyadic refinement of a base grid up to a level, and keeps
+their Cauchy record.  The nonlinear Young integral of a scalar path y
+against eta(dr, x_r) is one such sum, of A(s, t) = y_s (eta(t, x_s) -
+eta(s, x_s)), on the requested level only.  Paths are extended to the
+refinement points by linear interpolation, matching the grid-supremum
+path-norm convention used throughout, and read there by one blend
+(paths.dyadic_interp) instead of a search.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ import numpy as np
 from .driver import DriverField
 from .paths import SamplePath, TimeGrid, dyadic_interp
 
-__all__ = [
-    "Germ",
-    "DyadicGerm",
-    "IntegralResult",
-    "SewingError",
-    "sew",
-    "nonlinear_young_integral",
-]
+__all__ = ["Germ", "IntegralResult", "SewingError", "sew", "nonlinear_young_integral"]
 
 
 class SewingError(RuntimeError):
@@ -54,24 +48,6 @@ class Germ:
         s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         return _finite(self.fn(s, t), s, t)
 
-    def on_level(self, level: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """A on the cells (s, t) of the level-``level`` dyadic refinement of
-        the grid being sewn; this is how sew evaluates every germ."""
-        return self(s, t)
-
-
-@dataclass(frozen=True)
-class DyadicGerm:
-    """A germ defined on the cells of dyadic refinements of one grid only:
-    ``fn(level, s, t)`` also gets the refinement level, so paths sampled on
-    that grid are read at the cells' left points with paths.dyadic_interp
-    instead of a search."""
-
-    fn: callable
-
-    def on_level(self, level: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return _finite(self.fn(level, s, t), s, t)
-
 
 @dataclass
 class IntegralResult:
@@ -97,9 +73,7 @@ class IntegralResult:
         return float(self.cumulative[-1])
 
 
-def sew(
-    germ: Germ | DyadicGerm, grid: TimeGrid, levels: int = 12, tol: float = 1e-9
-) -> IntegralResult:
+def sew(germ: Germ, grid: TimeGrid, levels: int = 12, tol: float = 1e-9) -> IntegralResult:
     """Riemann sums of a germ over successive dyadic refinements of grid.
 
     Stops early once two successive whole-interval values differ by less
@@ -110,7 +84,7 @@ def sew(
     used = 0
     for lev in range(levels + 1):
         pts = dyadic_interp(grid.points, lev)
-        vals = germ.on_level(lev, pts[:-1], pts[1:])
+        vals = germ(pts[:-1], pts[1:])
         cum = np.concatenate([[0.0], np.cumsum(vals)])
         totals.append(cum[-1])
         last_cum = cum[:: 2**lev]  # restriction to base grid points
@@ -119,7 +93,7 @@ def sew(
             break
     totals = np.asarray(totals)
     base_s, base_t = grid.points[:-1], grid.points[1:]
-    defect = np.abs(np.diff(last_cum) - germ.on_level(0, base_s, base_t))
+    defect = np.abs(np.diff(last_cum) - germ(base_s, base_t))
     return IntegralResult(
         grid=grid,
         cumulative=last_cum,
@@ -132,15 +106,13 @@ def sew(
 
 
 def nonlinear_young_integral(
-    y: SamplePath,
-    x: SamplePath,
-    fieldv: DriverField,
-    levels: int = 12,
-    tol: float = 1e-9,
-) -> IntegralResult:
-    """Integral of the scalar path y against eta(dr, x_r) via the left-point
-    germ.  When the declared exponents violate tau + lam/p > 1 a warning is
-    emitted; the sums are still formed.
+    y: SamplePath, x: SamplePath, fieldv: DriverField, levels: int = 12
+) -> SamplePath:
+    """Running integral of the scalar path y against eta(dr, x_r) at x's grid
+    points: the left-point sum of y_s (eta(t, x_s) - eta(s, x_s)) over the
+    cells of the level-``levels`` dyadic refinement of that grid.  When the
+    declared exponents violate tau + lam/p > 1 a warning is emitted; the sum
+    is still formed.
     """
     if fieldv.params.tau + fieldv.params.lam / fieldv.params.p <= 1:
         warnings.warn(
@@ -152,10 +124,10 @@ def nonlinear_young_integral(
         raise ValueError("y and x must share a time grid")
     if y.values.ndim != 1:
         raise ValueError("y must be a scalar path, values of shape (n,)")
-
-    def germ_fn(level, s, t):
-        ys = dyadic_interp(y.values, level)[:-1]
-        xs = dyadic_interp(x.as_matrix(), level)[:-1]
-        return ys * fieldv.increment(s, t, xs)
-
-    return sew(DyadicGerm(germ_fn), grid, levels=levels, tol=tol)
+    pts = dyadic_interp(grid.points, levels)
+    ys = dyadic_interp(y.values, levels)[:-1]
+    xs = dyadic_interp(x.as_matrix(), levels)[:-1]
+    vals = _finite(ys * fieldv.increment(pts[:-1], pts[1:], xs), pts[:-1], pts[1:])
+    # the running sum at the last fine cell of each base cell
+    k = 2**levels
+    return SamplePath(grid, np.concatenate([[0.0], np.cumsum(vals)[k - 1 :: k]]))

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from youngbsde.driver import FbsGridField, HurstParams
 from youngbsde.paths import SamplePath, TimeGrid, aligned_index, dyadic_interp
-from youngbsde.sewing import DyadicGerm, sew
+from youngbsde.sewing import Germ, sew
 
 
 def prob_sup_abs_bm_exceeds(n: float, horizon: float = 1.0, terms: int = 20) -> float:
@@ -130,19 +130,29 @@ def superadditivity_defect(w, grid, max_triples: int = 2000, seed: int = 0) -> f
     return max(w(pts[i], pts[k]) + w(pts[k], pts[j]) - w(pts[i], pts[j]) for i, k, j in triples)
 
 
-def remainder_certificate(result, controls):
+def remainder_certificate(grid, germ_defect, controls):
     """The sewing bound l^{e0} / (1 - 2^{-e0}) * sum_i w_i(s, t)^{1 + e_i} on
-    every base cell of a sewn result, for controls [(w_i, 1 + e_i), ...].
+    every cell of grid, for controls [(w_i, 1 + e_i), ...].
     Returns (germ_defect <= bound per cell, bound)."""
     if not controls:
         raise ValueError("need at least one control")
     e0 = min(ex for _, ex in controls) - 1.0
     if e0 <= 0:
         raise ValueError("exponents must exceed 1")
-    pts = result.grid.points
+    pts = grid.points
     bound = sum(np.array([w(s, t) for s, t in zip(pts[:-1], pts[1:])]) ** ex for w, ex in controls)
     bound = bound * len(controls) ** e0 / (1.0 - 2.0 ** (-e0))
-    return result.germ_defect <= bound + 1e-15, bound
+    return germ_defect <= bound + 1e-15, bound
+
+
+def nonlinear_germ_defect(y, x, fieldv, running):
+    """|I[t_i, t_{i+1}] - A(t_i, t_{i+1})| per cell of x's grid, for the
+    running integral I (a SamplePath) of y against eta(dr, x_r) and the
+    level-0 germ A(s, t) = y_s (eta(t, x_s) - eta(s, x_s)), by two
+    evaluations of the field."""
+    pts, xs = x.grid.points, x.as_matrix()[:-1]
+    germ = y.values[:-1] * (fieldv.evaluate(pts[1:], xs) - fieldv.evaluate(pts[:-1], xs))
+    return np.abs(np.diff(running.values) - germ)
 
 
 def young_integral_against_path(y, m_path, levels: int = 12, tol: float = 1e-9):
@@ -152,11 +162,17 @@ def young_integral_against_path(y, m_path, levels: int = 12, tol: float = 1e-9):
     if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
         raise ValueError("y and M must share a time grid")
 
-    def germ_fn(level, s, t):
+    cells = grid.n - 1
+
+    def germ_fn(s, t):
+        # sew hands over the cells of one dyadic refinement of grid at a
+        # time, so their number gives the level and the paths are read at the
+        # left points by dyadic_interp instead of a search
+        level = (s.size // cells).bit_length() - 1
         ys = dyadic_interp(y.as_matrix()[:, 0], level)[:-1]
         return ys * np.diff(dyadic_interp(m_path.as_matrix()[:, 0], level))
 
-    return sew(DyadicGerm(germ_fn), grid, levels=levels, tol=tol)
+    return sew(Germ(germ_fn), grid, levels=levels, tol=tol)
 
 
 def load_fbs(prefix):

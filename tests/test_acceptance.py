@@ -105,7 +105,7 @@ def test_criterion_02_smooth_reduction():
                 * np.diff(tgrid)
             )
         )
-        worst = max(worst, abs(res.value - quad))
+        worst = max(worst, abs(res.values[-1] - quad))
     ok = worst <= 1e-6
     assert _line(2, f"smooth reduction (max |diff| {worst:.2e} <= 1e-6)", ok)
 

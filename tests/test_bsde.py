@@ -70,6 +70,21 @@ class TestBackwardSolve:
         sol = backward_solve(spec, ens)
         np.testing.assert_array_equal(sol.y[:, -1], h(ens.x[:, -1]))
 
+    @pytest.mark.parametrize("name", ["generator", "coupling"])
+    def test_column_shaped_callable_rejected(self, name):
+        # a (k, 1) column would broadcast the (k,) target to (k, k)
+        fwd, ens = bm_ensemble(300, 8, seed=3)
+        column = {
+            "generator": lambda t, x, y, z: 0.1 * y[:, None],
+            "coupling": lambda y: np.sin(y)[:, None],
+        }
+        callables = {"generator": zero_generator, "coupling": zero_coupling, name: column[name]}
+        spec = make_spec(fwd, time_field(), callables["generator"], callables["coupling"],
+                         terminal_h_of_xt(lambda x: np.cos(x[:, 0])))
+        with pytest.raises(ValueError, match=rf"{name} must return shape \(300,\), "
+                                             rf"got shape \(300, 1\)"):
+            backward_solve(spec, ens)
+
     def test_linear_generator_exponential(self):
         # g = 0, f = lam*y, xi = c: Y_t = c e^{lam (T - t)}
         lam, c = 0.5, 1.0

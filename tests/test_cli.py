@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import load_fbs
 
-from youngbsde.cli import main, validate_config, ConfigError
+from youngbsde.cli import MAX_FINE_POINTS, main, validate_config, ConfigError
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -284,6 +284,24 @@ class TestCliRuns:
         assert main(["check", str(p)]) == 2
         assert main(["run", str(p), "--out", str(tmp_path / "bad")]) == 2
         assert capsys.readouterr().err.count(key) == 2
+
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "integrate", "levels": 40, "cells": 2},
+        {"experiment": "integrate", "levels": 10**18},
+        {"experiment": "integrate", "levels": 17},
+        # 32 * 2^16 fine cells, each with a 2 x 2 factor
+        {"experiment": "flow", "seed": 0, "levels": 16, "cells": 32, "dim": 2},
+    ], ids=["integrate-40", "integrate-huge", "integrate-17", "flow-dim2"])
+    def test_fine_point_count_bounded(self, tmp_path, capsys, cfg):
+        p = write_cfg(tmp_path, cfg)
+        for argv in (["check", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "levels" in err and str(MAX_FINE_POINTS) in err
+
+    def test_fine_point_count_at_the_bound_passes(self):
+        validate_config({"experiment": "integrate", "levels": 16})
+        validate_config({"experiment": "flow", "seed": 0, "levels": 15, "cells": 32, "dim": 2})
 
     def test_manifest_roundtrip(self, tmp_path):
         cfg = {

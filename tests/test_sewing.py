@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     interp,
+    nonlinear_germ_defect,
     remainder_certificate,
     restrict,
     uniform_norm,
@@ -10,7 +11,7 @@ from oracles import (
 )
 
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate, shift_field
-from youngbsde.paths import SamplePath, TimeGrid, p_variation
+from youngbsde.paths import SamplePath, TimeGrid, dyadic_interp, p_variation
 from youngbsde.sewing import Germ, SewingError, nonlinear_young_integral, sew
 
 
@@ -58,15 +59,15 @@ class TestSew:
         vals = rng.standard_normal(9)
         y = SamplePath(grid, vals)
         x, field = brownian_path(8, 1), sin_t_field()
-        res = nonlinear_young_integral(y, x, field, levels=4, tol=0.0)
+        res = nonlinear_young_integral(y, x, field, levels=4)
         halves = [
             nonlinear_young_integral(
-                restrict(y, iv), restrict(x, iv), shift_field(field, iv[0]), levels=4, tol=0.0
-            ).value
+                restrict(y, iv), restrict(x, iv), shift_field(field, iv[0]), levels=4
+            ).values[-1]
             for iv in ((0.0, 0.5), (0.5, 1.0))
         ]
-        assert res.cumulative[4] == pytest.approx(halves[0], abs=1e-15)
-        assert res.value == pytest.approx(halves[0] + halves[1], abs=1e-15)
+        assert res.values[4] == pytest.approx(halves[0], abs=1e-15)
+        assert res.values[-1] == pytest.approx(halves[0] + halves[1], abs=1e-15)
 
 
 class TestNonlinearYoung:
@@ -76,7 +77,7 @@ class TestNonlinearYoung:
         y = SamplePath(grid, np.full(17, 3.0))
         x = SamplePath(grid, np.zeros(17))
         res = nonlinear_young_integral(y, x, field, levels=3)
-        assert res.value == pytest.approx(3.0, abs=1e-13)
+        assert res.values[-1] == pytest.approx(3.0, abs=1e-13)
 
     def test_bilinear_field_constant_path(self):
         field = AnalyticField(lambda t, x: t * x[:, 0], RegularityParams(tau=1.0, lam=1.0, p=2.5))
@@ -85,7 +86,7 @@ class TestNonlinearYoung:
         x0 = -1.7
         x = SamplePath(grid, np.full(17, x0))
         res = nonlinear_young_integral(y, x, field, levels=3)
-        assert res.value == pytest.approx(x0, abs=1e-13)
+        assert res.values[-1] == pytest.approx(x0, abs=1e-13)
 
     def test_riemann_reduction_identity_path(self):
         # eta = t*x, x_r = r, y = 1 on [0,1] -> int_0^1 r dr = 1/2
@@ -93,8 +94,8 @@ class TestNonlinearYoung:
         grid = TimeGrid(np.array([0.0, 1.0]))
         y = SamplePath(grid, np.ones(2))
         x = SamplePath(grid, np.array([0.0, 1.0]))
-        res = nonlinear_young_integral(y, x, field, levels=14, tol=0.0)
-        assert res.value == pytest.approx(0.5, abs=1e-4)
+        res = nonlinear_young_integral(y, x, field, levels=14)
+        assert res.values[-1] == pytest.approx(0.5, abs=1e-4)
 
     def test_warning_when_exponents_insufficient(self):
         field = AnalyticField(
@@ -115,19 +116,19 @@ class TestNonlinearYoung:
             nonlinear_young_integral(y, SamplePath(grid, np.zeros(9)), field)
 
     def test_matches_searching_germ(self):
-        # the dyadic germ against a germ that finds each point by np.interp
-        # and differences two evaluations: every level, on an fbs field, on
-        # the whole grid and on an interior interval (paths restricted to it,
-        # the field shifted to its start)
+        # the one-level sum against sew of a germ that finds each point by
+        # np.interp and differences two evaluations: the value at every level,
+        # and the finest running integral, on an fbs field, on the whole grid
+        # and on an interior interval (paths restricted to it, the field
+        # shifted to its start)
         field = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
                              np.linspace(-2.0, 2.0, 33), seed=40, p=2.05)
         x = brownian_path(16, 41)
         y = SamplePath(x.grid, np.cos(x.grid.points) + x.values)
         for interval in (None, (0.25, 0.75)):
             a, b = (0.0, 1.0) if interval is None else interval
-            got = nonlinear_young_integral(
-                restrict(y, (a, b)), restrict(x, (a, b)), shift_field(field, a), levels=6, tol=0.0
-            )
+            ya, xa, fa = restrict(y, (a, b)), restrict(x, (a, b)), shift_field(field, a)
+            got = [nonlinear_young_integral(ya, xa, fa, levels=lev) for lev in range(7)]
             keep = (x.grid.points >= a - 1e-12) & (x.grid.points <= b + 1e-12)
             pts, xv, yv = x.grid.points[keep], x.values[keep], y.values[keep]
 
@@ -137,8 +138,25 @@ class TestNonlinearYoung:
                 return ys * (field.evaluate(t + a, xs) - field.evaluate(s + a, xs))
 
             want = sew(Germ(germ), TimeGrid(pts - a), levels=6, tol=0.0)
-            np.testing.assert_allclose(got.level_totals, want.level_totals, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(got.cumulative, want.cumulative, rtol=0, atol=1e-13)
+            np.testing.assert_allclose([g.values[-1] for g in got], want.level_totals,
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got[-1].values, want.cumulative, rtol=0, atol=1e-13)
+
+    def test_one_left_point_sum_bitwise(self):
+        # the running integral is the cumulative sum of ys * increment on the
+        # level-l refinement, read at every 2^l-th fine point
+        field = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
+                             np.linspace(-2.0, 2.0, 33), seed=42, p=2.05)
+        x = brownian_path(12, 43)
+        y = SamplePath(x.grid, np.sin(3 * x.grid.points) - x.values)
+        lev = 5
+        got = nonlinear_young_integral(y, x, field, levels=lev)
+        pts = dyadic_interp(x.grid.points, lev)
+        ys = dyadic_interp(y.values, lev)[:-1]
+        xs = dyadic_interp(x.as_matrix(), lev)[:-1]
+        cum = np.concatenate([[0.0], np.cumsum(ys * field.increment(pts[:-1], pts[1:], xs))])
+        assert got.grid is x.grid
+        assert np.array_equal(got.values, cum[:: 2**lev])
 
     def test_cauchy_increments_decay_rough_case(self):
         x = brownian_path(2**10, 123)
@@ -166,13 +184,13 @@ class TestNonlinearYoung:
         field = sin_t_field(power=1.0)
         x = brownian_path(2**8, 5)
         y = SamplePath(x.grid, np.cos(x.grid.points))
-        res = nonlinear_young_integral(y, x, field, levels=4, tol=0.0)
+        res = nonlinear_young_integral(y, x, field, levels=4)
         fine = x.grid.refine(4)
         ys = interp(y, fine.points[:-1])
         xs = interp(x, fine.points[:-1])[:, None]
         dts = np.diff(fine.points)
         quad = np.sum(ys * field.time_derivative(fine.points[:-1], xs) * dts)
-        assert res.value == pytest.approx(quad, abs=1e-12)
+        assert res.values[-1] == pytest.approx(quad, abs=1e-12)
 
 
 class TestYoungAgainstPath:
@@ -204,9 +222,9 @@ class TestYoungAgainstPath:
         y = SamplePath(x.grid, np.cos(2 * x.grid.points))
         direct = nonlinear_young_integral(y, x, field, levels=0)
         ones = SamplePath(x.grid, np.ones(x.grid.n))
-        m_path = SamplePath(x.grid, nonlinear_young_integral(ones, x, field, levels=0).cumulative)
+        m_path = nonlinear_young_integral(ones, x, field, levels=0)
         via_m = young_integral_against_path(y, m_path, levels=0)
-        assert via_m.value == pytest.approx(direct.value, abs=1e-6)
+        assert via_m.value == pytest.approx(direct.values[-1], abs=1e-6)
 
         gaps = []
         for cells in (2**8, 2**10, 2**12):
@@ -215,9 +233,9 @@ class TestYoungAgainstPath:
             xs = SamplePath(sub_grid, x.values[::step])
             ys = SamplePath(sub_grid, np.cos(2 * sub_grid.points))
             ones_s = SamplePath(sub_grid, np.ones(sub_grid.n))
-            m_s = SamplePath(sub_grid, nonlinear_young_integral(ones_s, xs, field, levels=0).cumulative)
+            m_s = nonlinear_young_integral(ones_s, xs, field, levels=0)
             a = young_integral_against_path(ys, m_s, levels=0).value
-            gaps.append(abs(a - direct.value))
+            gaps.append(abs(a - direct.values[-1]))
         assert gaps[2] < gaps[0]
 
 
@@ -225,25 +243,25 @@ class TestRemainderCertificate:
     def test_exact_additive_germ(self):
         grid = TimeGrid.uniform(1.0, 4)
         res = sew(Germ(lambda s, t: 1.5 * (t - s)), grid, levels=5, tol=0.0)
-        ok, bound = remainder_certificate(res, [(lambda s, t: t - s, 2.0)])
+        ok, bound = remainder_certificate(grid, res.germ_defect, [(lambda s, t: t - s, 2.0)])
         assert ok.all()
         assert np.all(bound >= 0)
 
     def test_square_germ_bound(self):
         grid = TimeGrid.uniform(1.0, 4)
         res = sew(Germ(lambda s, t: (t - s) ** 2), grid, levels=10, tol=0.0)
-        ok, _ = remainder_certificate(res, [(lambda s, t: t - s, 2.0)])
+        ok, _ = remainder_certificate(grid, res.germ_defect, [(lambda s, t: t - s, 2.0)])
         assert ok.all()
 
     def test_rough_case_certificate(self):
         # controls built from an analytic seminorm bound and measured p-variation
         field = sin_t_field(power=0.8)
         x = brownian_path(2**8, 77)
-        y = SamplePath(x.grid, np.ones(x.grid.n))
         base = TimeGrid(x.grid.points[::32])  # 8 base cells
         yb = SamplePath(base, np.ones(base.n))
         xb = SamplePath(base, x.values[::32])
-        res = nonlinear_young_integral(yb, xb, field, levels=5, tol=0.0)
+        running = nonlinear_young_integral(yb, xb, field, levels=5)
+        defect = nonlinear_germ_defect(yb, xb, field, running)
         tau, lam, p = 0.8, 1.0, 2.5
         delta = tau + lam / p - 1
         eta_bound = 3.0  # sum of the three seminorm terms, each at most 1
@@ -255,14 +273,14 @@ class TestRemainderCertificate:
                 eta_bound * (t - s) ** tau * p_variation(restrict(xb, (s, t)), p) ** lam
             ) ** (1.0 / (1.0 + delta))
 
-        ok, _ = remainder_certificate(res, [(w1, 1.0 + delta)])
+        ok, _ = remainder_certificate(base, defect, [(w1, 1.0 + delta)])
         assert ok.all()
 
     def test_exponent_guard(self):
         grid = TimeGrid.uniform(1.0, 2)
         res = sew(Germ(lambda s, t: t - s), grid, levels=2)
         with pytest.raises(ValueError):
-            remainder_certificate(res, [(lambda s, t: t - s, 1.0)])
+            remainder_certificate(grid, res.germ_defect, [(lambda s, t: t - s, 1.0)])
 
 
 class TestEstimates:
@@ -286,8 +304,7 @@ class TestEstimates:
         field = sin_t_field(power=0.8)
         for seed in (3, 17):
             x, y = self._battery(seed)
-            res = nonlinear_young_integral(y, x, field, levels=3, tol=0.0)
-            integral_path = SamplePath(x.grid, res.cumulative)
+            integral_path = nonlinear_young_integral(y, x, field, levels=3)
             for (s, t) in [(0.0, 1.0), (0.0, 0.5), (0.25, 0.75)]:
                 lhs = p_variation(restrict(integral_path, (s, t)), 1.0 / tau)
                 y_inf = np.abs(restrict(y, (s, t)).values).max()
@@ -308,8 +325,7 @@ class TestEstimates:
         field = sin_t_field(power=0.8)
         for seed in (5, 23):
             x, y = self._battery(seed)
-            res = nonlinear_young_integral(y, x, field, levels=3, tol=0.0)
-            integral_path = SamplePath(x.grid, res.cumulative)
+            integral_path = nonlinear_young_integral(y, x, field, levels=3)
             for (s, t) in [(0.0, 1.0), (0.5, 1.0)]:
                 lhs = p_variation(restrict(integral_path, (s, t)), 1.0 / tau)
                 y_inf = np.abs(restrict(y, (s, t)).values).max()
