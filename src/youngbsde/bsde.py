@@ -139,6 +139,8 @@ class _Fit:
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of targets (k,) or (k, c), one fit per column."""
+        # BLAS sums a strided vector in another order than a contiguous one
+        targets = np.ascontiguousarray(targets)
         beta = cho_solve(self._chol, self._a.T @ targets, check_finite=False)
         if not np.all(np.isfinite(beta)):
             raise RegressionError("regression normal equations singular")
@@ -173,8 +175,12 @@ def terminal_running_max() -> Terminal:
     """Xi_t = max_{s <= t} X^0_s, the running maximum of the first coordinate."""
 
     def value_at(ensemble, idx):
-        run = np.maximum.accumulate(ensemble.x[:, :, 0], axis=1)
-        return run[np.arange(ensemble.n_paths), idx]
+        # one contiguous maximum per step: maximum.accumulate would walk
+        # each path across the time-major storage
+        run = ensemble.x[:, :, 0].T.copy()
+        for j in range(1, run.shape[0]):
+            np.maximum(run[j - 1], run[j], out=run[j])
+        return run[idx, np.arange(ensemble.n_paths)]
 
     return Terminal(value_at)
 
@@ -201,7 +207,12 @@ def zero_coupling(y):
 
 @dataclass
 class BsdeSolution:
-    """Backward-induction output: y (k, n), z (k, n-1, d)."""
+    """Backward-induction output: y (k, n), z (k, n-1, d).
+
+    Time-major storage, path-major views: the solver fills (n, k) and
+    (n-1, k, d) arrays and y, z are their np.moveaxis views, so the
+    per-step slices y[:, i] and z[:, i] are C-contiguous.
+    """
 
     grid_points: np.ndarray
     y: np.ndarray
@@ -311,7 +322,7 @@ def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
     """
     t_i, t_next = ensemble.grid.points[i], ensemble.grid.points[i + 1]
     dt = t_next - t_i
-    x, dw = ensemble.x[rows, i], ensemble.dw[rows, i]
+    x, dw = ensemble.x[:, i][rows], ensemble.dw[:, i][rows]
     bridge = step_normals(ensemble.seed, 2**32 + i, ensemble.n_paths, x.shape[1])[rows]
     dw1 = dw / 2 + np.sqrt(dt) / 2 * bridge
     x_mid = (
@@ -345,9 +356,10 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
     grid = ensemble.grid
     k, n, d = ensemble.x.shape
     xi = spec.terminal.value_at(ensemble, k_exit)
-    # frozen entries hold xi; the loop below fills every active one
-    y = np.where(np.arange(n) >= k_exit[:, None], xi[:, None], 0.0)
-    z = np.zeros((k, n - 1, d))
+    # time-major; frozen entries hold xi and the loop below fills every
+    # active one
+    y = np.where(np.arange(n)[:, None] >= k_exit, xi, 0.0)
+    z = np.zeros((n - 1, k, d))
 
     residual_log = [None] * (n - 1)
     halvings = []
@@ -358,10 +370,10 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
         if not active.any():
             continue
         rows = slice(None) if active.all() else active
-        y_next = y[rows, i + 1]
+        y_next = y[i + 1, rows]
         y_i, z_i, residuals, ok, target, open_r = _step(
             spec, basis, picard, grid.points[i], grid.points[i + 1],
-            ensemble.x[rows, i], ensemble.dw[rows, i], y_next,
+            ensemble.x[:, i][rows], ensemble.dw[:, i][rows], y_next,
         )
         gain = target - y_next
         if not ok:
@@ -372,12 +384,12 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
             unconverged[i] = open_r
         residual_log[i] = residuals
         realized[rows] += gain
-        y[rows, i] = y_i
-        z[rows, i] = z_i
+        y[i, rows] = y_i
+        z[i, rows] = z_i
     return BsdeSolution(
         grid_points=grid.points,
-        y=y,
-        z=z,
+        y=y.T,
+        z=np.moveaxis(z, 0, 1),
         picard_residuals=residual_log,
         halvings=halvings,
         unconverged=unconverged,
@@ -457,8 +469,9 @@ def localization_sweep(
     prev = None
     n_last = ensemble.grid.n - 1
     for r in radii:
-        sol = localized_solve(spec, ensemble, r, basis=basis, picard=picard)
-        p_exit = float(np.mean(exit_indices(ensemble, r) < n_last))
+        k_exit = exit_indices(ensemble, r)
+        sol = _backward(spec, ensemble, k_exit, basis, picard)
+        p_exit = float(np.mean(k_exit < n_last))
         diff = np.nan if prev is None else abs(sol.y0 - prev)
         rows.append({"radius": float(r), "y0": sol.y0, "diff_prev": diff, "p_exit": p_exit,
                      "solution": sol})
@@ -554,7 +567,8 @@ def diagnostics(
         pv = moment(pvar[:, q], k_mom)
         fit = _Fit(basis, x[:, j])
         m_pk = max(m_pk, float(np.max(fit.fit(pv))) ** (1.0 / k_mom) if np.max(pv) > 0 else 0.0)
-        zsq = np.einsum("kjd,kjd->kj", z[:, j:], z[:, j:]) * dts[j:][None, :]
+        # C-contiguous (k, m), so the row sums do not depend on z's layout
+        zsq = np.einsum("kjd,kjd->kj", z[:, j:], z[:, j:], order="C") * dts[j:][None, :]
         tail = moment(zsq.sum(axis=1), k_mom / 2.0)
         bmo = max(bmo, float(np.max(fit.fit(tail))) ** (1.0 / k_mom) if np.max(tail) > 0 else 0.0)
     return {

@@ -244,6 +244,12 @@ _FBS_CELLS = MAX_FBS_AXIS - 2  # cells + 1 nodes, plus 0 when the axis misses it
 # about 0.35 GB in integrate
 MAX_FINE_POINTS = 2**22
 
+# the most (path, time, coordinate) entries, paths * (steps + 1) * dim, of
+# the Euler-Maruyama or reflected ensemble an experiment simulates; X and dW
+# at 2^23 entries take about 0.13 GB, and a run at the bound peaks at about
+# 0.4 GB (nonlinear-bsde) to 0.65 GB (localize, one solution per radius)
+MAX_PATH_POINTS = 2**23
+
 _DRIVERS = {
     "analytic": {"name": _enum("time", ANALYTIC_FIELDS)},
     "fbs": {
@@ -452,6 +458,20 @@ def _check_relations(cfg: dict) -> None:
                 f"most {MAX_FINE_POINTS}, got {level0} * 2^{cfg['levels']}"
             )
     fwd = cfg.get("forward")
+    if "paths" in cfg:
+        # the forward SDE of the BSDE experiments, cross-check's Monte Carlo
+        # side, or neumann's reflected paths
+        if fwd is not None:
+            steps_key, steps, dim = "forward.steps", fwd["steps"], len(fwd["x0"])
+        elif exp == "cross-check":
+            steps_key, steps, dim = "mc_time_steps", cfg["mc_time_steps"], cfg["pde"]["dim"]
+        else:
+            steps_key, steps, dim = "steps", cfg["steps"], 1
+        if cfg["paths"] * (steps + 1) * dim > MAX_PATH_POINTS:
+            raise ConfigError(
+                f"paths: paths * ({steps_key} + 1) * dim must be at most {MAX_PATH_POINTS}, "
+                f"got {cfg['paths']} * {steps + 1} * {dim}"
+            )
     if fwd is not None and max(abs(fwd["drift"]), abs(fwd["diffusion"])) > fwd["bound"]:
         raise ConfigError("forward.bound: expected at least |drift| and |diffusion|")
     if exp == "cross-check":

@@ -71,7 +71,12 @@ class SdeSpec:
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths: x has shape (n_paths, n_times, d), dw (n_paths, n_times-1, d)."""
+    """Simulated paths: x has shape (n_paths, n_times, d), dw (n_paths, n_times-1, d).
+
+    Time-major storage, path-major views: euler_maruyama fills (n_times,
+    n_paths, d) arrays and x, dw are their np.moveaxis views, so the
+    per-step slices x[:, j] and dw[:, j] are C-contiguous.
+    """
 
     grid: TimeGrid
     x: np.ndarray
@@ -103,20 +108,19 @@ def euler_maruyama(spec: SdeSpec, grid: TimeGrid, n_paths: int, seed: int) -> Pa
         raise ValueError("n_paths must be >= 1")
     d = spec.dim
     n = grid.n
-    x = np.empty((n_paths, n, d))
-    dw = np.empty((n_paths, n - 1, d))
-    x[:, 0] = spec.x0
+    x = np.empty((n, n_paths, d))
+    dw = np.empty((n - 1, n_paths, d))
+    x[0] = spec.x0
     dts = grid.dt
     for j in range(n - 1):
-        xj = x[:, j]
-        bj = spec.b(grid.points[j], xj)
-        sj = spec.sigma(grid.points[j], xj)
+        bj = spec.b(grid.points[j], x[j])
+        sj = spec.sigma(grid.points[j], x[j])
         if np.max(np.abs(bj)) > spec.bound + 1e-12 or np.max(np.abs(sj)) > spec.bound + 1e-12:
             raise ValueError("drift/diffusion exceeded the declared bound L")
-        z = step_normals(seed, j, n_paths, d)
-        dw[:, j] = np.sqrt(dts[j]) * z
-        x[:, j + 1] = xj + bj * dts[j] + np.einsum("kab,kb->ka", sj, dw[:, j])
-    return PathEnsemble(grid=grid, x=x, dw=dw, seed=int(seed))
+        dw[j] = np.sqrt(dts[j]) * step_normals(seed, j, n_paths, d)
+        x[j + 1] = x[j] + bj * dts[j] + np.einsum("kab,kb->ka", sj, dw[j])
+    return PathEnsemble(grid=grid, x=np.moveaxis(x, 0, 1), dw=np.moveaxis(dw, 0, 1),
+                        seed=int(seed))
 
 
 def exit_indices(ensemble: PathEnsemble, radius: float) -> np.ndarray:
@@ -135,7 +139,8 @@ def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0):
     both boundaries push inward, so magnitudes add).  increments has shape
     (n_paths, n_steps); x0 is one start or one per path.
 
-    Returns (X, L) with one more column than increments.
+    Returns (X, L) with one more column than increments: time-major
+    storage, path-major views, so each step X[:, j] is C-contiguous.
     """
     a, b = interval
     if not a < b:
@@ -143,14 +148,13 @@ def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0):
     x0_arr = np.asarray(x0, dtype=float)
     if np.any(x0_arr < a) or np.any(x0_arr > b):
         raise ValueError("x0 outside the reflection interval")
-    inc = np.asarray(increments, dtype=float)
-    n_paths, n_steps = inc.shape
-    x = np.empty((n_paths, n_steps + 1))
-    loc = np.zeros((n_paths, n_steps + 1))
-    x[:, 0] = x0_arr
+    inc = np.ascontiguousarray(np.transpose(increments), dtype=float)  # time-major
+    n_steps, n_paths = inc.shape
+    x = np.empty((n_steps + 1, n_paths))
+    loc = np.zeros((n_steps + 1, n_paths))
+    x[0] = x0_arr
     for j in range(n_steps):
-        prop = x[:, j] + inc[:, j]
-        clipped = np.clip(prop, a, b)
-        loc[:, j + 1] = loc[:, j] + np.abs(prop - clipped)
-        x[:, j + 1] = clipped
-    return x, loc
+        prop = x[j] + inc[j]
+        x[j + 1] = np.clip(prop, a, b)
+        loc[j + 1] = loc[j] + np.abs(prop - x[j + 1])
+    return x.T, loc.T

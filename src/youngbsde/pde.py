@@ -348,14 +348,14 @@ def neumann_fk_estimate(
     if horizon <= 0:
         raise ValueError("start time beyond the driver horizon")
     dt = horizon / n_steps
-    inc = np.empty((n_paths, n_steps))
+    inc = np.empty((n_steps, n_paths))  # time-major
     for j in range(n_steps):
-        inc[:, j] = step_normals(seed, j, n_paths, 1)[:, 0] * np.sqrt(dt)
-    x, _ = reflect_1d(inc, (a, b), x0)
+        inc[j] = step_normals(seed, j, n_paths, 1)[:, 0] * np.sqrt(dt)
+    x = reflect_1d(inc.T, (a, b), x0)[0].T  # time-major
     shifted = shift_field(fieldv, t0)
     times = np.linspace(0.0, horizon, n_steps + 1)
     integral = np.zeros(n_paths)
     for j in range(n_steps):
-        integral += shifted.increment(times[j], times[j + 1], x[:, j][:, None])
-    vals = np.asarray(h(x[:, -1]), dtype=float) * np.exp(integral)
+        integral += shifted.increment(times[j], times[j + 1], x[j][:, None])
+    vals = np.asarray(h(x[-1]), dtype=float) * np.exp(integral)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))

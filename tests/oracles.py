@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import norm
 
+from youngbsde import bsde
 from youngbsde.driver import FbsGridField, HurstParams
+from youngbsde.forward import PathEnsemble, step_normals
 from youngbsde.paths import SamplePath, TimeGrid, aligned_index, dyadic_interp
 from youngbsde.sewing import Germ, sew
 
@@ -78,6 +80,66 @@ def increment_moments_ok(ensemble, z: float = 5.0) -> bool:
     mean_ok = np.abs(ensemble.dw.mean(axis=0)) <= z * np.sqrt(dts / n)
     var_ok = np.abs(ensemble.dw.var(axis=0, ddof=1) - dts) <= z * dts * np.sqrt(2.0 / (n - 1))
     return bool(np.all(mean_ok & var_ok))
+
+
+def euler_maruyama_path_major(spec, grid, n_paths: int, seed: int) -> PathEnsemble:
+    """euler_maruyama's scheme on C-contiguous path-major (k, n, d) arrays,
+    one strided column per step."""
+    d, n = spec.dim, grid.n
+    x = np.empty((n_paths, n, d))
+    dw = np.empty((n_paths, n - 1, d))
+    x[:, 0] = spec.x0
+    dts = grid.dt
+    for j in range(n - 1):
+        xj = x[:, j]
+        dw[:, j] = np.sqrt(dts[j]) * step_normals(seed, j, n_paths, d)
+        x[:, j + 1] = (xj + spec.b(grid.points[j], xj) * dts[j]
+                       + np.einsum("kab,kb->ka", spec.sigma(grid.points[j], xj), dw[:, j]))
+    return PathEnsemble(grid=grid, x=x, dw=dw, seed=int(seed))
+
+
+def reflect_1d_path_major(increments, interval, x0):
+    """reflect_1d's clip scheme on C-contiguous path-major (k, n) arrays."""
+    a, b = interval
+    inc = np.asarray(increments, dtype=float)
+    n_paths, n_steps = inc.shape
+    x = np.empty((n_paths, n_steps + 1))
+    loc = np.zeros((n_paths, n_steps + 1))
+    x[:, 0] = x0
+    for j in range(n_steps):
+        prop = x[:, j] + inc[:, j]
+        clipped = np.clip(prop, a, b)
+        loc[:, j + 1] = loc[:, j] + np.abs(prop - clipped)
+        x[:, j + 1] = clipped
+    return x, loc
+
+
+def backward_solve_path_major(spec, ensemble, basis=None, picard=None):
+    """Full-horizon backward induction on C-contiguous path-major copies of
+    the ensemble and of (y, z), through the library's one-step kernels.
+    Returns (y (k, n), z (k, n-1, d), realized)."""
+    basis = basis or bsde.RegressionBasis()
+    picard = picard or bsde.PicardParams()
+    ens = PathEnsemble(grid=ensemble.grid, x=np.ascontiguousarray(ensemble.x),
+                       dw=np.ascontiguousarray(ensemble.dw), seed=ensemble.seed)
+    pts = ens.grid.points
+    k, n, d = ens.x.shape
+    y = np.empty((k, n))
+    z = np.empty((k, n - 1, d))
+    y[:, -1] = spec.terminal.terminal(ens)
+    realized = y[:, -1].copy()
+    for i in range(n - 2, -1, -1):
+        y_next = y[:, i + 1]
+        y_i, z_i, _, ok, target, _ = bsde._step(
+            spec, basis, picard, pts[i], pts[i + 1], ens.x[:, i], ens.dw[:, i], y_next
+        )
+        gain = target - y_next
+        if not ok:
+            y_i, z_i, gain, _ = bsde._halved_step(spec, ens, basis, picard, i, slice(None), y_next)
+        realized += gain
+        y[:, i] = y_i
+        z[:, i] = z_i
+    return y, z, realized
 
 
 def _slice_indices(grid, interval) -> tuple[int, int]:

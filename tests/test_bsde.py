@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import backward_solve_path_major
 
 from youngbsde.bsde import (
     BsdeSolution,
@@ -148,6 +149,29 @@ class TestBackwardSolve:
         assert len(sol.unconverged) > 0
         assert all(r >= 1e-10 for r in sol.unconverged.values())
 
+    def test_step_slices_contiguous(self):
+        fwd, ens = bm_ensemble(200, 8, seed=4)
+        spec = make_spec(fwd, time_field(), zero_generator, np.sin,
+                         terminal_h_of_xt(lambda x: np.cos(x[:, 0])))
+        sol = backward_solve(spec, ens)
+        assert sol.y.shape == (200, 9) and sol.z.shape == (200, 8, 1)
+        assert all(sol.y[:, i].flags.c_contiguous for i in range(9))
+        assert all(sol.z[:, i].flags.c_contiguous for i in range(8))
+
+    @pytest.mark.parametrize("c_lip", [0.5, 9.0])  # 9.0 halves steps, as above
+    def test_matches_path_major_loop(self, c_lip):
+        fwd, ens = bm_ensemble(300, 8, seed=7)
+        spec = make_spec(
+            fwd, rough_field(), lambda t, x, y, z: -c_lip * y + 0.1 * z[:, 0], np.sin,
+            terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
+        )
+        picard = PicardParams(max_iter=10, tol=1e-10)
+        sol = backward_solve(spec, ens, picard=picard)
+        y, z, realized = backward_solve_path_major(spec, ens, picard=picard)
+        assert (len(sol.halvings) > 0) == (c_lip > 1)
+        assert np.array_equal(sol.y, y) and np.array_equal(sol.z, z)
+        assert np.array_equal(sol.realized, realized)
+
     def test_localized_halving_rescues_marginal_contraction(self):
         # the halving problem above, stopped at |X| = 1 so that steps run on
         # part of the paths; the localized solve halves as the plain one does
@@ -293,6 +317,12 @@ class TestLinearClosedForm:
 
 
 class TestLocalized:
+    def test_running_max_terminal_at_exit_indices(self):
+        fwd, ens = bm_ensemble(300, 32, seed=16)
+        idx = exit_indices(ens, 0.5)
+        want = np.maximum.accumulate(ens.x[:, :, 0], axis=1)[np.arange(300), idx]
+        assert np.array_equal(terminal_running_max().value_at(ens, idx), want)
+
     def test_infinite_radius_matches_plain(self):
         fwd, ens = bm_ensemble(800, 32, seed=17)
         spec = make_spec(
@@ -414,6 +444,29 @@ class TestDiagnostics:
         assert d["m_pk"] == pytest.approx(0.0, abs=1e-9)
         assert d["z_bmo"] == pytest.approx(0.0, abs=1e-9)
         assert d["sup_y"] == pytest.approx(1.5)
+
+    def test_independent_of_memory_layout(self):
+        # the solver's time-major y, z against C-contiguous path-major copies
+        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0, 0.0], bound=2.0)
+        ens = euler_maruyama(fwd, TimeGrid.uniform(1.0, 64), 600, seed=32)
+        spec = make_spec(
+            fwd, time_field(), lambda t, x, y, z: 0.5 * np.sin(y) + 0.2 * z[:, 1], np.sin,
+            terminal_h_of_xt(lambda x: np.cos(x[:, 0] + x[:, 1])),
+        )
+        sol = backward_solve(spec, ens)
+        copy = BsdeSolution(
+            grid_points=sol.grid_points,
+            y=np.ascontiguousarray(sol.y),
+            z=np.ascontiguousarray(sol.z),
+            picard_residuals=sol.picard_residuals,
+            halvings=sol.halvings,
+        )
+        assert not sol.y.flags.c_contiguous and copy.y.flags.c_contiguous
+        # at degree 11 the fits carry a last-bit change of the Z tails into z_bmo
+        basis = RegressionBasis(degree=11)
+        want = diagnostics(copy, ens, basis=basis)
+        assert diagnostics(sol, ens, basis=basis) == want
+        assert want["z_bmo"] > 0
 
     def test_brownian_y_against_resampled_oracle(self):
         # feed Y = W directly and compare m_{2.5,2}(Y;[0,1]) at t = 0 with a

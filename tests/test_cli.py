@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from oracles import load_fbs
 
-from youngbsde.cli import MAX_FINE_POINTS, main, validate_config, ConfigError
+from youngbsde import cli
+from youngbsde.cli import MAX_FINE_POINTS, MAX_PATH_POINTS, main, validate_config, ConfigError
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -302,6 +303,37 @@ class TestCliRuns:
     def test_fine_point_count_at_the_bound_passes(self):
         validate_config({"experiment": "integrate", "levels": 16})
         validate_config({"experiment": "flow", "seed": 0, "levels": 15, "cells": 32, "dim": 2})
+
+    @staticmethod
+    def _ensembles(paths, steps):
+        # paths * (steps + 1) * dim = MAX_PATH_POINTS at 2^16 paths and 128
+        # time points, with dim 1 except where the state is 2-D
+        return [
+            {"experiment": "nonlinear-bsde", "seed": 1, "paths": paths, "forward": {"steps": steps}},
+            {"experiment": "localize", "seed": 1, "paths": paths // 2,
+             "forward": {"steps": steps, "x0": [0.0, 0.0]}},
+            {"experiment": "cross-check", "seed": 1, "paths": paths // 2,
+             "driver": {"kind": "analytic", "name": "time"}, "pde": {"dim": 2},
+             "points": [[0.0, [0.0, 0.0]]], "mc_time_steps": steps},
+            {"experiment": "neumann", "seed": 1, "driver": {"kind": "analytic", "name": "time"},
+             "paths": paths, "steps": steps},
+        ]
+
+    @pytest.mark.parametrize("q", range(4))
+    @pytest.mark.parametrize("paths, steps", [(2**16 + 2, 127), (2**16, 128), (10**9, 10**6)])
+    def test_path_point_count_bounded(self, tmp_path, capsys, monkeypatch, q, paths, steps):
+        # rejected before any experiment code allocates the ensemble
+        monkeypatch.setattr(cli, "run_config", lambda *a: pytest.fail("run_config reached"))
+        p = write_cfg(tmp_path, self._ensembles(paths, steps)[q])
+        for argv in (["check", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "paths" in err and str(MAX_PATH_POINTS) in err
+
+    def test_path_point_count_at_the_bound_passes(self):
+        assert MAX_PATH_POINTS == 2**16 * 128
+        for cfg in self._ensembles(2**16, 127):
+            validate_config(cfg)
 
     def test_manifest_roundtrip(self, tmp_path):
         cfg = {

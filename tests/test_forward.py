@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import exit_time, increment_moments_ok, prob_sup_abs_bm_exceeds
+from oracles import (
+    euler_maruyama_path_major,
+    exit_time,
+    increment_moments_ok,
+    prob_sup_abs_bm_exceeds,
+    reflect_1d_path_major,
+)
 from scipy import stats
 
 from youngbsde.forward import (
@@ -54,6 +60,26 @@ class TestEulerMaruyama:
     def test_increment_smoke_check(self):
         ens = euler_maruyama(bm_spec(), TimeGrid.uniform(1.0, 8), 4000, seed=5)
         assert increment_moments_ok(ens)
+
+    def test_step_slices_contiguous(self):
+        # time-major storage: every per-step slice is one contiguous block
+        ens = euler_maruyama(bm_spec(2), TimeGrid.uniform(1.0, 8), 50, seed=5)
+        assert ens.x.shape == (50, 9, 2) and ens.dw.shape == (50, 8, 2)
+        for j in range(8):
+            assert ens.x[:, j].flags.c_contiguous and ens.dw[:, j].flags.c_contiguous
+        assert ens.x[:, 8].flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_path_major_loop(self, d):
+        spec = SdeSpec(
+            drift=lambda t, x: np.sin(x + t),
+            diffusion=lambda t, x: 0.5 + 0.25 * np.cos(x[:, :, None] * np.arange(1, d + 1)),
+            x0=np.linspace(-0.5, 0.5, d), bound=2.0,
+        )
+        grid = TimeGrid.uniform(1.0, 24)
+        ens = euler_maruyama(spec, grid, 70, seed=6)
+        ref = euler_maruyama_path_major(spec, grid, 70, seed=6)
+        assert np.array_equal(ens.x, ref.x) and np.array_equal(ens.dw, ref.dw)
 
 
 class TestCoefficient:
@@ -140,6 +166,21 @@ class TestReflect:
         grew = np.diff(loc, axis=1) > 0
         at_boundary = (x[:, 1:] == 0.0) | (x[:, 1:] == 1.0)
         assert np.all(at_boundary[grew])
+
+    def test_step_slices_contiguous(self):
+        x, loc = reflect_1d(np.zeros((40, 6)), (0.0, 1.0), 0.5)
+        assert x.shape == loc.shape == (40, 7)
+        assert all(x[:, j].flags.c_contiguous and loc[:, j].flags.c_contiguous for j in range(7))
+
+    @pytest.mark.parametrize("x0", [0.3, "per-path"])
+    def test_matches_path_major_loop(self, x0):
+        rng = np.random.default_rng(15)
+        inc = rng.standard_normal((90, 300)) * 0.2
+        start = rng.uniform(0.0, 1.0, 90) if x0 == "per-path" else x0
+        x, loc = reflect_1d(inc, (0.0, 1.0), start)
+        x_ref, loc_ref = reflect_1d_path_major(inc, (0.0, 1.0), start)
+        assert np.any(loc_ref[:, -1] > 0)
+        assert np.array_equal(x, x_ref) and np.array_equal(loc, loc_ref)
 
     def test_x0_outside_rejected(self):
         with pytest.raises(ValueError, match="outside"):
