@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .driver import DriverField
 from .forward import PathEnsemble, SdeSpec, exit_indices, step_normals
@@ -133,7 +132,7 @@ class _Fit:
         pen = np.eye(a.shape[1]) * basis.ridge
         pen[0, 0] = 0.0
         try:
-            self._chol = cho_factor(a.T @ a + pen, check_finite=False)
+            self._chol = np.linalg.cholesky(a.T @ a + pen)
         except np.linalg.LinAlgError as exc:
             raise RegressionError("regression normal equations singular") from exc
 
@@ -141,7 +140,9 @@ class _Fit:
         """Fitted values of targets (k,) or (k, c), one fit per column."""
         # BLAS sums a strided vector in another order than a contiguous one
         targets = np.ascontiguousarray(targets)
-        beta = cho_solve(self._chol, self._a.T @ targets, check_finite=False)
+        # G = L L^T: solve L v = A^T y, then L^T beta = v
+        half = np.linalg.solve(self._chol, self._a.T @ targets)
+        beta = np.linalg.solve(self._chol.T, half)
         if not np.all(np.isfinite(beta)):
             raise RegressionError("regression normal equations singular")
         return self._a @ beta
@@ -463,19 +464,21 @@ def localization_sweep(
     basis: RegressionBasis | None = None,
     picard: PicardParams | None = None,
 ):
-    """Solve the stopped problem for each radius; rows hold (radius, Y0,
-    |Y0 - previous Y0|, exit probability P{T_n < T})."""
+    """Solve the stopped problem for each radius; rows hold (radius, Y0, its
+    standard error, |Y0 - previous Y0|, exit probability P{T_n < T}).  Only
+    one radius's solution is alive at a time."""
     rows = []
     prev = None
     n_last = ensemble.grid.n - 1
     for r in radii:
         k_exit = exit_indices(ensemble, r)
         sol = _backward(spec, ensemble, k_exit, basis, picard)
-        p_exit = float(np.mean(k_exit < n_last))
-        diff = np.nan if prev is None else abs(sol.y0 - prev)
-        rows.append({"radius": float(r), "y0": sol.y0, "diff_prev": diff, "p_exit": p_exit,
-                     "solution": sol})
-        prev = sol.y0
+        y0, y0_se = sol.y0, sol.y0_se
+        del sol  # before the next radius's solve allocates its own
+        diff = np.nan if prev is None else abs(y0 - prev)
+        rows.append({"radius": float(r), "y0": y0, "y0_se": y0_se, "diff_prev": diff,
+                     "p_exit": float(np.mean(k_exit < n_last))})
+        prev = y0
     return rows
 
 

@@ -247,8 +247,13 @@ MAX_FINE_POINTS = 2**22
 # the most (path, time, coordinate) entries, paths * (steps + 1) * dim, of
 # the Euler-Maruyama or reflected ensemble an experiment simulates; X and dW
 # at 2^23 entries take about 0.13 GB, and a run at the bound peaks at about
-# 0.4 GB (nonlinear-bsde) to 0.65 GB (localize, one solution per radius)
+# 0.32 GB (localize, one radius's solution at a time) to 0.37 GB
+# (nonlinear-bsde)
 MAX_PATH_POINTS = 2**23
+
+# the most cells of a 1-D finite-difference grid, cross-check's doubled grid
+# included; the dense inverse of the implicit matrix then takes 0.13 GB
+MAX_FD_CELLS_1D = 2**12
 
 _DRIVERS = {
     "analytic": {"name": _enum("time", ANALYTIC_FIELDS)},
@@ -509,6 +514,12 @@ def _check_relations(cfg: dict) -> None:
                     f"points: expected [t, x] with t in [0, {t_end}) and x of "
                     f"{pde['dim']} coordinates in [-{half}, {half}], got {[t, x]}"
                 )
+        if pde["dim"] == 1:
+            key, cells = (("space_steps", 2 * cfg["space_steps"]) if exp == "cross-check" else
+                          ("cells_per_unit", max(int(2 * n * cfg["cells_per_unit"]) for _, n in boxes)))
+            if cells > MAX_FD_CELLS_1D:
+                raise ConfigError(f"{key}: a 1-D grid may have at most {MAX_FD_CELLS_1D} cells, "
+                                  f"got {cells}")
     if exp == "neumann":
         (a, b), (t0, x0) = cfg["interval"], cfg["start"]
         if not a < b:

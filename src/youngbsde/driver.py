@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+# numpy 2 imports numpy.random on first use; importing it here keeps that
+# cost in start-up, outside the first run
+from numpy.random import Philox, default_rng
 
 from .paths import blend, locate
 
@@ -285,7 +288,7 @@ def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: fl
     hs = [hurst.h0] + [hurst.h] * hurst.d
     chols = [_chol_axis(a[m], h) for a, m, h in zip(full_axes, nz_idx, hs)]
 
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = default_rng(Philox(key=seed))
     core_shape = tuple(int(m.sum()) for m in nz_idx)
     core = rng.standard_normal(core_shape)
     for ax, L in enumerate(chols):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .paths import SamplePath, TimeGrid
 
@@ -98,8 +99,7 @@ class PathEnsemble:
 
 def step_normals(seed: int, step: int, n_paths: int, dim: int) -> np.ndarray:
     """Standard normals for one time step, keyed by (seed, step)."""
-    bg = np.random.Philox(key=seed, counter=[0, 0, step, 0])
-    return np.random.Generator(bg).standard_normal((n_paths, dim))
+    return Generator(Philox(key=seed, counter=[0, 0, step, 0])).standard_normal((n_paths, dim))
 
 
 def euler_maruyama(spec: SdeSpec, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -125,10 +125,19 @@ def euler_maruyama(spec: SdeSpec, grid: TimeGrid, n_paths: int, seed: int) -> Pa
 
 def exit_indices(ensemble: PathEnsemble, radius: float) -> np.ndarray:
     """Per path, the first grid index with |X| > radius, else the last index."""
-    norms = np.linalg.norm(ensemble.x, axis=2)
+    x = np.moveaxis(ensemble.x, 1, 0)  # the time-major storage
+    # |X| as np.linalg.norm computes it, without its (n, k, d) temporary:
+    # sqrt(x^2) is |x| exactly, and numpy adds up to 7 squares in coordinate
+    # order (from 8 on it sums pairwise, which may differ in the last bit)
+    if x.shape[2] == 1:
+        norms = np.abs(x[..., 0])
+    else:
+        norms = x[..., 0] ** 2
+        for j in range(1, x.shape[2]):
+            norms += x[..., j] ** 2
+        np.sqrt(norms, out=norms)
     exceeded = norms > radius
-    out = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), ensemble.grid.n - 1)
-    return out
+    return np.where(exceeded.any(axis=0), exceeded.argmax(axis=0), ensemble.grid.n - 1)
 
 
 def reflect_1d(increments: np.ndarray, interval: tuple[float, float], x0):

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .bsde import (
     BsdeSpec,
@@ -46,6 +43,11 @@ ELLIPTICITY_FLOOR = 1e-8
 # the declared bound on |b| and |sigma| of the Monte Carlo side of the
 # Feynman-Kac cross-check; euler_maruyama rejects a coefficient above it
 MC_BOUND = 8.0
+# the largest 1-norm condition number of the 1-D implicit matrix I - dt/2 L
+# that fd_dirichlet_solve inverts: configs/cross_check.json gives 7 and 23,
+# a 4096-cell grid with one long time step 8e6, and only a drift far above
+# sigma^2 / h goes past it
+MAX_IMPLICIT_CONDITION = 1e8
 
 
 @dataclass(frozen=True)
@@ -113,31 +115,104 @@ def _nodes(axes) -> np.ndarray:
 
 def _stencils(spec: PdeSpec, axes):
     """The elliptic operator 1/2 tr(D grad^2 u) + b . grad u, D = sigma sigma^T,
-    and the map to sigma^T grad u (block a of its rows gives component a),
-    on every node of the tensor grid over `axes`, from Kronecker products of
-    the 1-D central differences with sigma, D and b taken per node.  Rows of
-    boundary nodes are built too; callers keep the interior ones."""
-    pts = _nodes(axes)
+    and the map to sigma^T grad u, as central-difference stencils at the
+    interior nodes of the tensor grid over `axes`.
+
+    A stencil maps a node offset to the coefficient of u at that offset, one
+    per interior node: 0.5 D_jj/h_j^2 +- b_j/(2 h_j) at +-e_j and the mixed
+    terms at the corners +-e_i +- e_j for the operator, +-sigma_ja/(2 h_j)
+    at +-e_j for component a of the gradient map, which is a list of d
+    stencils.  Offsets whose coefficient is zero on every node are left out."""
+    dim = len(axes)
+    pts = _nodes([ax[1:-1] for ax in axes])
+    shape = tuple(ax.size - 2 for ax in axes)
+    # node-last coefficient arrays: dd[i, j] and sig[j, a] have the grid's shape
     sig = spec.sigma_matrix(pts)
-    dd = np.einsum("kab,kcb->kac", sig, sig)
-    b = spec.drift_vector(pts)
-    hs, dims = [ax[1] - ax[0] for ax in axes], range(len(axes))
+    dd = np.moveaxis(np.einsum("kab,kcb->kac", sig, sig), 0, -1).reshape(dim, dim, *shape)
+    b = spec.drift_vector(pts).T.reshape(dim, *shape)
+    sig = np.moveaxis(sig, 0, -1).reshape(dim, dim, *shape)
+    hs = [ax[1] - ax[0] for ax in axes]
 
-    def along(j, diagonals, offsets):
-        """The 1-D difference on axis j, identity on the other axes."""
-        mats = [sp.diags(diagonals, offsets, shape=(ax.size,) * 2) if i == j
-                else sp.identity(ax.size) for i, ax in enumerate(axes)]
-        return reduce(sp.kron, mats).tocsr()
+    def step(*moves):
+        """The offset of the moves (axis, +-1)."""
+        return tuple(sum(s for i, s in moves if i == a) for a in range(dim))
 
-    d2 = [along(j, [1.0, -2.0, 1.0], [-1, 0, 1]) / hs[j] ** 2 for j in dims]
-    d1 = [along(j, [-1.0, 1.0], [-1, 1]) / (2 * hs[j]) for j in dims]
-    terms = [sp.diags(0.5 * dd[:, j, j]) @ d2[j] + sp.diags(b[:, j]) @ d1[j] for j in dims]
-    terms += [sp.diags(0.5 * (dd[:, i, j] + dd[:, j, i])) @ (d1[i] @ d1[j])
-              for j in dims for i in range(j)]
-    lmat = sum(terms[1:], terms[0]).tocsr()
-    lmat.eliminate_zeros()
-    grad_w = sp.vstack([sum(sp.diags(sig[:, j, a]) @ d1[j] for j in dims) for a in dims])
-    return lmat, grad_w.tocsr()
+    lop = {step(): -sum(dd[j, j] / hs[j] ** 2 for j in range(dim))}
+    wop = [{} for _ in range(dim)]
+    for j in range(dim):
+        for s in (1, -1):
+            lop[step((j, s))] = 0.5 * dd[j, j] / hs[j] ** 2 + s * b[j] / (2 * hs[j])
+            for a in range(dim):
+                wop[a][step((j, s))] = s * sig[j, a] / (2 * hs[j])
+        for i in range(j):
+            mixed = 0.5 * (dd[i, j] + dd[j, i]) / (4 * hs[i] * hs[j])
+            for si in (1, -1):
+                for sj in (1, -1):
+                    lop[step((i, si), (j, sj))] = si * sj * mixed
+
+    def nonzero(stencil):
+        return {off: c for off, c in stencil.items() if c.any()}
+
+    return nonzero(lop), [nonzero(w) for w in wop]
+
+
+def _shifted(offset, shape) -> tuple:
+    """The slice of a grid of `shape` that holds u(p + offset) at the
+    interior nodes p."""
+    return tuple(slice(1 + o, n - 1 + o) for o, n in zip(offset, shape))
+
+
+def _apply(stencil: dict, u: np.ndarray) -> np.ndarray:
+    """The stencil applied to the grid values u at every interior node."""
+    terms = (c * u[_shifted(off, u.shape)] for off, c in stencil.items())
+    out = next(terms)
+    for term in terms:
+        out += term
+    return out
+
+
+def _implicit_solver(half: dict, shape: tuple):
+    """v -> M^{-1} v for M = I - H on the interior nodes, raveled, where the
+    stencil `half` is H = dt/2 L.
+
+    M is assembled directly from the stencil's coefficients, with the
+    couplings to boundary nodes left out (they enter the right-hand side).
+    In 1-D the dense M is inverted once, after its 1-norm condition number
+    is checked against MAX_IMPLICIT_CONDITION; in 2-D SuperLU factors the
+    sparse M, ordered by minimum degree on A^T + A, which suits the
+    structurally symmetric stencil.
+    """
+    # each interior node's row of M, -1 on the boundary
+    number = np.full(shape, -1)
+    inside = number[(slice(1, -1),) * len(shape)]
+    n = inside.size
+    inside[...] = np.arange(n).reshape(inside.shape)
+    rows, cols, vals = [], [], []
+    for off, c in half.items():
+        entry = float(not any(off)) - c
+        neighbour = number[_shifted(off, shape)]
+        keep = (neighbour >= 0) & (entry != 0)
+        rows.append(inside[keep])
+        cols.append(neighbour[keep])
+        vals.append(entry[keep])
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    if len(shape) == 1:
+        mat = np.zeros((n, n))
+        mat[rows, cols] = vals
+        inverse = np.linalg.inv(mat)
+        cond = np.linalg.norm(mat, 1) * np.linalg.norm(inverse, 1)
+        if not cond <= MAX_IMPLICIT_CONDITION:
+            raise np.linalg.LinAlgError(
+                f"implicit finite-difference matrix has 1-norm condition number {cond:.3g}, "
+                f"above {MAX_IMPLICIT_CONDITION:.3g}"
+            )
+        return lambda v: inverse @ v
+    # scipy.sparse and its SuperLU take about 0.3 s to import: only 2-D solves pay it
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    mat = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    return splu(mat, permc_spec="MMD_AT_PLUS_A").solve
 
 
 def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeSolution:
@@ -145,8 +220,9 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     grid with `space_steps` cells per axis.
 
     Boundary nodes carry h(x) exactly at all times; the terminal slice is
-    h(x) exactly.  The implicit matrix is factored once, ordered by minimum
-    degree on A^T + A, which suits the structurally symmetric stencil.
+    h(x) exactly.  The explicit half of each step and the sigma^T grad u of
+    the nonlinear terms are applied stencil by stencil; the implicit matrix
+    is factored (2-D) or inverted (1-D) once.
     """
     nt = time_steps
     dt = spec.horizon / nt
@@ -154,25 +230,21 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     axes = [np.linspace(-spec.halfwidth, spec.halfwidth, space_steps + 1)] * spec.dim
     shape = tuple(ax.size for ax in axes)
     inner = (slice(1, -1),) * spec.dim
-    interior = np.zeros(shape, dtype=bool)
-    interior[inner] = True
-    interior = interior.ravel()
 
-    full, grad_w = _stencils(spec, axes)
-    rows = full[interior]
-    lmat = rows[:, interior]
+    lop, wop = _stencils(spec, axes)
+    half = {off: 0.5 * dt * c for off, c in lop.items()}
+    centre = (0,) * spec.dim
+    explicit = {**half, centre: 1.0 + half[centre]}  # I + dt/2 L
+    solve = _implicit_solver(half, shape)
     h_vals = np.asarray(spec.terminal(_nodes(axes)), dtype=float).reshape(shape)
-    bfeed = dt * (rows @ np.where(interior, 0.0, h_vals.ravel()))
-    eye = sp.identity(lmat.shape[0], format="csc")
-    half_step = 0.5 * dt * lmat
-    lhs = splu((eye - half_step).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    rhs_op = eye + half_step
-    # sigma^T grad u at the interior nodes from the full grid, (d, k) raveled
-    grad_w = grad_w[np.tile(interior, spec.dim)]
+    h_edge = h_vals.copy()
+    h_edge[inner] = 0.0
+    # the boundary values' share of the implicit half step, fixed in time
+    bfeed = _apply(half, h_edge)
     grid_pts = _nodes([ax[1:-1] for ax in axes])
 
     def nonlinear(t, u_full, dt_eta):
-        w = (grad_w @ u_full.ravel()).reshape(spec.dim, -1).T
+        w = np.stack([_apply(w_a, u_full) for w_a in wop]).reshape(spec.dim, -1).T
         uu = u_full[inner].ravel()
         return spec.generator(t, grid_pts, uu, w) + spec.coupling(uu) * dt_eta
 
@@ -182,14 +254,14 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     # each level's driver derivative serves two steps: corrector, then predictor
     dt_eta = spec.fieldv.time_derivative(times[-1], grid_pts)
     for k in range(nt - 1, -1, -1):
-        base = rhs_op @ u[k + 1][inner].ravel() + bfeed
+        base = (_apply(explicit, u[k + 1]) + bfeed).ravel()
         n_hi = nonlinear(times[k + 1], u[k + 1], dt_eta)
         # predictor in u[k], then the corrector over it
         u[k] = h_vals
-        u[k][inner] = lhs.solve(base + dt * n_hi).reshape(shape_int)
+        u[k][inner] = solve(base + dt * n_hi).reshape(shape_int)
         dt_eta = spec.fieldv.time_derivative(times[k], grid_pts)
         n_lo = nonlinear(times[k], u[k], dt_eta)
-        u[k][inner] = lhs.solve(base + dt * 0.5 * (n_hi + n_lo)).reshape(shape_int)
+        u[k][inner] = solve(base + dt * 0.5 * (n_hi + n_lo)).reshape(shape_int)
     return PdeSolution(times=times, axes=axes, u=u)
 
 

@@ -4,6 +4,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import splu
 from scipy.stats import norm
 
 from youngbsde import bsde
@@ -140,6 +143,63 @@ def backward_solve_path_major(spec, ensemble, basis=None, picard=None):
         y[:, i] = y_i
         z[:, i] = z_i
     return y, z, realized
+
+
+def exit_indices_norm(ensemble, radius: float) -> np.ndarray:
+    """exit_indices through np.linalg.norm over the path-major view."""
+    exceeded = np.linalg.norm(ensemble.x, axis=2) > radius
+    return np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), ensemble.grid.n - 1)
+
+
+def cho_solve_fit(a, ridge: float, targets) -> np.ndarray:
+    """The fitted values a beta of the ridge normal equations, intercept
+    unpenalized, through scipy's upper Cholesky factor and cho_solve."""
+    pen = np.eye(a.shape[1]) * ridge
+    pen[0, 0] = 0.0
+    return a @ cho_solve(cho_factor(a.T @ a + pen), a.T @ targets)
+
+
+def fd_dirichlet_solve_superlu(spec, time_steps: int, space_steps: int) -> np.ndarray:
+    """The 1-D Crank-Nicolson solve of fd_dirichlet_solve on scipy.sparse
+    matrices: the operator and sigma d/dx from products of tridiagonal
+    difference matrices with per-node diagonals, boundary values fed in by
+    a matvec, and the implicit matrix factored by SuperLU.  Returns u."""
+    nt, n = time_steps, space_steps + 1
+    dt = spec.horizon / nt
+    times = np.linspace(0.0, spec.horizon, nt + 1)
+    pts = np.linspace(-spec.halfwidth, spec.halfwidth, n)[:, None]
+    h = pts[1, 0] - pts[0, 0]
+    sig = spec.sigma_matrix(pts)[:, 0, 0]
+    d2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
+    d1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)) / (2 * h)
+    rows = (sp.diags(0.5 * sig**2) @ d2 + sp.diags(spec.drift_vector(pts)[:, 0]) @ d1).tocsr()[1:-1]
+    grad_w = (sp.diags(sig) @ d1).tocsr()[1:-1]
+    lmat = rows[:, 1:-1]
+    h_vals = np.asarray(spec.terminal(pts), dtype=float)
+    edge = h_vals.copy()
+    edge[1:-1] = 0.0
+    bfeed = dt * (rows @ edge)
+    eye = sp.identity(n - 2, format="csc")
+    lhs = splu((eye - 0.5 * dt * lmat).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    rhs_op = eye + 0.5 * dt * lmat
+
+    def nonlinear(t, u_full, dt_eta):
+        uu = u_full[1:-1]
+        w = (grad_w @ u_full)[:, None]
+        return spec.generator(t, pts[1:-1], uu, w) + spec.coupling(uu) * dt_eta
+
+    u = np.empty((nt + 1, n))
+    u[-1] = h_vals
+    dt_eta = spec.fieldv.time_derivative(times[-1], pts[1:-1])
+    for k in range(nt - 1, -1, -1):
+        base = rhs_op @ u[k + 1][1:-1] + bfeed
+        n_hi = nonlinear(times[k + 1], u[k + 1], dt_eta)
+        u[k] = h_vals
+        u[k][1:-1] = lhs.solve(base + dt * n_hi)
+        dt_eta = spec.fieldv.time_derivative(times[k], pts[1:-1])
+        n_lo = nonlinear(times[k], u[k], dt_eta)
+        u[k][1:-1] = lhs.solve(base + dt * 0.5 * (n_hi + n_lo))
+    return u
 
 
 def _slice_indices(grid, interval) -> tuple[int, int]:

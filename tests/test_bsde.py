@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import backward_solve_path_major
+from oracles import backward_solve_path_major, cho_solve_fit
 
 from youngbsde.bsde import (
     BsdeSolution,
@@ -8,6 +8,7 @@ from youngbsde.bsde import (
     NoContractionError,
     PicardParams,
     RegressionBasis,
+    RegressionError,
     backward_solve,
     comparison_experiment,
     diagnostics,
@@ -233,6 +234,48 @@ class TestRegression:
         got = _Fit(basis, x).fit(target)
         assert np.max(np.abs(got - target)) <= 1e-10 * np.max(np.abs(target))
 
+    @pytest.mark.parametrize("degree", [11, 15])
+    def test_fit_matches_cho_solve(self, degree):
+        from youngbsde.bsde import _Fit
+
+        rng = np.random.default_rng(degree)
+        x = rng.standard_normal((10_000, 1))
+        basis = RegressionBasis(degree=degree)
+        fit = _Fit(basis, x)
+        design = basis.design(x)
+        targets = np.column_stack([np.cos(x[:, 0]), design @ rng.standard_normal(design.shape[1])])
+        if degree == 11:
+            targets = np.column_stack([targets, np.sin(3 * x[:, 0]) + rng.standard_normal(10_000)])
+        for t in (targets[:, 0], targets):
+            want = cho_solve_fit(fit._a, basis.ridge, t)
+            assert np.max(np.abs(fit.fit(t) - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_fit_on_noise_as_accurate_as_cho_solve_at_degree_15(self):
+        # at Gram condition ~1e9 two Cholesky solves of a noisy target
+        # differ by ~1e-8 (scipy's upper and lower factors as much as ours),
+        # so judge both by their distance to a least-squares QR solve
+        from youngbsde.bsde import _Fit
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((10_000, 1))
+        basis = RegressionBasis(degree=15)
+        fit = _Fit(basis, x)
+        target = np.sin(3 * x[:, 0]) + rng.standard_normal(10_000)
+        pen = np.sqrt(basis.ridge) * np.eye(fit._a.shape[1])[1:]
+        beta = np.linalg.lstsq(np.vstack([fit._a, pen]), np.append(target, np.zeros(len(pen))),
+                               rcond=None)[0]
+        exact = fit._a @ beta
+        err_cho = np.max(np.abs(cho_solve_fit(fit._a, basis.ridge, target) - exact))
+        assert np.max(np.abs(fit.fit(target) - exact)) <= 2 * err_cho
+
+    def test_gram_not_positive_definite_raises(self):
+        from youngbsde.bsde import _Fit
+
+        # a negative ridge pushes every feature's pivot below zero
+        x = np.random.default_rng(1).standard_normal((100, 1))
+        with pytest.raises(RegressionError, match="singular"):
+            _Fit(RegressionBasis(degree=2, ridge=-1e6), x)
+
     def test_dropped_constant_columns_match_lstsq(self):
         # x_2 is constant, so its powers are constant and its products with
         # x_1 repeat the x_1 columns
@@ -355,7 +398,7 @@ class TestLocalized:
         rows = localization_sweep(spec, ens, [4.0, 5.0, 6.0])
         assert rows[-1]["p_exit"] < 1e-3
         spread = max(r["y0"] for r in rows) - min(r["y0"] for r in rows)
-        assert spread <= 3 * rows[-1]["solution"].y0_se + 1e-6
+        assert spread <= 3 * rows[-1]["y0_se"] + 1e-6
 
     def test_sweep_p_exit_matches_exit_indices(self):
         fwd, ens = bm_ensemble(3000, 64, seed=20)

@@ -6,7 +6,9 @@ import pytest
 from oracles import load_fbs
 
 from youngbsde import cli
-from youngbsde.cli import MAX_FINE_POINTS, MAX_PATH_POINTS, main, validate_config, ConfigError
+from youngbsde.cli import (
+    MAX_FD_CELLS_1D, MAX_FINE_POINTS, MAX_PATH_POINTS, main, validate_config, ConfigError,
+)
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -334,6 +336,39 @@ class TestCliRuns:
         assert MAX_PATH_POINTS == 2**16 * 128
         for cfg in self._ensembles(2**16, 127):
             validate_config(cfg)
+
+    @staticmethod
+    def _fd_grids(cells):
+        # each config's largest 1-D grid has `cells` cells: cross-check's
+        # second solve doubles space_steps, the others have 2 n cells_per_unit
+        return [
+            ("space_steps", {"experiment": "cross-check", "seed": 1,
+                             "driver": {"kind": "analytic", "name": "time"},
+                             "space_steps": cells // 2}),
+            ("cells_per_unit", {"experiment": "localization-error", "n_list": [1.0, 2.0],
+                                "n_max": 4.0, "cells_per_unit": cells // 8}),
+            ("cells_per_unit", {"experiment": "pde-table", "driver": {"kind": "analytic"},
+                                "n_list": [2.0, 1.0], "m_list": [4],
+                                "cells_per_unit": cells // 4}),
+        ]
+
+    @pytest.mark.parametrize("q", range(3))
+    def test_1d_fd_cells_bounded(self, tmp_path, capsys, monkeypatch, q):
+        # the dense 1-D implicit inverse is never allocated
+        monkeypatch.setattr(cli, "run_config", lambda *a: pytest.fail("run_config reached"))
+        key, cfg = self._fd_grids(2 * MAX_FD_CELLS_1D)[q]
+        p = write_cfg(tmp_path, cfg)
+        for argv in (["check", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert key in err and str(MAX_FD_CELLS_1D) in err
+
+    def test_1d_fd_cells_at_the_bound_pass(self):
+        for _, cfg in self._fd_grids(MAX_FD_CELLS_1D):
+            validate_config(cfg)
+        # 2-D grids go to SuperLU and are not bounded by the 1-D count
+        _, cfg = self._fd_grids(2 * MAX_FD_CELLS_1D)[0]
+        validate_config({**cfg, "pde": {"dim": 2}, "points": [[0.0, [0.0, 0.0]]]})
 
     def test_manifest_roundtrip(self, tmp_path):
         cfg = {

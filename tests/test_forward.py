@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import (
     euler_maruyama_path_major,
+    exit_indices_norm,
     exit_time,
     increment_moments_ok,
     prob_sup_abs_bm_exceeds,
@@ -10,6 +11,7 @@ from oracles import (
 from scipy import stats
 
 from youngbsde.forward import (
+    PathEnsemble,
     SdeSpec,
     coefficient,
     euler_maruyama,
@@ -122,6 +124,28 @@ class TestExitTime:
         for i in range(0, 300, 23):
             want = exit_time(ens.path(i), 1.0)
             assert ens.grid.points[idx[i]] == pytest.approx(want)
+
+    @pytest.mark.parametrize("time_major", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_norm_reference(self, d, time_major):
+        # random walks with some points exactly at the radius 5, or one ulp
+        # either side of it; (3, 4) and (3, 4, 0) have norm 5 exactly
+        rng = np.random.default_rng(d)
+        k, n, radius = 400, 65, 5.0
+        x = rng.standard_normal((n, k, d)).cumsum(axis=0) * 0.3
+        on_radius = np.zeros(d)
+        on_radius[:2] = (3.0, 4.0) if d > 1 else (5.0,)
+        for p, q in zip(rng.integers(0, k, 60), rng.integers(1, n, 60)):
+            s = rng.choice([-1.0, 1.0])
+            x[q, p] = s * np.nextafter(on_radius, rng.choice([0.0, np.inf, radius]))
+        x[-1, :10, 0] = rng.choice([-radius, radius], 10)
+        ens = PathEnsemble(grid=TimeGrid.uniform(1.0, n - 1),
+                           x=np.moveaxis(x, 0, 1) if time_major else np.moveaxis(x, 0, 1).copy(),
+                           dw=np.zeros((k, n - 1, d)), seed=0)
+        for r in (radius, np.nextafter(radius, 0.0), 3.0):
+            want = exit_indices_norm(ens, r)
+            assert 0 < np.count_nonzero(want < n - 1) < k
+            np.testing.assert_array_equal(exit_indices(ens, r), want)
 
     def test_bm_exit_probability_against_series(self):
         # scaled-down version of the acceptance check (grid bias corrected there)

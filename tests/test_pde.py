@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,12 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import heat_solution_gaussian_bump, reflected_bm_expectation
+from oracles import fd_dirichlet_solve_superlu, heat_solution_gaussian_bump, reflected_bm_expectation
 
+from youngbsde import pde
+from youngbsde.cli import main
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.pde import (
     PdeSolution,
     PdeSpec,
+    _apply,
     _nodes,
     _stencils,
     fd_dirichlet_solve,
@@ -116,6 +120,40 @@ class TestFdSolve:
         assert np.all(np.isfinite(sol.u))
         np.testing.assert_array_equal(sol.u[:, 0], gaussian_bump(sol.axes[0][:1, None])[0])
 
+    @pytest.mark.parametrize("cells", [160, 320])
+    @pytest.mark.parametrize("drift", [0.0, 8.0])
+    def test_1d_matches_superlu_reference(self, drift, cells):
+        # the sin-coupled problem of configs/cross_check.json, with a
+        # generator that reads the sigma^T grad u slot
+        spec = PdeSpec(
+            halfwidth=3.0, dim=1, horizon=0.5, terminal=lambda x: np.cos(x[:, 0]),
+            sigma=1.0, drift=drift,
+            generator=lambda t, x, u, w: np.sqrt(np.abs(x[:, 0])) * np.sin(u) + 0.3 * w[:, 0],
+            coupling=np.sin, fieldv=AnalyticField(
+                lambda t, x: np.sin(x[:, 0]) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
+                dt_fn=lambda t, x: np.sin(x[:, 0]),
+            ),
+        )
+        got = fd_dirichlet_solve(spec, 64, cells).u
+        want = fd_dirichlet_solve_superlu(spec, 64, cells)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_ill_conditioned_implicit_matrix_raises(self, monkeypatch):
+        # every condition number is at least 1, and above it unless M = cI
+        monkeypatch.setattr(pde, "MAX_IMPLICIT_CONDITION", 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match="condition number"):
+            fd_dirichlet_solve(heat_spec(), 16, 32)
+
+    def test_ill_conditioned_implicit_matrix_exits_3(self, tmp_path, monkeypatch, capsys):
+        cfg = {"experiment": "localization-error", "n_list": [1.0, 1.5], "n_max": 2.0,
+               "time_steps": 8, "cells_per_unit": 4}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "ok")]) == 0
+        monkeypatch.setattr(pde, "MAX_IMPLICIT_CONDITION", 1.0)
+        assert main(["run", str(p), "--out", str(tmp_path / "bad")]) == 3
+        assert "condition number" in capsys.readouterr().err
+
     def test_driver_without_derivative_rejected(self):
         rough = fbs_generate(
             HurstParams(h0=0.8, h=0.6), np.linspace(0, 0.25, 65),
@@ -176,10 +214,10 @@ class TestFdSolve:
         dd = np.einsum("kab,kcb->kac", sig, sig)
         want = 0.5 * np.einsum("kij,ij->k", dd, q) + np.einsum("ki,ki->k", drift(pts), g + pts @ q)
         interior = np.all(np.abs(pts) < 1.0 - 1e-12, axis=1)
-        got = _stencils(spec, axes)[0] @ u
-        assert interior.sum() == 7**dim
+        got = _apply(_stencils(spec, axes)[0], u.reshape((9,) * dim)).ravel()
+        assert interior.sum() == got.size == 7**dim
         assert dim == 1 or np.abs(dd[:, 0, 1]).min() > 0.1
-        np.testing.assert_allclose(got[interior], want[interior], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got, want[interior], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_sigma_grad_map_exact_on_quadratics(self, dim):
@@ -201,10 +239,11 @@ class TestFdSolve:
         pts = _nodes(axes)
         u = pts @ g + 0.5 * np.einsum("ki,ij,kj->k", pts, q, pts)
         want = np.einsum("kba,kb->ka", sigma(pts), g + pts @ q)
-        got = (_stencils(spec, axes)[1] @ u).reshape(dim, -1).T
+        got = np.stack([_apply(w_a, u.reshape((9,) * dim)).ravel() for w_a in _stencils(spec, axes)[1]],
+                       axis=1)
         interior = np.all(np.abs(pts) < 1.0 - 1e-12, axis=1)
         assert dim == 1 or np.abs(sigma(pts)[:, 0, 1]).min() > 0.1
-        np.testing.assert_allclose(got[interior], want[interior], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want[interior], rtol=0, atol=1e-12)
 
     def test_driver_derivative_once_per_time_level(self):
         spec = heat_spec(halfwidth=1.0, g=lambda u: u)
@@ -352,11 +391,38 @@ class TestNeumann:
         assert abs(est - want) <= 3 * se + 2e-3
 
 
-def test_cli_import_leaves_scipy_interpolate_out():
+def _python(code: str) -> str:
+    """Standard output of `code` in a fresh interpreter on this checkout."""
     src = str(Path(__import__("youngbsde").__file__).resolve().parents[1])
-    code = "import sys, youngbsde.cli; print('scipy.interpolate' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_cli_import_loads_no_scipy():
+    assert _python(f"import sys, youngbsde.cli; print({_SCIPY_LOADED})") == "[]"
+
+
+def test_only_2d_finite_differences_load_scipy(tmp_path):
+    one_d = {"experiment": "cross-check", "seed": 1, "paths": 300,
+             "driver": {"kind": "analytic", "name": "sin_x_time"},
+             "pde": {"halfwidth": 2.0, "coupling": "sin"}, "points": [[0.0, 0.0]],
+             "time_steps": 16, "space_steps": 32, "mc_time_steps": 16}
+    two_d = {"experiment": "localization-error", "pde": {"dim": 2},
+             "n_list": [1.0, 1.5], "n_max": 2.0, "points": [[0.0, [0.0, 0.0]]],
+             "time_steps": 8, "cells_per_unit": 6}
+    runs = []
+    for name, cfg in (("one_d", one_d), ("two_d", two_d)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        runs.append(f"main(['run', {str(tmp_path / name) + '.json'!r}, "
+                    f"'--out', {str(tmp_path / name)!r}])")
+    code = (f"import sys; from youngbsde.cli import main; codes = [{runs[0]}]; "
+            f"loaded = {_SCIPY_LOADED}; codes.append({runs[1]}); "
+            f"print(codes, loaded, 'scipy.sparse.linalg' in sys.modules)")
+    assert _python(code) == "[0, 0] [] True"
+    assert (tmp_path / "two_d" / "results.csv").is_file()
