@@ -326,11 +326,7 @@ def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
     x, dw = ensemble.x[:, i][rows], ensemble.dw[:, i][rows]
     bridge = step_normals(ensemble.seed, 2**32 + i, ensemble.n_paths, x.shape[1])[rows]
     dw1 = dw / 2 + np.sqrt(dt) / 2 * bridge
-    x_mid = (
-        x
-        + spec.forward.b(t_i, x) * dt / 2
-        + np.einsum("kab,kb->ka", spec.forward.sigma(t_i, x), dw1)
-    )
+    x_mid = x + spec.forward.drift * dt / 2 + spec.forward.diffusion * dw1
     t_mid = t_i + dt / 2
     y_mid, _, _, ok, target_hi, open_hi = _step(
         spec, basis, picard, t_mid, t_next, x_mid, dw - dw1, y_next

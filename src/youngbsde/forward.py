@@ -16,7 +16,6 @@ from numpy.random import Generator, Philox
 from .paths import SamplePath, TimeGrid
 
 __all__ = [
-    "coefficient",
     "SdeSpec",
     "PathEnsemble",
     "euler_maruyama",
@@ -26,48 +25,30 @@ __all__ = [
 ]
 
 
-def coefficient(c, x: np.ndarray, matrix: bool = False, t=None) -> np.ndarray:
-    """A drift (k, d) or, with matrix, a diffusion (k, d, d) at the points x
-    (k, d).  A callable c is called as c(t, x), or c(x) when t is None, and
-    reshaped; a constant is broadcast, a scalar diffusion s meaning s I."""
-    k, d = x.shape
-    shape = (k, d, d) if matrix else (k, d)
-    if callable(c):
-        return np.asarray(c(x) if t is None else c(t, x), dtype=float).reshape(shape)
-    s = np.asarray(c, dtype=float)
-    if matrix and s.ndim == 0:
-        s = float(s) * np.eye(d)
-    return np.broadcast_to(s, shape)
-
-
 @dataclass(frozen=True)
 class SdeSpec:
-    """Drift b(t, x), diffusion sigma(t, x), start point, and declared bound L.
-
-    b maps (t, x-batch (k, d)) -> (k, d); sigma -> (k, d, d).  Scalars and
-    constant arrays are accepted and wrapped.  L is the declared sup bound
-    of |b| and |sigma|, asserted on every sampled point during simulation.
+    """dX = b dt + sigma dW with a constant scalar drift b and diffusion
+    sigma (sigma I in d dimensions), the start point, and the declared bound
+    L on |b| and |sigma|, checked once when the spec is built.
     """
 
-    drift: object
-    diffusion: object
+    drift: float
+    diffusion: float
     x0: np.ndarray
     bound: float
 
     def __post_init__(self):
+        for name in ("drift", "diffusion"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         if self.bound <= 0:
             raise ValueError("bound L must be positive")
+        if max(abs(self.drift), abs(self.diffusion)) > self.bound:
+            raise ValueError("drift/diffusion exceed the declared bound L")
 
     @property
     def dim(self) -> int:
         return self.x0.size
-
-    def b(self, t: float, x: np.ndarray) -> np.ndarray:
-        return coefficient(self.drift, x, t=t)
-
-    def sigma(self, t: float, x: np.ndarray) -> np.ndarray:
-        return coefficient(self.diffusion, x, matrix=True, t=t)
 
 
 @dataclass
@@ -113,12 +94,8 @@ def euler_maruyama(spec: SdeSpec, grid: TimeGrid, n_paths: int, seed: int) -> Pa
     x[0] = spec.x0
     dts = grid.dt
     for j in range(n - 1):
-        bj = spec.b(grid.points[j], x[j])
-        sj = spec.sigma(grid.points[j], x[j])
-        if np.max(np.abs(bj)) > spec.bound + 1e-12 or np.max(np.abs(sj)) > spec.bound + 1e-12:
-            raise ValueError("drift/diffusion exceeded the declared bound L")
         dw[j] = np.sqrt(dts[j]) * step_normals(seed, j, n_paths, d)
-        x[j + 1] = x[j] + bj * dts[j] + np.einsum("kab,kb->ka", sj, dw[j])
+        x[j + 1] = x[j] + spec.drift * dts[j] + spec.diffusion * dw[j]
     return PathEnsemble(grid=grid, x=np.moveaxis(x, 0, 1), dw=np.moveaxis(dw, 0, 1),
                         seed=int(seed))
 

@@ -4,8 +4,8 @@ Monte Carlo cross-validation through the backward solver, the localization
 error sweep on growing boxes, and the 1-D Neumann functional estimate.
 
 The stepping is a backward-in-time Crank-Nicolson scheme for the
-frozen-coefficient elliptic part, with the nonlinear terms
-f(t, x, u, sigma^T grad u) + g(u) dt_eta treated explicitly
+constant-coefficient elliptic part, with the nonlinear terms
+f(t, x, u, sigma grad u) + g(u) dt_eta treated explicitly
 through one fixed-point sweep per step.
 """
 
@@ -24,7 +24,7 @@ from .bsde import (
     terminal_h_of_xt,
 )
 from .driver import DriverField, mollify, shift_field
-from .forward import SdeSpec, coefficient, euler_maruyama, reflect_1d, step_normals
+from .forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
 from .paths import TimeGrid, blend, locate
 
 __all__ = [
@@ -38,10 +38,10 @@ __all__ = [
     "neumann_fk_estimate",
 ]
 
-# sigma sigma^T must have every eigenvalue at least this large
+# sigma^2 must be at least this large
 ELLIPTICITY_FLOOR = 1e-8
 # the declared bound on |b| and |sigma| of the Monte Carlo side of the
-# Feynman-Kac cross-check; euler_maruyama rejects a coefficient above it
+# Feynman-Kac cross-check; SdeSpec rejects a coefficient above it
 MC_BOUND = 8.0
 # the largest 1-norm condition number of the 1-D implicit matrix I - dt/2 L
 # that fd_dirichlet_solve inverts: configs/cross_check.json gives 7 and 23,
@@ -54,39 +54,31 @@ MAX_IMPLICIT_CONDITION = 1e8
 class PdeSpec:
     """Terminal/boundary problem on the box [-halfwidth, halfwidth]^d.
 
-    sigma(x) and b(x) are time-independent; f(t, x, u, w) takes the
-    sigma^T-gradient slot w; g(u) multiplies the driver's time derivative.
-    The driver must expose a time derivative (mollified or analytic-smooth).
+    The diffusion is sigma I and the drift b (1, ..., 1), both constant;
+    f(t, x, u, w) takes the gradient slot w = sigma grad u; g(u) multiplies
+    the driver's time derivative.  The driver must expose a time derivative
+    (mollified or analytic-smooth).
     """
 
     halfwidth: float
     dim: int
     horizon: float
     terminal: callable  # h(x (k, d)) -> (k,)
-    sigma: object  # scalar, matrix, or callable x -> (k, d, d)
-    drift: object  # scalar or callable x -> (k, d)
+    sigma: float
+    drift: float
     generator: callable  # f(t, x (k,d), u (k,), w (k,d)) -> (k,)
     coupling: callable  # g(u (k,)) -> (k,)
     fieldv: DriverField
 
     def __post_init__(self):
+        for name in ("sigma", "drift"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         if not self.fieldv.has_time_derivative:
             raise ValueError("driver must be a mollified or analytic-smooth field")
-        # ellipticity floor on sampled points
-        probe = np.linspace(-self.halfwidth, self.halfwidth, 9)
-        a = self.sigma_matrix(_nodes([probe] * self.dim))
-        dd = np.einsum("kab,kcb->kac", a, a)
-        eig = np.linalg.eigvalsh(dd)
-        if np.min(eig) < ELLIPTICITY_FLOOR - 1e-12:
-            raise ValueError("sigma sigma^T falls below the ellipticity floor")
-
-    def sigma_matrix(self, x: np.ndarray) -> np.ndarray:
-        return coefficient(self.sigma, x, matrix=True)
-
-    def drift_vector(self, x: np.ndarray) -> np.ndarray:
-        return coefficient(self.drift, x)
+        if self.sigma**2 < ELLIPTICITY_FLOOR:
+            raise ValueError("sigma^2 falls below the ellipticity floor")
 
 
 @dataclass
@@ -114,46 +106,30 @@ def _nodes(axes) -> np.ndarray:
 
 
 def _stencils(spec: PdeSpec, axes):
-    """The elliptic operator 1/2 tr(D grad^2 u) + b . grad u, D = sigma sigma^T,
-    and the map to sigma^T grad u, as central-difference stencils at the
-    interior nodes of the tensor grid over `axes`.
+    """The elliptic operator 1/2 sigma^2 lap u + b . grad u and the map to
+    sigma grad u, as central-difference stencils at the interior nodes of
+    the tensor grid over `axes`.
 
     A stencil maps a node offset to the coefficient of u at that offset, one
-    per interior node: 0.5 D_jj/h_j^2 +- b_j/(2 h_j) at +-e_j and the mixed
-    terms at the corners +-e_i +- e_j for the operator, +-sigma_ja/(2 h_j)
-    at +-e_j for component a of the gradient map, which is a list of d
-    stencils.  Offsets whose coefficient is zero on every node are left out."""
+    scalar for every interior node: -sum_j sigma^2/h_j^2 at the centre and
+    0.5 sigma^2/h_j^2 +- b/(2 h_j) at +-e_j for the operator, +-sigma/(2 h_a)
+    at +-e_a for component a of the gradient map, which is a list of d
+    stencils."""
     dim = len(axes)
-    pts = _nodes([ax[1:-1] for ax in axes])
-    shape = tuple(ax.size - 2 for ax in axes)
-    # node-last coefficient arrays: dd[i, j] and sig[j, a] have the grid's shape
-    sig = spec.sigma_matrix(pts)
-    dd = np.moveaxis(np.einsum("kab,kcb->kac", sig, sig), 0, -1).reshape(dim, dim, *shape)
-    b = spec.drift_vector(pts).T.reshape(dim, *shape)
-    sig = np.moveaxis(sig, 0, -1).reshape(dim, dim, *shape)
+    dd = spec.sigma * spec.sigma
     hs = [ax[1] - ax[0] for ax in axes]
 
-    def step(*moves):
-        """The offset of the moves (axis, +-1)."""
-        return tuple(sum(s for i, s in moves if i == a) for a in range(dim))
+    def step(j, s):
+        """The offset s e_j."""
+        return tuple(s if a == j else 0 for a in range(dim))
 
-    lop = {step(): -sum(dd[j, j] / hs[j] ** 2 for j in range(dim))}
+    lop = {(0,) * dim: -sum(dd / hs[j] ** 2 for j in range(dim))}
     wop = [{} for _ in range(dim)]
     for j in range(dim):
         for s in (1, -1):
-            lop[step((j, s))] = 0.5 * dd[j, j] / hs[j] ** 2 + s * b[j] / (2 * hs[j])
-            for a in range(dim):
-                wop[a][step((j, s))] = s * sig[j, a] / (2 * hs[j])
-        for i in range(j):
-            mixed = 0.5 * (dd[i, j] + dd[j, i]) / (4 * hs[i] * hs[j])
-            for si in (1, -1):
-                for sj in (1, -1):
-                    lop[step((i, si), (j, sj))] = si * sj * mixed
-
-    def nonzero(stencil):
-        return {off: c for off, c in stencil.items() if c.any()}
-
-    return nonzero(lop), [nonzero(w) for w in wop]
+            lop[step(j, s)] = 0.5 * dd / hs[j] ** 2 + s * spec.drift / (2 * hs[j])
+            wop[j][step(j, s)] = s * spec.sigma / (2 * hs[j])
+    return lop, wop
 
 
 def _shifted(offset, shape) -> tuple:
@@ -175,8 +151,9 @@ def _implicit_solver(half: dict, shape: tuple):
     """v -> M^{-1} v for M = I - H on the interior nodes, raveled, where the
     stencil `half` is H = dt/2 L.
 
-    M is assembled directly from the stencil's coefficients, with the
-    couplings to boundary nodes left out (they enter the right-hand side).
+    M is assembled from the stencil's coefficients, one value per offset,
+    skipping an offset whose entry is zero and leaving out the couplings to
+    boundary nodes (they enter the right-hand side).
     In 1-D the dense M is inverted once, after its 1-norm condition number
     is checked against MAX_IMPLICIT_CONDITION; in 2-D SuperLU factors the
     sparse M, ordered by minimum degree on A^T + A, which suits the
@@ -190,11 +167,13 @@ def _implicit_solver(half: dict, shape: tuple):
     rows, cols, vals = [], [], []
     for off, c in half.items():
         entry = float(not any(off)) - c
+        if entry == 0:
+            continue
         neighbour = number[_shifted(off, shape)]
-        keep = (neighbour >= 0) & (entry != 0)
+        keep = neighbour >= 0
         rows.append(inside[keep])
         cols.append(neighbour[keep])
-        vals.append(entry[keep])
+        vals.append(np.full(cols[-1].size, entry))
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     if len(shape) == 1:
         mat = np.zeros((n, n))
@@ -220,7 +199,7 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     grid with `space_steps` cells per axis.
 
     Boundary nodes carry h(x) exactly at all times; the terminal slice is
-    h(x) exactly.  The explicit half of each step and the sigma^T grad u of
+    h(x) exactly.  The explicit half of each step and the sigma grad u of
     the nonlinear terms are applied stencil by stencil; the implicit matrix
     is factored (2-D) or inverted (1-D) once.
     """
@@ -350,12 +329,7 @@ def feynman_kac_cross_check(
 def _mc_point(spec, t0, x0, n_paths, seed, mc_time_steps, basis, picard):
     horizon = spec.horizon - t0
     grid = TimeGrid.uniform(horizon, mc_time_steps)
-    fwd = SdeSpec(
-        drift=lambda t, x: spec.drift_vector(x),
-        diffusion=lambda t, x: spec.sigma_matrix(x),
-        x0=np.atleast_1d(x0),
-        bound=MC_BOUND,
-    )
+    fwd = SdeSpec(drift=spec.drift, diffusion=spec.sigma, x0=np.atleast_1d(x0), bound=MC_BOUND)
     ens = euler_maruyama(fwd, grid, n_paths, seed)
     bspec = BsdeSpec(
         forward=fwd,

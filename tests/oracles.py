@@ -94,10 +94,8 @@ def euler_maruyama_path_major(spec, grid, n_paths: int, seed: int) -> PathEnsemb
     x[:, 0] = spec.x0
     dts = grid.dt
     for j in range(n - 1):
-        xj = x[:, j]
         dw[:, j] = np.sqrt(dts[j]) * step_normals(seed, j, n_paths, d)
-        x[:, j + 1] = (xj + spec.b(grid.points[j], xj) * dts[j]
-                       + np.einsum("kab,kb->ka", spec.sigma(grid.points[j], xj), dw[:, j]))
+        x[:, j + 1] = x[:, j] + spec.drift * dts[j] + spec.diffusion * dw[:, j]
     return PathEnsemble(grid=grid, x=x, dw=dw, seed=int(seed))
 
 
@@ -161,19 +159,18 @@ def cho_solve_fit(a, ridge: float, targets) -> np.ndarray:
 
 def fd_dirichlet_solve_superlu(spec, time_steps: int, space_steps: int) -> np.ndarray:
     """The 1-D Crank-Nicolson solve of fd_dirichlet_solve on scipy.sparse
-    matrices: the operator and sigma d/dx from products of tridiagonal
-    difference matrices with per-node diagonals, boundary values fed in by
+    matrices: the operator and sigma d/dx from tridiagonal difference
+    matrices scaled by the scalar coefficients, boundary values fed in by
     a matvec, and the implicit matrix factored by SuperLU.  Returns u."""
     nt, n = time_steps, space_steps + 1
     dt = spec.horizon / nt
     times = np.linspace(0.0, spec.horizon, nt + 1)
     pts = np.linspace(-spec.halfwidth, spec.halfwidth, n)[:, None]
     h = pts[1, 0] - pts[0, 0]
-    sig = spec.sigma_matrix(pts)[:, 0, 0]
     d2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
     d1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)) / (2 * h)
-    rows = (sp.diags(0.5 * sig**2) @ d2 + sp.diags(spec.drift_vector(pts)[:, 0]) @ d1).tocsr()[1:-1]
-    grad_w = (sp.diags(sig) @ d1).tocsr()[1:-1]
+    rows = (0.5 * spec.sigma**2 * d2 + spec.drift * d1).tocsr()[1:-1]
+    grad_w = (spec.sigma * d1).tocsr()[1:-1]
     lmat = rows[:, 1:-1]
     h_vals = np.asarray(spec.terminal(pts), dtype=float)
     edge = h_vals.copy()

@@ -280,6 +280,9 @@ class TestCliRuns:
             # labels that fed nothing are no longer keys
             ({"experiment": "localize", "seed": 1, "forward": {"name": "bm"}}, "forward.name"),
             ({"experiment": "localization-error", "pde": {"name": "heat"}}, "pde.name"),
+            # the forward coefficients must lie within the declared bound
+            ({"experiment": "nonlinear-bsde", "seed": 1,
+              "forward": {"diffusion": -2.5, "bound": 2.0}}, "forward.bound"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):
@@ -287,6 +290,15 @@ class TestCliRuns:
         assert main(["check", str(p)]) == 2
         assert main(["run", str(p), "--out", str(tmp_path / "bad")]) == 2
         assert capsys.readouterr().err.count(key) == 2
+
+    def test_forward_coefficient_at_the_bound_runs(self, tmp_path):
+        # SdeSpec rejects |drift| or |diffusion| above the bound when it is
+        # built, so check must not pass a config that run cannot build
+        p = write_cfg(tmp_path, {"experiment": "nonlinear-bsde", "seed": 1, "paths": 200,
+                                 "forward": {"drift": 0.5, "diffusion": -2.0, "bound": 2.0,
+                                             "steps": 8}})
+        assert main(["check", str(p)]) == 0
+        assert main(["run", str(p), "--out", str(tmp_path / "ok")]) == 0
 
     @pytest.mark.parametrize("cfg", [
         {"experiment": "integrate", "levels": 40, "cells": 2},

@@ -13,7 +13,6 @@ from scipy import stats
 from youngbsde.forward import (
     PathEnsemble,
     SdeSpec,
-    coefficient,
     euler_maruyama,
     exit_indices,
     reflect_1d,
@@ -55,9 +54,12 @@ class TestEulerMaruyama:
         np.testing.assert_allclose(a.dw[:, 4, :], z * np.sqrt(grid.dt[4]))
 
     def test_bound_enforced(self):
-        spec = SdeSpec(drift=lambda t, x: 10 * np.ones_like(x), diffusion=0.0, x0=[0.0], bound=1.0)
-        with pytest.raises(ValueError, match="declared bound"):
-            euler_maruyama(spec, TimeGrid.uniform(1.0, 4), 2, seed=0)
+        # checked once, when the spec is built; |coefficient| == bound passes
+        for drift, diffusion in ((10.0, 0.0), (0.0, -1.5)):
+            with pytest.raises(ValueError, match="declared bound"):
+                SdeSpec(drift=drift, diffusion=diffusion, x0=[0.0], bound=1.0)
+        spec = SdeSpec(drift=-1.0, diffusion=-1.0, x0=[0.0], bound=1.0)
+        assert euler_maruyama(spec, TimeGrid.uniform(1.0, 4), 2, seed=0).x.shape == (2, 5, 1)
 
     def test_increment_smoke_check(self):
         ens = euler_maruyama(bm_spec(), TimeGrid.uniform(1.0, 8), 4000, seed=5)
@@ -73,33 +75,11 @@ class TestEulerMaruyama:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_path_major_loop(self, d):
-        spec = SdeSpec(
-            drift=lambda t, x: np.sin(x + t),
-            diffusion=lambda t, x: 0.5 + 0.25 * np.cos(x[:, :, None] * np.arange(1, d + 1)),
-            x0=np.linspace(-0.5, 0.5, d), bound=2.0,
-        )
+        spec = SdeSpec(drift=-0.3, diffusion=0.7, x0=np.linspace(-0.5, 0.5, d), bound=2.0)
         grid = TimeGrid.uniform(1.0, 24)
         ens = euler_maruyama(spec, grid, 70, seed=6)
         ref = euler_maruyama_path_major(spec, grid, 70, seed=6)
         assert np.array_equal(ens.x, ref.x) and np.array_equal(ens.dw, ref.dw)
-
-
-class TestCoefficient:
-    """One normaliser for the drift and diffusion of SdeSpec and PdeSpec."""
-
-    def test_constants_broadcast(self):
-        x = np.zeros((3, 2))
-        np.testing.assert_array_equal(coefficient(0.5, x), np.full((3, 2), 0.5))
-        np.testing.assert_array_equal(coefficient(2.0, x, matrix=True),
-                                      np.broadcast_to(2.0 * np.eye(2), (3, 2, 2)))
-        m = np.array([[1.0, 2.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(coefficient(m, x, matrix=True), np.broadcast_to(m, (3, 2, 2)))
-
-    def test_callables_called_and_reshaped(self):
-        x = np.arange(3.0)[:, None]
-        np.testing.assert_array_equal(coefficient(lambda x: 2 * x[:, 0], x), 2 * x)
-        got = coefficient(lambda t, x: t * x[:, 0], x, matrix=True, t=0.5)
-        np.testing.assert_array_equal(got, 0.5 * x[:, :, None])
 
 
 class TestExitTime:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import fd_dirichlet_solve_superlu, heat_solution_gaussian_bump, ref
 from youngbsde import pde
 from youngbsde.cli import main
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
+from youngbsde.forward import SdeSpec
 from youngbsde.pde import (
     PdeSolution,
     PdeSpec,
@@ -172,9 +174,18 @@ class TestFdSolve:
             )
 
         spec(1e-4)
+        spec(-1.0)  # only sigma^2 enters
         for sigma in (0.0, 1e-5):
             with pytest.raises(ValueError, match="ellipticity"):
                 spec(sigma)
+
+    def test_callable_coefficient_rejected(self):
+        # drift and diffusion are scalars in both specs
+        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
+        for spec, names in ((fwd, ("drift", "diffusion")), (heat_spec(), ("sigma", "drift"))):
+            for name in names:
+                with pytest.raises(TypeError):
+                    replace(spec, **{name: lambda x: x})
 
     def test_continuity_in_driver(self):
         base = heat_spec(g=lambda u: u, sigma=1.0)
@@ -186,64 +197,44 @@ class TestFdSolve:
         ratio = gaps[0] / gaps[1]
         assert 5 <= ratio <= 20  # O(delta) response
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_operator_exact_on_quadratics(self, dim):
-        # central differences are exact on quadratics, so at every interior
-        # node the stencil must give 1/2 tr(D Q) + b . (g + Q x) for
-        # u = g . x + 1/2 x^T Q x, with D = sigma sigma^T off-diagonal != 0
-        def sigma(x):
-            diag = (1.0 + 0.3 * np.sin(x))[:, :, None] * np.eye(dim)
-            off = (0.4 + 0.2 * np.sin(x.sum(axis=1)))[:, None, None]
-            upper = off * np.triu(np.ones((dim, dim)), 1)
-            return diag + upper
-
-        def drift(x):
-            return 0.5 - 0.8 * x[:, ::-1]
-
+    @staticmethod
+    def _quadratic(dim):
+        # u = g . x + 1/2 x^T Q x on a 9-node grid per axis, with a scalar
+        # sigma != 1 and drift != 0
         spec = PdeSpec(
             halfwidth=1.0, dim=dim, horizon=0.5, terminal=gaussian_bump,
-            sigma=sigma, drift=drift, generator=zero_f, coupling=zero_g,
+            sigma=1.3, drift=-0.6, generator=zero_f, coupling=zero_g,
             fieldv=smooth_field(),
         )
         q = np.array([[1.3, -0.7], [-0.7, 0.9]])[:dim, :dim]
         g = np.array([0.4, -1.1])[:dim]
         axes = [np.linspace(-1.0, 1.0, 9)] * dim
         pts = _nodes(axes)
-        u = pts @ g + 0.5 * np.einsum("ki,ij,kj->k", pts, q, pts)
-        sig = sigma(pts)
-        dd = np.einsum("kab,kcb->kac", sig, sig)
-        want = 0.5 * np.einsum("kij,ij->k", dd, q) + np.einsum("ki,ki->k", drift(pts), g + pts @ q)
+        u = (pts @ g + 0.5 * np.einsum("ki,ij,kj->k", pts, q, pts)).reshape((9,) * dim)
         interior = np.all(np.abs(pts) < 1.0 - 1e-12, axis=1)
-        got = _apply(_stencils(spec, axes)[0], u.reshape((9,) * dim)).ravel()
-        assert interior.sum() == got.size == 7**dim
-        assert dim == 1 or np.abs(dd[:, 0, 1]).min() > 0.1
-        np.testing.assert_allclose(got, want[interior], rtol=0, atol=1e-10)
+        return spec, axes, u, pts[interior], q, g
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_operator_exact_on_quadratics(self, dim):
+        # central differences are exact on quadratics, so at every interior
+        # node the stencil must give 1/2 sigma^2 tr Q + b . (g + Q x)
+        spec, axes, u, pts, q, g = self._quadratic(dim)
+        lop = _stencils(spec, axes)[0]
+        assert len(lop) == 2 * dim + 1
+        want = 0.5 * spec.sigma**2 * np.trace(q) + spec.drift * (g + pts @ q).sum(axis=1)
+        got = _apply(lop, u).ravel()
+        assert got.size == 7**dim
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_sigma_grad_map_exact_on_quadratics(self, dim):
-        # with the sigma and drift of test_operator_exact_on_quadratics, the
-        # map's a-th block gives sum_b sigma_ba (g + Q x)_b at interior nodes
-        def sigma(x):
-            diag = (1.0 + 0.3 * np.sin(x))[:, :, None] * np.eye(dim)
-            off = (0.4 + 0.2 * np.sin(x.sum(axis=1)))[:, None, None]
-            return diag + off * np.triu(np.ones((dim, dim)), 1)
-
-        spec = PdeSpec(
-            halfwidth=1.0, dim=dim, horizon=0.5, terminal=gaussian_bump,
-            sigma=sigma, drift=lambda x: 0.5 - 0.8 * x[:, ::-1], generator=zero_f,
-            coupling=zero_g, fieldv=smooth_field(),
-        )
-        q = np.array([[1.3, -0.7], [-0.7, 0.9]])[:dim, :dim]
-        g = np.array([0.4, -1.1])[:dim]
-        axes = [np.linspace(-1.0, 1.0, 9)] * dim
-        pts = _nodes(axes)
-        u = pts @ g + 0.5 * np.einsum("ki,ij,kj->k", pts, q, pts)
-        want = np.einsum("kba,kb->ka", sigma(pts), g + pts @ q)
-        got = np.stack([_apply(w_a, u.reshape((9,) * dim)).ravel() for w_a in _stencils(spec, axes)[1]],
-                       axis=1)
-        interior = np.all(np.abs(pts) < 1.0 - 1e-12, axis=1)
-        assert dim == 1 or np.abs(sigma(pts)[:, 0, 1]).min() > 0.1
-        np.testing.assert_allclose(got, want[interior], rtol=0, atol=1e-12)
+        # on the quadratics of test_operator_exact_on_quadratics the map's
+        # a-th stencil gives sigma (g + Q x)_a at interior nodes
+        spec, axes, u, pts, q, g = self._quadratic(dim)
+        wop = _stencils(spec, axes)[1]
+        assert len(wop) == dim and all(len(w_a) == 2 for w_a in wop)
+        got = np.stack([_apply(w_a, u).ravel() for w_a in wop], axis=1)
+        np.testing.assert_allclose(got, spec.sigma * (g + pts @ q), rtol=0, atol=1e-12)
 
     def test_driver_derivative_once_per_time_level(self):
         spec = heat_spec(halfwidth=1.0, g=lambda u: u)
