@@ -712,8 +712,8 @@ def _run_pde_table(cfg, out_dir):
             for q, (t, x) in enumerate(points):
                 rows.append({"n": n, "m": m, "t": t, "x": x, "u": float(table.values[i, j, q])})
     summary = [
-        f"cauchy in n: {list(np.round(table.cauchy_n, 6))}",
-        f"cauchy in m: {list(np.round(table.cauchy_m, 6))}",
+        f"cauchy in n: {np.round(table.cauchy_n, 6).tolist()}",
+        f"cauchy in m: {np.round(table.cauchy_m, 6).tolist()}",
         f"declared converged: {table.converged}",
     ]
     return rows, summary

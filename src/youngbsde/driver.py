@@ -1,10 +1,11 @@
 """Space-time driver fields eta(t, x) and checks of their declared regularity.
 
-Fields are normalized so that eta(0, x) = 0 (the t = 0 slice is subtracted
-at construction). Concrete kinds: closed-form analytic fields, grid-sampled
-fractional Brownian sheets with multilinear interpolation, time-mollified
-wrappers with a quadrature time derivative, and shifted restrictions used
-when a problem starts at an interior time.
+Fields are normalized so that eta(0, x) = 0: a sampled sheet's t = 0 slice
+is zero, and an analytic field subtracts fn(0, x) at every evaluation.
+Concrete kinds: closed-form analytic fields, grid-sampled fractional
+Brownian sheets with multilinear interpolation, and time-mollified wrappers
+with a quadrature time derivative.  Times are absolute: a problem that
+starts at an interior time evaluates the field at its own grid's times.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ __all__ = [
     "AnalyticField",
     "FbsGridField",
     "MollifiedField",
-    "ShiftedField",
     "fbs_generate",
     "mollify",
-    "shift_field",
     "assumption_check",
     "AssumptionReport",
     "save_fbs",
@@ -387,49 +386,6 @@ class MollifiedField(DriverField):
 
 def mollify(field: DriverField, m: int) -> MollifiedField:
     return MollifiedField(field, m)
-
-
-class ShiftedField(DriverField):
-    """Restriction of a field to [t0, T], re-based so time starts at 0.
-
-    eta'(t, x) = eta(t0 + t, x) - eta(t0, x); used when a problem is posed
-    from an interior start time.
-    """
-
-    kind = "shifted"
-
-    def __init__(self, base: DriverField, t0: float):
-        if not 0 <= t0 <= base.horizon:
-            raise ValueError("t0 must lie in [0, horizon]")
-        super().__init__(base.params, base.dim, base.horizon - t0)
-        self.base = base
-        self.t0 = float(t0)
-
-    @property
-    def _lattice(self):
-        return self.base._lattice
-
-    @property
-    def has_time_derivative(self) -> bool:
-        return self.base.has_time_derivative
-
-    def _values(self, t, x, derivative):
-        out = self.base._values(t + self.t0, x, derivative)
-        return out if derivative else out - self.base._values(np.full_like(t, self.t0), x, False)
-
-    def increment(self, t0, t1, x):
-        # the base's slice at the shift cancels, so it is never formed
-        return self.base.increment(t0 + self.t0, t1 + self.t0, x)
-
-    def _rows(self, t, derivative=False):
-        rows = self.base._rows(t + self.t0, derivative)
-        return rows if derivative else rows - self.base._rows(np.array([self.t0]))
-
-
-def shift_field(field: DriverField, t0: float) -> DriverField:
-    if t0 == 0.0:
-        return field
-    return ShiftedField(field, t0)
 
 
 _EPS_SEARCH = np.round(np.arange(0.01, 1.0, 0.01), 2)

@@ -72,7 +72,7 @@ def solve_linear_yode(
     fieldv: DriverField,
     levels: int = 0,
 ) -> FlowMatrix:
-    """Euler flow of the linear Young ODE from time 0 along x's grid.
+    """Euler flow of the linear Young ODE from the first point of x's grid.
 
     ``alpha`` is an (n, N, N) array: one N x N matrix per grid point.
     ``levels`` refines each grid cell dyadically before stepping; the

@@ -23,7 +23,6 @@ __all__ = [
     "locate",
     "blend",
     "p_variation",
-    "p_variation_paths",
     "p_variation_suffixes",
     "p_variation_brute_force",
     "write_csv",
@@ -34,7 +33,8 @@ _ALIGN_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing grid 0 = t_0 < t_1 < ... < t_{n-1} = T."""
+    """Strictly increasing grid t_0 < t_1 < ... < t_{n-1} = T of finite
+    times; a problem posed on [t_0, T] starts where its grid starts."""
 
     points: np.ndarray
 
@@ -44,8 +44,6 @@ class TimeGrid:
             raise ValueError("grid needs at least 2 points")
         if not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
-        if abs(pts[0]) > 0:
-            raise ValueError("grid must start at 0")
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid points must be finite")
         pts = pts.copy()
@@ -233,19 +231,13 @@ def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
     return (out ** (1.0 / p)).T
 
 
-def p_variation_paths(values: np.ndarray, p: float) -> np.ndarray:
-    """Exact grid p-variation of each of k paths sampled on one grid: the
-    full-grid column of p_variation_suffixes.  Returns shape (k,)."""
-    return p_variation_suffixes(values, p, (0,))[:, 0]
-
-
 def p_variation(path: SamplePath, p: float) -> float:
     """Exact grid p-variation, sup over all sub-partitions of the grid.
 
-    The one-path case of p_variation_paths.  For p = 1 this is the total
-    variation over the grid.
+    The one-path, full-grid case of p_variation_suffixes.  For p = 1 this
+    is the total variation over the grid.
     """
-    return float(p_variation_paths(path.values[None], p)[0])
+    return float(p_variation_suffixes(path.values[None], p, (0,))[0, 0])
 
 
 def p_variation_brute_force(path: SamplePath, p: float) -> float:

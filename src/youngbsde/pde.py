@@ -23,7 +23,7 @@ from .bsde import (
     localized_solve,
     terminal_h_of_xt,
 )
-from .driver import DriverField, mollify, shift_field
+from .driver import DriverField, mollify
 from .forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
 from .paths import TimeGrid, blend, locate
 
@@ -299,8 +299,9 @@ def feynman_kac_cross_check(
 ):
     """|u_FD - u_MC| at interior points with tolerance fd_error + 3 MC SE.
 
-    The MC side solves the stopped BSDE from each point with exit at the
-    box boundary, sharing (h, f, g, sigma, b, eta) with the FD side.
+    The MC side solves the stopped BSDE from each point (t, x) on a grid
+    over [t, T] of its own, with exit at the box boundary, sharing
+    (h, f, g, sigma, b, eta) with the FD side.
     """
     sol = fd_dirichlet_solve(spec, time_steps, space_steps)
     sol_half = fd_dirichlet_solve(spec, 2 * time_steps, 2 * space_steps)
@@ -327,14 +328,13 @@ def feynman_kac_cross_check(
 
 
 def _mc_point(spec, t0, x0, n_paths, seed, mc_time_steps, basis, picard):
-    horizon = spec.horizon - t0
-    grid = TimeGrid.uniform(horizon, mc_time_steps)
+    grid = TimeGrid(t0 + np.linspace(0.0, spec.horizon - t0, mc_time_steps + 1))
     fwd = SdeSpec(drift=spec.drift, diffusion=spec.sigma, x0=np.atleast_1d(x0), bound=MC_BOUND)
     ens = euler_maruyama(fwd, grid, n_paths, seed)
     bspec = BsdeSpec(
         forward=fwd,
-        fieldv=shift_field(spec.fieldv, t0),
-        generator=lambda t, x, y, z: spec.generator(t0 + t, x, y, z),
+        fieldv=spec.fieldv,
+        generator=spec.generator,
         coupling=spec.coupling,
         terminal=terminal_h_of_xt(spec.terminal),
     )
@@ -378,10 +378,12 @@ def neumann_fk_estimate(
     seed: int = 0,
     n_steps: int = 256,
 ):
-    """Estimate E[h(X_T) exp(int_t^T B(dr, X_r))] for X reflected in [a, b].
+    """Estimate E[h(X_T) exp(int_t^T B(dr, X_r))] for X reflected in [a, b]
+    and started from start = (t, x), with T the driver's horizon.
 
     Reflected paths come from the discrete Skorohod map; the Young integral
-    along each path uses the left-point germ at the simulation resolution.
+    along each path uses the left-point germ on the n_steps-cell uniform
+    grid over [t, T].
     The driver should sit in the H0 + H/2 > 1 regularity window (warned
     otherwise for sheet realizations).  Returns (estimate, standard error).
     """
@@ -398,10 +400,9 @@ def neumann_fk_estimate(
     for j in range(n_steps):
         inc[j] = step_normals(seed, j, n_paths, 1)[:, 0] * np.sqrt(dt)
     x = reflect_1d(inc.T, (a, b), x0)[0].T  # time-major
-    shifted = shift_field(fieldv, t0)
-    times = np.linspace(0.0, horizon, n_steps + 1)
+    times = np.linspace(0.0, horizon, n_steps + 1) + t0
     integral = np.zeros(n_paths)
     for j in range(n_steps):
-        integral += shifted.increment(times[j], times[j + 1], x[j][:, None])
+        integral += fieldv.increment(times[j], times[j + 1], x[j][:, None])
     vals = np.asarray(h(x[-1]), dtype=float) * np.exp(integral)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))

@@ -211,11 +211,10 @@ def _slice_indices(grid, interval) -> tuple[int, int]:
 
 
 def restrict(path, interval):
-    """The SamplePath on the grid points of interval = (a, b), a < b, with
-    time re-based so that a becomes 0."""
+    """The SamplePath on the grid points of interval = (a, b), a < b, at
+    their own times."""
     ia, ib = _slice_indices(path.grid, interval)
-    pts = path.grid.points[ia : ib + 1]
-    return SamplePath(TimeGrid(pts - pts[0]), path.values[ia : ib + 1])
+    return SamplePath(TimeGrid(path.grid.points[ia : ib + 1]), path.values[ia : ib + 1])
 
 
 def holder_norm(path, gamma: float, interval=None) -> float:

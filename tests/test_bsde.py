@@ -72,6 +72,27 @@ class TestBackwardSolve:
         sol = backward_solve(spec, ens)
         np.testing.assert_array_equal(sol.y[:, -1], h(ens.x[:, -1]))
 
+    def test_time_homogeneous_problem_ignores_time_origin(self):
+        # eta affine in t, constant coefficients and a generator free of t:
+        # the problem on [t0, t0 + 1/2] is the same for every start t0
+        fieldv = AnalyticField(
+            lambda t, x: t * np.sin(x[:, 0]), RegularityParams(tau=1.0, lam=1.0, p=2.5),
+            dt_fn=lambda t, x: np.sin(x[:, 0]),
+        )
+        fwd = SdeSpec(drift=0.1, diffusion=1.0, x0=[0.2], bound=2.0)
+        spec = make_spec(
+            fwd, fieldv, lambda t, x, y, z: 0.5 * np.sin(y) + 0.2 * z[:, 0], np.sin,
+            terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
+        )
+        sols = []
+        for t0 in (0.0, 0.37):
+            grid = TimeGrid(t0 + np.linspace(0.0, 0.5, 33))
+            sols.append(backward_solve(spec, euler_maruyama(fwd, grid, 2000, seed=33)))
+        at_zero, interior = sols
+        assert interior.grid_points[0] == 0.37
+        assert abs(at_zero.y0 - interior.y0) <= 1e-12
+        assert abs(at_zero.y0_se - interior.y0_se) <= 1e-12
+
     @pytest.mark.parametrize("name", ["generator", "coupling"])
     def test_column_shaped_callable_rejected(self, name):
         # a (k, 1) column would broadcast the (k,) target to (k, k)
@@ -526,9 +547,9 @@ class TestDiagnostics:
         )
         d = diagnostics(sol, ens, p=2.5, k_mom=2.0, times=[0.0])
         _, fresh = bm_ensemble(1500, 64, seed=29)
-        from youngbsde.paths import p_variation_paths
+        from youngbsde.paths import p_variation_suffixes
 
-        oracle = np.sqrt(np.mean(p_variation_paths(fresh.x[:, :, 0], 2.5) ** 2))
+        oracle = np.sqrt(np.mean(p_variation_suffixes(fresh.x[:, :, 0], 2.5, (0,))[:, 0] ** 2))
         assert abs(d["m_pk"] - oracle) / oracle <= 0.2
 
 
@@ -536,7 +557,7 @@ class TestDiagnostics:
         # diagnostics reads each u's p-variation from one suffix DP; the
         # reference runs the DP again on y[:, j:] for every u
         from youngbsde.bsde import _Fit
-        from youngbsde.paths import p_variation_paths
+        from youngbsde.paths import p_variation_suffixes
 
         fwd, ens = bm_ensemble(400, 16, seed=30)
         spec = make_spec(
@@ -550,7 +571,7 @@ class TestDiagnostics:
         m_pk = 0.0
         for u in d["times"]:
             j = int(np.argmin(np.abs(pts - u)))
-            pv = p_variation_paths(y[:, j:], 2.5) ** 2.0
+            pv = p_variation_suffixes(y[:, j:], 2.5, (0,))[:, 0] ** 2.0
             m_pk = max(m_pk, float(np.max(_Fit(basis, x[:, j]).fit(pv))) ** 0.5)
         assert len(d["times"]) == 4 and m_pk > 0
         assert d["m_pk"] == pytest.approx(m_pk, rel=1e-12)

@@ -500,8 +500,30 @@ class TestCliRuns:
         est = float(rows[1].split(",")[0])
         assert est == pytest.approx(np.e, rel=1e-9)
 
+    def test_pde_table_rows_and_plain_summary(self, tmp_path):
+        cfg = {
+            "experiment": "pde-table",
+            "driver": {"kind": "analytic", "name": "sin_x_t08"},
+            "pde": {"coupling": "sin"},
+            "n_list": [1.0, 1.5, 2.0],
+            "m_list": [2, 4],
+            "points": [[0.0, 0.0], [0.25, 0.5]],
+            "time_steps": 8,
+            "cells_per_unit": 8,
+        }
+        out = tmp_path / "pt"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        rows = (out / "results.csv").read_text().strip().splitlines()
+        assert len(rows) - 1 == 3 * 2 * 2
+        summary = (out / "summary.txt").read_text()
+        assert "np." not in summary
+        # the Cauchy differences are written as plain JSON-style lists
+        cauchy = dict(line.split(": ", 1) for line in summary.splitlines()[1:3])
+        assert len(json.loads(cauchy["cauchy in n"])) == 2
+        assert len(json.loads(cauchy["cauchy in m"])) == 1
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+CONFIGS =Path(__file__).resolve().parents[1] / "configs"
 
 # the shipped configs cut to sizes that run in milliseconds
 _CUT = {"paths": 40, "steps": 8, "time_cells": 32, "space_cells": 16, "levels": 6, "cells": 16,

@@ -7,12 +7,10 @@ from youngbsde.driver import (
     FbsGridField,
     HurstParams,
     RegularityParams,
-    ShiftedField,
     assumption_check,
     fbs_generate,
     mollify,
     save_fbs,
-    shift_field,
 )
 
 
@@ -59,16 +57,6 @@ class TestAnalyticField:
         f = linear_field()
         assert f.evaluate(0.5, np.array([[1.0]])).shape == (1,)
         assert f.evaluate(np.array([0.1, 0.2]), np.array([[0.0], [1.0]])).shape == (2,)
-
-    def test_shifted_field(self):
-        f = AnalyticField(
-            lambda t, x: t * x[:, 0], RegularityParams(tau=1.0, lam=1.0, p=2.5)
-        )
-        g = shift_field(f, 0.25)
-        # eta'(t, x) = (0.25 + t) x - 0.25 x = t x
-        got = g.evaluate(np.array([0.5]), np.array([[2.0]]))
-        assert got[0] == pytest.approx(1.0)
-        assert g.horizon == pytest.approx(0.75)
 
 
 class TestFbs:
@@ -256,7 +244,6 @@ def slice_fields():
         "fbs-1d": fbs1,
         "fbs-2d": fbs2,
         "mollified": mollify(fbs1, 8),
-        "shifted-mollified": shift_field(mollify(fbs1, 8), 0.1),
         "mollified-2d": mollify(fbs2, 4),
         "mollified-analytic": mollify(analytic, 8),
     }
@@ -271,8 +258,6 @@ def shape_fields():
     fields.update({
         "analytic": linear_field(),
         "analytic-2d": analytic2,
-        "shifted-analytic": shift_field(linear_field(), 0.25),
-        "shifted-fbs": shift_field(fields["fbs-1d"], 0.1),
     })
     return fields
 
@@ -285,7 +270,7 @@ class TestShapeRules:
     def test_scalar_time_shapes(self, name, method):
         f = shape_fields()[name]
         if method == "time_derivative" and not f.has_time_derivative:
-            assert isinstance(f, (FbsGridField, ShiftedField))
+            assert isinstance(f, FbsGridField)
             return
         call = getattr(f, method)
         d, t = f.dim, 0.1
@@ -337,7 +322,7 @@ class TestTimeSlice:
             np.testing.assert_array_equal(f._rows(np.zeros(1)), 0.0)
 
     def test_mollified_lattice_field_skips_pointwise_evaluation(self, monkeypatch):
-        f = slice_fields()["shifted-mollified"]
+        f = slice_fields()["mollified"]
         x = np.linspace(-3.0, 3.0, 50)[:, None]
         want_inc = f.increment(0.05, 0.2, x)
         want_dt = f.time_derivative(0.2, x)
@@ -383,9 +368,6 @@ class TestHasTimeDerivative:
         fbs = slice_fields()["fbs-1d"]
         assert not fbs.has_time_derivative
         assert mollify(fbs, 8).has_time_derivative
-        assert not shift_field(fbs, 0.1).has_time_derivative
-        assert shift_field(mollify(fbs, 8), 0.1).has_time_derivative
-        assert shift_field(linear_field(), 0.25).has_time_derivative
         with pytest.raises(NotImplementedError):
             fbs.time_derivative(0.1, np.zeros((3, 1)))
 
@@ -410,19 +392,6 @@ class TestPerPointIncrement:
             f.increment(0.1, t1, x), f.evaluate(t1, x) - f.evaluate(np.full(k, 0.1), x),
             rtol=0, atol=1e-13,
         )
-
-    @pytest.mark.parametrize("name", ["fbs-1d", "fbs-2d", "mollified", "mollified-analytic",
-                                      "analytic", "analytic-2d"])
-    def test_shifted_increment_is_base_increment(self, name):
-        # a shifted field hands both ends to its base: the base's slice at the
-        # shift never enters, so the results agree bit for bit
-        f, s = shape_fields()[name], 0.1
-        g = shift_field(f, s)
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-3.0, 3.0, (200, f.dim))
-        t0, t1 = rng.uniform(0.0, g.horizon, (2, 200))
-        np.testing.assert_array_equal(g.increment(0.05, 0.3, x), f.increment(0.05 + s, 0.3 + s, x))
-        np.testing.assert_array_equal(g.increment(t0, t1, x), f.increment(t0 + s, t1 + s, x))
 
     def test_analytic_field_calls_fn_twice(self):
         calls = []

@@ -11,7 +11,6 @@ from youngbsde.paths import (
     dyadic_interp,
     p_variation,
     p_variation_brute_force,
-    p_variation_paths,
     p_variation_suffixes,
 )
 
@@ -32,8 +31,11 @@ class TestTimeGrid:
             TimeGrid(np.array([0.0]))
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(np.array([0.5, np.inf]))
+        # a grid may start at any finite time
+        np.testing.assert_array_equal(TimeGrid(np.array([0.5, 1.0])).points, [0.5, 1.0])
+        np.testing.assert_array_equal(TimeGrid(np.array([-1.0, 0.0])).dt, [1.0])
 
     def test_index_of_misaligned(self):
         g = TimeGrid.uniform(1.0, 4)
@@ -102,7 +104,7 @@ class TestPVariation:
 
     def test_single_point_interval(self):
         p = path_on_unit_grid(np.arange(5.0))
-        assert p_variation_paths(p.values[None, 1:2], 2.0)[0] == 0.0
+        assert p_variation_suffixes(p.values[None, 1:2], 2.0, (0,))[0, 0] == 0.0
         assert holder_norm(p, 0.5, (0.25, 0.25)) == 0.0
 
     def test_dp_matches_brute_force_random(self):
@@ -165,9 +167,9 @@ class TestSuffixDp:
             suffixes = p_variation_suffixes(v, p, range(shape[1]))
             assert suffixes.shape == shape[:2]
             np.testing.assert_array_equal(suffixes[:, -1], 0.0)
-            np.testing.assert_array_equal(suffixes[:, 0], p_variation_paths(v, p))
             for j in range(shape[1]):
-                np.testing.assert_array_equal(suffixes[:, j], p_variation_paths(v[:, j:], p))
+                whole = p_variation_suffixes(v[:, j:], p, (0,))[:, 0]
+                np.testing.assert_array_equal(suffixes[:, j], whole)
                 np.testing.assert_allclose(
                     suffixes[:, j], forward_dp(v[:, j:], p), rtol=1e-13, atol=0
                 )
@@ -274,7 +276,6 @@ class TestTurningPointDp:
         path = path_on_unit_grid(vals[0])
         for call in (
             lambda: p_variation_suffixes(vals, p, (0,)),
-            lambda: p_variation_paths(vals, p),
             lambda: p_variation(path, p),
             lambda: p_variation_brute_force(path, p),
         ):

@@ -10,7 +10,7 @@ from oracles import (
     young_integral_against_path,
 )
 
-from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate, shift_field
+from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.paths import SamplePath, TimeGrid, dyadic_interp, p_variation
 from youngbsde.sewing import Germ, SewingError, nonlinear_young_integral, sew
 
@@ -61,9 +61,7 @@ class TestSew:
         x, field = brownian_path(8, 1), sin_t_field()
         res = nonlinear_young_integral(y, x, field, levels=4)
         halves = [
-            nonlinear_young_integral(
-                restrict(y, iv), restrict(x, iv), shift_field(field, iv[0]), levels=4
-            ).values[-1]
+            nonlinear_young_integral(restrict(y, iv), restrict(x, iv), field, levels=4).values[-1]
             for iv in ((0.0, 0.5), (0.5, 1.0))
         ]
         assert res.values[4] == pytest.approx(halves[0], abs=1e-15)
@@ -119,25 +117,24 @@ class TestNonlinearYoung:
         # the one-level sum against sew of a germ that finds each point by
         # np.interp and differences two evaluations: the value at every level,
         # and the finest running integral, on an fbs field, on the whole grid
-        # and on an interior interval (paths restricted to it, the field
-        # shifted to its start)
+        # and on an interior interval (paths restricted to it)
         field = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
                              np.linspace(-2.0, 2.0, 33), seed=40, p=2.05)
         x = brownian_path(16, 41)
         y = SamplePath(x.grid, np.cos(x.grid.points) + x.values)
         for interval in (None, (0.25, 0.75)):
             a, b = (0.0, 1.0) if interval is None else interval
-            ya, xa, fa = restrict(y, (a, b)), restrict(x, (a, b)), shift_field(field, a)
-            got = [nonlinear_young_integral(ya, xa, fa, levels=lev) for lev in range(7)]
+            ya, xa = restrict(y, (a, b)), restrict(x, (a, b))
+            got = [nonlinear_young_integral(ya, xa, field, levels=lev) for lev in range(7)]
             keep = (x.grid.points >= a - 1e-12) & (x.grid.points <= b + 1e-12)
             pts, xv, yv = x.grid.points[keep], x.values[keep], y.values[keep]
 
-            def germ(s, t, pts=pts, xv=xv, yv=yv, a=a):
-                xs = np.interp(s + a, pts, xv)[:, None]
-                ys = np.interp(s + a, pts, yv)
-                return ys * (field.evaluate(t + a, xs) - field.evaluate(s + a, xs))
+            def germ(s, t, pts=pts, xv=xv, yv=yv):
+                xs = np.interp(s, pts, xv)[:, None]
+                ys = np.interp(s, pts, yv)
+                return ys * (field.evaluate(t, xs) - field.evaluate(s, xs))
 
-            want = sew(Germ(germ), TimeGrid(pts - a), levels=6, tol=0.0)
+            want = sew(Germ(germ), TimeGrid(pts), levels=6, tol=0.0)
             np.testing.assert_allclose([g.values[-1] for g in got], want.level_totals,
                                        rtol=0, atol=1e-13)
             np.testing.assert_allclose(got[-1].values, want.cumulative, rtol=0, atol=1e-13)
