@@ -255,6 +255,11 @@ MAX_PATH_POINTS = 2**23
 # included; the dense inverse of the implicit matrix then takes 0.13 GB
 MAX_FD_CELLS_1D = 2**12
 
+# the most nodes, (time_steps + 1) * (cells + 1)^2, of a 2-D finite-difference
+# grid, cross-check's doubled grid included; the stored solution then takes
+# 0.27 GB, and the default 2-D cross-check has 2.9e7
+MAX_FD_NODES_2D = 2**25
+
 _DRIVERS = {
     "analytic": {"name": _enum("time", ANALYTIC_FIELDS)},
     "fbs": {
@@ -514,12 +519,16 @@ def _check_relations(cfg: dict) -> None:
                     f"points: expected [t, x] with t in [0, {t_end}) and x of "
                     f"{pde['dim']} coordinates in [-{half}, {half}], got {[t, x]}"
                 )
-        if pde["dim"] == 1:
-            key, cells = (("space_steps", 2 * cfg["space_steps"]) if exp == "cross-check" else
-                          ("cells_per_unit", max(int(2 * n * cfg["cells_per_unit"]) for _, n in boxes)))
-            if cells > MAX_FD_CELLS_1D:
-                raise ConfigError(f"{key}: a 1-D grid may have at most {MAX_FD_CELLS_1D} cells, "
-                                  f"got {cells}")
+        key, cells, steps = (
+            ("space_steps", 2 * cfg["space_steps"], 2 * cfg["time_steps"]) if exp == "cross-check"
+            else ("cells_per_unit", max(int(2 * n * cfg["cells_per_unit"]) for _, n in boxes),
+                  cfg["time_steps"]))
+        if pde["dim"] == 1 and cells > MAX_FD_CELLS_1D:
+            raise ConfigError(f"{key}: a 1-D grid may have at most {MAX_FD_CELLS_1D} cells, "
+                              f"got {cells}")
+        if pde["dim"] == 2 and (steps + 1) * (cells + 1) ** 2 > MAX_FD_NODES_2D:
+            raise ConfigError(f"{key}: a 2-D grid may have at most {MAX_FD_NODES_2D} nodes "
+                              f"(time steps + 1) * (cells + 1)^2, got {steps + 1} * {cells + 1}^2")
     if exp == "neumann":
         (a, b), (t0, x0) = cfg["interval"], cfg["start"]
         if not a < b:

@@ -6,7 +6,9 @@ error sweep on growing boxes, and the 1-D Neumann functional estimate.
 The stepping is a backward-in-time Crank-Nicolson scheme for the
 constant-coefficient elliptic part, with the nonlinear terms
 f(t, x, u, sigma grad u) + g(u) dt_eta treated explicitly
-through one fixed-point sweep per step.
+through one fixed-point sweep per step.  The implicit half step is a dense
+inverse in 1-D, a sine-transform diagonalisation in 2-D without drift and
+a SuperLU factorisation in 2-D with drift.
 """
 
 from __future__ import annotations
@@ -147,18 +149,41 @@ def _apply(stencil: dict, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sine_solver(half: dict, m: int):
+    """v -> M^{-1} v for the symmetric 2-D stencil `half` on m x m interior
+    nodes (the fast diagonalisation of Lynch, Rice and Thomas, 1964).
+
+    M = I - H1 (x) I - I (x) H1, with H1 the 1-D tridiagonal Toeplitz matrix
+    of diagonal half[centre] / 2 and off-diagonal half[e_0] (both axes have
+    the same step).  The orthonormal, symmetric DST-I matrix S diagonalises
+    H1, with eigenvalues lam_k = half[centre] / 2 + 2 half[e_0] cos(k pi /
+    (m + 1)), so M^{-1} R = S ((S R S) / (1 - lam_i - lam_j)) S for the
+    values R on the m x m grid.  Every lam_k is <= 0, so every denominator is
+    at least 1.  Dense matmuls beat an FFT-based DST at these sizes.
+    """
+    k = np.arange(1, m + 1)
+    sine = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    lam = half[(0, 0)] / 2 + 2 * half[(1, 0)] * np.cos(np.pi * k / (m + 1))
+    denom = 1.0 - lam[:, None] - lam[None, :]
+    return lambda v: (sine @ ((sine @ v.reshape(m, m) @ sine) / denom) @ sine).ravel()
+
+
 def _implicit_solver(half: dict, shape: tuple):
     """v -> M^{-1} v for M = I - H on the interior nodes, raveled, where the
     stencil `half` is H = dt/2 L.
 
-    M is assembled from the stencil's coefficients, one value per offset,
-    skipping an offset whose entry is zero and leaving out the couplings to
-    boundary nodes (they enter the right-hand side).
+    In 2-D a symmetric stencil (zero drift) is solved by sine-transform
+    diagonalisation, without assembling M.  Otherwise M is assembled from
+    the stencil's coefficients, one value per offset, skipping an offset
+    whose entry is zero and leaving out the couplings to boundary nodes
+    (they enter the right-hand side).
     In 1-D the dense M is inverted once, after its 1-norm condition number
-    is checked against MAX_IMPLICIT_CONDITION; in 2-D SuperLU factors the
-    sparse M, ordered by minimum degree on A^T + A, which suits the
-    structurally symmetric stencil.
+    is checked against MAX_IMPLICIT_CONDITION; in 2-D with drift SuperLU
+    factors the sparse M, ordered by minimum degree on A^T + A, which suits
+    the structurally symmetric stencil.
     """
+    if len(shape) == 2 and all(c == half[tuple(-o for o in off)] for off, c in half.items()):
+        return _sine_solver(half, shape[0] - 2)
     # each interior node's row of M, -1 on the boundary
     number = np.full(shape, -1)
     inside = number[(slice(1, -1),) * len(shape)]
@@ -186,7 +211,8 @@ def _implicit_solver(half: dict, shape: tuple):
                 f"above {MAX_IMPLICIT_CONDITION:.3g}"
             )
         return lambda v: inverse @ v
-    # scipy.sparse and its SuperLU take about 0.3 s to import: only 2-D solves pay it
+    # scipy.sparse and its SuperLU take about 0.3 s to import: only 2-D solves
+    # with drift pay it
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
@@ -201,7 +227,8 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     Boundary nodes carry h(x) exactly at all times; the terminal slice is
     h(x) exactly.  The explicit half of each step and the sigma grad u of
     the nonlinear terms are applied stencil by stencil; the implicit matrix
-    is factored (2-D) or inverted (1-D) once.
+    is inverted (1-D), diagonalised (2-D, no drift) or factored (2-D with
+    drift) once.
     """
     nt = time_steps
     dt = spec.horizon / nt

@@ -158,45 +158,56 @@ def cho_solve_fit(a, ridge: float, targets) -> np.ndarray:
 
 
 def fd_dirichlet_solve_superlu(spec, time_steps: int, space_steps: int) -> np.ndarray:
-    """The 1-D Crank-Nicolson solve of fd_dirichlet_solve on scipy.sparse
-    matrices: the operator and sigma d/dx from tridiagonal difference
-    matrices scaled by the scalar coefficients, boundary values fed in by
-    a matvec, and the implicit matrix factored by SuperLU.  Returns u."""
-    nt, n = time_steps, space_steps + 1
+    """The Crank-Nicolson solve of fd_dirichlet_solve on scipy.sparse
+    matrices: the operator and sigma grad from tridiagonal difference
+    matrices scaled by the scalar coefficients (Kronecker sums over the two
+    axes in 2-D), boundary values fed in by a matvec, and the implicit
+    matrix factored by SuperLU.  Returns u."""
+    nt, n, dim = time_steps, space_steps + 1, spec.dim
     dt = spec.horizon / nt
     times = np.linspace(0.0, spec.horizon, nt + 1)
-    pts = np.linspace(-spec.halfwidth, spec.halfwidth, n)[:, None]
-    h = pts[1, 0] - pts[0, 0]
+    axis = np.linspace(-spec.halfwidth, spec.halfwidth, n)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[axis] * dim, indexing="ij")], axis=-1)
+    h = axis[1] - axis[0]
     d2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
     d1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)) / (2 * h)
-    rows = (0.5 * spec.sigma**2 * d2 + spec.drift * d1).tocsr()[1:-1]
-    grad_w = (spec.sigma * d1).tocsr()[1:-1]
-    lmat = rows[:, 1:-1]
+    eye_n = sp.identity(n)
+
+    def along(mat, a):
+        """`mat` acting along axis a of the tensor grid."""
+        return mat if dim == 1 else sp.kron(mat, eye_n) if a == 0 else sp.kron(eye_n, mat)
+
+    interior = np.zeros((n,) * dim, dtype=bool)
+    interior[(slice(1, -1),) * dim] = True
+    interior = interior.ravel()
+    op = sum(along(0.5 * spec.sigma**2 * d2 + spec.drift * d1, a) for a in range(dim))
+    rows = op.tocsr()[interior]
+    grad_w = [along(spec.sigma * d1, a).tocsr()[interior] for a in range(dim)]
+    lmat = rows[:, interior]
     h_vals = np.asarray(spec.terminal(pts), dtype=float)
-    edge = h_vals.copy()
-    edge[1:-1] = 0.0
+    edge = np.where(interior, 0.0, h_vals)
     bfeed = dt * (rows @ edge)
-    eye = sp.identity(n - 2, format="csc")
+    eye = sp.identity(lmat.shape[0], format="csc")
     lhs = splu((eye - 0.5 * dt * lmat).tocsc(), permc_spec="MMD_AT_PLUS_A")
     rhs_op = eye + 0.5 * dt * lmat
 
     def nonlinear(t, u_full, dt_eta):
-        uu = u_full[1:-1]
-        w = (grad_w @ u_full)[:, None]
-        return spec.generator(t, pts[1:-1], uu, w) + spec.coupling(uu) * dt_eta
+        uu = u_full[interior]
+        w = np.stack([g @ u_full for g in grad_w], axis=1)
+        return spec.generator(t, pts[interior], uu, w) + spec.coupling(uu) * dt_eta
 
-    u = np.empty((nt + 1, n))
+    u = np.empty((nt + 1, n**dim))
     u[-1] = h_vals
-    dt_eta = spec.fieldv.time_derivative(times[-1], pts[1:-1])
+    dt_eta = spec.fieldv.time_derivative(times[-1], pts[interior])
     for k in range(nt - 1, -1, -1):
-        base = rhs_op @ u[k + 1][1:-1] + bfeed
+        base = rhs_op @ u[k + 1][interior] + bfeed
         n_hi = nonlinear(times[k + 1], u[k + 1], dt_eta)
         u[k] = h_vals
-        u[k][1:-1] = lhs.solve(base + dt * n_hi)
-        dt_eta = spec.fieldv.time_derivative(times[k], pts[1:-1])
+        u[k][interior] = lhs.solve(base + dt * n_hi)
+        dt_eta = spec.fieldv.time_derivative(times[k], pts[interior])
         n_lo = nonlinear(times[k], u[k], dt_eta)
-        u[k][1:-1] = lhs.solve(base + dt * 0.5 * (n_hi + n_lo))
-    return u
+        u[k][interior] = lhs.solve(base + dt * 0.5 * (n_hi + n_lo))
+    return u.reshape((nt + 1,) + (n,) * dim)
 
 
 def _slice_indices(grid, interval) -> tuple[int, int]:

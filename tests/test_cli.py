@@ -7,7 +7,8 @@ from oracles import load_fbs
 
 from youngbsde import cli
 from youngbsde.cli import (
-    MAX_FD_CELLS_1D, MAX_FINE_POINTS, MAX_PATH_POINTS, main, validate_config, ConfigError,
+    MAX_FD_CELLS_1D, MAX_FD_NODES_2D, MAX_FINE_POINTS, MAX_PATH_POINTS, main, validate_config,
+    ConfigError,
 )
 
 
@@ -378,9 +379,45 @@ class TestCliRuns:
     def test_1d_fd_cells_at_the_bound_pass(self):
         for _, cfg in self._fd_grids(MAX_FD_CELLS_1D):
             validate_config(cfg)
-        # 2-D grids go to SuperLU and are not bounded by the 1-D count
-        _, cfg = self._fd_grids(2 * MAX_FD_CELLS_1D)[0]
-        validate_config({**cfg, "pde": {"dim": 2}, "points": [[0.0, [0.0, 0.0]]]})
+
+    @staticmethod
+    def _fd_grids_2d(over):
+        # each config's largest 2-D grid has the most nodes the bound admits
+        # at its time steps, and over = 1 adds a time step: cross-check's
+        # doubled grid has 3 * 3343^2 (its largest at 1 step), the others
+        # 8 * 2048^2 and 2 * 4096^2, both 2^25
+        point = [[0.0, [0.0, 0.0]]]
+        return [
+            ("space_steps", {"experiment": "cross-check", "seed": 1, "pde": {"dim": 2},
+                             "driver": {"kind": "analytic", "name": "time"}, "points": point,
+                             "time_steps": 1 + over, "space_steps": 1671}),
+            ("cells_per_unit", {"experiment": "localization-error", "pde": {"dim": 2},
+                                "points": point, "n_list": [1.0, 2.0], "n_max": 1023.5,
+                                "time_steps": 7 + over, "cells_per_unit": 1}),
+            ("cells_per_unit", {"experiment": "pde-table", "driver": {"kind": "analytic"},
+                                "pde": {"dim": 2}, "points": point, "n_list": [2047.5, 1.0],
+                                "m_list": [4], "time_steps": 1 + over, "cells_per_unit": 1}),
+        ]
+
+    @pytest.mark.parametrize("q", range(3))
+    def test_2d_fd_nodes_bounded(self, tmp_path, capsys, monkeypatch, q):
+        # the stored 2-D solution is never allocated
+        monkeypatch.setattr(cli, "run_config", lambda *a: pytest.fail("run_config reached"))
+        key, cfg = self._fd_grids_2d(1)[q]
+        p = write_cfg(tmp_path, cfg)
+        for argv in (["check", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert key in err and str(MAX_FD_NODES_2D) in err
+
+    def test_2d_fd_nodes_at_the_bound_pass(self):
+        assert 8 * 2048**2 == MAX_FD_NODES_2D < 3 * 3345**2
+        for _, cfg in self._fd_grids_2d(0):
+            validate_config(cfg)
+        # the default 2-D cross-check: 193 * 385^2 nodes
+        validate_config({"experiment": "cross-check", "seed": 1, "pde": {"dim": 2},
+                         "driver": {"kind": "analytic", "name": "time"},
+                         "points": [[0.0, [0.0, 0.0]]]})
 
     def test_manifest_roundtrip(self, tmp_path):
         cfg = {

@@ -122,23 +122,28 @@ class TestFdSolve:
         assert np.all(np.isfinite(sol.u))
         np.testing.assert_array_equal(sol.u[:, 0], gaussian_bump(sol.axes[0][:1, None])[0])
 
+    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("cells", [160, 320])
     @pytest.mark.parametrize("drift", [0.0, 8.0])
-    def test_1d_matches_superlu_reference(self, drift, cells):
+    def test_matches_superlu_reference(self, drift, cells, dim):
         # the sin-coupled problem of configs/cross_check.json, with a
-        # generator that reads the sigma^T grad u slot
+        # generator that reads the sigma^T grad u slot; in 2-D the drift-free
+        # stencil takes the sine-transform solve and the drifted one SuperLU,
+        # on a quarter of the cells per axis
         spec = PdeSpec(
-            halfwidth=3.0, dim=1, horizon=0.5, terminal=lambda x: np.cos(x[:, 0]),
+            halfwidth=3.0, dim=dim, horizon=0.5, terminal=lambda x: np.cos(x.sum(axis=1)),
             sigma=1.0, drift=drift,
-            generator=lambda t, x, u, w: np.sqrt(np.abs(x[:, 0])) * np.sin(u) + 0.3 * w[:, 0],
+            generator=lambda t, x, u, w: np.sqrt(np.abs(x[:, 0])) * np.sin(u) + 0.3 * w.sum(axis=1),
             coupling=np.sin, fieldv=AnalyticField(
-                lambda t, x: np.sin(x[:, 0]) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
-                dt_fn=lambda t, x: np.sin(x[:, 0]),
+                lambda t, x: np.sin(x.sum(axis=1)) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
+                dt_fn=lambda t, x: np.sin(x.sum(axis=1)),
             ),
         )
+        cells = cells if dim == 1 else cells // 4
         got = fd_dirichlet_solve(spec, 64, cells).u
         want = fd_dirichlet_solve_superlu(spec, 64, cells)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        tol = 1e-13 if dim == 1 else 1e-12
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
     def test_ill_conditioned_implicit_matrix_raises(self, monkeypatch):
         # every condition number is at least 1, and above it unless M = cI
@@ -400,6 +405,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_only_2d_finite_differences_load_scipy(tmp_path):
+    # 1-D and drift-free 2-D solves need no scipy; a 2-D stencil with drift
+    # is factored by SuperLU
     one_d = {"experiment": "cross-check", "seed": 1, "paths": 300,
              "driver": {"kind": "analytic", "name": "sin_x_time"},
              "pde": {"halfwidth": 2.0, "coupling": "sin"}, "points": [[0.0, 0.0]],
@@ -407,13 +414,15 @@ def test_only_2d_finite_differences_load_scipy(tmp_path):
     two_d = {"experiment": "localization-error", "pde": {"dim": 2},
              "n_list": [1.0, 1.5], "n_max": 2.0, "points": [[0.0, [0.0, 0.0]]],
              "time_steps": 8, "cells_per_unit": 6}
+    two_d_drift = {**two_d, "pde": {"dim": 2, "drift": 0.5}}
     runs = []
-    for name, cfg in (("one_d", one_d), ("two_d", two_d)):
+    for name, cfg in (("one_d", one_d), ("two_d", two_d), ("two_d_drift", two_d_drift)):
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         runs.append(f"main(['run', {str(tmp_path / name) + '.json'!r}, "
                     f"'--out', {str(tmp_path / name)!r}])")
-    code = (f"import sys; from youngbsde.cli import main; codes = [{runs[0]}]; "
-            f"loaded = {_SCIPY_LOADED}; codes.append({runs[1]}); "
+    code = (f"import sys; from youngbsde.cli import main; codes = [{runs[0]}, {runs[1]}]; "
+            f"loaded = {_SCIPY_LOADED}; codes.append({runs[2]}); "
             f"print(codes, loaded, 'scipy.sparse.linalg' in sys.modules)")
-    assert _python(code) == "[0, 0] [] True"
-    assert (tmp_path / "two_d" / "results.csv").is_file()
+    assert _python(code) == "[0, 0, 0] [] True"
+    for name in ("two_d", "two_d_drift"):
+        assert (tmp_path / name / "results.csv").is_file()
