@@ -256,8 +256,9 @@ MAX_PATH_POINTS = 2**23
 MAX_FD_CELLS_1D = 2**12
 
 # the most nodes, (time_steps + 1) * (cells + 1)^2, of a 2-D finite-difference
-# grid, cross-check's doubled grid included; the stored solution then takes
-# 0.27 GB, and the default 2-D cross-check has 2.9e7
+# grid, cross-check's doubled grid included; the solution of one solve, the
+# only one held at a time, then takes 0.27 GB, and the default 2-D
+# cross-check has 2.9e7
 MAX_FD_NODES_2D = 2**25
 
 _DRIVERS = {

@@ -6,9 +6,12 @@ error sweep on growing boxes, and the 1-D Neumann functional estimate.
 The stepping is a backward-in-time Crank-Nicolson scheme for the
 constant-coefficient elliptic part, with the nonlinear terms
 f(t, x, u, sigma grad u) + g(u) dt_eta treated explicitly
-through one fixed-point sweep per step.  The implicit half step is a dense
-inverse in 1-D, a sine-transform diagonalisation in 2-D without drift and
-a SuperLU factorisation in 2-D with drift.
+through one fixed-point sweep per step.  The implicit matrix is the
+Kronecker sum over the axes of one 1-D tridiagonal factor: a dense inverse
+of that factor in 1-D, a sine-transform diagonalisation in 2-D without drift
+and a SuperLU factorisation in 2-D with drift.  The FD experiments read
+each solve at their points and drop it before the next, so one solution is
+held at a time.
 """
 
 from __future__ import annotations
@@ -134,36 +137,30 @@ def _stencils(spec: PdeSpec, axes):
     return lop, wop
 
 
-def _shifted(offset, shape) -> tuple:
-    """The slice of a grid of `shape` that holds u(p + offset) at the
-    interior nodes p."""
-    return tuple(slice(1 + o, n - 1 + o) for o, n in zip(offset, shape))
-
-
 def _apply(stencil: dict, u: np.ndarray) -> np.ndarray:
-    """The stencil applied to the grid values u at every interior node."""
-    terms = (c * u[_shifted(off, u.shape)] for off, c in stencil.items())
+    """The stencil applied to the grid values u at every interior node p,
+    reading u(p + offset) through one slice per offset."""
+    terms = (c * u[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, u.shape))]
+             for off, c in stencil.items())
     out = next(terms)
     for term in terms:
         out += term
     return out
 
 
-def _sine_solver(half: dict, m: int):
-    """v -> M^{-1} v for the symmetric 2-D stencil `half` on m x m interior
-    nodes (the fast diagonalisation of Lynch, Rice and Thomas, 1964).
-
-    M = I - H1 (x) I - I (x) H1, with H1 the 1-D tridiagonal Toeplitz matrix
-    of diagonal half[centre] / 2 and off-diagonal half[e_0] (both axes have
-    the same step).  The orthonormal, symmetric DST-I matrix S diagonalises
-    H1, with eigenvalues lam_k = half[centre] / 2 + 2 half[e_0] cos(k pi /
-    (m + 1)), so M^{-1} R = S ((S R S) / (1 - lam_i - lam_j)) S for the
-    values R on the m x m grid.  Every lam_k is <= 0, so every denominator is
-    at least 1.  Dense matmuls beat an FFT-based DST at these sizes.
+def _sine_solver(diag: float, off: float, m: int):
+    """v -> M^{-1} v for M = I - H1 (x) I - I (x) H1 on m x m interior nodes,
+    H1 the symmetric m x m tridiagonal Toeplitz matrix of diagonal `diag` and
+    off-diagonal `off` (the fast diagonalisation of Lynch, Rice and Thomas,
+    1964).  The orthonormal, symmetric DST-I matrix S diagonalises H1, with
+    eigenvalues lam_k = diag + 2 off cos(k pi / (m + 1)), so M^{-1} R =
+    S ((S R S) / (1 - lam_i - lam_j)) S for the values R on the m x m grid.
+    Every lam_k is <= 0, so every denominator is at least 1.  Dense matmuls
+    beat an FFT-based DST at these sizes.
     """
     k = np.arange(1, m + 1)
     sine = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-    lam = half[(0, 0)] / 2 + 2 * half[(1, 0)] * np.cos(np.pi * k / (m + 1))
+    lam = diag + 2 * off * np.cos(np.pi * k / (m + 1))
     denom = 1.0 - lam[:, None] - lam[None, :]
     return lambda v: (sine @ ((sine @ v.reshape(m, m) @ sine) / denom) @ sine).ravel()
 
@@ -172,37 +169,27 @@ def _implicit_solver(half: dict, shape: tuple):
     """v -> M^{-1} v for M = I - H on the interior nodes, raveled, where the
     stencil `half` is H = dt/2 L.
 
-    In 2-D a symmetric stencil (zero drift) is solved by sine-transform
-    diagonalisation, without assembling M.  Otherwise M is assembled from
-    the stencil's coefficients, one value per offset, skipping an offset
-    whose entry is zero and leaving out the couplings to boundary nodes
-    (they enter the right-hand side).
-    In 1-D the dense M is inverted once, after its 1-norm condition number
-    is checked against MAX_IMPLICIT_CONDITION; in 2-D with drift SuperLU
-    factors the sparse M, ordered by minimum degree on A^T + A, which suits
-    the structurally symmetric stencil.
+    Both axes have the same step, so H is the Kronecker sum over the axes of
+    one tridiagonal Toeplitz matrix H1 on an axis's m interior nodes, with
+    diagonal half[centre] / dim, superdiagonal half[e_0] and subdiagonal
+    half[-e_0]; couplings to boundary nodes enter the right-hand side.  In
+    2-D a symmetric H1 (zero drift) goes to _sine_solver.  In 1-D the dense
+    I - H1 is inverted once, after its 1-norm condition number is checked
+    against MAX_IMPLICIT_CONDITION.  In 2-D with drift SuperLU factors the
+    sparse I - kronsum(H1, H1), ordered by minimum degree on A^T + A, which
+    suits its symmetric sparsity pattern.
     """
-    if len(shape) == 2 and all(c == half[tuple(-o for o in off)] for off, c in half.items()):
-        return _sine_solver(half, shape[0] - 2)
-    # each interior node's row of M, -1 on the boundary
-    number = np.full(shape, -1)
-    inside = number[(slice(1, -1),) * len(shape)]
-    n = inside.size
-    inside[...] = np.arange(n).reshape(inside.shape)
-    rows, cols, vals = [], [], []
-    for off, c in half.items():
-        entry = float(not any(off)) - c
-        if entry == 0:
-            continue
-        neighbour = number[_shifted(off, shape)]
-        keep = neighbour >= 0
-        rows.append(inside[keep])
-        cols.append(neighbour[keep])
-        vals.append(np.full(cols[-1].size, entry))
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    if len(shape) == 1:
-        mat = np.zeros((n, n))
-        mat[rows, cols] = vals
+    dim, m = len(shape), shape[0] - 2
+    e0 = (1,) + (0,) * (dim - 1)
+    lower, diag, upper = half[tuple(-o for o in e0)], half[(0,) * dim] / dim, half[e0]
+    if dim == 2 and lower == upper:
+        return _sine_solver(diag, upper, m)
+    if dim == 1:
+        i = np.arange(m)
+        mat = np.zeros((m, m))
+        mat[i, i] = 1.0 - diag
+        mat[i[:-1], i[1:]] = -upper
+        mat[i[1:], i[:-1]] = -lower
         inverse = np.linalg.inv(mat)
         cond = np.linalg.norm(mat, 1) * np.linalg.norm(inverse, 1)
         if not cond <= MAX_IMPLICIT_CONDITION:
@@ -216,7 +203,8 @@ def _implicit_solver(half: dict, shape: tuple):
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    mat = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    h1 = sp.diags([lower, diag, upper], [-1, 0, 1], shape=(m, m))
+    mat = sp.identity(m * m, format="csc") - sp.kronsum(h1, h1, format="csc")
     return splu(mat, permc_spec="MMD_AT_PLUS_A").solve
 
 
@@ -271,6 +259,13 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     return PdeSolution(times=times, axes=axes, u=u)
 
 
+def _values_at(spec: PdeSpec, time_steps: int, space_steps: int, points) -> np.ndarray:
+    """u at each (t, x) of `points` from one fd_dirichlet_solve; the solution
+    is dropped on return, so the experiments hold one grid at a time."""
+    sol = fd_dirichlet_solve(spec, time_steps, space_steps)
+    return np.array([sol.value_at(t, x) for t, x in points])
+
+
 @dataclass
 class YoungPdeTable:
     n_list: list
@@ -288,8 +283,9 @@ def young_pde_table(
     n_list,
     m_list,
     points,
-    time_steps: int = 128,
-    cells_per_unit: int = 24,
+    *,
+    time_steps: int,
+    cells_per_unit: int,
     threshold: float = 1e-2,
 ) -> YoungPdeTable:
     """u^{n,m} at fixed evaluation points over growing boxes and finer
@@ -298,9 +294,7 @@ def young_pde_table(
     for i, n in enumerate(n_list):
         for j, m in enumerate(m_list):
             spec = replace(spec_template, halfwidth=float(n), fieldv=mollify(base_field, m))
-            sol = fd_dirichlet_solve(spec, time_steps, int(2 * n * cells_per_unit))
-            for q, (t, x) in enumerate(points):
-                vals[i, j, q] = sol.value_at(t, x)
+            vals[i, j] = _values_at(spec, time_steps, int(2 * n * cells_per_unit), points)
     cauchy_n = np.max(np.abs(np.diff(vals[:, -1, :], axis=0)), axis=1) if len(n_list) > 1 else np.array([])
     cauchy_m = np.max(np.abs(np.diff(vals[-1, :, :], axis=0)), axis=1) if len(m_list) > 1 else np.array([])
     conv = bool(
@@ -316,11 +310,12 @@ def young_pde_table(
 def feynman_kac_cross_check(
     spec: PdeSpec,
     points,
-    n_paths: int = 20_000,
-    seed: int = 0,
-    time_steps: int = 128,
-    space_steps: int = 256,
-    mc_time_steps: int = 128,
+    *,
+    n_paths: int,
+    seed: int,
+    time_steps: int,
+    space_steps: int,
+    mc_time_steps: int,
     basis: RegressionBasis | None = None,
     picard: PicardParams | None = None,
 ):
@@ -330,18 +325,18 @@ def feynman_kac_cross_check(
     over [t, T] of its own, with exit at the box boundary, sharing
     (h, f, g, sigma, b, eta) with the FD side.
     """
-    sol = fd_dirichlet_solve(spec, time_steps, space_steps)
-    sol_half = fd_dirichlet_solve(spec, 2 * time_steps, 2 * space_steps)
+    coarse = _values_at(spec, time_steps, space_steps, points).tolist()
+    fine = _values_at(spec, 2 * time_steps, 2 * space_steps, points).tolist()
     report = []
-    for q, (t0, x0) in enumerate(points):
-        u_fd = sol.value_at(t0, x0)
-        fd_err = abs(u_fd - sol_half.value_at(t0, x0))
+    for q, ((t0, x0), u_fd, u_half) in enumerate(zip(points, coarse, fine)):
+        fd_err = abs(u_fd - u_half)
+        xs = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
         u_mc, se = _mc_point(spec, t0, x0, n_paths, seed + q, mc_time_steps, basis, picard)
         tol = fd_err + 3.0 * se
         report.append(
             {
                 "t": float(t0),
-                "x": float(np.atleast_1d(x0)[0]) if spec.dim == 1 else list(np.atleast_1d(x0)),
+                "x": xs[0] if spec.dim == 1 else xs,
                 "u_fd": u_fd,
                 "u_mc": u_mc,
                 "se": se,
@@ -374,19 +369,19 @@ def localization_error_experiment(
     n_list,
     points,
     n_max: float,
-    time_steps: int = 96,
-    cells_per_unit: int = 16,
+    *,
+    time_steps: int,
+    cells_per_unit: int,
 ):
     """|u^n - u^{n_max}| at fixed points over growing boxes, with the decay
     fit of log-difference against n^2."""
-    sols = {}
-    for n in list(n_list) + [n_max]:
-        spec = replace(spec_template, halfwidth=float(n))
-        sols[n] = fd_dirichlet_solve(spec, time_steps, int(2 * n * cells_per_unit))
-    rows = []
-    for n in n_list:
-        diffs = [abs(sols[n].value_at(t, x) - sols[n_max].value_at(t, x)) for t, x in points]
-        rows.append({"n": float(n), "max_diff": float(np.max(diffs))})
+    *vals, ref = (
+        _values_at(replace(spec_template, halfwidth=float(n)), time_steps,
+                   int(2 * n * cells_per_unit), points)
+        for n in [*n_list, n_max]
+    )
+    rows = [{"n": float(n), "max_diff": float(np.max(np.abs(v - ref)))}
+            for n, v in zip(n_list, vals)]
     # least-squares line through (n^2, log diff)
     u = np.array([r["n"] for r in rows]) ** 2
     v = np.log([max(r["max_diff"], 1e-300) for r in rows])
@@ -401,9 +396,10 @@ def neumann_fk_estimate(
     fieldv: DriverField,
     interval: tuple[float, float],
     start: tuple[float, float],
-    n_paths: int = 20_000,
-    seed: int = 0,
-    n_steps: int = 256,
+    *,
+    n_paths: int,
+    seed: int,
+    n_steps: int,
 ):
     """Estimate E[h(X_T) exp(int_t^T B(dr, X_r))] for X reflected in [a, b]
     and started from start = (t, x), with T the driver's horizon.

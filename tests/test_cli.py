@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -558,6 +559,18 @@ class TestCliRuns:
         cauchy = dict(line.split(": ", 1) for line in summary.splitlines()[1:3])
         assert len(json.loads(cauchy["cauchy in n"])) == 2
         assert len(json.loads(cauchy["cauchy in m"])) == 1
+
+    def test_2d_cross_check_writes_plain_x(self, tmp_path):
+        cfg = {"experiment": "cross-check", "seed": 1, "paths": 300,
+               "driver": {"kind": "analytic", "name": "sin_x_time"},
+               "pde": {"dim": 2, "halfwidth": 2.0}, "points": [[0.0, [0, 0.1]]],
+               "time_steps": 8, "space_steps": 16, "mc_time_steps": 8}
+        out = tmp_path / "cc"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["x"] == "[0.0, 0.1]"
+        assert (out / "summary.txt").read_text().splitlines()[1].startswith("(0.0, [0.0, 0.1]): ")
 
 
 CONFIGS =Path(__file__).resolve().parents[1] / "configs"

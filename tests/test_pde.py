@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -350,6 +351,31 @@ class TestLocalizationError:
         rows = out["rows"]
         assert rows[1]["max_diff"] < rows[0]["max_diff"]
         assert out["slope"] < 0
+
+
+@pytest.mark.parametrize("experiment", ["table", "cross-check", "localization"])
+def test_experiments_hold_one_solution_at_a_time(experiment, monkeypatch):
+    # the solutions still alive when each new solve starts
+    solve, solutions, alive = pde.fd_dirichlet_solve, [], []
+
+    def tracked(*args):
+        alive.append(sum(ref() is not None for ref in solutions))
+        sol = solve(*args)
+        solutions.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(pde, "fd_dirichlet_solve", tracked)
+    spec, points = heat_spec(halfwidth=2.0, sigma=1.0), [(0.0, 0.0), (0.1, 0.3)]
+    if experiment == "table":
+        young_pde_table(spec, smooth_field(), [1.0, 2.0], [2, 4], points,
+                        time_steps=8, cells_per_unit=4)
+    elif experiment == "cross-check":
+        feynman_kac_cross_check(spec, points, n_paths=200, seed=0, time_steps=8,
+                                space_steps=16, mc_time_steps=8)
+    else:
+        localization_error_experiment(spec, [1.0, 1.5], points, 2.0, time_steps=8,
+                                      cells_per_unit=4)
+    assert len(alive) > 1 and alive == [0] * len(alive)
 
 
 class TestNeumann:
