@@ -18,6 +18,7 @@ form Y_0 = E[G_T^0 xi] used as an oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,18 +73,8 @@ class RegressionBasis:
     ridge: float = 1e-8
 
     def _exponents(self, d: int):
-        out = []
-
-        def rec(prefix, remaining):
-            if len(prefix) == d:
-                if sum(prefix) >= 1:
-                    out.append(tuple(prefix))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + [e], remaining - e)
-
-        rec([], self.degree)
-        return out
+        return [e for e in itertools.product(range(self.degree + 1), repeat=d)
+                if 1 <= sum(e) <= self.degree]
 
     def design(self, x: np.ndarray) -> np.ndarray:
         """The (k, f) design on the states x (k, d), column-major so that
@@ -522,6 +513,10 @@ def comparison_experiment(
     )
 
 
+# diagnostics reads the first this many paths of a solution
+DIAG_MAX_PATHS = 4000
+
+
 def diagnostics(
     solution: BsdeSolution,
     ensemble: PathEnsemble,
@@ -529,7 +524,6 @@ def diagnostics(
     k_mom: float = 2.0,
     times=None,
     basis: RegressionBasis | None = None,
-    max_paths: int = 4000,
 ) -> dict:
     """Empirical surrogates for the solution seminorms.
 
@@ -542,7 +536,7 @@ def diagnostics(
     n = pts.size
     if times is None:
         times = pts[:: max(1, (n - 1) // 4)][:4]
-    sel = slice(0, min(solution.y.shape[0], max_paths))
+    sel = slice(0, min(solution.y.shape[0], DIAG_MAX_PATHS))
     y = solution.y[sel]
     z = solution.z[sel]
     x = ensemble.x[sel]

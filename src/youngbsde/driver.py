@@ -44,16 +44,13 @@ class RegularityParams:
     """Declared Holder/variation exponents of a driver and its paths.
 
     tau, lam are the time/space Holder exponents, beta the spatial weight
-    exponent, p the path variation exponent; eps and k are the optional
-    interpolation exponent and moment index.
+    exponent, p the path variation exponent.
     """
 
     tau: float
     lam: float
     beta: float = 0.0
     p: float = 2.5
-    eps: float | None = None
-    k: float | None = None
 
     def __post_init__(self):
         if not 0 < self.tau <= 1:
@@ -64,10 +61,6 @@ class RegularityParams:
             raise ValueError("beta must be >= 0")
         if self.p <= 2:
             raise ValueError("p must be > 2")
-        if self.eps is not None and not 0 < self.eps < 1:
-            raise ValueError("eps must lie in (0, 1)")
-        if self.k is not None and self.k <= 1:
-            raise ValueError("k must be > 1")
 
 
 @dataclass(frozen=True)

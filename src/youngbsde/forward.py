@@ -28,23 +28,17 @@ __all__ = [
 @dataclass(frozen=True)
 class SdeSpec:
     """dX = b dt + sigma dW with a constant scalar drift b and diffusion
-    sigma (sigma I in d dimensions), the start point, and the declared bound
-    L on |b| and |sigma|, checked once when the spec is built.
+    sigma (sigma I in d dimensions), and the start point.
     """
 
     drift: float
     diffusion: float
     x0: np.ndarray
-    bound: float
 
     def __post_init__(self):
         for name in ("drift", "diffusion"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if self.bound <= 0:
-            raise ValueError("bound L must be positive")
-        if max(abs(self.drift), abs(self.diffusion)) > self.bound:
-            raise ValueError("drift/diffusion exceed the declared bound L")
 
     @property
     def dim(self) -> int:

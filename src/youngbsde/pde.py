@@ -6,12 +6,14 @@ error sweep on growing boxes, and the 1-D Neumann functional estimate.
 The stepping is a backward-in-time Crank-Nicolson scheme for the
 constant-coefficient elliptic part, with the nonlinear terms
 f(t, x, u, sigma grad u) + g(u) dt_eta treated explicitly
-through one fixed-point sweep per step.  The implicit matrix is the
-Kronecker sum over the axes of one 1-D tridiagonal factor: a dense inverse
-of that factor in 1-D, a sine-transform diagonalisation in 2-D without drift
-and a SuperLU factorisation in 2-D with drift.  The FD experiments read
-each solve at their points and drop it before the next, so one solution is
-held at a time.
+through one fixed-point sweep per step.  Every axis has the same step, so
+one 1-D triple of central-difference coefficients gives both halves of a
+step: the explicit operator, applied axis by axis, and the implicit matrix,
+the Kronecker sum over the axes of the tridiagonal factor with that triple,
+solved by a dense inverse of that factor in 1-D, a sine-transform
+diagonalisation in 2-D without drift and a SuperLU factorisation in 2-D with
+drift.  The FD experiments read each solve at their points and drop it
+before the next, so one solution is held at a time.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ __all__ = [
 
 # sigma^2 must be at least this large
 ELLIPTICITY_FLOOR = 1e-8
-# the declared bound on |b| and |sigma| of the Monte Carlo side of the
-# Feynman-Kac cross-check; SdeSpec rejects a coefficient above it
-MC_BOUND = 8.0
 # the largest 1-norm condition number of the 1-D implicit matrix I - dt/2 L
 # that fd_dirichlet_solve inverts: configs/cross_check.json gives 7 and 23,
 # a 4096-cell grid with one long time step 8e6, and only a drift far above
@@ -110,41 +109,29 @@ def _nodes(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _stencils(spec: PdeSpec, axes):
-    """The elliptic operator 1/2 sigma^2 lap u + b . grad u and the map to
-    sigma grad u, as central-difference stencils at the interior nodes of
-    the tensor grid over `axes`.
-
-    A stencil maps a node offset to the coefficient of u at that offset, one
-    scalar for every interior node: -sum_j sigma^2/h_j^2 at the centre and
-    0.5 sigma^2/h_j^2 +- b/(2 h_j) at +-e_j for the operator, +-sigma/(2 h_a)
-    at +-e_a for component a of the gradient map, which is a list of d
-    stencils."""
-    dim = len(axes)
+def _coefficients(spec: PdeSpec, h: float):
+    """The central differences of one axis with step h: the coefficients
+    (lo, di, up) of u at -e_j, the centre and +e_j in that axis's share
+    1/2 sigma^2 d_jj u + b d_j u of the elliptic operator, and grad, the
+    coefficient of u(+e_j) - u(-e_j) in sigma d_j u.  Every axis has the
+    same step and the same drift b, so one triple serves them all."""
     dd = spec.sigma * spec.sigma
-    hs = [ax[1] - ax[0] for ax in axes]
-
-    def step(j, s):
-        """The offset s e_j."""
-        return tuple(s if a == j else 0 for a in range(dim))
-
-    lop = {(0,) * dim: -sum(dd / hs[j] ** 2 for j in range(dim))}
-    wop = [{} for _ in range(dim)]
-    for j in range(dim):
-        for s in (1, -1):
-            lop[step(j, s)] = 0.5 * dd / hs[j] ** 2 + s * spec.drift / (2 * hs[j])
-            wop[j][step(j, s)] = s * spec.sigma / (2 * hs[j])
-    return lop, wop
+    side, skew = 0.5 * dd / h**2, spec.drift / (2 * h)
+    return side - skew, -dd / h**2, side + skew, spec.sigma / (2 * h)
 
 
-def _apply(stencil: dict, u: np.ndarray) -> np.ndarray:
-    """The stencil applied to the grid values u at every interior node p,
-    reading u(p + offset) through one slice per offset."""
-    terms = (c * u[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, u.shape))]
-             for off, c in stencil.items())
-    out = next(terms)
-    for term in terms:
-        out += term
+def _shifted(u: np.ndarray, j: int, s: int) -> np.ndarray:
+    """u(p + s e_j) at every interior node p of the grid values u."""
+    return u[tuple(slice(1 + s * (a == j), n - 1 + s * (a == j)) for a, n in enumerate(u.shape))]
+
+
+def _apply(centre: float, lo: float, up: float, u: np.ndarray) -> np.ndarray:
+    """centre u(p) + sum_j (up u(p + e_j) + lo u(p - e_j)) at every interior
+    node p, axis by axis."""
+    out = centre * _shifted(u, 0, 0)
+    for j in range(u.ndim):
+        out += up * _shifted(u, j, 1)
+        out += lo * _shifted(u, j, -1)
     return out
 
 
@@ -165,23 +152,21 @@ def _sine_solver(diag: float, off: float, m: int):
     return lambda v: (sine @ ((sine @ v.reshape(m, m) @ sine) / denom) @ sine).ravel()
 
 
-def _implicit_solver(half: dict, shape: tuple):
-    """v -> M^{-1} v for M = I - H on the interior nodes, raveled, where the
-    stencil `half` is H = dt/2 L.
+def _implicit_solver(half: tuple, shape: tuple):
+    """v -> M^{-1} v for M = I - H on the interior nodes, raveled, where H =
+    dt/2 L and `half` is dt/2 times one axis's (lo, di, up).
 
-    Both axes have the same step, so H is the Kronecker sum over the axes of
-    one tridiagonal Toeplitz matrix H1 on an axis's m interior nodes, with
-    diagonal half[centre] / dim, superdiagonal half[e_0] and subdiagonal
-    half[-e_0]; couplings to boundary nodes enter the right-hand side.  In
-    2-D a symmetric H1 (zero drift) goes to _sine_solver.  In 1-D the dense
+    H is the Kronecker sum over the axes of one tridiagonal Toeplitz matrix
+    H1 on an axis's m interior nodes, with subdiagonal lo, diagonal di and
+    superdiagonal up; couplings to boundary nodes enter the right-hand side.
+    In 2-D a symmetric H1 (zero drift) goes to _sine_solver.  In 1-D the dense
     I - H1 is inverted once, after its 1-norm condition number is checked
     against MAX_IMPLICIT_CONDITION.  In 2-D with drift SuperLU factors the
     sparse I - kronsum(H1, H1), ordered by minimum degree on A^T + A, which
     suits its symmetric sparsity pattern.
     """
     dim, m = len(shape), shape[0] - 2
-    e0 = (1,) + (0,) * (dim - 1)
-    lower, diag, upper = half[tuple(-o for o in e0)], half[(0,) * dim] / dim, half[e0]
+    lower, diag, upper = half
     if dim == 2 and lower == upper:
         return _sine_solver(diag, upper, m)
     if dim == 1:
@@ -214,7 +199,7 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
 
     Boundary nodes carry h(x) exactly at all times; the terminal slice is
     h(x) exactly.  The explicit half of each step and the sigma grad u of
-    the nonlinear terms are applied stencil by stencil; the implicit matrix
+    the nonlinear terms are applied axis by axis; the implicit matrix
     is inverted (1-D), diagonalised (2-D, no drift) or factored (2-D with
     drift) once.
     """
@@ -225,20 +210,20 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     shape = tuple(ax.size for ax in axes)
     inner = (slice(1, -1),) * spec.dim
 
-    lop, wop = _stencils(spec, axes)
-    half = {off: 0.5 * dt * c for off, c in lop.items()}
-    centre = (0,) * spec.dim
-    explicit = {**half, centre: 1.0 + half[centre]}  # I + dt/2 L
+    *lop, grad = _coefficients(spec, axes[0][1] - axes[0][0])
+    lo, di, up = half = tuple(0.5 * dt * c for c in lop)
+    centre = spec.dim * di  # dt/2 L at the centre: every axis's di
     solve = _implicit_solver(half, shape)
     h_vals = np.asarray(spec.terminal(_nodes(axes)), dtype=float).reshape(shape)
     h_edge = h_vals.copy()
     h_edge[inner] = 0.0
     # the boundary values' share of the implicit half step, fixed in time
-    bfeed = _apply(half, h_edge)
+    bfeed = _apply(centre, lo, up, h_edge)
     grid_pts = _nodes([ax[1:-1] for ax in axes])
 
     def nonlinear(t, u_full, dt_eta):
-        w = np.stack([_apply(w_a, u_full) for w_a in wop]).reshape(spec.dim, -1).T
+        w = np.stack([grad * _shifted(u_full, j, 1) - grad * _shifted(u_full, j, -1)
+                      for j in range(spec.dim)]).reshape(spec.dim, -1).T
         uu = u_full[inner].ravel()
         return spec.generator(t, grid_pts, uu, w) + spec.coupling(uu) * dt_eta
 
@@ -248,7 +233,7 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     # each level's driver derivative serves two steps: corrector, then predictor
     dt_eta = spec.fieldv.time_derivative(times[-1], grid_pts)
     for k in range(nt - 1, -1, -1):
-        base = (_apply(explicit, u[k + 1]) + bfeed).ravel()
+        base = (_apply(1.0 + centre, lo, up, u[k + 1]) + bfeed).ravel()  # I + dt/2 L
         n_hi = nonlinear(times[k + 1], u[k + 1], dt_eta)
         # predictor in u[k], then the corrector over it
         u[k] = h_vals
@@ -289,7 +274,8 @@ def young_pde_table(
     threshold: float = 1e-2,
 ) -> YoungPdeTable:
     """u^{n,m} at fixed evaluation points over growing boxes and finer
-    mollifications, with Cauchy differences along both indices."""
+    mollifications, with Cauchy differences along both indices.  Each box
+    replaces the template's halfwidth and fieldv."""
     vals = np.empty((len(n_list), len(m_list), len(points)))
     for i, n in enumerate(n_list):
         for j, m in enumerate(m_list):
@@ -351,7 +337,7 @@ def feynman_kac_cross_check(
 
 def _mc_point(spec, t0, x0, n_paths, seed, mc_time_steps, basis, picard):
     grid = TimeGrid(t0 + np.linspace(0.0, spec.horizon - t0, mc_time_steps + 1))
-    fwd = SdeSpec(drift=spec.drift, diffusion=spec.sigma, x0=np.atleast_1d(x0), bound=MC_BOUND)
+    fwd = SdeSpec(drift=spec.drift, diffusion=spec.sigma, x0=np.atleast_1d(x0))
     ens = euler_maruyama(fwd, grid, n_paths, seed)
     bspec = BsdeSpec(
         forward=fwd,
@@ -374,7 +360,8 @@ def localization_error_experiment(
     cells_per_unit: int,
 ):
     """|u^n - u^{n_max}| at fixed points over growing boxes, with the decay
-    fit of log-difference against n^2."""
+    fit of log-difference against n^2.  Each box replaces the template's
+    halfwidth."""
     *vals, ref = (
         _values_at(replace(spec_template, halfwidth=float(n)), time_steps,
                    int(2 * n * cells_per_unit), points)

@@ -36,13 +36,13 @@ def _line(num, name, ok):
 
 
 def brownian_sample(n_cells, seed, horizon=1.0):
-    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
+    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0])
     ens = euler_maruyama(spec, TimeGrid.uniform(horizon, n_cells), 1, seed)
     return ens.grid.points, ens.x[0, :, 0]
 
 
 def bm_ensemble(n_paths, steps, seed):
-    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
+    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0])
     return spec, euler_maruyama(spec, TimeGrid.uniform(1.0, steps), n_paths, seed)
 
 

@@ -40,7 +40,7 @@ def rough_field(seed=11, h0=0.9, h=0.5, halfwidth=6.0):
 
 
 def bm_ensemble(n_paths=2000, steps=64, seed=1, horizon=1.0):
-    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
+    spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0])
     return spec, euler_maruyama(spec, TimeGrid.uniform(horizon, steps), n_paths, seed)
 
 
@@ -79,7 +79,7 @@ class TestBackwardSolve:
             lambda t, x: t * np.sin(x[:, 0]), RegularityParams(tau=1.0, lam=1.0, p=2.5),
             dt_fn=lambda t, x: np.sin(x[:, 0]),
         )
-        fwd = SdeSpec(drift=0.1, diffusion=1.0, x0=[0.2], bound=2.0)
+        fwd = SdeSpec(drift=0.1, diffusion=1.0, x0=[0.2])
         spec = make_spec(
             fwd, fieldv, lambda t, x, y, z: 0.5 * np.sin(y) + 0.2 * z[:, 0], np.sin,
             terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
@@ -400,7 +400,7 @@ class TestLocalized:
         assert local.halvings == plain.halvings
 
     def test_deterministic_exit(self):
-        fwd = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0], bound=1.5)
+        fwd = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0])
         ens = euler_maruyama(fwd, TimeGrid.uniform(1.0, 200), 50, seed=18)
         spec = make_spec(
             fwd, time_field(), zero_generator, zero_coupling,
@@ -462,7 +462,7 @@ class TestComparison:
     def _specs(self, fieldv, shift, coupling):
         h_b = lambda x: np.cos(x[:, 0])
         h_a = lambda x: np.cos(x[:, 0]) + shift
-        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
+        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0])
         sa = make_spec(fwd, fieldv, zero_generator, coupling, terminal_h_of_xt(h_a))
         sb = make_spec(fwd, fieldv, zero_generator, coupling, terminal_h_of_xt(h_b))
         return sa, sb
@@ -511,7 +511,7 @@ class TestDiagnostics:
 
     def test_independent_of_memory_layout(self):
         # the solver's time-major y, z against C-contiguous path-major copies
-        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0, 0.0], bound=2.0)
+        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0, 0.0])
         ens = euler_maruyama(fwd, TimeGrid.uniform(1.0, 64), 600, seed=32)
         spec = make_spec(
             fwd, time_field(), lambda t, x, y, z: 0.5 * np.sin(y) + 0.2 * z[:, 1], np.sin,

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -271,20 +274,19 @@ class TestCliRuns:
             ({"experiment": "fbs-generate", "seed": 1, "prefix": "manifest",
               "driver": {"kind": "fbs", "hurst": {"h0": 0.7, "h": 0.5},
                          "time_cells": 4, "space_cells": 4}}, "prefix"),
-            # the Monte Carlo paths of cross-check bound |sigma| and |drift|
-            ({"experiment": "cross-check", "seed": 1, "paths": 50,
-              "driver": {"kind": "analytic", "name": "time"},
-              "pde": {"sigma": 10.0, "halfwidth": 2.0}, "time_steps": 8, "space_steps": 16,
-              "mc_time_steps": 8}, "pde.sigma"),
-            ({"experiment": "cross-check", "seed": 1, "paths": 50,
-              "driver": {"kind": "analytic", "name": "time"}, "pde": {"drift": -9.0},
-              "time_steps": 8, "space_steps": 16, "mc_time_steps": 8}, "pde.drift"),
-            # labels that fed nothing are no longer keys
+            # inputs that fed no result are no longer keys
+            ({"experiment": "assumptions", "params": {"tau": 0.85, "lam": 0.45, "eps": 0.9}},
+             "params.eps"),
+            ({"experiment": "assumptions", "params": {"tau": 0.85, "lam": 0.45, "k": 7}},
+             "params.k"),
             ({"experiment": "localize", "seed": 1, "forward": {"name": "bm"}}, "forward.name"),
             ({"experiment": "localization-error", "pde": {"name": "heat"}}, "pde.name"),
-            # the forward coefficients must lie within the declared bound
             ({"experiment": "nonlinear-bsde", "seed": 1,
               "forward": {"diffusion": -2.5, "bound": 2.0}}, "forward.bound"),
+            # each box of the box experiments has its own half-width
+            ({"experiment": "pde-table", "driver": {"kind": "analytic", "name": "time"},
+              "pde": {"halfwidth": 2.0}}, "pde.halfwidth"),
+            ({"experiment": "localization-error", "pde": {"halfwidth": 7.0}}, "pde.halfwidth"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):
@@ -293,12 +295,12 @@ class TestCliRuns:
         assert main(["run", str(p), "--out", str(tmp_path / "bad")]) == 2
         assert capsys.readouterr().err.count(key) == 2
 
-    def test_forward_coefficient_at_the_bound_runs(self, tmp_path):
-        # SdeSpec rejects |drift| or |diffusion| above the bound when it is
-        # built, so check must not pass a config that run cannot build
-        p = write_cfg(tmp_path, {"experiment": "nonlinear-bsde", "seed": 1, "paths": 200,
-                                 "forward": {"drift": 0.5, "diffusion": -2.0, "bound": 2.0,
-                                             "steps": 8}})
+    def test_cross_check_with_a_large_drift_runs(self, tmp_path):
+        # no bound on the coefficients: a drift of 9 checks and runs
+        p = write_cfg(tmp_path, {"experiment": "cross-check", "seed": 1, "paths": 200,
+                                 "driver": {"kind": "analytic", "name": "time"},
+                                 "pde": {"drift": 9.0}, "time_steps": 8, "space_steps": 16,
+                                 "mc_time_steps": 8})
         assert main(["check", str(p)]) == 0
         assert main(["run", str(p), "--out", str(tmp_path / "ok")]) == 0
 
@@ -624,3 +626,36 @@ def test_mutation_sweep_check_passing_means_run_builds(tmp_path, capsys, name):
             if not (codes == (2, 2) and err.count(key) >= 2 or codes in ((0, 0), (0, 3))):
                 bad.append(f"{key} = {value!r}: {codes} {err.strip()}")
     assert not bad, "\n".join(bad)
+
+
+# a linear BSDE and a 1-D finite-difference table, both on analytic drivers
+# (at 2 OpenBLAS threads the Cholesky factors of fbs_generate can be slow)
+_THREAD_CONFIGS = {
+    "bsde": {"experiment": "linear-bsde", "seed": 5, "paths": 4000,
+             "driver": {"kind": "analytic", "name": "bilinear"}, "forward": {"steps": 16},
+             "bsde": {"coupling": {"name": "identity"}}, "basis": {"degree": 7}},
+    "fd": {"experiment": "pde-table", "driver": {"kind": "analytic", "name": "sin_x_t08"},
+           "pde": {"coupling": "sin"}, "n_list": [2.0, 3.0], "m_list": [4],
+           "points": [[0.0, 0.0], [0.25, 0.5]], "time_steps": 32, "cells_per_unit": 64},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THREAD_CONFIGS))
+def test_blas_thread_count_moves_results_by_rounding_only(tmp_path, name):
+    # results are byte-identical at a fixed thread count; across counts
+    # BLAS may split its sums differently, which moves the last digits
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cfg = write_cfg(tmp_path, _THREAD_CONFIGS[name])
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "youngbsde.cli", "run", str(cfg), "--out", str(out)],
+                       check=True, capture_output=True, env=env)
+        with open(out / "results.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        tables.append((header, np.array(rows, dtype=float)))
+    (head1, one), (head2, two) = tables
+    assert head1 == head2 and one.shape == two.shape
+    assert np.all(np.abs(one - two) <= 1e-9 * np.maximum(1.0, np.abs(one)))

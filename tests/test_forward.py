@@ -22,17 +22,17 @@ from youngbsde.paths import TimeGrid
 
 
 def bm_spec(d=1):
-    return SdeSpec(drift=0.0, diffusion=1.0, x0=np.zeros(d), bound=2.0)
+    return SdeSpec(drift=0.0, diffusion=1.0, x0=np.zeros(d))
 
 
 class TestEulerMaruyama:
     def test_zero_coefficients_constant(self):
-        spec = SdeSpec(drift=0.0, diffusion=0.0, x0=[1.5], bound=1.0)
+        spec = SdeSpec(drift=0.0, diffusion=0.0, x0=[1.5])
         ens = euler_maruyama(spec, TimeGrid.uniform(1.0, 16), 5, seed=1)
         np.testing.assert_array_equal(ens.x, 1.5)
 
     def test_unit_drift_is_time(self):
-        spec = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0], bound=1.5)
+        spec = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0])
         grid = TimeGrid.uniform(1.0, 32)
         ens = euler_maruyama(spec, grid, 3, seed=2)
         for i in range(3):
@@ -53,14 +53,6 @@ class TestEulerMaruyama:
         z = step_normals(9, 4, 50, 1)
         np.testing.assert_allclose(a.dw[:, 4, :], z * np.sqrt(grid.dt[4]))
 
-    def test_bound_enforced(self):
-        # checked once, when the spec is built; |coefficient| == bound passes
-        for drift, diffusion in ((10.0, 0.0), (0.0, -1.5)):
-            with pytest.raises(ValueError, match="declared bound"):
-                SdeSpec(drift=drift, diffusion=diffusion, x0=[0.0], bound=1.0)
-        spec = SdeSpec(drift=-1.0, diffusion=-1.0, x0=[0.0], bound=1.0)
-        assert euler_maruyama(spec, TimeGrid.uniform(1.0, 4), 2, seed=0).x.shape == (2, 5, 1)
-
     def test_increment_smoke_check(self):
         ens = euler_maruyama(bm_spec(), TimeGrid.uniform(1.0, 8), 4000, seed=5)
         assert increment_moments_ok(ens)
@@ -75,7 +67,7 @@ class TestEulerMaruyama:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_path_major_loop(self, d):
-        spec = SdeSpec(drift=-0.3, diffusion=0.7, x0=np.linspace(-0.5, 0.5, d), bound=2.0)
+        spec = SdeSpec(drift=-0.3, diffusion=0.7, x0=np.linspace(-0.5, 0.5, d))
         grid = TimeGrid.uniform(1.0, 24)
         ens = euler_maruyama(spec, grid, 70, seed=6)
         ref = euler_maruyama_path_major(spec, grid, 70, seed=6)
@@ -84,12 +76,12 @@ class TestEulerMaruyama:
 
 class TestExitTime:
     def test_no_exit_returns_horizon(self):
-        spec = SdeSpec(drift=0.0, diffusion=0.0, x0=[0.0], bound=1.0)
+        spec = SdeSpec(drift=0.0, diffusion=0.0, x0=[0.0])
         ens = euler_maruyama(spec, TimeGrid.uniform(1.0, 10), 1, seed=0)
         assert ens.grid.points[exit_indices(ens, 1.0)[0]] == 1.0
 
     def test_deterministic_ramp(self):
-        spec = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0], bound=1.5)
+        spec = SdeSpec(drift=1.0, diffusion=0.0, x0=[0.0])
         ens = euler_maruyama(spec, TimeGrid.uniform(1.0, 1000), 1, seed=0)
         assert ens.grid.points[exit_indices(ens, 0.5)[0]] == pytest.approx(0.501)
 

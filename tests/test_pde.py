@@ -18,8 +18,9 @@ from youngbsde.pde import (
     PdeSolution,
     PdeSpec,
     _apply,
+    _coefficients,
     _nodes,
-    _stencils,
+    _shifted,
     fd_dirichlet_solve,
     feynman_kac_cross_check,
     localization_error_experiment,
@@ -187,7 +188,7 @@ class TestFdSolve:
 
     def test_callable_coefficient_rejected(self):
         # drift and diffusion are scalars in both specs
-        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0], bound=2.0)
+        fwd = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0])
         for spec, names in ((fwd, ("drift", "diffusion")), (heat_spec(), ("sigma", "drift"))):
             for name in names:
                 with pytest.raises(TypeError):
@@ -223,23 +224,22 @@ class TestFdSolve:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_operator_exact_on_quadratics(self, dim):
         # central differences are exact on quadratics, so at every interior
-        # node the stencil must give 1/2 sigma^2 tr Q + b . (g + Q x)
+        # node the operator must give 1/2 sigma^2 tr Q + b . (g + Q x)
         spec, axes, u, pts, q, g = self._quadratic(dim)
-        lop = _stencils(spec, axes)[0]
-        assert len(lop) == 2 * dim + 1
+        lo, di, up, _ = _coefficients(spec, axes[0][1] - axes[0][0])
         want = 0.5 * spec.sigma**2 * np.trace(q) + spec.drift * (g + pts @ q).sum(axis=1)
-        got = _apply(lop, u).ravel()
+        got = _apply(dim * di, lo, up, u).ravel()
         assert got.size == 7**dim
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_sigma_grad_map_exact_on_quadratics(self, dim):
         # on the quadratics of test_operator_exact_on_quadratics the map's
-        # a-th stencil gives sigma (g + Q x)_a at interior nodes
+        # a-th component gives sigma (g + Q x)_a at interior nodes
         spec, axes, u, pts, q, g = self._quadratic(dim)
-        wop = _stencils(spec, axes)[1]
-        assert len(wop) == dim and all(len(w_a) == 2 for w_a in wop)
-        got = np.stack([_apply(w_a, u).ravel() for w_a in wop], axis=1)
+        grad = _coefficients(spec, axes[0][1] - axes[0][0])[3]
+        got = np.stack([(grad * (_shifted(u, a, 1) - _shifted(u, a, -1))).ravel()
+                        for a in range(dim)], axis=1)
         np.testing.assert_allclose(got, spec.sigma * (g + pts @ q), rtol=0, atol=1e-12)
 
     def test_driver_derivative_once_per_time_level(self):
