@@ -702,14 +702,12 @@ def _run_compare(cfg, out_dir):
 
 
 def _run_pde_table(cfg, out_dir):
-    base = build_field(cfg["driver"])
-    # young_pde_table sets each box's half-width and mollified driver
-    spec = build_pde_spec({**cfg["pde"], "halfwidth": cfg["n_list"][0]},
-                          ANALYTIC_FIELDS["time"]())
     points = [tuple(p) for p in cfg["points"]]
     table = young_pde_table(
-        spec, base, cfg["n_list"], cfg["m_list"], points, time_steps=cfg["time_steps"],
-        cells_per_unit=cfg["cells_per_unit"], threshold=cfg["threshold"],
+        lambda n, fld: build_pde_spec({**cfg["pde"], "halfwidth": n}, fld),
+        build_field(cfg["driver"]), cfg["n_list"], cfg["m_list"], points,
+        time_steps=cfg["time_steps"], cells_per_unit=cfg["cells_per_unit"],
+        threshold=cfg["threshold"],
     )
     rows = []
     for i, n in enumerate(table.n_list):
@@ -743,10 +741,9 @@ def _run_cross_check(cfg, out_dir):
 
 def _run_localization_error(cfg, out_dir):
     fld = build_field(cfg["driver"])
-    # localization_error_experiment sets each box's half-width
-    spec = build_pde_spec({**cfg["pde"], "halfwidth": cfg["n_max"]}, fld)
     out = localization_error_experiment(
-        spec, cfg["n_list"], [tuple(p) for p in cfg["points"]], n_max=cfg["n_max"],
+        lambda n: build_pde_spec({**cfg["pde"], "halfwidth": n}, fld), cfg["n_list"],
+        [tuple(p) for p in cfg["points"]], n_max=cfg["n_max"],
         time_steps=cfg["time_steps"], cells_per_unit=cfg["cells_per_unit"],
     )
     rows = [dict(r) for r in out["rows"]]

@@ -11,6 +11,7 @@ starts at an interior time evaluates the field at its own grid's times.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,13 +196,85 @@ def _fbm_cov(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     )
 
 
-def _chol_axis(points: np.ndarray, h: float) -> np.ndarray:
+def _dense_chol(points: np.ndarray, h: float) -> np.ndarray:
     cov = _fbm_cov(points[:, None], points[None, :], h)
     cov[np.diag_indices_from(cov)] += _CHOL_JITTER
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance factorization failed") from exc
+
+
+def _fgn_column(n: int, step: float, h: float) -> np.ndarray:
+    """First column m = (gamma_0 + eps, gamma_1 - eps, gamma_2, ...) of
+    M = Gamma + eps D D^T, with Gamma the Toeplitz covariance of fractional
+    Gaussian noise at spacing step, D the first-difference matrix and eps
+    the jitter.  B M B^T = Sigma + eps I for B = D^{-1}, the cumulative sum,
+    and Sigma the fBm covariance at the times k step, k = 1..n."""
+    a = np.arange(n + 1.0) ** (2 * h)
+    m = np.empty(n)
+    m[0] = 1.0
+    m[1:] = 0.5 * (a[2:] - 2 * a[1:-1] + a[:-2])
+    m *= step ** (2 * h)
+    m[0] += _CHOL_JITTER
+    m[1:2] -= _CHOL_JITTER
+    return m
+
+
+def _schur_chol(m: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor B chol(M) of B M B^T = Sigma + eps I from
+    the first column m of M = Gamma + eps D D^T, by the generalized Schur
+    recursion in O(n^2); None when a hyperbolic rotation meets |rho| >= 1.
+
+    With Z the down-shift, M - Z M Z^T = p p^T + eps e e^T - q q^T, where
+    p = m / sqrt(m_0), e is the second unit vector and q is p with its lead
+    entry zeroed.  Column 0 of chol(M) is p.  Step k reduces the
+    generator's lead entries (p_k, e_k, q_k) to (r, 0, 0): a Givens
+    rotation folds e into p and a hyperbolic rotation with rho = q_k / r
+    folds q into p.  The rotated p is column k of chol(M), and the next
+    generator is the shifted Z p with the rotated e and q, leads dropped.
+    B is the cumulative sum, so each column is summed as it is made.
+    """
+    n = m.size
+    low = np.zeros((n, n))
+    p = m / math.sqrt(m[0])
+    np.cumsum(p, out=low[:, 0])
+    # rows Z p, e, q; step k reads columns k..n-1
+    gen = np.zeros((3, n))
+    gen[0, 1:] = p[:-1]
+    gen[1, 1:2] = math.sqrt(_CHOL_JITTER)
+    gen[2, 1:] = p[1:]
+    for k in range(1, n):
+        a, b, c = gen[:, k].tolist()
+        r = math.hypot(a, b)
+        rho = c / r
+        if abs(rho) >= 1:
+            return None
+        cg, sg, kap = a / r, b / r, 1 / math.sqrt((1 - rho) * (1 + rho))
+        rot = np.array([
+            [kap * cg, kap * sg, -kap * rho],
+            [-sg, cg, 0.0],
+            [-kap * rho * cg, -kap * rho * sg, kap],
+        ]) @ gen[:, k:]
+        np.cumsum(rot[0], out=low[k:, k])
+        gen[1:, k:] = rot[1:]
+        gen[0, k + 1:] = rot[0, :-1]
+    return low
+
+
+def _chol_axis(points: np.ndarray, h: float) -> np.ndarray:
+    """The lower Cholesky factor of the jittered fBm covariance
+    Sigma + eps I at points.  Points k step, k = 1..n (up to rounding), are
+    factored through Sigma + eps I = B M B^T by the Schur recursion on M;
+    any other axis, and one whose recursion meets |rho| >= 1, densely."""
+    n = points.size
+    step = points[-1] / n if n else 0.0
+    # linspace(0, T, n + 1) gives k (T / n) to within an ulp
+    if step > 0 and np.allclose(points, step * np.arange(1, n + 1), rtol=1e-13, atol=0.0):
+        low = _schur_chol(_fgn_column(n, step, h))
+        if low is not None:
+            return low
+    return _dense_chol(points, h)
 
 
 class FbsGridField(DriverField):
@@ -253,7 +326,12 @@ def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: fl
     The covariance is an exact product of per-axis fractional-Brownian
     covariances, so each axis is factorized separately (Cholesky with a
     small diagonal jitter) and combined by tensor contraction with i.i.d.
-    standard normals.  The 0-slices are exactly zero.
+    standard normals.  An axis whose non-zero points are k h, k = 1..n (a
+    uniform grid from 0, as every CLI time axis is), is factored in O(n^2)
+    by a Schur recursion on the Toeplitz structure of its increments; any
+    other axis, such as a two-sided space axis, by a dense O(n^3) Cholesky.
+    Both give the factor of the same jittered covariance, up to rounding.
+    The 0-slices are exactly zero.
     """
     t_pts = np.asarray(time_grid, dtype=float)
     if isinstance(space_grid, np.ndarray) and space_grid.ndim == 1 or (

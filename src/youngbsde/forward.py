@@ -19,6 +19,7 @@ __all__ = [
     "SdeSpec",
     "PathEnsemble",
     "euler_maruyama",
+    "StepNormals",
     "step_normals",
     "exit_indices",
     "reflect_1d",
@@ -72,9 +73,29 @@ class PathEnsemble:
         return SamplePath(self.grid, vals[:, 0] if self.dim == 1 else vals)
 
 
+class StepNormals:
+    """Standard normals keyed by (seed, step): the block for step j is drawn
+    from the Philox stream with key seed and counter [0, 0, j, 0].
+
+    One Philox serves every step.  A call resets its counter (and the
+    buffered state) instead of building a new generator, so the blocks do
+    not depend on which steps were drawn before.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = Philox(key=seed)
+        self._state = self._bits.state
+        self._draw = Generator(self._bits).standard_normal
+
+    def __call__(self, step: int, n_paths: int, dim: int) -> np.ndarray:
+        self._state["state"]["counter"][:] = (0, 0, step, 0)
+        self._bits.state = self._state
+        return self._draw((n_paths, dim))
+
+
 def step_normals(seed: int, step: int, n_paths: int, dim: int) -> np.ndarray:
     """Standard normals for one time step, keyed by (seed, step)."""
-    return Generator(Philox(key=seed, counter=[0, 0, step, 0])).standard_normal((n_paths, dim))
+    return StepNormals(seed)(step, n_paths, dim)
 
 
 def euler_maruyama(spec: SdeSpec, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -87,8 +108,9 @@ def euler_maruyama(spec: SdeSpec, grid: TimeGrid, n_paths: int, seed: int) -> Pa
     dw = np.empty((n - 1, n_paths, d))
     x[0] = spec.x0
     dts = grid.dt
+    normals = StepNormals(seed)
     for j in range(n - 1):
-        dw[j] = np.sqrt(dts[j]) * step_normals(seed, j, n_paths, d)
+        dw[j] = np.sqrt(dts[j]) * normals(j, n_paths, d)
         x[j + 1] = x[j] + spec.drift * dts[j] + spec.diffusion * dw[j]
     return PathEnsemble(grid=grid, x=np.moveaxis(x, 0, 1), dw=np.moveaxis(dw, 0, 1),
                         seed=int(seed))

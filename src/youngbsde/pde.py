@@ -19,7 +19,8 @@ before the next, so one solution is held at a time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .bsde import (
     terminal_h_of_xt,
 )
 from .driver import DriverField, mollify
-from .forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
+from .forward import SdeSpec, StepNormals, euler_maruyama, reflect_1d
 from .paths import TimeGrid, blend, locate
 
 __all__ = [
@@ -263,7 +264,7 @@ class YoungPdeTable:
 
 
 def young_pde_table(
-    spec_template: PdeSpec,
+    spec_at: Callable[[float, DriverField], PdeSpec],
     base_field: DriverField,
     n_list,
     m_list,
@@ -274,12 +275,13 @@ def young_pde_table(
     threshold: float = 1e-2,
 ) -> YoungPdeTable:
     """u^{n,m} at fixed evaluation points over growing boxes and finer
-    mollifications, with Cauchy differences along both indices.  Each box
-    replaces the template's halfwidth and fieldv."""
+    mollifications, with Cauchy differences along both indices.
+    spec_at(halfwidth, fieldv) gives the problem on the box of half-width n
+    driven by base_field mollified at scale 1/m."""
     vals = np.empty((len(n_list), len(m_list), len(points)))
     for i, n in enumerate(n_list):
         for j, m in enumerate(m_list):
-            spec = replace(spec_template, halfwidth=float(n), fieldv=mollify(base_field, m))
+            spec = spec_at(float(n), mollify(base_field, m))
             vals[i, j] = _values_at(spec, time_steps, int(2 * n * cells_per_unit), points)
     cauchy_n = np.max(np.abs(np.diff(vals[:, -1, :], axis=0)), axis=1) if len(n_list) > 1 else np.array([])
     cauchy_m = np.max(np.abs(np.diff(vals[-1, :, :], axis=0)), axis=1) if len(m_list) > 1 else np.array([])
@@ -351,7 +353,7 @@ def _mc_point(spec, t0, x0, n_paths, seed, mc_time_steps, basis, picard):
 
 
 def localization_error_experiment(
-    spec_template: PdeSpec,
+    spec_at: Callable[[float], PdeSpec],
     n_list,
     points,
     n_max: float,
@@ -360,10 +362,10 @@ def localization_error_experiment(
     cells_per_unit: int,
 ):
     """|u^n - u^{n_max}| at fixed points over growing boxes, with the decay
-    fit of log-difference against n^2.  Each box replaces the template's
-    halfwidth."""
+    fit of log-difference against n^2.  spec_at(halfwidth) gives the problem
+    on the box of half-width n."""
     *vals, ref = (
-        _values_at(replace(spec_template, halfwidth=float(n)), time_steps,
+        _values_at(spec_at(float(n)), time_steps,
                    int(2 * n * cells_per_unit), points)
         for n in [*n_list, n_max]
     )
@@ -407,8 +409,9 @@ def neumann_fk_estimate(
         raise ValueError("start time beyond the driver horizon")
     dt = horizon / n_steps
     inc = np.empty((n_steps, n_paths))  # time-major
+    normals = StepNormals(seed)
     for j in range(n_steps):
-        inc[j] = step_normals(seed, j, n_paths, 1)[:, 0] * np.sqrt(dt)
+        inc[j] = normals(j, n_paths, 1)[:, 0] * np.sqrt(dt)
     x = reflect_1d(inc.T, (a, b), x0)[0].T  # time-major
     times = np.linspace(0.0, horizon, n_steps + 1) + t0
     integral = np.zeros(n_paths)

@@ -329,16 +329,18 @@ def test_criterion_10_localization_error():
         lambda t, x: t * np.ones(t.shape), RegularityParams(tau=1.0, lam=1.0, p=2.5),
         dt_fn=lambda t, x: np.ones(t.shape),
     )
-    spec = PdeSpec(
-        halfwidth=2.0, dim=1, horizon=1.0,
-        terminal=lambda x: np.cos(x[:, 0]),
-        sigma=np.sqrt(2.0), drift=0.0,
-        generator=lambda t, x, u, w: np.sqrt(np.abs(x[:, 0])) * np.sin(u),
-        coupling=np.zeros_like,
-        fieldv=fld,
-    )
+    def spec_at(n):
+        return PdeSpec(
+            halfwidth=n, dim=1, horizon=1.0,
+            terminal=lambda x: np.cos(x[:, 0]),
+            sigma=np.sqrt(2.0), drift=0.0,
+            generator=lambda t, x, u, w: np.sqrt(np.abs(x[:, 0])) * np.sin(u),
+            coupling=np.zeros_like,
+            fieldv=fld,
+        )
+
     out = localization_error_experiment(
-        spec, [2.0, 4.0, 6.0], [(0.0, 0.0), (0.25, 0.5), (0.5, -0.5)],
+        spec_at, [2.0, 4.0, 6.0], [(0.0, 0.0), (0.25, 0.5), (0.5, -0.5)],
         n_max=8.0, time_steps=128, cells_per_unit=16,
     )
     ds = [r["max_diff"] for r in out["rows"]]

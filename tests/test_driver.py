@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import load_fbs
 
+from youngbsde import driver
 from youngbsde.driver import (
     AnalyticField,
     FbsGridField,
@@ -76,12 +77,29 @@ class TestFbs:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_factorization_failure_reported(self, monkeypatch):
+        # non-uniform axes, so both reach the dense factor
         def boom(m):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", boom)
+        axis = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
         with pytest.raises(ValueError, match="covariance factorization failed"):
-            fbs_generate(HurstParams(h0=0.6, h=0.7), np.linspace(0.0, 1.0, 5), np.linspace(0, 1, 5), seed=1)
+            fbs_generate(HurstParams(h0=0.6, h=0.7), axis, axis, seed=1)
+
+    def test_uniform_time_axis_skips_the_dense_factor(self, monkeypatch):
+        # the uniform time axis is factored by the Schur recursion; only the
+        # two-sided space axis (4 non-zero points) reaches np.linalg.cholesky
+        shapes = []
+
+        def boom(m):
+            shapes.append(m.shape)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", boom)
+        with pytest.raises(ValueError, match="covariance factorization failed"):
+            fbs_generate(HurstParams(h0=0.6, h=0.7), np.linspace(0.0, 1.0, 9),
+                         np.linspace(-1.0, 1.0, 5), seed=1)
+        assert shapes == [(4, 4)]
 
     def test_oversize_axis_rejected(self):
         hp = HurstParams(h0=0.5, h=0.5)
@@ -161,6 +179,41 @@ class TestFbs:
         g = load_fbs(tmp_path / "real")
         np.testing.assert_array_equal(f.values, g.values)
         assert g.hurst == f.hurst and g.seed == 9
+
+
+def dense_jittered_factor(points, h):
+    cov = driver._fbm_cov(points[:, None], points[None, :], h)
+    cov[np.diag_indices_from(cov)] += driver._CHOL_JITTER
+    return np.linalg.cholesky(cov)
+
+
+class TestCholAxis:
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 2046])
+    def test_uniform_axis_matches_the_dense_jittered_factor(self, n, h):
+        # H < 1/2 gives negative fGn correlations, H = 1/2 a diagonal Gamma;
+        # the largest gap measured is 2.6e-11 at n = 2046, H = 0.9
+        points = np.linspace(0.0, 0.5, n + 1)[1:]
+        got = driver._chol_axis(points, h)
+        want = dense_jittered_factor(points, h)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert np.array_equal(np.triu(got, 1), np.zeros((n, n)))
+
+    @pytest.mark.parametrize("points", [
+        np.array([0.1, 0.3, 0.6, 1.0]),                        # non-uniform
+        np.array([0.25, 0.5, 0.75, 1.01]),                     # off k h beyond rounding
+        np.concatenate([np.linspace(-1, 0, 5)[:-1], np.linspace(0, 1, 5)[1:]]),  # two-sided
+        -np.linspace(0, 1, 5)[:0:-1],                          # one-sided, negative
+    ])
+    def test_other_axes_keep_the_dense_factor(self, points):
+        np.testing.assert_array_equal(driver._chol_axis(points, 0.7), dense_jittered_factor(points, 0.7))
+
+    def test_rho_at_least_one_falls_back_to_the_dense_factor(self, monkeypatch):
+        bad = np.array([1.0, 2.0, 0.0, 0.0])
+        assert driver._schur_chol(bad) is None
+        monkeypatch.setattr(driver, "_fgn_column", lambda n, step, h: bad)
+        points = np.linspace(0.0, 1.0, 5)[1:]
+        np.testing.assert_array_equal(driver._chol_axis(points, 0.7), dense_jittered_factor(points, 0.7))
 
 
 class TestMollify:

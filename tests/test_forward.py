@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from oracles import (
     euler_maruyama_path_major,
     exit_indices_norm,
@@ -13,6 +14,7 @@ from scipy import stats
 from youngbsde.forward import (
     PathEnsemble,
     SdeSpec,
+    StepNormals,
     euler_maruyama,
     exit_indices,
     reflect_1d,
@@ -52,6 +54,17 @@ class TestEulerMaruyama:
         # increments are a pure function of (seed, step): path blocks agree
         z = step_normals(9, 4, 50, 1)
         np.testing.assert_allclose(a.dw[:, 4, :], z * np.sqrt(grid.dt[4]))
+
+    def test_reused_philox_is_bit_identical(self):
+        # one Philox, its counter reset per step, against a fresh generator
+        # per step: 2,000 forward steps and the bridge's 2**32 + i keys,
+        # drawn out of order and in sizes that leave the buffer part-used
+        normals = StepNormals(9)
+        steps = [j for i in range(2000) for j in (i, 2**32 + 1999 - i)]
+        for k, step in enumerate(steps):
+            shape = (3, 1) if k % 2 else (5, 2)
+            want = Generator(Philox(key=9, counter=[0, 0, step, 0])).standard_normal(shape)
+            assert np.array_equal(normals(step, *shape), want)
 
     def test_increment_smoke_check(self):
         ens = euler_maruyama(bm_spec(), TimeGrid.uniform(1.0, 8), 4000, seed=5)

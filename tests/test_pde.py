@@ -301,9 +301,9 @@ class TestFdSolve:
 
 class TestYoungPdeTable:
     def test_smooth_driver_table_constant(self):
-        spec = heat_spec(g=lambda u: u, sigma=0.5, halfwidth=3.0)
         table = young_pde_table(
-            spec, smooth_field(), n_list=[3.0, 4.0], m_list=[4, 8],
+            lambda n, fld: heat_spec(g=lambda u: u, sigma=0.5, halfwidth=n, field=fld),
+            smooth_field(), n_list=[3.0, 4.0], m_list=[4, 8],
             points=[(0.0, 0.0)], time_steps=48, cells_per_unit=16,
         )
         assert np.max(np.abs(table.values - table.values[0, 0, 0])) <= 1e-3
@@ -314,9 +314,9 @@ class TestYoungPdeTable:
             HurstParams(h0=0.9, h=0.6), np.linspace(0, 0.25, 129),
             np.linspace(-5, 5, 65), seed=7, p=2.05,
         )
-        spec = heat_spec(g=lambda u: u, sigma=1.0, halfwidth=3.0, field=smooth_field())
         table = young_pde_table(
-            spec, base, n_list=[3.0], m_list=[4, 8, 16],
+            lambda n, fld: heat_spec(g=lambda u: u, sigma=1.0, halfwidth=n, field=fld),
+            base, n_list=[3.0], m_list=[4, 8, 16],
             points=[(0.0, 0.0), (0.1, 0.4)], time_steps=64, cells_per_unit=16,
         )
         assert table.cauchy_m[1] < table.cauchy_m[0]
@@ -338,14 +338,16 @@ class TestLocalizationError:
         def gen(t, x, u, w):
             return np.sqrt(np.abs(x[:, 0])) * np.sin(u)
 
-        spec = PdeSpec(
-            halfwidth=2.0, dim=1, horizon=0.25,
-            terminal=lambda x: np.cos(x[:, 0]),
-            sigma=1.0, drift=0.0, generator=gen, coupling=zero_g,
-            fieldv=smooth_field(),
-        )
+        def spec_at(n):
+            return PdeSpec(
+                halfwidth=n, dim=1, horizon=0.25,
+                terminal=lambda x: np.cos(x[:, 0]),
+                sigma=1.0, drift=0.0, generator=gen, coupling=zero_g,
+                fieldv=smooth_field(),
+            )
+
         out = localization_error_experiment(
-            spec, n_list=[2.0, 3.0], points=[(0.0, 0.0), (0.1, 0.5)],
+            spec_at, n_list=[2.0, 3.0], points=[(0.0, 0.0), (0.1, 0.5)],
             n_max=4.5, time_steps=48, cells_per_unit=16,
         )
         rows = out["rows"]
@@ -365,16 +367,17 @@ def test_experiments_hold_one_solution_at_a_time(experiment, monkeypatch):
         return sol
 
     monkeypatch.setattr(pde, "fd_dirichlet_solve", tracked)
-    spec, points = heat_spec(halfwidth=2.0, sigma=1.0), [(0.0, 0.0), (0.1, 0.3)]
+    points = [(0.0, 0.0), (0.1, 0.3)]
     if experiment == "table":
-        young_pde_table(spec, smooth_field(), [1.0, 2.0], [2, 4], points,
-                        time_steps=8, cells_per_unit=4)
+        young_pde_table(lambda n, fld: heat_spec(halfwidth=n, sigma=1.0, field=fld),
+                        smooth_field(), [1.0, 2.0], [2, 4], points, time_steps=8,
+                        cells_per_unit=4)
     elif experiment == "cross-check":
-        feynman_kac_cross_check(spec, points, n_paths=200, seed=0, time_steps=8,
-                                space_steps=16, mc_time_steps=8)
+        feynman_kac_cross_check(heat_spec(halfwidth=2.0, sigma=1.0), points, n_paths=200,
+                                seed=0, time_steps=8, space_steps=16, mc_time_steps=8)
     else:
-        localization_error_experiment(spec, [1.0, 1.5], points, 2.0, time_steps=8,
-                                      cells_per_unit=4)
+        localization_error_experiment(lambda n: heat_spec(halfwidth=n, sigma=1.0),
+                                      [1.0, 1.5], points, 2.0, time_steps=8, cells_per_unit=4)
     assert len(alive) > 1 and alive == [0] * len(alive)
 
 
