@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import DriverField
-from .forward import PathEnsemble, SdeSpec, exit_indices, step_normals
+from .forward import PathEnsemble, SdeSpec, StepNormals, exit_indices
 from .paths import p_variation_suffixes
 
 __all__ = [
@@ -315,7 +315,7 @@ def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
     t_i, t_next = ensemble.grid.points[i], ensemble.grid.points[i + 1]
     dt = t_next - t_i
     x, dw = ensemble.x[:, i][rows], ensemble.dw[:, i][rows]
-    bridge = step_normals(ensemble.seed, 2**32 + i, ensemble.n_paths, x.shape[1])[rows]
+    bridge = StepNormals(ensemble.seed)(2**32 + i, ensemble.n_paths, x.shape[1])[rows]
     dw1 = dw / 2 + np.sqrt(dt) / 2 * bridge
     x_mid = x + spec.forward.drift * dt / 2 + spec.forward.diffusion * dw1
     t_mid = t_i + dt / 2
@@ -554,15 +554,15 @@ def diagnostics(
             raise FloatingPointError(f"moment of the diagnostics overflows at diag_k = {k_mom}")
         return out
 
+    # |Z|^2 dt, C-contiguous (k, n - 1), so row sums do not depend on z's layout
+    zsq = np.einsum("kjd,kjd->kj", z, z, order="C") * dts[None, :]
     m_pk = 0.0
     bmo = 0.0
     for q, j in enumerate(starts):
         pv = moment(pvar[:, q], k_mom)
         fit = _Fit(basis, x[:, j])
         m_pk = max(m_pk, float(np.max(fit.fit(pv))) ** (1.0 / k_mom) if np.max(pv) > 0 else 0.0)
-        # C-contiguous (k, m), so the row sums do not depend on z's layout
-        zsq = np.einsum("kjd,kjd->kj", z[:, j:], z[:, j:], order="C") * dts[j:][None, :]
-        tail = moment(zsq.sum(axis=1), k_mom / 2.0)
+        tail = moment(zsq[:, j:].sum(axis=1), k_mom / 2.0)
         bmo = max(bmo, float(np.max(fit.fit(tail))) ** (1.0 / k_mom) if np.max(tail) > 0 else 0.0)
     return {
         "m_pk": m_pk,

@@ -50,10 +50,10 @@ from .driver import (
     MAX_FBS_AXIS,
     AnalyticField,
     HurstParams,
+    MollifiedField,
     RegularityParams,
     assumption_check,
     fbs_generate,
-    mollify,
     save_fbs,
 )
 from .flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
@@ -101,7 +101,7 @@ def build_field(cfg: dict):
     if cfg["kind"] == "analytic":
         return ANALYTIC_FIELDS[cfg["name"]]()
     if cfg["kind"] == "mollified":
-        return mollify(build_field(cfg["base"]), cfg["m"])
+        return MollifiedField(build_field(cfg["base"]), cfg["m"])
     hurst = HurstParams(**cfg["hurst"])
     t_ax = np.linspace(0.0, cfg["horizon"], cfg["time_cells"] + 1)
     x_ax = np.linspace(cfg["space_min"], cfg["space_max"], cfg["space_cells"] + 1)

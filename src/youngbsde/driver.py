@@ -1,11 +1,13 @@
 """Space-time driver fields eta(t, x) and checks of their declared regularity.
 
-Fields are normalized so that eta(0, x) = 0: a sampled sheet's t = 0 slice
-is zero, and an analytic field subtracts fn(0, x) at every evaluation.
-Concrete kinds: closed-form analytic fields, grid-sampled fractional
+Fields vanish at t = 0: a sampled sheet's t = 0 slice is zero, and an
+analytic field's function must vanish there (it is evaluated as given).
+Concrete fields: closed-form analytic fields, grid-sampled fractional
 Brownian sheets with multilinear interpolation, and time-mollified wrappers
-with a quadrature time derivative.  Times are absolute: a problem that
-starts at an interior time evaluates the field at its own grid's times.
+with a quadrature time derivative.  Each has one per-point kernel; the
+queries and the field increment eta(t1, x) - eta(t0, x) are implemented
+once, on the base class.  Times are absolute: a problem that starts at an
+interior time evaluates the field at its own grid's times.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "FbsGridField",
     "MollifiedField",
     "fbs_generate",
-    "mollify",
     "assumption_check",
     "AssumptionReport",
     "save_fbs",
@@ -94,13 +95,16 @@ class HurstParams:
 class DriverField:
     """Base class: deterministic scalar field (t, x) -> R with eta(0, x) = 0.
 
-    A field sampled on a space lattice (``_lattice`` is its list of space
-    axes) also gives its slices at single times as profiles on that lattice
-    (``_rows``); calls at one time reduce time first and then interpolate
-    space once per point.  Every other query goes to ``_values``.
+    Every field has one per-point kernel, ``_at(t, where, derivative)``,
+    at per-point times t (k,) and ``where = self._where(x)``, worked out
+    once per query: the points x (k, d) themselves, or on a field sampled
+    on a space lattice (``_lattice`` is its list of space axes) their
+    clamped lattice cells.  A lattice field also gives its slices at
+    single times as profiles on that lattice (``_rows``), so a query at
+    one time reduces time first and then blends space once per point.
+    Every other query, and every increment, goes to ``_at``.
     """
 
-    kind = "abstract"
     _lattice = None
     has_time_derivative = False
 
@@ -119,31 +123,29 @@ class DriverField:
         return self._query(t, x, True)
 
     def _query(self, t, x, derivative: bool) -> np.ndarray:
-        # a scalar t on a lattice field reduces time first, to one profile;
-        # every other query goes to _values with t broadcast to (k,)
         if derivative and not self.has_time_derivative:
-            raise NotImplementedError(f"{self.kind} field has no time derivative")
+            raise NotImplementedError(f"{type(self).__name__} has no time derivative")
         x = np.asarray(x, dtype=float)
+        where = self._where(x)
         if np.ndim(t) == 0 and self._lattice is not None:
-            return self._interpolate(self._rows(np.array([t], dtype=float), derivative)[0], x)
-        return self._values(np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1]), x, derivative)
+            return blend(self._rows(np.array([t], dtype=float), derivative)[0], where)
+        return self._at(_per_point(t, x), where, derivative)
 
     def increment(self, t0, t1, x) -> np.ndarray:
         """eta(t1, x) - eta(t0, x) at points x (k, d), for one pair of times
         or for (k,) arrays of them, one pair per point; returns (k,)."""
         x = np.asarray(x, dtype=float)
-        if self._lattice is None or np.ndim(t0) or np.ndim(t1):
-            ends = (np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1]) for t in (t0, t1))
-            return self._increment(*ends, x)
-        rows = self._rows(np.array([t0, t1], dtype=float))
-        return self._interpolate(rows[1] - rows[0], x)
+        where = self._where(x)
+        if self._lattice is not None and np.ndim(t0) == 0 and np.ndim(t1) == 0:
+            rows = self._rows(np.array([t0, t1], dtype=float))
+            return blend(rows[1] - rows[0], where)
+        return self._at(_per_point(t1, x), where, False) - self._at(_per_point(t0, x), where, False)
 
-    def _interpolate(self, profile: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # clamped multilinear interpolation of one lattice profile, (k,)
-        return blend(profile, self._space_cells(x))
-
-    def _space_cells(self, x: np.ndarray):
-        # the lattice cell of each point of x (k, d), clamped into the box
+    def _where(self, x: np.ndarray):
+        # x itself, or on a lattice field the cell of each point, clamped
+        # into the lattice box
+        if self._lattice is None:
+            return x
         return [locate(axis, x[:, j]) for j, axis in enumerate(self._lattice)]
 
     def _rows(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
@@ -151,43 +153,32 @@ class DriverField:
         on the space lattice: shape (n, *lattice shape)."""
         raise NotImplementedError
 
-    def _values(self, t: np.ndarray, x: np.ndarray, derivative: bool) -> np.ndarray:
+    def _at(self, t: np.ndarray, where, derivative: bool) -> np.ndarray:
         """The field (or its time derivative) at per-point times t (k,) and
-        points x (k, d): shape (k,)."""
+        located points where = _where(x): shape (k,)."""
         raise NotImplementedError
 
-    def _increment(self, t0: np.ndarray, t1: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # eta(t1, x) - eta(t0, x) at per-point times t0, t1 (k,), (k,)
-        return self._values(t1, x, False) - self._values(t0, x, False)
+
+def _per_point(t, x: np.ndarray) -> np.ndarray:
+    # a scalar time or one time per point, as (k,)
+    return np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
 
 
 class AnalyticField(DriverField):
-    """Closed-form field. ``fn(t, x)`` is vectorized: t (k,), x (k, d) -> (k,).
-    The t = 0 slice is subtracted automatically."""
-
-    kind = "analytic"
+    """Closed-form field. ``fn(t, x)`` is vectorized: t (k,), x (k, d) -> (k,),
+    and must vanish at t = 0; it is evaluated as given."""
 
     def __init__(self, fn, params, dim=1, horizon=1.0, dt_fn=None):
         super().__init__(params, dim, horizon)
         self._fn = fn
         self._dt_fn = dt_fn
 
-    @staticmethod
-    def _call(fn, t, x):
-        return np.asarray(fn(t, x), dtype=float)
-
     @property
     def has_time_derivative(self) -> bool:
         return self._dt_fn is not None
 
-    def _values(self, t, x, derivative):
-        if derivative:
-            return self._call(self._dt_fn, t, x)
-        return self._call(self._fn, t, x) - self._call(self._fn, np.zeros_like(t), x)
-
-    def _increment(self, t0, t1, x):
-        # the t = 0 slices of the two ends cancel
-        return self._call(self._fn, t1, x) - self._call(self._fn, t0, x)
+    def _at(self, t, x, derivative):
+        return np.asarray((self._dt_fn if derivative else self._fn)(t, x), dtype=float)
 
 
 def _fbm_cov(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -285,8 +276,6 @@ class FbsGridField(DriverField):
     bounded.
     """
 
-    kind = "fbs-grid"
-
     def __init__(self, hurst: HurstParams, time_points, space_axes, values, seed, theta=0.05, p=2.5):
         params = hurst.regularity(theta=theta, p=p)
         d = len(space_axes)
@@ -301,18 +290,10 @@ class FbsGridField(DriverField):
     def _lattice(self):
         return self.space_axes
 
-    def _values(self, t, x, derivative):
-        return self._at_cells(t, self._space_cells(x))
-
-    def _increment(self, t0, t1, x):
-        # x is located once for both ends
-        space = self._space_cells(x)
-        return self._at_cells(t1, space) - self._at_cells(t0, space)
-
-    def _at_cells(self, t, space):
-        # multilinear blend over the 2^(1+d) cell corners, coordinates
-        # clamped into the lattice box
-        return blend(self.values, [locate(self.time_points, t)] + space)
+    def _at(self, t, where, derivative):
+        # multilinear blend over the 2^(1+d) cell corners, times clamped
+        # into the lattice
+        return blend(self.values, [locate(self.time_points, t)] + where)
 
     def _rows(self, t, derivative=False):
         # two lattice rows blended in time
@@ -401,7 +382,6 @@ class MollifiedField(DriverField):
     nodes applied to rho'.
     """
 
-    kind = "mollified"
     has_time_derivative = True
 
     N_QUAD = 64
@@ -437,13 +417,17 @@ class MollifiedField(DriverField):
         folded = terms[: q // 2] + terms[q // 2 :][::-1]
         return folded.sum(axis=0)
 
-    def _values(self, t, x, derivative):
-        # one batched base evaluation across all quadrature nodes
+    def _at(self, t, where, derivative):
+        # one batched base evaluation across all quadrature nodes, with the
+        # points located once and repeated over the nodes
         q, k = self._s_nodes.size, t.shape[0]
-        x_rep = np.broadcast_to(x, (q,) + x.shape).reshape(q * k, x.shape[1])
+        if self._lattice is None:
+            rep = np.tile(where, (q, 1))
+        else:
+            rep = [(np.tile(lo, q), np.tile(frac, q)) for lo, frac in where]
         return self._fold(
             t, self._wd if derivative else self._w,
-            lambda s: self.base._values(s.reshape(q * k), x_rep, False).reshape(q, k),
+            lambda s: self.base._at(s.reshape(q * k), rep, False).reshape(q, k),
         )
 
     def _rows(self, t, derivative=False):
@@ -453,10 +437,6 @@ class MollifiedField(DriverField):
             return rows.reshape(s.shape + rows.shape[1:])
 
         return self._fold(t, self._wd if derivative else self._w, base_at)
-
-
-def mollify(field: DriverField, m: int) -> MollifiedField:
-    return MollifiedField(field, m)
 
 
 _EPS_SEARCH = np.round(np.arange(0.01, 1.0, 0.01), 2)

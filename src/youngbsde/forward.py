@@ -20,7 +20,6 @@ __all__ = [
     "PathEnsemble",
     "euler_maruyama",
     "StepNormals",
-    "step_normals",
     "exit_indices",
     "reflect_1d",
 ]
@@ -91,11 +90,6 @@ class StepNormals:
         self._state["state"]["counter"][:] = (0, 0, step, 0)
         self._bits.state = self._state
         return self._draw((n_paths, dim))
-
-
-def step_normals(seed: int, step: int, n_paths: int, dim: int) -> np.ndarray:
-    """Standard normals for one time step, keyed by (seed, step)."""
-    return StepNormals(seed)(step, n_paths, dim)
 
 
 def euler_maruyama(spec: SdeSpec, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:

@@ -31,7 +31,7 @@ from .bsde import (
     localized_solve,
     terminal_h_of_xt,
 )
-from .driver import DriverField, mollify
+from .driver import DriverField, MollifiedField
 from .forward import SdeSpec, StepNormals, euler_maruyama, reflect_1d
 from .paths import TimeGrid, blend, locate
 
@@ -281,7 +281,7 @@ def young_pde_table(
     vals = np.empty((len(n_list), len(m_list), len(points)))
     for i, n in enumerate(n_list):
         for j, m in enumerate(m_list):
-            spec = spec_at(float(n), mollify(base_field, m))
+            spec = spec_at(float(n), MollifiedField(base_field, m))
             vals[i, j] = _values_at(spec, time_steps, int(2 * n * cells_per_unit), points)
     cauchy_n = np.max(np.abs(np.diff(vals[:, -1, :], axis=0)), axis=1) if len(n_list) > 1 else np.array([])
     cauchy_m = np.max(np.abs(np.diff(vals[-1, :, :], axis=0)), axis=1) if len(m_list) > 1 else np.array([])

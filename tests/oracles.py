@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 from youngbsde import bsde
 from youngbsde.driver import FbsGridField, HurstParams
-from youngbsde.forward import PathEnsemble, step_normals
+from youngbsde.forward import PathEnsemble, StepNormals
 from youngbsde.paths import SamplePath, TimeGrid, aligned_index, dyadic_interp
 from youngbsde.sewing import Germ, sew
 
@@ -93,8 +93,9 @@ def euler_maruyama_path_major(spec, grid, n_paths: int, seed: int) -> PathEnsemb
     dw = np.empty((n_paths, n - 1, d))
     x[:, 0] = spec.x0
     dts = grid.dt
+    normals = StepNormals(seed)
     for j in range(n - 1):
-        dw[:, j] = np.sqrt(dts[j]) * step_normals(seed, j, n_paths, d)
+        dw[:, j] = np.sqrt(dts[j]) * normals(j, n_paths, d)
         x[:, j + 1] = x[:, j] + spec.drift * dts[j] + spec.diffusion * dw[:, j]
     return PathEnsemble(grid=grid, x=x, dw=dw, seed=int(seed))
 

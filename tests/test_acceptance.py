@@ -22,9 +22,9 @@ from youngbsde.bsde import (
     terminal_running_max,
     zero_generator,
 )
-from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate, mollify
+from youngbsde.driver import AnalyticField, HurstParams, MollifiedField, RegularityParams, fbs_generate
 from youngbsde.flow import exp_formula_1d, inverse_flow, solve_linear_yode
-from youngbsde.forward import SdeSpec, euler_maruyama, reflect_1d, step_normals
+from youngbsde.forward import SdeSpec, StepNormals, euler_maruyama, reflect_1d
 from youngbsde.paths import SamplePath, TimeGrid, p_variation, p_variation_brute_force
 from youngbsde.pde import PdeSpec, feynman_kac_cross_check, localization_error_experiment, neumann_fk_estimate
 from youngbsde.sewing import Germ, nonlinear_young_integral, sew
@@ -216,8 +216,9 @@ def test_criterion_07_localization():
     dt = 1.0 / n_steps
     w = np.zeros(n_paths)
     run_max = np.zeros(n_paths)
+    normals = StepNormals(314)
     for j in range(n_steps):
-        w += step_normals(314, j, n_paths, 1)[:, 0] * np.sqrt(dt)
+        w += normals(j, n_paths, 1)[:, 0] * np.sqrt(dt)
         np.maximum(run_max, np.abs(w), out=run_max)
     shift = discrete_barrier_shift(n_steps)
     ok_prob = True
@@ -307,7 +308,7 @@ def test_criterion_09_nonlinear_feynman_kac_cross_check():
         sigma=1.0, drift=0.0,
         generator=lambda t, x, u, w: np.zeros_like(u),
         coupling=np.sin,
-        fieldv=mollify(base, 8),
+        fieldv=MollifiedField(base, 8),
     )
     points = [(0.0, 0.0), (0.0, 0.5), (0.0, -0.5), (0.1, 0.25), (0.2, -0.4)]
     report = feynman_kac_cross_check(

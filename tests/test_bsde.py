@@ -20,7 +20,7 @@ from youngbsde.bsde import (
     zero_coupling,
     zero_generator,
 )
-from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate, mollify
+from youngbsde.driver import AnalyticField, HurstParams, MollifiedField, RegularityParams, fbs_generate
 from youngbsde.forward import SdeSpec, euler_maruyama, exit_indices
 from youngbsde.paths import TimeGrid, aligned_index
 
@@ -233,7 +233,7 @@ class TestBackwardSolve:
         y0s = []
         for m in (4, 8, 16):
             spec = make_spec(
-                fwd, mollify(base, m), zero_generator, np.sin,
+                fwd, MollifiedField(base, m), zero_generator, np.sin,
                 terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
             )
             sol = backward_solve(spec, ens)

@@ -3,16 +3,18 @@ import pytest
 from oracles import load_fbs
 
 from youngbsde import driver
+from youngbsde.cli import ANALYTIC_FIELDS
 from youngbsde.driver import (
     AnalyticField,
     FbsGridField,
     HurstParams,
+    MollifiedField,
     RegularityParams,
     assumption_check,
     fbs_generate,
-    mollify,
     save_fbs,
 )
+from youngbsde.paths import locate
 
 
 def fbs_cov(t, x, s, y, h0, h):
@@ -46,13 +48,16 @@ class TestParams:
 
 
 class TestAnalyticField:
-    def test_zero_at_time_origin(self):
-        f = AnalyticField(
-            lambda t, x: np.sin(x[:, 0]) * t + 2.0,
-            RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        )
-        xs = np.linspace(-3, 3, 11)[:, None]
-        np.testing.assert_allclose(f.evaluate(np.zeros(11), xs), 0.0, atol=1e-14)
+    @pytest.mark.parametrize("name", list(ANALYTIC_FIELDS))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_registered_fields_vanish_at_time_origin(self, name, dim):
+        # fn is evaluated as given, so each registered fn must vanish at
+        # t = 0; the mollification inherits that through its odd reflection
+        f = ANALYTIC_FIELDS[name]()
+        x = np.random.default_rng(7).uniform(-3.0, 3.0, (40, dim))
+        for g in (f, MollifiedField(f, 8)):
+            np.testing.assert_array_equal(g.evaluate(0.0, x), 0.0)
+            np.testing.assert_array_equal(g.evaluate(np.zeros(40), x), 0.0)
 
     def test_evaluate_shapes(self):
         f = linear_field()
@@ -219,11 +224,11 @@ class TestCholAxis:
 class TestMollify:
     def test_mass_is_one(self):
         # the quadrature weights of eta_m carry the bump's unit mass
-        assert np.sum(mollify(linear_field(), 3)._w) == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(MollifiedField(linear_field(), 3)._w) == pytest.approx(1.0, abs=1e-10)
 
     def test_m_positive(self):
         with pytest.raises(ValueError):
-            mollify(linear_field(), 0)
+            MollifiedField(linear_field(), 0)
 
     def test_derivative_of_linear_field(self):
         # eta(t, x) = c(x) t: interior time derivative equals c(x)
@@ -231,7 +236,7 @@ class TestMollify:
             lambda t, x: np.cos(x[:, 0]) * t,
             RegularityParams(tau=1.0, lam=1.0, p=2.5),
         )
-        g = mollify(f, 8)
+        g = MollifiedField(f, 8)
         xs = np.linspace(-2, 2, 7)[:, None]
         got = g.time_derivative(np.full(7, 0.5), xs)
         np.testing.assert_allclose(got, np.cos(xs[:, 0]), atol=1e-8)
@@ -246,7 +251,7 @@ class TestMollify:
         xs = np.linspace(-3, 3, 41)[:, None]
         cs = []
         for m in (4, 8, 16):
-            g = mollify(f, m)
+            g = MollifiedField(f, m)
             errs = [
                 np.max(np.abs(g.evaluate(ts, np.repeat(x[None, :], ts.size, axis=0))
                               - f.evaluate(ts, np.repeat(x[None, :], ts.size, axis=0))))
@@ -265,7 +270,7 @@ class TestMollify:
         errs = []
         ms = np.array([4, 8, 16, 32])
         for m in ms:
-            g = mollify(f, int(m))
+            g = MollifiedField(f, int(m))
             worst = 0.0
             for x in xs:
                 xt = np.repeat(x[None, :], ts.size, axis=0)
@@ -276,7 +281,7 @@ class TestMollify:
 
     def test_smooth_affine_reproduced(self):
         f = linear_field()
-        g = mollify(f, 16)
+        g = MollifiedField(f, 16)
         ts = np.linspace(0.2, 0.8, 13)
         xt = np.zeros((13, 1))
         np.testing.assert_allclose(
@@ -296,9 +301,9 @@ def slice_fields():
     return {
         "fbs-1d": fbs1,
         "fbs-2d": fbs2,
-        "mollified": mollify(fbs1, 8),
-        "mollified-2d": mollify(fbs2, 4),
-        "mollified-analytic": mollify(analytic, 8),
+        "mollified": MollifiedField(fbs1, 8),
+        "mollified-2d": MollifiedField(fbs2, 4),
+        "mollified-analytic": MollifiedField(analytic, 8),
     }
 
 
@@ -380,10 +385,10 @@ class TestTimeSlice:
         want_inc = f.increment(0.05, 0.2, x)
         want_dt = f.time_derivative(0.2, x)
 
-        def pointwise(self, t, x, derivative):
+        def pointwise(self, t, where, derivative):
             raise AssertionError("same-time call fell back to pointwise evaluation")
 
-        monkeypatch.setattr(FbsGridField, "_values", pointwise)
+        monkeypatch.setattr(FbsGridField, "_at", pointwise)
         np.testing.assert_array_equal(f.increment(0.05, 0.2, x), want_inc)
         np.testing.assert_array_equal(f.time_derivative(0.2, x), want_dt)
         with pytest.raises(AssertionError, match="pointwise"):
@@ -398,6 +403,29 @@ class TestTimeSlice:
                 sliced = f.evaluate(t, x)
                 pointwise = f.evaluate(np.full(x.shape[0], t), x)
                 np.testing.assert_allclose(sliced, pointwise, rtol=0, atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("method", ["increment", "evaluate"])
+    def test_mollified_lattice_field_locates_each_point_once(self, method, monkeypatch):
+        # a distinct-time query locates its k space points once, not once
+        # per quadrature node
+        f = slice_fields()["mollified"]
+        k = 50
+        x = np.linspace(-3.0, 3.0, k)[:, None]
+        t = np.linspace(0.0, f.horizon, k)
+        space = f.base.space_axes[0]
+        located = []
+
+        def counting(axis, c):
+            if axis is space:
+                located.append(np.size(c))
+            return locate(axis, c)
+
+        monkeypatch.setattr(driver, "locate", counting)
+        if method == "increment":
+            f.increment(t[::-1], t, x)
+        else:
+            f.evaluate(t, x)
+        assert located == [k]
 
     def test_one_point_keeps_shape(self):
         f = slice_fields()["mollified"]
@@ -420,7 +448,7 @@ class TestHasTimeDerivative:
     def test_lattice_and_wrapped_fields(self):
         fbs = slice_fields()["fbs-1d"]
         assert not fbs.has_time_derivative
-        assert mollify(fbs, 8).has_time_derivative
+        assert MollifiedField(fbs, 8).has_time_derivative
         with pytest.raises(NotImplementedError):
             fbs.time_derivative(0.1, np.zeros((3, 1)))
 

@@ -18,7 +18,6 @@ from youngbsde.forward import (
     euler_maruyama,
     exit_indices,
     reflect_1d,
-    step_normals,
 )
 from youngbsde.paths import TimeGrid
 
@@ -52,7 +51,7 @@ class TestEulerMaruyama:
         b = euler_maruyama(bm_spec(), grid, 50, seed=9)
         np.testing.assert_array_equal(a.x, b.x)
         # increments are a pure function of (seed, step): path blocks agree
-        z = step_normals(9, 4, 50, 1)
+        z = StepNormals(9)(4, 50, 1)
         np.testing.assert_allclose(a.dw[:, 4, :], z * np.sqrt(grid.dt[4]))
 
     def test_reused_philox_is_bit_identical(self):
