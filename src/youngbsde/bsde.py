@@ -32,7 +32,6 @@ __all__ = [
     "RegressionError",
     "NoContractionError",
     "PicardParams",
-    "Terminal",
     "terminal_h_of_xt",
     "terminal_running_max",
     "BsdeSpec",
@@ -40,7 +39,6 @@ __all__ = [
     "zero_coupling",
     "BsdeSolution",
     "backward_solve",
-    "ClosedFormResult",
     "linear_closed_form",
     "localized_solve",
     "localization_sweep",
@@ -139,34 +137,20 @@ class _Fit:
         return self._a @ beta
 
 
-@dataclass(frozen=True)
-class Terminal:
-    """Terminal data xi = Xi_T together with its running version Xi_t.
+def terminal_h_of_xt(h):
+    """Xi_t = h(X_t); h maps (k, d) -> (k,), and another shape is a ValueError."""
 
-    ``value_at(ensemble, idx)`` evaluates Xi (k,) at a per-path grid index;
-    the plain terminal is value_at at the last index.
-    """
+    def xi(ensemble, idx):
+        out = np.asarray(h(ensemble.x[np.arange(ensemble.n_paths), idx]), dtype=float)
+        return _per_path("terminal", out, idx)
 
-    value_at: callable
-
-    def terminal(self, ensemble: PathEnsemble) -> np.ndarray:
-        idx = np.full(ensemble.n_paths, ensemble.grid.n - 1)
-        return self.value_at(ensemble, idx)
+    return xi
 
 
-def terminal_h_of_xt(h) -> Terminal:
-    """Xi_t = h(X_t); h maps (k, d) -> (k,)."""
-
-    def value_at(ensemble, idx):
-        return np.asarray(h(ensemble.x[np.arange(ensemble.n_paths), idx]), dtype=float)
-
-    return Terminal(value_at)
-
-
-def terminal_running_max() -> Terminal:
+def terminal_running_max():
     """Xi_t = max_{s <= t} X^0_s, the running maximum of the first coordinate."""
 
-    def value_at(ensemble, idx):
+    def xi(ensemble, idx):
         # one contiguous maximum per step: maximum.accumulate would walk
         # each path across the time-major storage
         run = ensemble.x[:, :, 0].T.copy()
@@ -174,7 +158,12 @@ def terminal_running_max() -> Terminal:
             np.maximum(run[j - 1], run[j], out=run[j])
         return run[idx, np.arange(ensemble.n_paths)]
 
-    return Terminal(value_at)
+    return xi
+
+
+def _terminal(xi, ensemble: PathEnsemble) -> np.ndarray:
+    """xi = Xi_T, the terminal data at every path's last grid index."""
+    return xi(ensemble, np.full(ensemble.n_paths, ensemble.grid.n - 1))
 
 
 @dataclass
@@ -186,7 +175,7 @@ class BsdeSpec:
     fieldv: DriverField
     generator: callable  # f(t, x (k,d), y (k,), z (k,d)) -> (k,)
     coupling: callable  # g(y (k,)) -> (k,)
-    terminal: Terminal
+    terminal: callable  # Xi(ensemble, idx (k,)) -> (k,), Xi at a per-path grid index
 
 
 def zero_generator(t, x, y, z):
@@ -343,7 +332,7 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
     picard = picard or PicardParams()
     grid = ensemble.grid
     k, n, d = ensemble.x.shape
-    xi = spec.terminal.value_at(ensemble, k_exit)
+    xi = spec.terminal(ensemble, k_exit)
     # time-major; frozen entries hold xi and the loop below fills every
     # active one
     y = np.where(np.arange(n)[:, None] >= k_exit, xi, 0.0)
@@ -398,23 +387,18 @@ def backward_solve(
     return _backward(spec, ensemble, k_exit, basis, picard)
 
 
-@dataclass
-class ClosedFormResult:
-    y0: float
-    se: float
-
-
 def linear_closed_form(
     ensemble: PathEnsemble,
     fieldv: DriverField,
-    terminal: Terminal,
+    terminal,
     alpha: float = 1.0,
-) -> ClosedFormResult:
+) -> tuple[float, float]:
     """Monte Carlo evaluation of the flow representation of the scalar
-    linear problem g(y) = alpha y, f = 0.
+    linear problem g(y) = alpha y, f = 0, with terminal data Xi.
 
     Per path: w = G_T^0 xi, with the flow G the left-point Euler product of
-    1 + alpha d_eta.  Y_0 is the sample mean of w.
+    1 + alpha d_eta.  Returns (Y_0, standard error): the sample mean of w
+    and its standard error.
     """
     if np.ndim(alpha) != 0:
         raise ValueError("alpha must be a scalar")
@@ -424,8 +408,8 @@ def linear_closed_form(
     for j in range(n - 1):
         d_eta = fieldv.increment(grid.points[j], grid.points[j + 1], ensemble.x[:, j])
         flow = (1.0 + alpha * d_eta) * flow
-    weights = flow * terminal.terminal(ensemble)
-    return ClosedFormResult(y0=float(weights.mean()), se=float(weights.std(ddof=1) / np.sqrt(k)))
+    weights = flow * _terminal(terminal, ensemble)
+    return float(weights.mean()), float(weights.std(ddof=1) / np.sqrt(k))
 
 
 def localized_solve(
@@ -474,8 +458,6 @@ class ComparisonReport:
     fraction_ordered: float
     y0_gap: float
     y0_gap_se: float
-    solution_a: BsdeSolution
-    solution_b: BsdeSolution
 
 
 def comparison_experiment(
@@ -488,8 +470,8 @@ def comparison_experiment(
 ) -> ComparisonReport:
     """Solve two ordered problems (xi_a >= xi_b, f_a >= f_b, same g) on one
     ensemble and report how often the discrete solutions stay ordered."""
-    xi_a = spec_a.terminal.terminal(ensemble)
-    xi_b = spec_b.terminal.terminal(ensemble)
+    xi_a = _terminal(spec_a.terminal, ensemble)
+    xi_b = _terminal(spec_b.terminal, ensemble)
     if np.any(xi_a < xi_b - 1e-12):
         raise ValueError("inputs not ordered")
     k, n, d = ensemble.x.shape
@@ -508,8 +490,6 @@ def comparison_experiment(
         fraction_ordered=float(np.mean(ordered)),
         y0_gap=sol_a.y0 - sol_b.y0,
         y0_gap_se=float(gap_targets.std(ddof=1) / np.sqrt(k)),
-        solution_a=sol_a,
-        solution_b=sol_b,
     )
 
 

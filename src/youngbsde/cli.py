@@ -2,13 +2,22 @@
 
 A single self-describing JSON document names one experiment and its inputs;
 "_comment" keys are ignored, unknown keys are rejected.  Each run writes
-results.csv (RFC-4180, '.' decimal, 17 significant digits), manifest.json
-(the validated config with every default filled in, seed, library version,
-wall time), and summary.txt.  Exit status: 0 success, 2 config error,
-3 numerical failure.
+results.csv, manifest.json (the validated config with every default filled
+in, seed, library version, wall time, and the OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS values the process started with, null when unset), and
+summary.txt; this module writes every file the package writes.  Exit
+status: 0 success, 2 config error, 3 numerical failure.
 
     youngbsde run  config.json [--out DIR]
     youngbsde check config.json
+
+results.csv is RFC-4180 with CRLF line ends: floats at 17 significant
+digits, '.' decimal, every other cell as str(); a point's x is a number in
+1-D and a list in 2-D.  fbs-generate also writes <prefix>.bin, the C-ordered
+little-endian float64 values, and the <prefix>.json sidecar: hurst
+{h0, h, d}, time_points, space_axes (one list per axis), seed, shape (time
+points, space points per axis...), dtype ("<f8") and order ("C").  Both
+suffixes are appended to the whole prefix, dots included.
 
 YOUNGBSDE_OUT sets the default output directory.  To cap BLAS threads, set
 OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) before the process starts.  At a
@@ -20,10 +29,12 @@ the rounding level.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +46,6 @@ from .bsde import (
     PicardParams,
     RegressionError,
     RegressionBasis,
-    Terminal,
     backward_solve,
     comparison_experiment,
     diagnostics,
@@ -54,11 +64,10 @@ from .driver import (
     RegularityParams,
     assumption_check,
     fbs_generate,
-    save_fbs,
 )
 from .flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
-from .paths import SamplePath, TimeGrid, dyadic_interp, write_csv
+from .paths import SamplePath, TimeGrid, dyadic_interp
 from .pde import (
     PdeSpec,
     feynman_kac_cross_check,
@@ -77,7 +86,7 @@ class ConfigError(ValueError):
 
 def _affine_in_time(profile):
     # the field profile(x) t, whose time derivative is profile(x)
-    return lambda: AnalyticField(
+    return AnalyticField(
         lambda t, x: profile(x) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
         dt_fn=lambda t, x: profile(x),
     )
@@ -89,7 +98,7 @@ ANALYTIC_FIELDS = {
     "sin_x_time": _affine_in_time(lambda x: np.sin(x[:, 0])),
     "cos_x_time": _affine_in_time(lambda x: np.cos(x[:, 0])),
     "gauss_x_time": _affine_in_time(lambda x: np.exp(-x[:, 0] ** 2)),
-    "sin_x_t08": lambda: AnalyticField(
+    "sin_x_t08": AnalyticField(
         lambda t, x: np.sin(x[:, 0]) * t**0.8, RegularityParams(tau=0.8, lam=1.0, p=2.5),
     ),
     "zero": _affine_in_time(lambda x: np.zeros(x.shape[0])),
@@ -99,25 +108,21 @@ ANALYTIC_FIELDS = {
 def build_field(cfg: dict):
     """The driver field of a validated driver section."""
     if cfg["kind"] == "analytic":
-        return ANALYTIC_FIELDS[cfg["name"]]()
+        return ANALYTIC_FIELDS[cfg["name"]]
     if cfg["kind"] == "mollified":
         return MollifiedField(build_field(cfg["base"]), cfg["m"])
     hurst = HurstParams(**cfg["hurst"])
     t_ax = np.linspace(0.0, cfg["horizon"], cfg["time_cells"] + 1)
     x_ax = np.linspace(cfg["space_min"], cfg["space_max"], cfg["space_cells"] + 1)
-    return fbs_generate(
-        hurst, t_ax, [x_ax] * hurst.d if hurst.d > 1 else x_ax,
-        seed=cfg["seed"], theta=cfg["theta"], p=cfg["p"],
-    )
+    return fbs_generate(hurst, t_ax, [x_ax] * hurst.d, seed=cfg["seed"], theta=cfg["theta"],
+                        p=cfg["p"])
 
 
 TERMINALS = {
     "cos": lambda shift: terminal_h_of_xt(lambda x: np.cos(x[:, 0]) + shift),
     "gauss": lambda shift: terminal_h_of_xt(lambda x: np.exp(-np.sum(x**2, axis=1)) + shift),
     "constant": lambda shift: terminal_h_of_xt(lambda x: np.full(x.shape[0], shift)),
-    "running-max": lambda shift: Terminal(
-        lambda ens, idx: terminal_running_max().value_at(ens, idx) + shift
-    ),
+    "running-max": lambda shift: lambda ens, idx: terminal_running_max()(ens, idx) + shift,
 }
 
 GENERATORS = {
@@ -139,16 +144,14 @@ PDE_TERMINALS = {
     "gauss": lambda x: np.exp(-np.sum(x**2, axis=1) / (2 * 0.15**2)),
 }
 
-PDE_GENERATORS = {
-    "zero": zero_generator,
-    "sqrt-sin": lambda t, x, u, w: np.sqrt(np.abs(x[:, 0])) * np.sin(u),
-}
+# f(t, x, u, w) of the PDE is the BSDE generator at coef 1, w in the z slot
+PDE_GENERATORS = {name: GENERATORS[name](1.0) for name in ("zero", "sqrt-sin")}
 
 PDE_COUPLINGS = {name: COUPLINGS[name] for name in ("zero", "identity", "sin")}
 
 NEUMANN_TERMINALS = {
-    "one": lambda x: np.ones_like(x),
-    "cos-pi": lambda x: np.cos(np.pi * x),
+    "one": lambda x: np.ones(x.shape[0]),
+    "cos-pi": lambda x: np.cos(np.pi * x[:, 0]),
 }
 
 
@@ -450,7 +453,7 @@ def _check_relations(cfg: dict) -> None:
     while driver is not None and driver["kind"] == "mollified":
         driver, key = driver["base"], f"{key}.base"
     horizon = None if driver is None else (
-        driver["horizon"] if driver["kind"] == "fbs" else ANALYTIC_FIELDS[driver["name"]]().horizon)
+        driver["horizon"] if driver["kind"] == "fbs" else ANALYTIC_FIELDS[driver["name"]].horizon)
     if driver is not None and driver["kind"] == "fbs":
         if not driver["space_min"] < driver["space_max"]:
             raise ConfigError(f"{key}.space_min: expected a number below {key}.space_max")
@@ -486,7 +489,7 @@ def _check_relations(cfg: dict) -> None:
     top = cfg.get("driver")
     if cfg["experiment"] in ("cross-check", "localization-error") and not (
         top["kind"] == "mollified"
-        or top["kind"] == "analytic" and ANALYTIC_FIELDS[top["name"]]().has_time_derivative
+        or top["kind"] == "analytic" and ANALYTIC_FIELDS[top["name"]].has_time_derivative
     ):
         raise ConfigError("driver: the PDE needs a driver with a time derivative")
     if exp == "localization-error" and len(set(cfg["n_list"])) < 2:
@@ -506,12 +509,11 @@ def _check_relations(cfg: dict) -> None:
         half = pde["halfwidth"] if exp == "cross-check" else min(n for _, n in boxes)
         # the Monte Carlo side of cross-check starts the driver at t
         t_end = min(pde["horizon"], horizon) if exp == "cross-check" else pde["horizon"]
-        for t, x in cfg["points"]:
-            xs = x if isinstance(x, list) else [x]
+        for point, (t, xs) in zip(cfg["points"], _points(cfg)):
             if not (0 <= t < t_end and len(xs) == pde["dim"] and all(abs(c) <= half for c in xs)):
                 raise ConfigError(
                     f"points: expected [t, x] with t in [0, {t_end}) and x of "
-                    f"{pde['dim']} coordinates in [-{half}, {half}], got {[t, x]}"
+                    f"{pde['dim']} coordinates in [-{half}, {half}], got {point}"
                 )
         key, cells, steps = (
             ("space_steps", 2 * cfg["space_steps"], 2 * cfg["time_steps"]) if exp == "cross-check"
@@ -534,6 +536,18 @@ def _check_relations(cfg: dict) -> None:
 
 # -------------------------------------------------------------- experiments
 
+def _points(cfg: dict) -> list:
+    """Each [t, x] of cfg["points"] as (t, coordinates): x becomes a list of
+    floats whether the config gives a number or a list."""
+    return [(float(t), [float(c) for c in (x if isinstance(x, list) else [x])])
+            for t, x in cfg["points"]]
+
+
+def _x_cell(xs: list):
+    # a point's coordinates as results.csv writes them
+    return xs[0] if len(xs) == 1 else xs
+
+
 def _brownian_sample(cells: int, seed: int, horizon: float = 1.0) -> SamplePath:
     spec = SdeSpec(drift=0.0, diffusion=1.0, x0=[0.0])
     ens = euler_maruyama(spec, TimeGrid.uniform(horizon, cells), 1, seed)
@@ -550,7 +564,7 @@ def _run_integrate(cfg, out_dir):
     ys = dyadic_interp(y.values, levels)[:-1]
     xs = dyadic_interp(x.as_matrix(), levels)[:-1]
     for name in cases:
-        fld = ANALYTIC_FIELDS[name]()
+        fld = ANALYTIC_FIELDS[name]
         young = float(nonlinear_young_integral(y, x, fld, levels=levels).values[-1])
         quad = float(np.sum(ys * fld.time_derivative(fine[:-1], xs) * np.diff(fine)))
         rows.append({"case": name, "young": young, "riemann": quad, "abs_diff": abs(young - quad)})
@@ -611,23 +625,23 @@ def _bsde_ingredients(cfg):
         coupling=COUPLINGS[bc["coupling"]["name"]],
         terminal=TERMINALS[bc["terminal"]["name"]](bc["terminal"]["shift"]),
     )
-    return spec, ens, RegressionBasis(**cfg["basis"]), PicardParams(**cfg["picard"]), fld
+    return spec, ens, RegressionBasis(**cfg["basis"]), PicardParams(**cfg["picard"])
 
 
 def _run_linear_bsde(cfg, out_dir):
-    spec, ens, basis, picard, fld = _bsde_ingredients(cfg)
+    spec, ens, basis, picard = _bsde_ingredients(cfg)
     sol = backward_solve(spec, ens, basis=basis, picard=picard)
-    ref = linear_closed_form(
-        ens, fld, spec.terminal, alpha=_LINEAR_COUPLINGS[cfg["bsde"]["coupling"]["name"]]
+    ref_y0, ref_se = linear_closed_form(
+        ens, spec.fieldv, spec.terminal, alpha=_LINEAR_COUPLINGS[cfg["bsde"]["coupling"]["name"]]
     )
-    combined = float(np.sqrt(sol.y0_se ** 2 + ref.se ** 2))
-    diff = abs(sol.y0 - ref.y0)
+    combined = float(np.sqrt(sol.y0_se ** 2 + ref_se ** 2))
+    diff = abs(sol.y0 - ref_y0)
     rows = [
         {
             "y0_backward": sol.y0,
             "se_backward": sol.y0_se,
-            "y0_closed_form": ref.y0,
-            "se_closed_form": ref.se,
+            "y0_closed_form": ref_y0,
+            "se_closed_form": ref_se,
             "combined_se": combined,
             "abs_diff": diff,
             "z_score": diff / combined if combined > 0 else 0.0,
@@ -636,14 +650,14 @@ def _run_linear_bsde(cfg, out_dir):
     ok = diff <= 3 * combined
     summary = [
         f"backward Y0 = {sol.y0:.6f} (se {sol.y0_se:.2e})",
-        f"closed form Y0 = {ref.y0:.6f} (se {ref.se:.2e})",
+        f"closed form Y0 = {ref_y0:.6f} (se {ref_se:.2e})",
         f"agreement within 3 combined se: {'PASS' if ok else 'FAIL'}",
     ]
     return rows, summary
 
 
 def _run_nonlinear_bsde(cfg, out_dir):
-    spec, ens, basis, picard, _ = _bsde_ingredients(cfg)
+    spec, ens, basis, picard = _bsde_ingredients(cfg)
     sol = backward_solve(spec, ens, basis=basis, picard=picard)
     diag = diagnostics(sol, ens, p=cfg["diag_p"], k_mom=cfg["diag_k"])
     rows = [
@@ -665,7 +679,7 @@ def _run_nonlinear_bsde(cfg, out_dir):
 
 
 def _run_localize(cfg, out_dir):
-    spec, ens, basis, picard, _ = _bsde_ingredients(cfg)
+    spec, ens, basis, picard = _bsde_ingredients(cfg)
     rows_raw = localization_sweep(spec, ens, cfg["radii"], basis=basis, picard=picard)
     rows = [
         {"radius": r["radius"], "y0": r["y0"], "diff_prev": r["diff_prev"], "p_exit": r["p_exit"]}
@@ -676,13 +690,10 @@ def _run_localize(cfg, out_dir):
 
 
 def _run_compare(cfg, out_dir):
-    spec_b, ens, basis, picard, fld = _bsde_ingredients(cfg)
+    spec_b, ens, basis, picard = _bsde_ingredients(cfg)
     shift = cfg["shift"]
     term = cfg["bsde"]["terminal"]
-    spec_a = BsdeSpec(
-        forward=spec_b.forward, fieldv=fld, generator=spec_b.generator, coupling=spec_b.coupling,
-        terminal=TERMINALS[term["name"]](term["shift"] + shift),
-    )
+    spec_a = replace(spec_b, terminal=TERMINALS[term["name"]](term["shift"] + shift))
     rep = comparison_experiment(
         spec_a, spec_b, ens, basis=basis, picard=picard, eps_reg=cfg["eps_reg"],
     )
@@ -702,7 +713,7 @@ def _run_compare(cfg, out_dir):
 
 
 def _run_pde_table(cfg, out_dir):
-    points = [tuple(p) for p in cfg["points"]]
+    points = _points(cfg)
     table = young_pde_table(
         lambda n, fld: build_pde_spec({**cfg["pde"], "halfwidth": n}, fld),
         build_field(cfg["driver"]), cfg["n_list"], cfg["m_list"], points,
@@ -713,7 +724,8 @@ def _run_pde_table(cfg, out_dir):
     for i, n in enumerate(table.n_list):
         for j, m in enumerate(table.m_list):
             for q, (t, x) in enumerate(points):
-                rows.append({"n": n, "m": m, "t": t, "x": x, "u": float(table.values[i, j, q])})
+                rows.append({"n": n, "m": m, "t": t, "x": _x_cell(x),
+                             "u": float(table.values[i, j, q])})
     summary = [
         f"cauchy in n: {np.round(table.cauchy_n, 6).tolist()}",
         f"cauchy in m: {np.round(table.cauchy_m, 6).tolist()}",
@@ -726,24 +738,25 @@ def _run_cross_check(cfg, out_dir):
     fld = build_field(cfg["driver"])
     spec = build_pde_spec(cfg["pde"], fld)
     report = feynman_kac_cross_check(
-        spec, [tuple(p) for p in cfg["points"]], n_paths=cfg["paths"], seed=cfg["seed"],
+        spec, _points(cfg), n_paths=cfg["paths"], seed=cfg["seed"],
         time_steps=cfg["time_steps"], space_steps=cfg["space_steps"],
         mc_time_steps=cfg["mc_time_steps"],
         basis=RegressionBasis(**cfg["basis"]), picard=PicardParams(**cfg["picard"]),
     )
+    rows = [{**r, "x": _x_cell(r["x"])} for r in report]
     summary = [
         f"({r['t']}, {r['x']}): |u_FD - u_MC| = {r['abs_diff']:.4e} tol {r['tol']:.4e} "
         f"{'PASS' if r['pass'] else 'FAIL'}"
-        for r in report
+        for r in rows
     ]
-    return report, summary
+    return rows, summary
 
 
 def _run_localization_error(cfg, out_dir):
     fld = build_field(cfg["driver"])
     out = localization_error_experiment(
         lambda n: build_pde_spec({**cfg["pde"], "halfwidth": n}, fld), cfg["n_list"],
-        [tuple(p) for p in cfg["points"]], n_max=cfg["n_max"],
+        _points(cfg), n_max=cfg["n_max"],
         time_steps=cfg["time_steps"], cells_per_unit=cfg["cells_per_unit"],
     )
     rows = [dict(r) for r in out["rows"]]
@@ -777,7 +790,18 @@ def _run_fbs_generate(cfg, out_dir):
             "sup_abs": float(np.max(np.abs(fld.values))),
         }
     ]
-    save_fbs(fld, out_dir / cfg["prefix"])
+    data = np.ascontiguousarray(fld.values, dtype="<f8")
+    (out_dir / f"{cfg['prefix']}.bin").write_bytes(data.tobytes())
+    sidecar = {
+        "hurst": {"h0": fld.hurst.h0, "h": fld.hurst.h, "d": fld.hurst.d},
+        "time_points": fld.time_points.tolist(),
+        "space_axes": [a.tolist() for a in fld.space_axes],
+        "seed": fld.seed,
+        "shape": list(data.shape),
+        "dtype": "<f8",
+        "order": "C",
+    }
+    (out_dir / f"{cfg['prefix']}.json").write_text(json.dumps(sidecar, indent=2))
     summary = [f"realization range [{rows[0]['min']:.4f}, {rows[0]['max']:.4f}]"]
     return rows, summary
 
@@ -812,6 +836,10 @@ _RUNNERS = {
     "assumptions": _run_assumptions,
 }
 
+# the BLAS thread settings for the manifest, read at import: BLAS reads
+# them once, when numpy loads
+_BLAS_THREADS = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+
 _NUMERIC_FAILURES = (
     NoContractionError, RegressionError, FlowError, SewingError,
     FloatingPointError, np.linalg.LinAlgError,
@@ -822,20 +850,26 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     """Runs a config that validate_config returned and writes its outputs."""
     name = cfg["experiment"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         rows, summary = _RUNNERS[name](cfg, out_dir)
     except _NUMERIC_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     fields = list(rows[0].keys())
-    write_csv(out_dir / "results.csv", fields, ([row.get(f, "") for f in fields] for row in rows))
+    with open(out_dir / "results.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(fields)
+        for row in rows:
+            cells = (row.get(f, "") for f in fields)
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells])
     manifest = {
         "config": cfg,
         "seed": cfg["seed"],
         "library_version": __version__,
         "wall_time_s": wall,
+        "blas_threads": _BLAS_THREADS,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     (out_dir / "summary.txt").write_text(

@@ -12,10 +12,8 @@ interior time evaluates the field at its own grid's times.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 # numpy 2 imports numpy.random on first use; importing it here keeps that
@@ -34,7 +32,6 @@ __all__ = [
     "fbs_generate",
     "assumption_check",
     "AssumptionReport",
-    "save_fbs",
 ]
 
 MAX_FBS_AXIS = 2048
@@ -302,7 +299,7 @@ class FbsGridField(DriverField):
 
 def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: float = 0.05, p: float = 2.5) -> FbsGridField:
     """Sample a fractional Brownian sheet on time_grid x space_grid: time_grid
-    is a 1-D array of times, space_grid one axis array or a list of them.
+    is a 1-D array of times, space_grid a list of hurst.d axis arrays.
 
     The covariance is an exact product of per-axis fractional-Brownian
     covariances, so each axis is factorized separately (Cholesky with a
@@ -315,14 +312,9 @@ def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: fl
     The 0-slices are exactly zero.
     """
     t_pts = np.asarray(time_grid, dtype=float)
-    if isinstance(space_grid, np.ndarray) and space_grid.ndim == 1 or (
-        not isinstance(space_grid, (list, tuple))
-    ):
-        axes = [np.asarray(space_grid, dtype=float)]
-    else:
-        axes = [np.asarray(a, dtype=float) for a in space_grid]
+    axes = [np.asarray(a, dtype=float) for a in space_grid]
     if len(axes) != hurst.d:
-        raise ValueError("space_grid axis count must match hurst.d")
+        raise ValueError("space_grid must be a list of hurst.d axes")
 
     full_axes = []
     nz_idx = []
@@ -491,27 +483,3 @@ def assumption_check(params: RegularityParams, hurst: HurstParams | None = None)
         h2_eps=h2_eps,
         hurst_region=region,
     )
-
-
-def save_fbs(field: FbsGridField, prefix: str | Path) -> None:
-    """Write a realization as a flat binary tensor plus a JSON sidecar.
-
-    ``<prefix>.bin`` holds the C-ordered little-endian float64 values with
-    shape ``sidecar["shape"]`` = (time points, space points per axis...),
-    and ``<prefix>.json`` the sidecar; both suffixes are appended to the
-    whole prefix, dots included.  Sidecar fields: ``hurst`` {h0, h, d},
-    ``time_points`` (grid, seconds), ``space_axes`` (one list per axis),
-    ``seed`` (generation seed), ``shape``, ``dtype`` ("<f8"), ``order`` ("C").
-    """
-    data = np.ascontiguousarray(field.values, dtype="<f8")
-    Path(f"{prefix}.bin").write_bytes(data.tobytes())
-    sidecar = {
-        "hurst": {"h0": field.hurst.h0, "h": field.hurst.h, "d": field.hurst.d},
-        "time_points": field.time_points.tolist(),
-        "space_axes": [a.tolist() for a in field.space_axes],
-        "seed": field.seed,
-        "shape": list(data.shape),
-        "dtype": "<f8",
-        "order": "C",
-    }
-    Path(f"{prefix}.json").write_text(json.dumps(sidecar, indent=2))

@@ -1,6 +1,5 @@
 """Time grids, sampled paths, the interpolation kernels (dyadic refinement,
-clamped multilinear locate-and-blend), the p-variation, and the CSV writer
-every export goes through.
+clamped multilinear locate-and-blend) and the p-variation.
 
 The p-variation is the exact supremum over sub-partitions of the
 observation grid, which coincides with the continuous-time value for the
@@ -10,7 +9,6 @@ used everywhere in this package.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +20,8 @@ __all__ = [
     "dyadic_interp",
     "locate",
     "blend",
-    "p_variation",
     "p_variation_suffixes",
     "p_variation_brute_force",
-    "write_csv",
 ]
 
 _ALIGN_RTOL = 1e-10
@@ -231,15 +227,6 @@ def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
     return (out ** (1.0 / p)).T
 
 
-def p_variation(path: SamplePath, p: float) -> float:
-    """Exact grid p-variation, sup over all sub-partitions of the grid.
-
-    The one-path, full-grid case of p_variation_suffixes.  For p = 1 this
-    is the total variation over the grid.
-    """
-    return float(p_variation_suffixes(path.values[None], p, (0,))[0, 0])
-
-
 def p_variation_brute_force(path: SamplePath, p: float) -> float:
     """Direct enumeration of all sub-partitions; oracle for small grids."""
     _check_exponent(p)
@@ -264,14 +251,3 @@ def p_variation_brute_force(path: SamplePath, p: float) -> float:
             s = np.sum(np.sqrt(np.sum(d * d, axis=1)) ** p)
         best = max(best, float(s))
     return best ** (1.0 / p)
-
-
-def write_csv(path, header, rows) -> None:
-    """RFC-4180 CSV with CRLF line ends: floats at 17 significant digits,
-    every other cell as str()."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(
-            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
-        )

@@ -28,6 +28,7 @@ from .bsde import (
     BsdeSpec,
     PicardParams,
     RegressionBasis,
+    _per_path,
     localized_solve,
     terminal_h_of_xt,
 )
@@ -311,20 +312,20 @@ def feynman_kac_cross_check(
 
     The MC side solves the stopped BSDE from each point (t, x) on a grid
     over [t, T] of its own, with exit at the box boundary, sharing
-    (h, f, g, sigma, b, eta) with the FD side.
+    (h, f, g, sigma, b, eta) with the FD side.  Each row's "x" is the
+    point's list of coordinates.
     """
     coarse = _values_at(spec, time_steps, space_steps, points).tolist()
     fine = _values_at(spec, 2 * time_steps, 2 * space_steps, points).tolist()
     report = []
     for q, ((t0, x0), u_fd, u_half) in enumerate(zip(points, coarse, fine)):
         fd_err = abs(u_fd - u_half)
-        xs = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
         u_mc, se = _mc_point(spec, t0, x0, n_paths, seed + q, mc_time_steps, basis, picard)
         tol = fd_err + 3.0 * se
         report.append(
             {
                 "t": float(t0),
-                "x": xs[0] if spec.dim == 1 else xs,
+                "x": np.atleast_1d(np.asarray(x0, dtype=float)).tolist(),
                 "u_fd": u_fd,
                 "u_mc": u_mc,
                 "se": se,
@@ -391,7 +392,8 @@ def neumann_fk_estimate(
     n_steps: int,
 ):
     """Estimate E[h(X_T) exp(int_t^T B(dr, X_r))] for X reflected in [a, b]
-    and started from start = (t, x), with T the driver's horizon.
+    and started from start = (t, x), with T the driver's horizon; h maps
+    X_T (k, 1) -> (k,).
 
     Reflected paths come from the discrete Skorohod map; the Young integral
     along each path uses the left-point germ on the n_steps-cell uniform
@@ -417,5 +419,6 @@ def neumann_fk_estimate(
     integral = np.zeros(n_paths)
     for j in range(n_steps):
         integral += fieldv.increment(times[j], times[j + 1], x[j][:, None])
-    vals = np.asarray(h(x[-1]), dtype=float) * np.exp(integral)
+    h_vals = _per_path("h", np.asarray(h(x[-1][:, None]), dtype=float), integral)
+    vals = h_vals * np.exp(integral)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))

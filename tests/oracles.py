@@ -12,7 +12,7 @@ from scipy.stats import norm
 from youngbsde import bsde
 from youngbsde.driver import FbsGridField, HurstParams
 from youngbsde.forward import PathEnsemble, StepNormals
-from youngbsde.paths import SamplePath, TimeGrid, aligned_index, dyadic_interp
+from youngbsde.paths import SamplePath, TimeGrid, aligned_index, dyadic_interp, p_variation_suffixes
 from youngbsde.sewing import Germ, sew
 
 
@@ -128,7 +128,7 @@ def backward_solve_path_major(spec, ensemble, basis=None, picard=None):
     k, n, d = ens.x.shape
     y = np.empty((k, n))
     z = np.empty((k, n - 1, d))
-    y[:, -1] = spec.terminal.terminal(ens)
+    y[:, -1] = bsde._terminal(spec.terminal, ens)
     realized = y[:, -1].copy()
     for i in range(n - 2, -1, -1):
         y_next = y[:, i + 1]
@@ -229,6 +229,12 @@ def restrict(path, interval):
     return SamplePath(TimeGrid(path.grid.points[ia : ib + 1]), path.values[ia : ib + 1])
 
 
+def p_variation(path, p: float) -> float:
+    """Exact grid p-variation of one path, the full-grid case of
+    p_variation_suffixes."""
+    return float(p_variation_suffixes(path.values[None], p, (0,))[0, 0])
+
+
 def holder_norm(path, gamma: float, interval=None) -> float:
     """Max over grid pairs of |g_b - g_a| / |b - a|**gamma (Euclidean)."""
     if not 0 < gamma <= 1:
@@ -306,8 +312,9 @@ def young_integral_against_path(y, m_path, levels: int = 12, tol: float = 1e-9):
 
 
 def load_fbs(prefix):
-    """Read back a realization written by driver.save_fbs, following the
-    sidecar layout that save_fbs documents."""
+    """Read back the realization an fbs-generate run wrote, following the
+    <prefix>.bin/<prefix>.json layout that the youngbsde.cli docstring
+    documents."""
     sidecar = json.loads(Path(f"{prefix}.json").read_text())
     raw = np.frombuffer(Path(f"{prefix}.bin").read_bytes(), dtype=sidecar["dtype"])
     return FbsGridField(

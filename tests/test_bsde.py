@@ -33,7 +33,7 @@ def rough_field(seed=11, h0=0.9, h=0.5, halfwidth=6.0):
     return fbs_generate(
         HurstParams(h0=h0, h=h),
         np.linspace(0.0, 1.0, 513),
-        np.linspace(-halfwidth, halfwidth, 129),
+        [np.linspace(-halfwidth, halfwidth, 129)],
         seed=seed,
         p=2.05,
     )
@@ -344,12 +344,19 @@ class TestRegression:
 class TestLinearClosedForm:
     def test_constant_terminal(self):
         _, ens = bm_ensemble(500, 16, seed=10)
-        res = linear_closed_form(
+        y0, se = linear_closed_form(
             ens, time_field(), terminal_h_of_xt(lambda x: np.full(x.shape[0], 3.0)),
             alpha=0.0,
         )
-        assert res.y0 == pytest.approx(3.0, abs=1e-12)
-        assert res.se == pytest.approx(0.0, abs=1e-12)
+        assert y0 == pytest.approx(3.0, abs=1e-12)
+        assert se == pytest.approx(0.0, abs=1e-12)
+
+    def test_terminal_profile_of_wrong_shape_rejected(self):
+        # a (k, 1) column would broadcast against the (k,) flow weights into
+        # a (k, k) outer product and give a wrong Y0 without an error
+        _, ens = bm_ensemble(300, 16, seed=12)
+        with pytest.raises(ValueError, match=r"terminal must return shape \(300,\), got shape \(300, 1\)"):
+            linear_closed_form(ens, time_field(), terminal_h_of_xt(lambda x: np.cos(x[:, :1])))
 
     def test_array_alpha_rejected(self):
         _, ens = bm_ensemble(20, 4, seed=10)
@@ -360,10 +367,10 @@ class TestLinearClosedForm:
     def test_scalar_exponential(self):
         a, c = 0.9, 2.0
         _, ens = bm_ensemble(200, 512, seed=11)
-        res = linear_closed_form(
+        y0, _ = linear_closed_form(
             ens, time_field(), terminal_h_of_xt(lambda x: np.full(x.shape[0], c)), alpha=a
         )
-        assert res.y0 == pytest.approx(c * np.exp(a), rel=2e-3)
+        assert y0 == pytest.approx(c * np.exp(a), rel=2e-3)
 
     def test_backward_solver_agrees_with_closed_form(self):
         # the linear-oracle battery at module scale (full scale in acceptance)
@@ -375,9 +382,9 @@ class TestLinearClosedForm:
             terminal_h_of_xt(h),
         )
         sol = backward_solve(spec, ens)
-        ref = linear_closed_form(ens, field, terminal_h_of_xt(h), alpha=1.0)
-        combined = np.sqrt(sol.y0_se ** 2 + ref.se ** 2)
-        assert abs(sol.y0 - ref.y0) <= 3 * combined
+        ref_y0, ref_se = linear_closed_form(ens, field, terminal_h_of_xt(h), alpha=1.0)
+        combined = np.sqrt(sol.y0_se ** 2 + ref_se ** 2)
+        assert abs(sol.y0 - ref_y0) <= 3 * combined
 
 
 class TestLocalized:
@@ -385,7 +392,7 @@ class TestLocalized:
         fwd, ens = bm_ensemble(300, 32, seed=16)
         idx = exit_indices(ens, 0.5)
         want = np.maximum.accumulate(ens.x[:, :, 0], axis=1)[np.arange(300), idx]
-        assert np.array_equal(terminal_running_max().value_at(ens, idx), want)
+        assert np.array_equal(terminal_running_max()(ens, idx), want)
 
     def test_infinite_radius_matches_plain(self):
         fwd, ens = bm_ensemble(800, 32, seed=17)
@@ -478,8 +485,10 @@ class TestComparison:
         fwd, ens = bm_ensemble(600, 16, seed=24)
         sa, sb = self._specs(time_field(), 0.1, zero_coupling)
         rep = comparison_experiment(sa, sb, ens)
-        diff = rep.solution_a.y - rep.solution_b.y
+        # the experiment's own solves: the same specs on the same ensemble
+        diff = backward_solve(sa, ens).y - backward_solve(sb, ens).y
         np.testing.assert_allclose(diff, 0.1, atol=1e-9)
+        assert rep.y0_gap == pytest.approx(0.1, abs=1e-9)
 
     def test_unordered_inputs_rejected(self):
         fwd, ens = bm_ensemble(100, 8, seed=25)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -508,6 +509,17 @@ class TestCliRuns:
         g = load_fbs(out / "field")
         assert g.seed == 4 and g.values.shape == (17, 17) and np.all(g.values[0] == 0.0)
 
+    def test_save_load_roundtrip(self, tmp_path):
+        driver = {"kind": "fbs", "hurst": {"h0": 0.6, "h": 0.7, "d": 1}, "time_cells": 5,
+                  "space_min": 0.0, "space_max": 1.0, "space_cells": 5, "seed": 9}
+        cfg = {"experiment": "fbs-generate", "seed": 1, "driver": driver, "prefix": "real"}
+        out = tmp_path / "fb"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        f = cli.build_field(validate_config(cfg)["driver"])
+        g = load_fbs(out / "real")
+        np.testing.assert_array_equal(f.values, g.values)
+        assert g.hurst == f.hurst and g.seed == 9
+
     def test_fbs_generate_prefix_keeps_its_dots(self, tmp_path):
         cfg = {
             "experiment": "fbs-generate",
@@ -562,6 +574,28 @@ class TestCliRuns:
         assert len(json.loads(cauchy["cauchy in n"])) == 2
         assert len(json.loads(cauchy["cauchy in m"])) == 1
 
+    def test_pde_table_writes_a_1d_x_as_a_number(self, tmp_path):
+        # [t, [x]] and [t, x] are one point, and results.csv writes both as x
+        cfg = {"experiment": "pde-table", "driver": {"kind": "analytic", "name": "sin_x_t08"},
+               "n_list": [1.0, 1.5], "m_list": [2], "points": [[0.0, [0.5]], [0.25, 0.5]],
+               "time_steps": 8, "cells_per_unit": 8}
+        out = tmp_path / "pt"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["x"] for row in rows] == ["0.5"] * 4
+
+    def test_manifest_records_the_blas_thread_settings(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        cfg = write_cfg(tmp_path, {"experiment": "integrate", "levels": 4, "cells": 8})
+        env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = tmp_path / "o"
+        subprocess.run([sys.executable, "-m", "youngbsde.cli", "run", str(cfg), "--out", str(out)],
+                       check=True, capture_output=True, env=env)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+
     def test_2d_cross_check_writes_plain_x(self, tmp_path):
         cfg = {"experiment": "cross-check", "seed": 1, "paths": 300,
                "driver": {"kind": "analytic", "name": "sin_x_time"},
@@ -573,6 +607,24 @@ class TestCliRuns:
             (row,) = csv.DictReader(fh)
         assert row["x"] == "[0.0, 0.1]"
         assert (out / "summary.txt").read_text().splitlines()[1].startswith("(0.0, [0.0, 0.1]): ")
+
+
+def test_only_cli_imports_the_file_modules():
+    # the CLI writes every file; the library modules only compute
+    found = []
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names
+                      if n.split(".")[0] in ("csv", "json", "pathlib")]
+    assert found == []
 
 
 CONFIGS =Path(__file__).resolve().parents[1] / "configs"

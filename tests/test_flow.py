@@ -22,7 +22,7 @@ def rough_field(seed=21, h0=0.8, h=0.6):
     return fbs_generate(
         HurstParams(h0=h0, h=h),
         np.linspace(0.0, 1.0, 2047),
-        np.linspace(-4.0, 4.0, 65),
+        [np.linspace(-4.0, 4.0, 65)],
         seed=seed,
         p=2.05,
     )

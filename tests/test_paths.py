@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import holder_norm, restrict, superadditivity_defect, uniform_norm
+from oracles import holder_norm, p_variation, restrict, superadditivity_defect, uniform_norm
 
 from youngbsde.paths import (
     SamplePath,
     TimeGrid,
     aligned_index,
     dyadic_interp,
-    p_variation,
     p_variation_brute_force,
     p_variation_suffixes,
 )

@@ -166,7 +166,7 @@ class TestFdSolve:
     def test_driver_without_derivative_rejected(self):
         rough = fbs_generate(
             HurstParams(h0=0.8, h=0.6), np.linspace(0, 0.25, 65),
-            np.linspace(-3, 3, 33), seed=1,
+            [np.linspace(-3, 3, 33)], seed=1,
         )
         with pytest.raises(ValueError, match="mollified or analytic-smooth"):
             heat_spec(field=rough)
@@ -312,7 +312,7 @@ class TestYoungPdeTable:
     def test_rough_driver_cauchy_in_m(self):
         base = fbs_generate(
             HurstParams(h0=0.9, h=0.6), np.linspace(0, 0.25, 129),
-            np.linspace(-5, 5, 65), seed=7, p=2.05,
+            [np.linspace(-5, 5, 65)], seed=7, p=2.05,
         )
         table = young_pde_table(
             lambda n, fld: heat_spec(g=lambda u: u, sigma=1.0, halfwidth=n, field=fld),
@@ -388,7 +388,7 @@ class TestNeumann:
             dt_fn=lambda t, x: np.zeros(t.shape),
         )
         est, se = neumann_fk_estimate(
-            lambda x: np.ones_like(x), field, (0.0, 1.0), (0.0, 0.5),
+            lambda x: np.ones(x.shape[0]), field, (0.0, 1.0), (0.0, 0.5),
             n_paths=500, seed=1, n_steps=64,
         )
         assert est == pytest.approx(1.0, abs=1e-12)
@@ -399,10 +399,17 @@ class TestNeumann:
         field = smooth_field()
         field.horizon = 1.0
         est, _ = neumann_fk_estimate(
-            lambda x: np.ones_like(x), field, (0.0, 1.0), (0.25, 0.5),
+            lambda x: np.ones(x.shape[0]), field, (0.0, 1.0), (0.25, 0.5),
             n_paths=400, seed=2, n_steps=64,
         )
         assert est == pytest.approx(np.exp(0.75), rel=1e-10)
+
+    def test_terminal_profile_of_wrong_shape_rejected(self):
+        # h gets X_T as (k, 1); an h written for (k,) returns a (k, 1) column,
+        # which would broadcast against the (k,) weights into a (k, k) product
+        with pytest.raises(ValueError, match=r"h must return shape \(300,\), got shape \(300, 1\)"):
+            neumann_fk_estimate(lambda x: np.cos(np.pi * x), smooth_field(), (0.0, 1.0), (0.0, 0.3),
+                                n_paths=300, seed=4, n_steps=16)
 
     def test_zero_driver_matches_occupation_quadrature(self):
         field = AnalyticField(
@@ -411,7 +418,8 @@ class TestNeumann:
         )
         field.horizon = 1.0
         h = lambda x: np.cos(np.pi * x)
-        est, se = neumann_fk_estimate(h, field, (0.0, 1.0), (0.0, 0.3), n_paths=40_000, seed=3, n_steps=512)
+        est, se = neumann_fk_estimate(lambda x: h(x[:, 0]), field, (0.0, 1.0), (0.0, 0.3),
+                                      n_paths=40_000, seed=3, n_steps=512)
         want = reflected_bm_expectation(h, 0.3, 1.0, 0.0, 1.0)
         assert abs(est - want) <= 3 * se + 2e-3
 

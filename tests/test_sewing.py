@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     interp,
     nonlinear_germ_defect,
+    p_variation,
     remainder_certificate,
     restrict,
     uniform_norm,
@@ -11,7 +12,7 @@ from oracles import (
 )
 
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
-from youngbsde.paths import SamplePath, TimeGrid, dyadic_interp, p_variation
+from youngbsde.paths import SamplePath, TimeGrid, dyadic_interp
 from youngbsde.sewing import Germ, SewingError, nonlinear_young_integral, sew
 
 
@@ -119,7 +120,7 @@ class TestNonlinearYoung:
         # and the finest running integral, on an fbs field, on the whole grid
         # and on an interior interval (paths restricted to it)
         field = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
-                             np.linspace(-2.0, 2.0, 33), seed=40, p=2.05)
+                             [np.linspace(-2.0, 2.0, 33)], seed=40, p=2.05)
         x = brownian_path(16, 41)
         y = SamplePath(x.grid, np.cos(x.grid.points) + x.values)
         for interval in (None, (0.25, 0.75)):
@@ -143,7 +144,7 @@ class TestNonlinearYoung:
         # the running integral is the cumulative sum of ys * increment on the
         # level-l refinement, read at every 2^l-th fine point
         field = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
-                             np.linspace(-2.0, 2.0, 33), seed=42, p=2.05)
+                             [np.linspace(-2.0, 2.0, 33)], seed=42, p=2.05)
         x = brownian_path(12, 43)
         y = SamplePath(x.grid, np.sin(3 * x.grid.points) - x.values)
         lev = 5
