@@ -104,11 +104,40 @@ def dyadic_interp(values: np.ndarray, level: int) -> np.ndarray:
 
 def locate(axis: np.ndarray, c: np.ndarray):
     """Cell (lo index, fraction) of each coordinate c clamped into the
-    increasing array axis."""
+    increasing array axis of n >= 2 points: lo = hi - 1, with hi the first
+    index in [1, n - 1] where axis[hi] >= c, the cell np.searchsorted
+    finds.
+
+    hi is guessed as ceil((c - a)(n - 1) / (b - a)) for the ends a, b of
+    the axis, as if it were uniform, and checked against
+    axis[hi - 1] < c <= axis[hi]; a NaN takes the last cell, as the search
+    puts it there.  A guess that fails (one a step off at a node, or a
+    coordinate at a, whose cell 1 the check's strict bound excludes) is
+    moved by one step each way and checked again with the outer bounds open,
+    and only the coordinates that still fail (cells of an axis far from
+    uniform) are searched.  So the result is exact on every increasing
+    axis, and on a linspace axis, as every lattice axis is, nothing is
+    searched.
+    """
+    n = axis.size
     c = np.clip(c, axis[0], axis[-1])
-    hi = np.clip(np.searchsorted(axis, c), 1, axis.size - 1)
+    hi = np.ceil((c - axis[0]) * ((n - 1) / (axis[-1] - axis[0])))
+    hi = np.fmax(np.fmin(hi, n - 1, out=hi), 1, out=hi).astype(np.intp)
     lo = hi - 1
-    return lo, (c - axis[lo]) / (axis[hi] - axis[lo])
+    lower, upper = axis[lo], axis[hi]
+    miss = np.flatnonzero((c <= lower) | (c > upper))
+    if miss.size:
+        edges = np.concatenate(([-np.inf], axis[1:-1], [np.inf]))
+        cm, hm = c[miss], hi[miss]
+        hm -= cm <= edges[hm - 1]
+        hm += cm > edges[hm]
+        far = (cm <= edges[hm - 1]) | (cm > edges[hm])
+        if far.any():
+            hm[far] = np.clip(np.searchsorted(axis, cm[far]), 1, n - 1)
+        hi[miss] = hm
+        lo = hi - 1
+        lower, upper = axis[lo], axis[hi]
+    return lo, (c - lower) / (upper - lower)
 
 
 def blend(values: np.ndarray, cells) -> np.ndarray:
@@ -164,6 +193,52 @@ def _check_exponent(p: float) -> None:
         raise ValueError("invalid exponent: need 1 <= p < inf")
 
 
+def _alternating_extrema(v: np.ndarray, starts: np.ndarray):
+    """The partition candidates of scalar paths v (n, k), time-major.
+
+    One pass over time keeps, per path, the first point of every run of
+    equal values that is not strictly inside a monotone run, so the kept
+    points strictly alternate between local maxima and minima.  A point
+    is pending until the path next moves: a turn keeps it, a move on in the
+    same direction replaces it.  A NaN step (at a NaN, just after one, or
+    between equal infinities) always counts as a turn.  Returns
+    (c, counts, after): the candidates (m, k) in order, padded with the last
+    value; their number per path; and per start s, the number of candidates
+    at or before s (S, k).
+    """
+    n, k = v.shape
+    c = np.empty((n, k))
+    cols = np.arange(k)
+    filled = np.zeros(k, dtype=np.intp)  # kept so far; c[filled] is pending
+    tail = v[0].copy()  # the pending value
+    rise = np.zeros(k)  # sign of the move into it, 0 before the first
+    c[0] = tail
+    after = np.zeros((starts.size, k), dtype=np.intp)
+    # a start's pending point lies at or before it; the path's next move
+    # decides whether it is kept (a turn) or replaced by a later point
+    undecided = np.zeros((starts.size, k), dtype=bool)
+    undecided[starts == 0] = True
+    for i in range(1, n):
+        step = v[i] - tail
+        sign = np.sign(step)
+        moved = step != 0  # NaN moves
+        turned = moved & (sign != rise)
+        after += undecided & turned
+        undecided &= ~moved
+        filled += turned
+        np.copyto(tail, v[i], where=moved)
+        np.copyto(rise, sign, where=moved)
+        c[filled, cols] = tail
+        at = starts == i
+        after[at] = filled
+        undecided[at] = True
+    after += undecided
+    counts = filled + 1
+    c = c[: int(counts.max())]
+    np.copyto(c, tail, where=np.arange(c.shape[0])[:, None] >= counts)
+    return c, counts, after
+
+
 def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
     """Exact grid p-variation of the suffixes values[:, s:] for s in starts,
     for each of k paths on one grid.
@@ -171,13 +246,23 @@ def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
     values has shape (k, n) for scalar paths or (k, n, d); increments are
     Euclidean.  Backward dynamic programme W(i) = max_{j>i} |g_j - g_i|^p
     + W(j) over the last point and the candidate partition points, then
-    one masked row max_{j>s} |g_j - g_s|^p + W(j) per start s.  For a
-    scalar path the candidates skip every point strictly inside a monotone
-    run (d_{i-1} d_i > 0): for p >= 1 the supremum is attained on local
-    extrema (Butkus & Norvaisa, Lith. Math. J. 58, 2018).  Ties, plateaus
-    and non-finite values stay candidates; vector paths keep every point.
-    O(m^2 k) for at most m candidates per path.  Returns shape
-    (k, len(starts)): column q is the p-variation of values[:, starts[q]:].
+    one dense row max_{j>s} |g_j - g_s|^p + W(j) per start s.
+
+    For a scalar path the candidates are its alternating extrema: one point
+    per run of equal values (equal values give equal increments), and none
+    strictly inside a monotone run; for p >= 1 the supremum is attained on
+    local extrema (Butkus & Norvaisa, Lith. Math. J. 58, 2018).  What is
+    left alternates between local maxima and minima, and in an optimal
+    partition the point after a maximum is a minimum and the reverse: if
+    two consecutive points i < j were both maxima, the lowest candidate l
+    between them lies strictly below both, and for p >= 1
+    |g_i - g_l|^p + |g_l - g_j|^p > |g_i - g_j|^p, so inserting l would
+    raise the sum.  W(i) therefore takes its max over every second
+    candidate after i only, O(m^2 k / 4) for at most m candidates per path.
+    Vector paths keep every point and the full O(n^2 k) programme.  A NaN
+    propagates to every suffix that contains an increment touching it.
+    Returns shape (k, len(starts)): column q is the p-variation of
+    values[:, starts[q]:].
     """
     _check_exponent(p)
     v = np.moveaxis(np.asarray(values, dtype=float), 1, 0)  # time-major view
@@ -185,42 +270,31 @@ def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
     starts = np.asarray(starts, dtype=np.intp).reshape(-1)
     if np.any((starts < 0) | (starts >= n)):
         raise ValueError("starts must lie in [0, n)")
-    cand = np.ones((n, k), dtype=bool)
     if v.ndim == 2:
-        d = np.diff(v, axis=0)
-        cand[1:-1] = ~(d[:-1] * d[1:] > 0)
-        del d  # the DP below runs at the caller's peak memory
-    counts = cand.sum(axis=0)
-    # gather each path's candidates in order into contiguous rows, padded
-    # with its last point, which adds nothing to any partition; after[q]
-    # counts the candidates at or before starts[q]
-    c = np.empty((int(counts.max()), k) + v.shape[2:])
-    c[:] = v[-1]
-    filled = np.zeros(k, dtype=np.intp)
-    after = np.empty((starts.size, k), dtype=np.intp)
-    for i in range(n):
-        cols = np.flatnonzero(cand[i])
-        c[filled[cols], cols] = v[i, cols]
-        filled[cols] += 1
-        after[starts == i] = filled
+        c, counts, after = _alternating_extrema(v, starts)
+        stride = 2
+    else:
+        c, counts = np.ascontiguousarray(v), n
+        after = np.broadcast_to(starts[:, None] + 1, (starts.size, k))
+        stride = 1
     m = c.shape[0]
 
-    def gains(j0, at):
-        # |c_j - at|^p for the candidates j >= j0
-        inc = c[j0:] - at
+    def gains(cand, at):
+        # |cand - at|^p for a block of candidates
+        inc = cand - at
         inc = np.abs(inc, out=inc) if inc.ndim == 2 else np.sqrt(np.sum(inc * inc, axis=2))
         inc **= p
         return inc
 
     best = np.zeros((m, k))
     for i in range(m - 2, -1, -1):
-        inc = gains(i + 1, c[i])
-        inc += best[i + 1 :]
+        inc = gains(c[i + 1 :: stride], c[i])
+        inc += best[i + 1 :: stride]
         best[i] = inc.max(axis=0)
     idx = np.arange(m)[:, None]
     out = np.empty((starts.size, k))
     for q, s in enumerate(starts):
-        inc = gains(0, v[s])
+        inc = gains(c, v[s])
         inc += best
         inc[(idx < after[q]) | (idx >= counts)] = 0.0
         out[q] = inc.max(axis=0)

@@ -399,9 +399,13 @@ def neumann_fk_estimate(
     along each path uses the left-point germ on the n_steps-cell uniform
     grid over [t, T].
     The driver should sit in the H0 + H/2 > 1 regularity window (warned
-    otherwise for sheet realizations).  Returns (estimate, standard error).
+    otherwise for sheet realizations, also under a mollifier, whose Hurst
+    indices are read through its base).  Returns (estimate, standard error).
     """
-    hurst = getattr(fieldv, "hurst", None)
+    sheet = fieldv
+    while not hasattr(sheet, "hurst") and hasattr(sheet, "base"):
+        sheet = sheet.base
+    hurst = getattr(sheet, "hurst", None)
     if hurst is not None and hurst.h0 + hurst.h / 2 <= 1:
         warnings.warn("driver outside the declared window H0 + H/2 > 1", stacklevel=2)
     a, b = interval

@@ -229,6 +229,63 @@ def restrict(path, interval):
     return SamplePath(TimeGrid(path.grid.points[ia : ib + 1]), path.values[ia : ib + 1])
 
 
+def locate_searchsorted(axis, c):
+    """paths.locate by np.searchsorted: the cell (lo, fraction) of each
+    coordinate c clamped into the increasing array axis."""
+    c = np.clip(c, axis[0], axis[-1])
+    hi = np.clip(np.searchsorted(axis, c), 1, axis.size - 1)
+    lo = hi - 1
+    return lo, (c - axis[lo]) / (axis[hi] - axis[lo])
+
+
+def p_variation_suffixes_dense(values, p: float, starts):
+    """p_variation_suffixes with the inner max of the backward programme
+    over every candidate after i: the candidates are every point except
+    those strictly inside a monotone run (d_{i-1} d_i > 0; ties, plateaus
+    and non-finite values stay) for scalar paths, and every point for
+    vector paths."""
+    v = np.moveaxis(np.asarray(values, dtype=float), 1, 0)
+    n, k = v.shape[:2]
+    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    cand = np.ones((n, k), dtype=bool)
+    if v.ndim == 2:
+        d = np.diff(v, axis=0)
+        cand[1:-1] = ~(d[:-1] * d[1:] > 0)
+    counts = cand.sum(axis=0)
+    # each path's candidates in order, padded with its last point; after[q]
+    # counts the candidates at or before starts[q]
+    c = np.empty((int(counts.max()), k) + v.shape[2:])
+    c[:] = v[-1]
+    filled = np.zeros(k, dtype=np.intp)
+    after = np.empty((starts.size, k), dtype=np.intp)
+    for i in range(n):
+        cols = np.flatnonzero(cand[i])
+        c[filled[cols], cols] = v[i, cols]
+        filled[cols] += 1
+        after[starts == i] = filled
+    m = c.shape[0]
+
+    def gains(j0, at):
+        inc = c[j0:] - at
+        inc = np.abs(inc, out=inc) if inc.ndim == 2 else np.sqrt(np.sum(inc * inc, axis=2))
+        inc **= p
+        return inc
+
+    best = np.zeros((m, k))
+    for i in range(m - 2, -1, -1):
+        inc = gains(i + 1, c[i])
+        inc += best[i + 1 :]
+        best[i] = inc.max(axis=0)
+    idx = np.arange(m)[:, None]
+    out = np.empty((starts.size, k))
+    for q, s in enumerate(starts):
+        inc = gains(0, v[s])
+        inc += best
+        inc[(idx < after[q]) | (idx >= counts)] = 0.0
+        out[q] = inc.max(axis=0)
+    return (out ** (1.0 / p)).T
+
+
 def p_variation(path, p: float) -> float:
     """Exact grid p-variation of one path, the full-grid case of
     p_variation_suffixes."""

@@ -414,6 +414,29 @@ class TestTimeSlice:
             f.evaluate(t, x)
         assert located == [k]
 
+    def test_linspace_lattices_never_search(self, monkeypatch):
+        # every axis of these lattices is a linspace, so locate finds each
+        # cell without np.searchsorted, in time and in space, at one time
+        # and at distinct ones
+        rng = np.random.default_rng(8)
+        queries = []
+        for name, f in slice_fields().items():
+            if f._lattice is None:
+                continue
+            x = rng.uniform(-3.0, 3.0, (400, f.dim))
+            t = rng.uniform(0.0, f.horizon, 400)
+            queries.append((name, f, x, t, [f.increment(0.1, 0.3, x), f.increment(t[::-1], t, x),
+                                            f.evaluate(t, x)]))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("np.searchsorted reached")
+
+        monkeypatch.setattr(np, "searchsorted", boom)
+        for name, f, x, t, want in queries:
+            got = [f.increment(0.1, 0.3, x), f.increment(t[::-1], t, x), f.evaluate(t, x)]
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
     def test_one_point_keeps_shape(self):
         f = slice_fields()["mollified"]
         assert f.increment(0.0, 0.2, np.array([[0.3]])).shape == (1,)

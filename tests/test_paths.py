@@ -1,14 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import holder_norm, p_variation, restrict, superadditivity_defect, uniform_norm
+from oracles import (
+    holder_norm,
+    locate_searchsorted,
+    p_variation,
+    p_variation_suffixes_dense,
+    restrict,
+    superadditivity_defect,
+    uniform_norm,
+)
 
 from youngbsde.paths import (
     SamplePath,
     TimeGrid,
     aligned_index,
     dyadic_interp,
+    locate,
     p_variation_brute_force,
     p_variation_suffixes,
 )
@@ -282,6 +293,146 @@ class TestTurningPointDp:
                 call()
 
 
+def dense_bitwise(vals, p, starts):
+    # the alternating programme against the dense one, bit for bit
+    got = p_variation_suffixes(vals, p, starts)
+    np.testing.assert_array_equal(got, p_variation_suffixes_dense(vals, p, starts))
+    return got
+
+
+class TestAlternatingDp:
+    """The scalar programme's max over every second alternating extremum
+    against the dense programme over every turning point (oracles), which
+    it must reproduce bit for bit: the max runs over a subset of the same
+    terms that holds the optimum."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_random_walks_at_diagnostics_size(self, p):
+        v = np.cumsum(np.random.default_rng(50).standard_normal((4000, 129)), axis=1)
+        dense_bitwise(v, p, (0, 32, 64, 96))
+        dense_bitwise(v[:100], p, range(129))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_plateaus_and_repeated_values(self, p):
+        vals = np.array([
+            [0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 2.0, -1.0, -1.0],
+            [1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0],
+            [5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0],
+        ])
+        dense_bitwise(vals, p, range(10))
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_starts_inside_plateaus(self, p):
+        # plateaus inside a rise, at a maximum, at a minimum and at the end;
+        # every start, so most fall inside one
+        vals = np.array([
+            [0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 1.0, 1.0, 1.0, 0.0, 4.0, 4.0],
+            [3.0, 3.0, 3.0, 1.0, 1.0, 2.0, 2.0, 5.0, 5.0, 5.0, -2.0, -2.0],
+            [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 2.0, 2.0, 1.0, 1.0],
+        ])
+        got = dense_bitwise(vals, p, range(12))
+        # from inside the last plateau nothing moves
+        np.testing.assert_array_equal(got[:2, -2:], 0.0)
+        ints = np.cumsum(np.random.default_rng(51).integers(-1, 2, (500, 30)), axis=1)
+        dense_bitwise(ints.astype(float), p, range(30))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_non_finite_values(self, bad, p):
+        # [0, 1, 3, 2, 0, 1, 4, 5, 6, 2]: turning points at 2, 4 and 8,
+        # runs through 1, 3, 5-7, and the two ends; then every position of
+        # random walks, one non-finite value at a time and two in a row
+        row = np.array([0.0, 1.0, 3.0, 2.0, 0.0, 1.0, 4.0, 5.0, 6.0, 2.0])
+        walks = np.cumsum(np.random.default_rng(52).standard_normal((20, 10)), axis=1)
+        with np.errstate(invalid="ignore"):
+            for pos in range(10):
+                vals = np.concatenate([row[None], walks])
+                vals[:, pos] = bad
+                got = dense_bitwise(vals, p, range(10))
+                if np.isnan(bad):
+                    # every suffix with an increment at the NaN
+                    assert np.all(np.isnan(got[:, : min(pos + 1, 9)]))
+                    assert np.all(np.isfinite(got[:, pos + 1 :]))
+                vals[:, (pos + 1) % 10] = bad
+                dense_bitwise(vals, p, range(10))
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_vector_paths_keep_the_full_programme(self, p):
+        vals = np.cumsum(np.random.default_rng(53).standard_normal((200, 40, 2)), axis=1)
+        vals[0, 10:20] = vals[0, 10]
+        dense_bitwise(vals, p, (0, 9, 10, 15, 39))
+
+    def test_p1_plateau_inside_a_rise_takes_the_direct_increment(self):
+        # at p = 1 a plateau inside a monotone run ties in exact arithmetic
+        # with the direct increment; the dense programme keeps the plateau
+        # and rounds (0.3 - 0.2) + (0.9 - 0.3) one ulp above 0.9 - 0.2, the
+        # alternating one drops it and returns the direct increment
+        vals = np.array([[0.2, 0.3, 0.3, 0.9]])
+        got = p_variation_suffixes(vals, 1.0, (0,))[0, 0]
+        dense = p_variation_suffixes_dense(vals, 1.0, (0,))[0, 0]
+        assert got == 0.9 - 0.2 and dense == np.nextafter(got, 1.0)
+
+
+class TestLocate:
+    """locate against np.searchsorted (oracles), bit for bit."""
+
+    @staticmethod
+    def assert_reference(axis, c):
+        want = locate_searchsorted(axis, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, frac = locate(axis, c)
+        np.testing.assert_array_equal(lo, want[0])
+        np.testing.assert_array_equal(frac, want[1])
+
+    @pytest.mark.parametrize("a, b, n", [(-2.0, 2.0, 129), (0.0, 0.5, 257), (-4.0, 4.0, 65),
+                                         (0.0, 1.0, 2), (0.1, 0.7, 3), (1e3, 1e3 + 1e-6, 33)])
+    def test_uniform_axes(self, a, b, n):
+        axis = np.linspace(a, b, n)
+        width = b - a
+        rng = np.random.default_rng(n)
+        c = np.concatenate([
+            axis, np.nextafter(axis, np.inf), np.nextafter(axis, -np.inf),
+            rng.uniform(a - width, b + width, 10_000),
+            [a - width, b + width, -1e300, 1e300],
+        ])
+        self.assert_reference(axis, c)
+
+    def test_non_uniform_axes(self):
+        rng = np.random.default_rng(60)
+        for axis in (np.sort(rng.uniform(-1.0, 1.0, 50)), np.geomspace(1e-3, 1e3, 40),
+                     np.array([0.0, 1e-9, 1.0, 1.0 + 1e-12, 5.0]), np.append(np.linspace(-2, 2, 9), 7.0)):
+            c = np.concatenate([axis, np.nextafter(axis, np.inf), np.nextafter(axis, -np.inf),
+                                rng.uniform(axis[0] - 1.0, axis[-1] + 1.0, 5_000)])
+            self.assert_reference(axis, c)
+
+    def test_non_finite_coordinates(self):
+        # the same (lo, frac) as the search, with no RuntimeWarning from
+        # casting a NaN guess to an index
+        for axis in (np.linspace(-2.0, 2.0, 129), np.geomspace(1.0, 10.0, 7)):
+            c = np.array([np.nan, np.inf, -np.inf, axis[3], np.nan, 0.5 * (axis[0] + axis[1])])
+            self.assert_reference(axis, c)
+
+    def test_uniform_axis_never_searches(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        axes = [np.linspace(-2.0, 2.0, 129), np.linspace(0.0, 0.5, 513)]
+        cases = [(ax, np.concatenate([ax, np.nextafter(ax, np.inf), np.nextafter(ax, -np.inf),
+                                      rng.uniform(-3.0, 3.0, 10_000)])) for ax in axes]
+        wants = [locate_searchsorted(ax, c) for ax, c in cases]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("np.searchsorted reached")
+
+        monkeypatch.setattr(np, "searchsorted", boom)
+        for (ax, c), want in zip(cases, wants):
+            lo, frac = locate(ax, c)
+            np.testing.assert_array_equal(lo, want[0])
+            np.testing.assert_array_equal(frac, want[1])
+        with pytest.raises(AssertionError, match="reached"):
+            locate(np.geomspace(1.0, 1e3, 10), np.array([500.0]))
+
+
 class TestHolderUniform:
     def test_linear_path(self):
         g = TimeGrid.uniform(1.0, 8)
@@ -346,13 +497,22 @@ class TestControls:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.floats(-5, 5), min_size=3, max_size=9),
+    st.one_of(
+        st.lists(st.floats(-5, 5), min_size=3, max_size=9),
+        # few distinct values: plateaus, repeated extrema and ties
+        st.lists(st.integers(-2, 2).map(float), min_size=3, max_size=12),
+    ),
     st.floats(1.0, 4.0),
 )
 def test_dp_equals_enumeration_property(values, p):
     path = path_on_unit_grid(values)
     assert p_variation(path, p) == pytest.approx(
         p_variation_brute_force(path, p), rel=1e-10, abs=1e-12
+    )
+    starts = range(len(values))
+    np.testing.assert_allclose(
+        p_variation_suffixes(path.values[None], p, starts),
+        p_variation_suffixes_dense(path.values[None], p, starts), rtol=1e-13, atol=0,
     )
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from oracles import fd_dirichlet_solve_superlu, heat_solution_gaussian_bump, ref
 
 from youngbsde import pde
 from youngbsde.cli import main
-from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
+from youngbsde.driver import AnalyticField, HurstParams, MollifiedField, RegularityParams, fbs_generate
 from youngbsde.forward import SdeSpec
 from youngbsde.pde import (
     PdeSolution,
@@ -410,6 +411,20 @@ class TestNeumann:
         with pytest.raises(ValueError, match=r"h must return shape \(300,\), got shape \(300, 1\)"):
             neumann_fk_estimate(lambda x: np.cos(np.pi * x), smooth_field(), (0.0, 1.0), (0.0, 0.3),
                                 n_paths=300, seed=4, n_steps=16)
+
+    @pytest.mark.parametrize("h0, warns", [(0.6, True), (0.9, False)])
+    def test_window_warning_sees_through_a_mollifier(self, h0, warns):
+        # H0 + H/2 = 0.85 is outside the window and 1.15 inside, for the
+        # sheet itself and for a mollifier over it
+        sheet = fbs_generate(HurstParams(h0=h0, h=0.5), np.linspace(0.0, 1.0, 33),
+                             [np.linspace(-1.0, 2.0, 13)], seed=3)
+        for field in (sheet, MollifiedField(sheet, 8)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                neumann_fk_estimate(lambda x: np.ones(x.shape[0]), field, (0.0, 1.0), (0.0, 0.5),
+                                    n_paths=50, seed=1, n_steps=8)
+            window = [w for w in caught if "declared window" in str(w.message)]
+            assert len(window) == warns, type(field).__name__
 
     def test_zero_driver_matches_occupation_quadrature(self):
         field = AnalyticField(
