@@ -67,7 +67,7 @@ from .driver import (
 )
 from .flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
-from .paths import SamplePath, TimeGrid, dyadic_interp
+from .paths import SamplePath, TimeGrid, dyadic_blocks
 from .pde import (
     PdeSpec,
     feynman_kac_cross_check,
@@ -245,8 +245,9 @@ _HURST = {"h0": _num(lo=0, hi=1), "h": _num(lo=0, hi=1), "d": _count(1)}
 _FBS_CELLS = MAX_FBS_AXIS - 2  # cells + 1 nodes, plus 0 when the axis misses it
 
 # the most fine cells, cells * 2^levels, that integrate and flow refine to
-# (flow counts the dim^2 entries of each fine factor); 2^22 fine cells take
-# about 0.35 GB in integrate
+# (flow counts the dim^2 entries of each fine factor); both walk the fine
+# cells in blocks (paths.dyadic_blocks), so a run at the bound peaks at about
+# 44 MB resident, 36 MB of it the interpreter and numpy
 MAX_FINE_POINTS = 2**22
 
 # the most (path, time, coordinate) entries, paths * (steps + 1) * dim, of
@@ -326,7 +327,9 @@ _BSDE_KEYS = {
     "bsde": _BSDE,
     "basis": _BASIS,
     "picard": _PICARD,
-    "paths": _count(4000),
+    # every experiment with paths estimates a standard error over them
+    # (localize one per radius, which results.csv leaves out), so needs two
+    "paths": _count(4000, lo=2),
 }
 
 
@@ -367,7 +370,7 @@ _TABLE = {
     ),
     "cross-check": _experiment(
         pde={"halfwidth": _num(2.0, lo=0), **_PDE}, driver=_Obj(_REQUIRED, _DRIVERS, kinds=True),
-        points=_POINTS, paths=_count(20_000), time_steps=_count(96),
+        points=_POINTS, paths=_count(20_000, lo=2), time_steps=_count(96),
         space_steps=_count(192, lo=2), mc_time_steps=_count(96), basis=_BASIS, picard=_PICARD,
     ),
     "localization-error": _experiment(
@@ -377,7 +380,7 @@ _TABLE = {
     ),
     "neumann": _experiment(
         driver=_Obj(_REQUIRED, _DRIVERS, kinds=True), interval=_list([0.0, 1.0], _num(), size=2),
-        start=_list([0.0, 0.5], _num(), size=2), paths=_count(20_000), steps=_count(256),
+        start=_list([0.0, 0.5], _num(), size=2), paths=_count(20_000, lo=2), steps=_count(256),
         terminal_name=_enum("cos-pi", NEUMANN_TERMINALS),
     ),
     "fbs-generate": _experiment(
@@ -558,15 +561,17 @@ def _run_integrate(cfg, out_dir):
     x = _brownian_sample(cfg["cells"], cfg["path_seed"])
     grid, levels = x.grid, cfg["levels"]
     cases = ["time", "bilinear", "sin_x_time", "cos_x_time", "gauss_x_time"]
-    rows = []
     y = SamplePath(grid, np.cos(grid.points))
-    fine = dyadic_interp(grid.points, levels)
-    ys = dyadic_interp(y.values, levels)[:-1]
-    xs = dyadic_interp(x.as_matrix(), levels)[:-1]
-    for name in cases:
+    # every case's left-point quadrature of y d_t eta, summed block by block
+    quads = [0.0] * len(cases)
+    for _, (t, ys, xs) in dyadic_blocks(levels, grid.points, y.values, x.as_matrix()):
+        left, ys, xs, dt = t[:-1], ys[:-1], xs[:-1], np.diff(t)
+        for i, name in enumerate(cases):
+            quads[i] += float(np.sum(ys * ANALYTIC_FIELDS[name].time_derivative(left, xs) * dt))
+    rows = []
+    for name, quad in zip(cases, quads):
         fld = ANALYTIC_FIELDS[name]
         young = float(nonlinear_young_integral(y, x, fld, levels=levels).values[-1])
-        quad = float(np.sum(ys * fld.time_derivative(fine[:-1], xs) * np.diff(fine)))
         rows.append({"case": name, "young": young, "riemann": quad, "abs_diff": abs(young - quad)})
     summary = [f"{r['case']}: |Young - Riemann| = {r['abs_diff']:.3e}" for r in rows]
     ok = all(r["abs_diff"] <= 1e-6 for r in rows)
@@ -588,9 +593,7 @@ def _run_flow(cfg, out_dir):
     for s in x.grid.points[1:-1][:: max(1, cells // 8)]:
         gap = np.max(np.abs(flow.segment(s, 1.0) @ flow.segment(0.0, s) - full))
         coc = max(coc, gap / max(1.0, np.max(np.abs(full))))
-    inv_res = max(
-        np.max(np.abs(g @ gi - np.eye(dim))) for g, gi in zip(flow.matrices, inv.matrices)
-    )
+    inv_res = float(np.max(np.abs(flow.matrices @ inv.matrices - np.eye(dim))))
     errs = []
     for lev in range(3):
         euler = solve_linear_yode(np.ones((x.grid.n, 1, 1)), x, fld, levels=lev).matrices[:, 0, 0]

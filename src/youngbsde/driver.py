@@ -321,12 +321,16 @@ def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: fl
     for a in [t_pts, *axes]:
         if a.ndim != 1 or not np.all(np.diff(a) > 0):
             raise ValueError("grid axes must be strictly increasing 1-D arrays")
-        if not np.any(np.isclose(a, 0.0)):
+        # the points at 0, as np.isclose(a, 0.0) finds them at its default
+        # tolerances
+        zero = np.abs(a) <= 1e-8
+        if not zero.any():
             a = np.sort(np.append(a, 0.0))
+            zero = a == 0.0
         if a.size > MAX_FBS_AXIS:
             raise ValueError(f"axis too large for dense factorization (> {MAX_FBS_AXIS})")
         full_axes.append(a)
-        nz_idx.append(~np.isclose(a, 0.0))
+        nz_idx.append(~zero)
 
     hs = [hurst.h0] + [hurst.h] * hurst.d
     chols = [_chol_axis(a[m], h) for a, m, h in zip(full_axes, nz_idx, hs)]

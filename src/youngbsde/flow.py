@@ -9,8 +9,10 @@ dyadically ``levels`` times,
 
 which is the one left-point sum sewing.nonlinear_young_integral forms on
 the same refinement.  The step factor of one base cell is the product of
-its 2^levels fine factors, formed pairwise in ``levels`` rounds for all
-cells at once; the pairwise bracketing moves it by rounding only.
+its 2^levels fine factors, formed pairwise in ``levels`` rounds; the
+pairwise bracketing moves it by rounding only.  The fine factors are built
+and multiplied out in blocks of whole base cells (paths.dyadic_blocks), so
+only one block's are held at a time.
 The flow matrices are the sequential product of the stored step factors
 over the base cells, and FlowMatrix.segment re-brackets that same product,
 so the cocycle G_T^s G_s^t = G_T^t is still exact on grid-aligned triples.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import DriverField
-from .paths import SamplePath, aligned_index, dyadic_interp
+from .paths import SamplePath, aligned_index, dyadic_blocks
 from .sewing import nonlinear_young_integral
 
 __all__ = ["FlowMatrix", "FlowError", "solve_linear_yode", "inverse_flow", "exp_formula_1d"]
@@ -75,9 +77,10 @@ def solve_linear_yode(
     """Euler flow of the linear Young ODE from the first point of x's grid.
 
     ``alpha`` is an (n, N, N) array: one N x N matrix per grid point.
-    ``levels`` refines each grid cell dyadically before stepping; the
-    returned matrices and step factors live on the original grid, so the
-    cocycle identity holds exactly.
+    ``levels`` refines each grid cell dyadically before stepping; the fine
+    factors are formed one block of base cells at a time.  The returned
+    matrices and step factors live on the original grid, so the cocycle
+    identity holds exactly.
     """
     grid = x.grid
     a = np.asarray(alpha, dtype=float)
@@ -86,21 +89,22 @@ def solve_linear_yode(
     dim = a.shape[-1]
 
     cells, k = grid.n - 1, 2**levels
-    # fine left points and field increments
-    tf = dyadic_interp(grid.points, levels)
-    xf = dyadic_interp(x.as_matrix(), levels)[:-1]
-    d_eta = fieldv.increment(tf[:-1], tf[1:], xf).reshape(cells, k)
-
     eye = np.eye(dim)
+    steps = np.empty((cells, dim, dim))
+    for c, (t, xs) in dyadic_blocks(levels, grid.points, x.as_matrix()):
+        m = (t.size - 1) // k
+        # field increments at the fine left points
+        d_eta = fieldv.increment(t[:-1], t[1:], xs[:-1]).reshape(m, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # every fine factor I + a^T d_eta, alpha left-constant in cells,
+            # then pairwise products inside each cell, later on the left
+            f = np.einsum("cij,ck->ckji", a[c : c + m], d_eta) + eye
+            while f.shape[1] > 1:
+                f = f[:, 1::2] @ f[:, 0::2]
+        steps[c : c + m] = f[:, 0]
     mats = np.empty((cells + 1, dim, dim))
     mats[0] = eye
     with np.errstate(over="ignore", invalid="ignore"):
-        # every fine factor I + a^T d_eta, alpha left-constant in cells,
-        # then pairwise products inside each cell, later on the left
-        f = np.einsum("cij,ck->ckji", a[:-1], d_eta) + eye
-        while f.shape[1] > 1:
-            f = f[:, 1::2] @ f[:, 0::2]
-        steps = f[:, 0]
         for j in range(cells):
             np.matmul(steps[j], mats[j], out=mats[j + 1])
     finite = np.isfinite(mats).all(axis=(1, 2))

@@ -1,5 +1,6 @@
 """Time grids, sampled paths, the interpolation kernels (dyadic refinement,
-clamped multilinear locate-and-blend) and the p-variation.
+whole or in blocks of base cells, and clamped multilinear locate-and-blend)
+and the p-variation.
 
 The p-variation is the exact supremum over sub-partitions of the
 observation grid, which coincides with the continuous-time value for the
@@ -18,6 +19,7 @@ __all__ = [
     "SamplePath",
     "aligned_index",
     "dyadic_interp",
+    "dyadic_blocks",
     "locate",
     "blend",
     "p_variation_suffixes",
@@ -25,6 +27,10 @@ __all__ = [
 ]
 
 _ALIGN_RTOL = 1e-10
+
+# fine cells per block of dyadic_blocks: 2^16 fine values take 0.5 MB, so a
+# block's arrays stay in cache while a caller works through them
+_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,19 @@ def aligned_index(points: np.ndarray, t: float) -> int:
     raise ValueError("misaligned interval")
 
 
+def _dyadic_rows(v: np.ndarray, diff: np.ndarray, frac: np.ndarray, c: int, e: int) -> np.ndarray:
+    # rows of the refinement of v from the first point of base cell c through
+    # base point e; diff = np.diff(v, axis=0) and frac = arange(2^level) / 2^level
+    k = frac.size
+    out = np.empty(((e - c) * k + 1,) + v.shape[1:])
+    body = out[:-1].reshape((e - c, k) + v.shape[1:])
+    np.multiply(frac.reshape((1, k) + (1,) * (v.ndim - 1)), diff[c:e, None], out=body)
+    body += v[c:e, None]
+    # base point e is the last value, or the first point of cell e
+    out[-1] = v[e] if e == diff.shape[0] else frac[0] * diff[e] + v[e]
+    return out
+
+
 def dyadic_interp(values: np.ndarray, level: int) -> np.ndarray:
     """Piecewise-linear values at every point of the level-``level`` dyadic
     refinement of the grid that values (n,) or (n, d) are sampled on.
@@ -92,14 +111,29 @@ def dyadic_interp(values: np.ndarray, level: int) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     k = 2**level
-    cells = v.shape[0] - 1
-    out = np.empty((cells * k + 1,) + v.shape[1:])
-    body = out[:-1].reshape((cells, k) + v.shape[1:])
-    frac = (np.arange(k) / k).reshape((1, k) + (1,) * (v.ndim - 1))
-    np.multiply(frac, np.diff(v, axis=0)[:, None], out=body)
-    body += v[:-1, None]
-    out[-1] = v[-1]
-    return out
+    return _dyadic_rows(v, np.diff(v, axis=0), np.arange(k) / k, 0, v.shape[0] - 1)
+
+
+def dyadic_blocks(level: int, *values):
+    """The rows of dyadic_interp(v, level) for each of values, arrays (n,)
+    or (n, d) sampled on one grid, in blocks of consecutive whole base cells.
+
+    Yields (c, [block of each value]): a block covers base cells c, c + 1,
+    ..., about _BLOCK_CELLS fine cells (a single base cell finer than that
+    is a block of its own), and holds their fine points and its last base
+    point, so consecutive blocks share one row.  Each block is bitwise equal
+    to the matching rows of dyadic_interp, and only one block of each value
+    is alive at a time.
+    """
+    vs = [np.asarray(v, dtype=float) for v in values]
+    diffs = [np.diff(v, axis=0) for v in vs]
+    k = 2**level
+    frac = np.arange(k) / k
+    cells = vs[0].shape[0] - 1
+    step = max(1, _BLOCK_CELLS >> level)
+    for c in range(0, cells, step):
+        e = min(c + step, cells)
+        yield c, [_dyadic_rows(v, d, frac, c, e) for v, d in zip(vs, diffs)]
 
 
 def locate(axis: np.ndarray, c: np.ndarray):

@@ -6,8 +6,12 @@ their Cauchy record.  The nonlinear Young integral of a scalar path y
 against eta(dr, x_r) is one such sum, of A(s, t) = y_s (eta(t, x_s) -
 eta(s, x_s)), on the requested level only.  Paths are extended to the
 refinement points by linear interpolation, matching the grid-supremum
-path-norm convention used throughout, and read there by one blend
-(paths.dyadic_interp) instead of a search.
+path-norm convention used throughout, and read there by one blend instead
+of a search.  The integral walks the refinement in blocks of whole base
+cells (paths.dyadic_blocks), so its memory is one block's, not the fine
+grid's, and it carries the running sum from block to block, which keeps the
+sequential order of the whole-grid sum; ``sew`` refines its grid whole
+(paths.dyadic_interp) at each level.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import DriverField
-from .paths import SamplePath, TimeGrid, dyadic_interp
+from .paths import SamplePath, TimeGrid, dyadic_blocks, dyadic_interp
 
 __all__ = ["Germ", "IntegralResult", "SewingError", "sew", "nonlinear_young_integral"]
 
@@ -124,10 +128,13 @@ def nonlinear_young_integral(
         raise ValueError("y and x must share a time grid")
     if y.values.ndim != 1:
         raise ValueError("y must be a scalar path, values of shape (n,)")
-    pts = dyadic_interp(grid.points, levels)
-    ys = dyadic_interp(y.values, levels)[:-1]
-    xs = dyadic_interp(x.as_matrix(), levels)[:-1]
-    vals = _finite(ys * fieldv.increment(pts[:-1], pts[1:], xs), pts[:-1], pts[1:])
-    # the running sum at the last fine cell of each base cell
     k = 2**levels
-    return SamplePath(grid, np.concatenate([[0.0], np.cumsum(vals)[k - 1 :: k]]))
+    running = np.zeros(grid.n)
+    for c, (t, ys, xs) in dyadic_blocks(levels, grid.points, y.values, x.as_matrix()):
+        vals = _finite(ys[:-1] * fieldv.increment(t[:-1], t[1:], xs[:-1]), t[:-1], t[1:])
+        if c:  # the sum so far; skipped on the first block, where a -0.0 stays -0.0
+            vals[0] += running[c]
+        np.cumsum(vals, out=vals)
+        # the running sum at the last fine cell of each base cell
+        running[c + 1 : c + 1 + vals.size // k] = vals[k - 1 :: k]
+    return SamplePath(grid, running)

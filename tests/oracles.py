@@ -348,6 +348,34 @@ def nonlinear_germ_defect(y, x, fieldv, running):
     return np.abs(np.diff(running.values) - germ)
 
 
+def nonlinear_young_integral_whole(y, x, fieldv, levels: int) -> np.ndarray:
+    """The running nonlinear Young integral at x's grid points with every
+    fine cell at once: one cumulative sum of ys * increment over the whole
+    level-``levels`` refinement, read at every 2^levels-th fine point."""
+    pts = dyadic_interp(x.grid.points, levels)
+    ys = dyadic_interp(y.values, levels)[:-1]
+    xs = dyadic_interp(x.as_matrix(), levels)[:-1]
+    vals = ys * fieldv.increment(pts[:-1], pts[1:], xs)
+    k = 2**levels
+    return np.concatenate([[0.0], np.cumsum(vals)[k - 1 :: k]])
+
+
+def linear_yode_step_factors_whole(alpha, x, fieldv, levels: int) -> np.ndarray:
+    """Each base cell's Euler step factor with every fine factor
+    I + a^T d_eta built at once, alpha left-constant in cells, then
+    multiplied out pairwise inside each cell, later on the left."""
+    a = np.asarray(alpha, dtype=float)
+    cells, k = x.grid.n - 1, 2**levels
+    pts = dyadic_interp(x.grid.points, levels)
+    xs = dyadic_interp(x.as_matrix(), levels)[:-1]
+    d_eta = fieldv.increment(pts[:-1], pts[1:], xs).reshape(cells, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.einsum("cij,ck->ckji", a[:-1], d_eta) + np.eye(a.shape[-1])
+        while f.shape[1] > 1:
+            f = f[:, 1::2] @ f[:, 0::2]
+    return f[:, 0]
+
+
 def young_integral_against_path(y, m_path, levels: int = 12, tol: float = 1e-9):
     """Classical left-point Young integral of a scalar SamplePath y against a
     scalar path M on the same grid, sewn over dyadic refinements."""

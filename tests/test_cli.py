@@ -354,6 +354,35 @@ class TestCliRuns:
         for cfg in self._ensembles(2**16, 127):
             validate_config(cfg)
 
+    # every experiment with paths estimates a standard error, NaN at one path
+    _SE_EXPERIMENTS = [
+        {"experiment": "linear-bsde", "seed": 1},
+        {"experiment": "nonlinear-bsde", "seed": 1},
+        {"experiment": "localize", "seed": 1},
+        {"experiment": "compare", "seed": 1},
+        {"experiment": "cross-check", "seed": 1, "driver": {"kind": "analytic", "name": "time"}},
+        {"experiment": "neumann", "seed": 1, "driver": {"kind": "analytic", "name": "time"}},
+    ]
+
+    @pytest.mark.parametrize("q", range(len(_SE_EXPERIMENTS)))
+    def test_one_path_exits_2_naming_paths(self, tmp_path, capsys, monkeypatch, q):
+        monkeypatch.setattr(cli, "run_config", lambda *a: pytest.fail("run_config reached"))
+        p = write_cfg(tmp_path, {**self._SE_EXPERIMENTS[q], "paths": 1})
+        for argv in (["check", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            assert "paths: expected an integer >= 2, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", range(len(_SE_EXPERIMENTS)))
+    def test_two_paths_pass_check(self, q):
+        assert validate_config({**self._SE_EXPERIMENTS[q], "paths": 2})["paths"] == 2
+
+    def test_two_paths_give_a_finite_se(self, tmp_path):
+        p = write_cfg(tmp_path, {"experiment": "linear-bsde", "seed": 1, "paths": 2,
+                                 "forward": {"steps": 4}, "basis": {"degree": 0}})
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 0
+        (row,) = csv.DictReader(open(tmp_path / "o" / "results.csv"))
+        assert np.isfinite(float(row["combined_se"]))
+
     @staticmethod
     def _fd_grids(cells):
         # each config's largest 1-D grid has `cells` cells: cross-check's

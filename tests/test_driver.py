@@ -79,6 +79,20 @@ class TestFbs:
         b = fbs_generate(hp, np.linspace(0.0, 1.0, 7), [np.linspace(0, 1, 7)], seed=5)
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_a_point_within_1e_8_of_zero_is_the_zero_slice(self):
+        # as np.isclose(a, 0) at its default tolerances: 5e-9 is taken as the
+        # axis's 0, so no 0 is added and the sheet is bitwise the one with 0
+        # itself there; 2e-8 is not, and a 0 is added beside it
+        hp, t = HurstParams(h0=0.8, h=0.6), np.array([0.0, 0.25, 0.5, 1.0])
+        near = fbs_generate(hp, t, [np.array([-1.0, 5e-9, 1.0])], seed=3)
+        at_zero = fbs_generate(hp, t, [np.array([-1.0, 0.0, 1.0])], seed=3)
+        assert near.space_axes[0].tolist() == [-1.0, 5e-9, 1.0]
+        assert near.values.tobytes() == at_zero.values.tobytes()
+        assert np.all(near.values[:, 1] == 0.0)
+        off = fbs_generate(hp, t, [np.array([-1.0, 2e-8, 1.0])], seed=3)
+        assert off.space_axes[0].tolist() == [-1.0, 0.0, 2e-8, 1.0]
+        assert np.all(off.values[:, 1] == 0.0) and np.all(off.values[1:, 2] != 0.0)
+
     def test_factorization_failure_reported(self, monkeypatch):
         # non-uniform axes, so both reach the dense factor
         def boom(m):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from oracles import interp
+from oracles import interp, linear_yode_step_factors_whole
 
+from youngbsde import paths
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
 from youngbsde.paths import SamplePath, TimeGrid
@@ -83,6 +84,22 @@ class TestEulerFlow:
         scale = max(1.0, np.max(np.abs(mats)))
         np.testing.assert_allclose(flow.matrices, mats, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(flow.step_factors, steps, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("levels", [0, 2, 3])
+    @pytest.mark.parametrize("block_cells", [4, 24, 64])
+    def test_blocks_match_the_whole_refinement_bitwise(self, monkeypatch, levels, block_cells):
+        # 13 base cells walked in blocks of 1, 3, 4, 6 or 8 cells, or in one
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", block_cells)
+        x = brownian_path(13, 24)
+        alpha = np.random.default_rng(25).standard_normal((14, 2, 2)) * 0.4
+        field = rough_field(seed=35)
+        flow = solve_linear_yode(alpha, x, field, levels=levels)
+        steps = linear_yode_step_factors_whole(alpha, x, field, levels)
+        assert flow.step_factors.tobytes() == steps.tobytes()
+        mats = [np.eye(2)]
+        for step in steps:
+            mats.append(step @ mats[-1])
+        assert flow.matrices.tobytes() == np.array(mats).tobytes()
 
     @pytest.mark.parametrize("levels", range(4))
     def test_blowup_step_matches_sequential_loop(self, levels):

@@ -14,10 +14,12 @@ from oracles import (
     uniform_norm,
 )
 
+from youngbsde import paths
 from youngbsde.paths import (
     SamplePath,
     TimeGrid,
     aligned_index,
+    dyadic_blocks,
     dyadic_interp,
     locate,
     p_variation_brute_force,
@@ -89,6 +91,58 @@ class TestDyadicInterp:
         k = 2**level
         want = (pts[:-1, None] + (np.diff(pts) / k)[:, None] * np.arange(k)).ravel()
         np.testing.assert_array_equal(dyadic_interp(pts, level), np.append(want, pts[-1]))
+
+
+class TestDyadicBlocks:
+    """The block walk against the rows of the whole refinement, bitwise."""
+
+    @staticmethod
+    def _walk(level, *values):
+        # each block's first base cell and rows, checked to be whole cells
+        # that follow on from the previous block
+        k, out, nxt = 2**level, [], 0
+        for c, blocks in dyadic_blocks(level, *values):
+            assert c == nxt and len(blocks) == len(values)
+            m, rem = divmod(blocks[0].shape[0] - 1, k)
+            assert m >= 1 and rem == 0
+            assert all(b.shape[0] == m * k + 1 for b in blocks)
+            out.append((c, m, blocks))
+            nxt = c + m
+        assert nxt == values[0].shape[0] - 1
+        return out
+
+    @pytest.mark.parametrize("level", [0, 1, 3])
+    def test_rows_bitwise_with_a_ragged_last_block(self, monkeypatch, level):
+        # blocks of 4 base cells over 13: three whole blocks and a block of 1
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", 4 * 2**level)
+        rng = np.random.default_rng(level)
+        pts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 13))])
+        scalar = rng.standard_normal(14)
+        # base point 4 ends block 0 and starts block 1; the whole refinement
+        # gives it as 0 (v_5 - v_4) + v_4, which is +0.0
+        scalar[4:6] = -0.0, 1.0
+        vector = rng.standard_normal((14, 3))
+        walk = self._walk(level, pts, scalar, vector)
+        assert [m for _, m, _ in walk] == [4, 4, 4, 1]
+        k = 2**level
+        for v, j in ((pts, 0), (scalar, 1), (vector, 2)):
+            whole = dyadic_interp(v, level)
+            for c, m, blocks in walk:
+                assert blocks[j].tobytes() == whole[c * k : (c + m) * k + 1].tobytes()
+
+    def test_a_cell_finer_than_a_block_is_its_own_block(self, monkeypatch):
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", 8)
+        v = np.cumsum(np.random.default_rng(3).standard_normal((6, 2)), axis=0)
+        walk = self._walk(5, v)
+        assert [m for _, m, _ in walk] == [1] * 5
+        whole = dyadic_interp(v, 5)
+        for c, _, (block,) in walk:
+            assert block.tobytes() == whole[c * 32 : (c + 1) * 32 + 1].tobytes()
+
+    def test_small_refinements_fit_one_block(self):
+        v = np.linspace(0.0, 1.0, 65)
+        ((c, (block,)),) = dyadic_blocks(10, v)
+        assert c == 0 and block.tobytes() == dyadic_interp(v, 10).tobytes()
 
 
 class TestPVariation:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import (
     interp,
     nonlinear_germ_defect,
+    nonlinear_young_integral_whole,
     p_variation,
     remainder_certificate,
     restrict,
@@ -11,6 +14,7 @@ from oracles import (
     young_integral_against_path,
 )
 
+from youngbsde import paths
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.paths import SamplePath, TimeGrid, dyadic_interp
 from youngbsde.sewing import Germ, SewingError, nonlinear_young_integral, sew
@@ -149,12 +153,8 @@ class TestNonlinearYoung:
         y = SamplePath(x.grid, np.sin(3 * x.grid.points) - x.values)
         lev = 5
         got = nonlinear_young_integral(y, x, field, levels=lev)
-        pts = dyadic_interp(x.grid.points, lev)
-        ys = dyadic_interp(y.values, lev)[:-1]
-        xs = dyadic_interp(x.as_matrix(), lev)[:-1]
-        cum = np.concatenate([[0.0], np.cumsum(ys * field.increment(pts[:-1], pts[1:], xs))])
         assert got.grid is x.grid
-        assert np.array_equal(got.values, cum[:: 2**lev])
+        assert np.array_equal(got.values, nonlinear_young_integral_whole(y, x, field, lev))
 
     def test_cauchy_increments_decay_rough_case(self):
         x = brownian_path(2**10, 123)
@@ -189,6 +189,67 @@ class TestNonlinearYoung:
         dts = np.diff(fine.points)
         quad = np.sum(ys * field.time_derivative(fine.points[:-1], xs) * dts)
         assert res.values[-1] == pytest.approx(quad, abs=1e-12)
+
+
+class TestBlockWalk:
+    """The integral walks its refinement in blocks of base cells; with blocks
+    cut small it is bitwise the sum over the whole refinement."""
+
+    @staticmethod
+    def _fields():
+        fbs = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
+                           [np.linspace(-2.0, 2.0, 33)], seed=42, p=2.05)
+        return {"analytic": sin_t_field(0.8), "fbs": fbs}
+
+    @pytest.mark.parametrize("field", ["analytic", "fbs"])
+    @pytest.mark.parametrize("block_cells", [8, 24, 64])
+    def test_matches_the_whole_refinement_bitwise(self, monkeypatch, field, block_cells):
+        # 13 cells at level 3: blocks of 1, 3 and 8 cells, the last one ragged
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", block_cells)
+        x = brownian_path(13, 44)
+        y = SamplePath(x.grid, np.sin(3 * x.grid.points) - x.values)
+        fld = self._fields()[field]
+        got = nonlinear_young_integral(y, x, fld, levels=3)
+        want = nonlinear_young_integral_whole(y, x, fld, 3)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_non_finite_germ_in_a_later_block_names_its_subinterval(self, monkeypatch):
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", 16)  # 4 cells at level 2
+        field = AnalyticField(lambda t, x: np.where(t > 0.71, np.nan, t) * np.cos(x[:, 0]),
+                              RegularityParams(tau=1.0, lam=1.0, p=2.5))
+        x = brownian_path(16, 45)
+        pts = dyadic_interp(x.grid.points, 2)
+        i = int(np.argmax(pts[1:] > 0.71))  # the first fine cell whose increment is NaN
+        assert i >= 32  # past the first two blocks
+        with pytest.raises(SewingError, match=rf"\({pts[i]}, {pts[i + 1]}\)"):
+            nonlinear_young_integral(SamplePath(x.grid, np.ones(17)), x, field, levels=2)
+
+    def test_negative_zero_sum_stays_negative_across_seams(self, monkeypatch):
+        # y = 0 against a decreasing field: every germ value is -0.0, and so
+        # is the running sum, which a +0.0 carry into a block would flip
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", 8)
+        field = AnalyticField(lambda t, x: -t, RegularityParams(tau=1.0, lam=1.0, p=2.5))
+        x = brownian_path(10, 46)
+        got = nonlinear_young_integral(SamplePath(x.grid, np.zeros(11)), x, field, levels=2)
+        assert got.values[0] == 0.0 and not np.signbit(got.values[0])
+        assert np.all(got.values[1:] == 0.0) and np.all(np.signbit(got.values[1:]))
+        want = nonlinear_young_integral_whole(SamplePath(x.grid, np.zeros(11)), x, field, 2)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_memory_is_one_blocks_not_the_fine_grids(self):
+        # 2^20 fine cells: one array over them takes 8 MB, and the integral
+        # over the whole refinement held several at once
+        x = brownian_path(16, 47)
+        y = SamplePath(x.grid, np.cos(x.grid.points))
+        field = sin_t_field()
+        nonlinear_young_integral(y, x, field, levels=2)  # warm up
+        tracemalloc.start()
+        try:
+            nonlinear_young_integral(y, x, field, levels=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 * 8
 
 
 class TestYoungAgainstPath:
