@@ -311,11 +311,10 @@ def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
     y_mid, _, _, ok, target_hi, open_hi = _step(
         spec, basis, picard, t_mid, t_next, x_mid, dw - dw1, y_next
     )
+    if ok:
+        y, z, _, ok, target_lo, open_lo = _step(spec, basis, picard, t_i, t_mid, x, dw1, y_mid)
     if not ok:
-        raise NoContractionError("no contraction")
-    y, z, _, ok, target_lo, open_lo = _step(spec, basis, picard, t_i, t_mid, x, dw1, y_mid)
-    if not ok:
-        raise NoContractionError("no contraction")
+        raise NoContractionError(f"no contraction at step {i} (t = {t_i:.6g})")
     unconverged = max((r for r in (open_hi, open_lo) if r is not None), default=None)
     return y, z, (target_hi - y_next) + (target_lo - y_mid), unconverged
 

@@ -8,7 +8,7 @@ OMP_NUM_THREADS values the process started with, null when unset), and
 summary.txt; this module writes every file the package writes.  Exit
 status: 0 success, 2 config error, 3 numerical failure.
 
-    youngbsde run  config.json [--out DIR]
+    youngbsde run  config.json [--out DIR]   (DIR defaults to youngbsde-out)
     youngbsde check config.json
 
 results.csv is RFC-4180 with CRLF line ends: floats at 17 significant
@@ -19,11 +19,10 @@ little-endian float64 values, and the <prefix>.json sidecar: hurst
 points, space points per axis...), dtype ("<f8") and order ("C").  Both
 suffixes are appended to the whole prefix, dots included.
 
-YOUNGBSDE_OUT sets the default output directory.  To cap BLAS threads, set
-OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) before the process starts.  At a
-fixed thread count an identical config writes identical bytes; across
-thread counts BLAS may split its sums differently, so results can differ at
-the rounding level.
+To cap BLAS threads, set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) before
+the process starts.  At a fixed thread count an identical config writes
+identical bytes; across thread counts BLAS may split its sums differently,
+so results can differ at the rounding level.
 """
 
 from __future__ import annotations
@@ -337,7 +336,6 @@ def _experiment(seed=_REQUIRED, **keys) -> dict:
     return {
         "experiment": _text(),
         "seed": _seed(seed),
-        "output_dir": _text(None),
         **keys,
     }
 
@@ -593,7 +591,7 @@ def _run_flow(cfg, out_dir):
     for s in x.grid.points[1:-1][:: max(1, cells // 8)]:
         gap = np.max(np.abs(flow.segment(s, 1.0) @ flow.segment(0.0, s) - full))
         coc = max(coc, gap / max(1.0, np.max(np.abs(full))))
-    inv_res = float(np.max(np.abs(flow.matrices @ inv.matrices - np.eye(dim))))
+    inv_res = float(np.max(np.abs(flow.matrices @ inv - np.eye(dim))))
     errs = []
     for lev in range(3):
         euler = solve_linear_yode(np.ones((x.grid.n, 1, 1)), x, fld, levels=lev).matrices[:, 0, 0]
@@ -888,7 +886,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", type=Path)
-    p_run.add_argument("--out", type=Path, default=None)
+    p_run.add_argument("--out", type=Path, default=Path("youngbsde-out"))
     p_check = sub.add_parser("check", help="validate a config without running")
     p_check.add_argument("config", type=Path)
     args = parser.parse_args(argv)
@@ -902,8 +900,7 @@ def main(argv=None) -> int:
     if args.command == "check":
         print("config ok")
         return 0
-    out_dir = cfg["output_dir"] or os.environ.get("YOUNGBSDE_OUT", "youngbsde-out")
-    return run_config(cfg, args.out or Path(out_dir))
+    return run_config(cfg, args.out)
 
 
 if __name__ == "__main__":

@@ -328,7 +328,7 @@ def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: fl
             a = np.sort(np.append(a, 0.0))
             zero = a == 0.0
         if a.size > MAX_FBS_AXIS:
-            raise ValueError(f"axis too large for dense factorization (> {MAX_FBS_AXIS})")
+            raise ValueError(f"axis too large: {a.size} points, 0 included (> {MAX_FBS_AXIS})")
         full_axes.append(a)
         nz_idx.append(~zero)
 

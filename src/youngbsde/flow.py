@@ -16,8 +16,9 @@ only one block's are held at a time.
 The flow matrices are the sequential product of the stored step factors
 over the base cells, and FlowMatrix.segment re-brackets that same product,
 so the cocycle G_T^s G_s^t = G_T^t is still exact on grid-aligned triples.
-In one dimension the closed form exp(int a eta(dr, x_r)) is available for
-cross-checks.
+inverse_flow inverts the flow matrices only (the flow representation of
+linear BSDEs reads G_s^0 and its inverse).  In one dimension the closed
+form exp(int a eta(dr, x_r)) is available for cross-checks.
 """
 
 from __future__ import annotations
@@ -114,19 +115,13 @@ def solve_linear_yode(
     return FlowMatrix(times=grid.points, matrices=mats, step_factors=steps)
 
 
-def inverse_flow(flow: FlowMatrix) -> FlowMatrix:
-    """Exact matrix inverses of the stored flow matrices and step factors,
-    one batched call for all; every one is guarded by the condition number."""
-    n = flow.matrices.shape[0]
-    stack = np.concatenate([flow.matrices, flow.step_factors])
-    bad = ~(np.linalg.cond(stack) <= COND_LIMIT)
+def inverse_flow(flow: FlowMatrix) -> np.ndarray:
+    """Matrix inverses (n, N, N) of the flow matrices, one batched call,
+    each guarded by its condition number."""
+    bad = ~(np.linalg.cond(flow.matrices) <= COND_LIMIT)
     if bad.any():
-        j = int(np.argmax(bad))
-        if j < n:
-            raise FlowError(f"singular flow matrix at grid index {j}")
-        raise FlowError(f"singular step factor at grid index {j - n}")
-    inv = np.linalg.inv(stack)
-    return FlowMatrix(times=flow.times, matrices=inv[:n], step_factors=inv[n:])
+        raise FlowError(f"singular flow matrix at grid index {int(np.argmax(bad))}")
+    return np.linalg.inv(flow.matrices)
 
 
 def exp_formula_1d(

@@ -275,16 +275,15 @@ def _alternating_extrema(v: np.ndarray, starts: np.ndarray):
 
 def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
     """Exact grid p-variation of the suffixes values[:, s:] for s in starts,
-    for each of k paths on one grid.
+    for each of k scalar paths on one grid, values of shape (k, n).
 
-    values has shape (k, n) for scalar paths or (k, n, d); increments are
-    Euclidean.  Backward dynamic programme W(i) = max_{j>i} |g_j - g_i|^p
-    + W(j) over the last point and the candidate partition points, then
-    one dense row max_{j>s} |g_j - g_s|^p + W(j) per start s.
+    Backward dynamic programme W(i) = max_{j>i} |g_j - g_i|^p + W(j) over
+    the last point and the candidate partition points, then one dense row
+    max_{j>s} |g_j - g_s|^p + W(j) per start s.
 
-    For a scalar path the candidates are its alternating extrema: one point
-    per run of equal values (equal values give equal increments), and none
-    strictly inside a monotone run; for p >= 1 the supremum is attained on
+    The candidates are a path's alternating extrema: one point per run of
+    equal values (equal values give equal increments), and none strictly
+    inside a monotone run; for p >= 1 the supremum is attained on
     local extrema (Butkus & Norvaisa, Lith. Math. J. 58, 2018).  What is
     left alternates between local maxima and minima, and in an optimal
     partition the point after a maximum is a minimum and the reverse: if
@@ -293,37 +292,33 @@ def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
     |g_i - g_l|^p + |g_l - g_j|^p > |g_i - g_j|^p, so inserting l would
     raise the sum.  W(i) therefore takes its max over every second
     candidate after i only, O(m^2 k / 4) for at most m candidates per path.
-    Vector paths keep every point and the full O(n^2 k) programme.  A NaN
-    propagates to every suffix that contains an increment touching it.
+    A NaN propagates to every suffix that contains an increment touching it.
     Returns shape (k, len(starts)): column q is the p-variation of
     values[:, starts[q]:].
     """
     _check_exponent(p)
-    v = np.moveaxis(np.asarray(values, dtype=float), 1, 0)  # time-major view
-    n, k = v.shape[:2]
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"values must be scalar paths (k, n), got shape {values.shape}")
+    v = values.T  # time-major view
+    n, k = v.shape
     starts = np.asarray(starts, dtype=np.intp).reshape(-1)
     if np.any((starts < 0) | (starts >= n)):
         raise ValueError("starts must lie in [0, n)")
-    if v.ndim == 2:
-        c, counts, after = _alternating_extrema(v, starts)
-        stride = 2
-    else:
-        c, counts = np.ascontiguousarray(v), n
-        after = np.broadcast_to(starts[:, None] + 1, (starts.size, k))
-        stride = 1
+    c, counts, after = _alternating_extrema(v, starts)
     m = c.shape[0]
 
     def gains(cand, at):
         # |cand - at|^p for a block of candidates
         inc = cand - at
-        inc = np.abs(inc, out=inc) if inc.ndim == 2 else np.sqrt(np.sum(inc * inc, axis=2))
+        np.abs(inc, out=inc)
         inc **= p
         return inc
 
     best = np.zeros((m, k))
     for i in range(m - 2, -1, -1):
-        inc = gains(c[i + 1 :: stride], c[i])
-        inc += best[i + 1 :: stride]
+        inc = gains(c[i + 1 :: 2], c[i])
+        inc += best[i + 1 :: 2]
         best[i] = inc.max(axis=0)
     idx = np.arange(m)[:, None]
     out = np.empty((starts.size, k))
@@ -336,9 +331,12 @@ def p_variation_suffixes(values: np.ndarray, p: float, starts) -> np.ndarray:
 
 
 def p_variation_brute_force(path: SamplePath, p: float) -> float:
-    """Direct enumeration of all sub-partitions; oracle for small grids."""
+    """Direct enumeration of all sub-partitions of a scalar path; oracle
+    for small grids."""
     _check_exponent(p)
     v = path.values
+    if v.ndim != 1:
+        raise ValueError(f"path must be scalar, values of shape (n,), got shape {v.shape}")
     n = v.shape[0]
     if n < 2:
         return 0.0
@@ -352,10 +350,5 @@ def p_variation_brute_force(path: SamplePath, p: float) -> float:
             if mask >> k & 1:
                 idx.append(k + 1)
         idx.append(n - 1)
-        d = np.diff(v[idx], axis=0)
-        if d.ndim == 1:
-            s = np.sum(np.abs(d) ** p)
-        else:
-            s = np.sum(np.sqrt(np.sum(d * d, axis=1)) ** p)
-        best = max(best, float(s))
+        best = max(best, float(np.sum(np.abs(np.diff(v[idx])) ** p)))
     return best ** (1.0 / p)

@@ -1,10 +1,10 @@
 """Sewing-lemma integration and the nonlinear Young integral.
 
 ``sew`` forms the left-point Riemann sums of a two-point germ A(s, t), a
-``Germ``, on every dyadic refinement of a base grid up to a level, and keeps
-their Cauchy record.  The nonlinear Young integral of a scalar path y
-against eta(dr, x_r) is one such sum, of A(s, t) = y_s (eta(t, x_s) -
-eta(s, x_s)), on the requested level only.  Paths are extended to the
+``Germ``, on every dyadic refinement of a base grid, levels 0 through a
+given one, and keeps their Cauchy record.  The nonlinear Young integral of
+a scalar path y against eta(dr, x_r) is one such sum, of A(s, t) =
+y_s (eta(t, x_s) - eta(s, x_s)), on the requested level only.  Paths are extended to the
 refinement points by linear interpolation, matching the grid-supremum
 path-norm convention used throughout, and read there by one blend instead
 of a search.  The integral walks the refinement in blocks of whole base
@@ -58,8 +58,8 @@ class IntegralResult:
     """Dyadic-refinement record of a sewn integral.
 
     ``cumulative`` holds the running integral at the base grid points at the
-    finest level used; ``level_totals`` the whole-interval value per level;
-    ``cauchy_increments`` the observed |I_{l+1} - I_l|.  ``germ_defect`` is
+    finest level, ``levels_used``; ``level_totals`` the whole-interval value
+    per level; ``cauchy_increments`` the observed |I_{l+1} - I_l|.  ``germ_defect`` is
     |I[t_i, t_{i+1}] - A(t_i, t_{i+1})| per base cell, the quantity the
     sewing bound controls.
     """
@@ -70,31 +70,24 @@ class IntegralResult:
     cauchy_increments: np.ndarray
     levels_used: int
     germ_defect: np.ndarray
-    converged: bool = False
 
     @property
     def value(self) -> float:
         return float(self.cumulative[-1])
 
 
-def sew(germ: Germ, grid: TimeGrid, levels: int = 12, tol: float = 1e-9) -> IntegralResult:
-    """Riemann sums of a germ over successive dyadic refinements of grid.
-
-    Stops early once two successive whole-interval values differ by less
-    than tol (geometric Cauchy decay is what the sewing bound guarantees).
-    """
+def sew(germ: Germ, grid: TimeGrid, levels: int = 12) -> IntegralResult:
+    """Riemann sums of a germ over the dyadic refinements of grid at every
+    level 0..levels; the Cauchy record shows the geometric decay the sewing
+    bound guarantees."""
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     totals = []
-    last_cum = None
-    used = 0
     for lev in range(levels + 1):
         pts = dyadic_interp(grid.points, lev)
-        vals = germ(pts[:-1], pts[1:])
-        cum = np.concatenate([[0.0], np.cumsum(vals)])
+        cum = np.concatenate([[0.0], np.cumsum(germ(pts[:-1], pts[1:]))])
         totals.append(cum[-1])
-        last_cum = cum[:: 2**lev]  # restriction to base grid points
-        used = lev
-        if lev >= 1 and abs(totals[-1] - totals[-2]) < tol:
-            break
+    last_cum = cum[:: 2**levels]  # restriction to base grid points
     totals = np.asarray(totals)
     base_s, base_t = grid.points[:-1], grid.points[1:]
     defect = np.abs(np.diff(last_cum) - germ(base_s, base_t))
@@ -103,9 +96,8 @@ def sew(germ: Germ, grid: TimeGrid, levels: int = 12, tol: float = 1e-9) -> Inte
         cumulative=last_cum,
         level_totals=totals,
         cauchy_increments=np.abs(np.diff(totals)),
-        levels_used=used,
+        levels_used=levels,
         germ_defect=defect,
-        converged=bool(totals.size >= 2 and abs(totals[-1] - totals[-2]) < tol),
     )
 
 

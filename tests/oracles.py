@@ -242,19 +242,17 @@ def p_variation_suffixes_dense(values, p: float, starts):
     """p_variation_suffixes with the inner max of the backward programme
     over every candidate after i: the candidates are every point except
     those strictly inside a monotone run (d_{i-1} d_i > 0; ties, plateaus
-    and non-finite values stay) for scalar paths, and every point for
-    vector paths."""
-    v = np.moveaxis(np.asarray(values, dtype=float), 1, 0)
-    n, k = v.shape[:2]
+    and non-finite values stay) of each scalar path, values (k, n)."""
+    v = np.asarray(values, dtype=float).T
+    n, k = v.shape
     starts = np.asarray(starts, dtype=np.intp).reshape(-1)
     cand = np.ones((n, k), dtype=bool)
-    if v.ndim == 2:
-        d = np.diff(v, axis=0)
-        cand[1:-1] = ~(d[:-1] * d[1:] > 0)
+    d = np.diff(v, axis=0)
+    cand[1:-1] = ~(d[:-1] * d[1:] > 0)
     counts = cand.sum(axis=0)
     # each path's candidates in order, padded with its last point; after[q]
     # counts the candidates at or before starts[q]
-    c = np.empty((int(counts.max()), k) + v.shape[2:])
+    c = np.empty((int(counts.max()), k))
     c[:] = v[-1]
     filled = np.zeros(k, dtype=np.intp)
     after = np.empty((starts.size, k), dtype=np.intp)
@@ -267,7 +265,7 @@ def p_variation_suffixes_dense(values, p: float, starts):
 
     def gains(j0, at):
         inc = c[j0:] - at
-        inc = np.abs(inc, out=inc) if inc.ndim == 2 else np.sqrt(np.sum(inc * inc, axis=2))
+        np.abs(inc, out=inc)
         inc **= p
         return inc
 
@@ -287,9 +285,17 @@ def p_variation_suffixes_dense(values, p: float, starts):
 
 
 def p_variation(path, p: float) -> float:
-    """Exact grid p-variation of one path, the full-grid case of
-    p_variation_suffixes."""
-    return float(p_variation_suffixes(path.values[None], p, (0,))[0, 0])
+    """Exact grid p-variation of one path: for a scalar path the full-grid
+    case of p_variation_suffixes, and for a vector path the forward
+    programme V(j) = max_{i<j} V(i) + |g_j - g_i|^p over every point, with
+    Euclidean increments."""
+    v = path.values
+    if v.ndim == 1:
+        return float(p_variation_suffixes(v[None], p, (0,))[0, 0])
+    best = np.zeros(v.shape[0])
+    for j in range(1, v.shape[0]):
+        best[j] = np.max(best[:j] + np.linalg.norm(v[j] - v[:j], axis=1) ** p)
+    return float(best[-1] ** (1.0 / p))
 
 
 def holder_norm(path, gamma: float, interval=None) -> float:
@@ -376,7 +382,7 @@ def linear_yode_step_factors_whole(alpha, x, fieldv, levels: int) -> np.ndarray:
     return f[:, 0]
 
 
-def young_integral_against_path(y, m_path, levels: int = 12, tol: float = 1e-9):
+def young_integral_against_path(y, m_path, levels: int = 12):
     """Classical left-point Young integral of a scalar SamplePath y against a
     scalar path M on the same grid, sewn over dyadic refinements."""
     grid = m_path.grid
@@ -393,7 +399,7 @@ def young_integral_against_path(y, m_path, levels: int = 12, tol: float = 1e-9):
         ys = dyadic_interp(y.as_matrix()[:, 0], level)[:-1]
         return ys * np.diff(dyadic_interp(m_path.as_matrix()[:, 0], level))
 
-    return sew(Germ(germ_fn), grid, levels=levels, tol=tol)
+    return sew(Germ(germ_fn), grid, levels=levels)
 
 
 def load_fbs(prefix):

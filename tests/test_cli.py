@@ -482,6 +482,37 @@ class TestCliRuns:
         assert main(["run", str(p), "--out", str(tmp_path / "o3")]) == 3
         assert "no contraction" in capsys.readouterr().err
 
+    def test_numerical_failure_names_its_step(self, tmp_path, capsys):
+        # a contraction constant far above 1: the last step fails even on a
+        # half mesh, and stderr names that step and its time
+        cfg = {
+            "experiment": "nonlinear-bsde",
+            "seed": 5,
+            "paths": 200,
+            "bsde": {"generator": {"name": "linear-y", "coef": 1e6}},
+        }
+        p = write_cfg(tmp_path, cfg)
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: no contraction at step 63 (t = 0.984375)" in err
+
+    def test_output_dir_key_rejected(self, tmp_path, capsys):
+        # --out is the only way to name the output directory
+        p = write_cfg(tmp_path, {"experiment": "integrate", "levels": 4, "output_dir": "x"})
+        assert main(["check", str(p)]) == 2
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("unknown key: output_dir") == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_out_defaults_to_youngbsde_out(self, tmp_path, monkeypatch):
+        # YOUNGBSDE_OUT is not read: without --out a run writes ./youngbsde-out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("YOUNGBSDE_OUT", str(tmp_path / "elsewhere"))
+        p = write_cfg(tmp_path, {"experiment": "integrate", "levels": 4, "cells": 4})
+        assert main(["run", str(p)]) == 0
+        assert (tmp_path / "youngbsde-out" / "results.csv").is_file()
+        assert not (tmp_path / "elsewhere").exists()
+
     def test_compare_running_max_gap_is_shift(self, tmp_path):
         # zero generator and coupling: Y is the conditional expectation of the
         # terminal, so shifting the terminal by s shifts Y0 by s

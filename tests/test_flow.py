@@ -133,31 +133,27 @@ class TestEulerFlow:
         alpha = rng.standard_normal((65, 2, 2)) * 0.3
         flow = solve_linear_yode(alpha, x, rough_field(seed=33))
         inv = inverse_flow(flow)
-        for g, gi in zip(flow.matrices, inv.matrices):
-            np.testing.assert_allclose(g @ gi, np.eye(2), atol=1e-10)
+        # an array of the inverse flow matrices, nothing else
+        assert isinstance(inv, np.ndarray) and inv.shape == flow.matrices.shape
+        np.testing.assert_allclose(flow.matrices @ inv, np.broadcast_to(np.eye(2), inv.shape),
+                                   rtol=0, atol=1e-10)
 
     def test_inverse_identity_and_scalar(self):
         x = brownian_path(8, 2)
         flow = solve_linear_yode(np.zeros((9, 1, 1)), x, time_field())
         inv = inverse_flow(flow)
-        np.testing.assert_array_equal(inv.matrices, flow.matrices)
+        np.testing.assert_array_equal(inv, flow.matrices)
         # scalar flow e^c inverts to e^-c
         grid = TimeGrid.uniform(1.0, 2**10)
         xs = SamplePath(grid, np.zeros(grid.n))
         f2 = solve_linear_yode(np.ones((grid.n, 1, 1)), xs, time_field())
         i2 = inverse_flow(f2)
-        assert i2.matrices[-1, 0, 0] == pytest.approx(1.0 / f2.matrices[-1, 0, 0], rel=1e-12)
+        assert i2[-1, 0, 0] == pytest.approx(1.0 / f2.matrices[-1, 0, 0], rel=1e-12)
 
     def test_singular_flow_rejected(self):
         flow = solve_linear_yode(np.zeros((9, 2, 2)), brownian_path(8, 3), time_field())
         flow.matrices[4] = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(FlowError, match="singular flow matrix at grid index 4"):
-            inverse_flow(flow)
-
-    def test_near_singular_step_factor_rejected(self):
-        flow = solve_linear_yode(np.zeros((9, 2, 2)), brownian_path(8, 3), time_field())
-        flow.step_factors[3] = np.diag([1.0, 1e-13])
-        with pytest.raises(FlowError, match="singular step factor at grid index 3"):
             inverse_flow(flow)
 
     def test_inverse_consistency_under_refinement(self):
@@ -182,7 +178,7 @@ class TestEulerFlow:
             h = np.eye(2)
             for j in range(fine.n - 1):
                 h = h @ (np.eye(2) - af[j].T * d_eta[j])
-            errs.append(np.max(np.abs(h - inv.matrices[-1])))
+            errs.append(np.max(np.abs(h - inv[-1])))
         assert errs[1] <= errs[0] / 2**0.3
         assert errs[2] <= errs[1] / 2**0.3
 

@@ -39,19 +39,20 @@ class TestSew:
     def test_additive_germ_exact_every_level(self):
         c = 2.3
         grid = TimeGrid.uniform(1.0, 4)
-        res = sew(Germ(lambda s, t: c * (t - s)), grid, levels=6, tol=0.0)
+        res = sew(Germ(lambda s, t: c * (t - s)), grid, levels=6)
+        # every level is summed, though the sums agree from level 0 on
+        assert res.levels_used == 6 and res.level_totals.shape == (7,)
         np.testing.assert_allclose(res.level_totals, c, rtol=1e-14)
 
     def test_square_germ_level_totals(self):
         # A(s,t) = (t-s)^2 on base {0,1}: level-l total is 2^-l
         grid = TimeGrid(np.array([0.0, 1.0]))
-        res = sew(Germ(lambda s, t: (t - s) ** 2), grid, levels=8, tol=0.0)
+        res = sew(Germ(lambda s, t: (t - s) ** 2), grid, levels=8)
         np.testing.assert_allclose(res.level_totals, 0.5 ** np.arange(9), rtol=1e-13)
 
-    def test_early_stop_on_tolerance(self):
-        grid = TimeGrid.uniform(1.0, 4)
-        res = sew(Germ(lambda s, t: t - s), grid, levels=10, tol=1e-9)
-        assert res.levels_used == 1 and res.converged
+    def test_negative_levels_rejected(self):
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            sew(Germ(lambda s, t: t - s), TimeGrid.uniform(1.0, 4), levels=-1)
 
     def test_non_finite_germ_reported(self):
         grid = TimeGrid.uniform(1.0, 2)
@@ -139,7 +140,7 @@ class TestNonlinearYoung:
                 ys = np.interp(s, pts, yv)
                 return ys * (field.evaluate(t, xs) - field.evaluate(s, xs))
 
-            want = sew(Germ(germ), TimeGrid(pts), levels=6, tol=0.0)
+            want = sew(Germ(germ), TimeGrid(pts), levels=6)
             np.testing.assert_allclose([g.values[-1] for g in got], want.level_totals,
                                        rtol=0, atol=1e-13)
             np.testing.assert_allclose(got[-1].values, want.cumulative, rtol=0, atol=1e-13)
@@ -270,7 +271,7 @@ class TestYoungAgainstPath:
         # int_0^1 M dM = M(1)^2 / 2 for M_t = t^2
         grid = TimeGrid.uniform(1.0, 64)
         m = SamplePath(grid, grid.points**2)
-        res = young_integral_against_path(m, m, levels=14, tol=0.0)
+        res = young_integral_against_path(m, m, levels=14)
         assert res.value == pytest.approx(0.5, abs=1e-6)
 
     def test_coincidence_with_nonlinear_integral(self):
@@ -301,14 +302,14 @@ class TestYoungAgainstPath:
 class TestRemainderCertificate:
     def test_exact_additive_germ(self):
         grid = TimeGrid.uniform(1.0, 4)
-        res = sew(Germ(lambda s, t: 1.5 * (t - s)), grid, levels=5, tol=0.0)
+        res = sew(Germ(lambda s, t: 1.5 * (t - s)), grid, levels=5)
         ok, bound = remainder_certificate(grid, res.germ_defect, [(lambda s, t: t - s, 2.0)])
         assert ok.all()
         assert np.all(bound >= 0)
 
     def test_square_germ_bound(self):
         grid = TimeGrid.uniform(1.0, 4)
-        res = sew(Germ(lambda s, t: (t - s) ** 2), grid, levels=10, tol=0.0)
+        res = sew(Germ(lambda s, t: (t - s) ** 2), grid, levels=10)
         ok, _ = remainder_certificate(grid, res.germ_defect, [(lambda s, t: t - s, 2.0)])
         assert ok.all()
 
