@@ -133,7 +133,7 @@ class _Fit:
         half = np.linalg.solve(self._chol, self._a.T @ targets)
         beta = np.linalg.solve(self._chol.T, half)
         if not np.all(np.isfinite(beta)):
-            raise RegressionError("regression normal equations singular")
+            raise RegressionError("regression coefficients not finite")
         return self._a @ beta
 
 
@@ -347,15 +347,18 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
             continue
         rows = slice(None) if active.all() else active
         y_next = y[i + 1, rows]
-        y_i, z_i, residuals, ok, target, open_r = _step(
-            spec, basis, picard, grid.points[i], grid.points[i + 1],
-            ensemble.x[:, i][rows], ensemble.dw[:, i][rows], y_next,
-        )
-        gain = target - y_next
-        if not ok:
-            y_i, z_i, gain, open_r = _halved_step(spec, ensemble, basis, picard, i, rows, y_next)
-            halvings.append(i)
-            residuals = residuals + ["halved"]
+        try:
+            y_i, z_i, residuals, ok, target, open_r = _step(
+                spec, basis, picard, grid.points[i], grid.points[i + 1],
+                ensemble.x[:, i][rows], ensemble.dw[:, i][rows], y_next,
+            )
+            gain = target - y_next
+            if not ok:
+                y_i, z_i, gain, open_r = _halved_step(spec, ensemble, basis, picard, i, rows, y_next)
+                halvings.append(i)
+                residuals = residuals + ["halved"]
+        except RegressionError as exc:
+            raise RegressionError(f"{exc} at step {i} (t = {grid.points[i]:.6g})") from exc
         if open_r is not None:
             unconverged[i] = open_r
         residual_log[i] = residuals

@@ -36,6 +36,7 @@ __all__ = [
 
 MAX_FBS_AXIS = 2048
 _CHOL_JITTER = 1e-10
+_PANEL = 64  # columns of the Schur factor applied to the normals per GEMM
 
 
 @dataclass(frozen=True)
@@ -209,10 +210,12 @@ def _fgn_column(n: int, step: float, h: float) -> np.ndarray:
     return m
 
 
-def _schur_chol(m: np.ndarray) -> np.ndarray | None:
-    """The lower Cholesky factor B chol(M) of B M B^T = Sigma + eps I from
-    the first column m of M = Gamma + eps D D^T, by the generalized Schur
-    recursion in O(n^2); None when a hyperbolic rotation meets |rho| >= 1.
+def _schur_chol(m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """The product B chol(M) rhs, for rhs (n, c), with B chol(M) the lower
+    Cholesky factor of B M B^T = Sigma + eps I, from the first column m of
+    M = Gamma + eps D D^T, by the generalized Schur recursion in O(n^2 c)
+    time and O(n c) memory; None when a hyperbolic rotation meets
+    |rho| >= 1.  The factor itself is the product at rhs = I.
 
     With Z the down-shift, M - Z M Z^T = p p^T + eps e e^T - q q^T, where
     p = m / sqrt(m_0), e is the second unit vector and q is p with its lead
@@ -221,48 +224,56 @@ def _schur_chol(m: np.ndarray) -> np.ndarray | None:
     rotation folds e into p and a hyperbolic rotation with rho = q_k / r
     folds q into p.  The rotated p is column k of chol(M), and the next
     generator is the shifted Z p with the rotated e and q, leads dropped.
-    B is the cumulative sum, so each column is summed as it is made.
+    The columns are kept _PANEL at a time, each from its diagonal down, and
+    each panel is multiplied into the product by one GEMM; B, the
+    cumulative sum, runs once over the product.
     """
     n = m.size
-    low = np.zeros((n, n))
+    out = np.zeros((n, rhs.shape[1]))
+    panel = np.zeros((_PANEL, n))
     p = m / math.sqrt(m[0])
-    np.cumsum(p, out=low[:, 0])
+    panel[0] = p
     # rows Z p, e, q; step k reads columns k..n-1
     gen = np.zeros((3, n))
     gen[0, 1:] = p[:-1]
     gen[1, 1:2] = math.sqrt(_CHOL_JITTER)
     gen[2, 1:] = p[1:]
-    for k in range(1, n):
-        a, b, c = gen[:, k].tolist()
-        r = math.hypot(a, b)
-        rho = c / r
-        if abs(rho) >= 1:
-            return None
-        cg, sg, kap = a / r, b / r, 1 / math.sqrt((1 - rho) * (1 + rho))
-        rot = np.array([
-            [kap * cg, kap * sg, -kap * rho],
-            [-sg, cg, 0.0],
-            [-kap * rho * cg, -kap * rho * sg, kap],
-        ]) @ gen[:, k:]
-        np.cumsum(rot[0], out=low[k:, k])
-        gen[1:, k:] = rot[1:]
-        gen[0, k + 1:] = rot[0, :-1]
-    return low
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        for k in range(max(k0, 1), k1):
+            a, b, c = gen[:, k].tolist()
+            r = math.hypot(a, b)
+            rho = c / r
+            if abs(rho) >= 1:
+                return None
+            cg, sg, kap = a / r, b / r, 1 / math.sqrt((1 - rho) * (1 + rho))
+            rot = np.array([
+                [kap * cg, kap * sg, -kap * rho],
+                [-sg, cg, 0.0],
+                [-kap * rho * cg, -kap * rho * sg, kap],
+            ]) @ gen[:, k:]
+            panel[k - k0, k:] = rot[0]
+            gen[1:, k:] = rot[1:]
+            gen[0, k + 1:] = rot[0, :-1]
+        out[k0:] += panel[:k1 - k0, k0:].T @ rhs[k0:k1]
+        panel.fill(0.0)
+    return np.cumsum(out, axis=0, out=out)
 
 
-def _chol_axis(points: np.ndarray, h: float) -> np.ndarray:
-    """The lower Cholesky factor of the jittered fBm covariance
-    Sigma + eps I at points.  Points k step, k = 1..n (up to rounding), are
-    factored through Sigma + eps I = B M B^T by the Schur recursion on M;
-    any other axis, and one whose recursion meets |rho| >= 1, densely."""
+def _chol_axis(points: np.ndarray, h: float, rhs: np.ndarray) -> np.ndarray:
+    """L rhs for rhs (n, c), with L the lower Cholesky factor of the
+    jittered fBm covariance Sigma + eps I at points.  Points k step,
+    k = 1..n (up to rounding), are factored through Sigma + eps I = B M B^T
+    by the Schur recursion on M, which never forms L; any other axis, and
+    one whose recursion meets |rho| >= 1, densely."""
     n = points.size
     step = points[-1] / n if n else 0.0
     # linspace(0, T, n + 1) gives k (T / n) to within an ulp
     if step > 0 and np.allclose(points, step * np.arange(1, n + 1), rtol=1e-13, atol=0.0):
-        low = _schur_chol(_fgn_column(n, step, h))
-        if low is not None:
-            return low
-    return _dense_chol(points, h)
+        out = _schur_chol(_fgn_column(n, step, h), rhs)
+        if out is not None:
+            return out
+    return _dense_chol(points, h) @ rhs
 
 
 class FbsGridField(DriverField):
@@ -302,14 +313,14 @@ def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: fl
     is a 1-D array of times, space_grid a list of hurst.d axis arrays.
 
     The covariance is an exact product of per-axis fractional-Brownian
-    covariances, so each axis is factorized separately (Cholesky with a
-    small diagonal jitter) and combined by tensor contraction with i.i.d.
-    standard normals.  An axis whose non-zero points are k h, k = 1..n (a
-    uniform grid from 0, as every CLI time axis is), is factored in O(n^2)
-    by a Schur recursion on the Toeplitz structure of its increments; any
-    other axis, such as a two-sided space axis, by a dense O(n^3) Cholesky.
-    Both give the factor of the same jittered covariance, up to rounding.
-    The 0-slices are exactly zero.
+    covariances, so each axis's Cholesky factor (with a small diagonal
+    jitter) is applied in turn to i.i.d. standard normals along that axis.
+    An axis whose non-zero points are k h, k = 1..n (a uniform grid from 0,
+    as every CLI time axis is), is factored by a Schur recursion on the
+    Toeplitz structure of its increments and applied 64 columns at a time,
+    so its n x n factor is never held; any other axis, such as a two-sided
+    space axis, by a dense O(n^3) Cholesky.  Both apply the factor of the
+    same jittered covariance, up to rounding.  The 0-slices are exactly zero.
     """
     t_pts = np.asarray(time_grid, dtype=float)
     axes = [np.asarray(a, dtype=float) for a in space_grid]
@@ -332,15 +343,14 @@ def fbs_generate(hurst: HurstParams, time_grid, space_grid, seed: int, theta: fl
         full_axes.append(a)
         nz_idx.append(~zero)
 
-    hs = [hurst.h0] + [hurst.h] * hurst.d
-    chols = [_chol_axis(a[m], h) for a, m, h in zip(full_axes, nz_idx, hs)]
-
     rng = default_rng(Philox(key=seed))
-    core_shape = tuple(int(m.sum()) for m in nz_idx)
-    core = rng.standard_normal(core_shape)
-    for ax, L in enumerate(chols):
-        core = np.tensordot(L, core, axes=([1], [ax]))
-        core = np.moveaxis(core, 0, ax)
+    core = rng.standard_normal(tuple(int(m.sum()) for m in nz_idx))
+    hs = [hurst.h0] + [hurst.h] * hurst.d
+    for ax, (a, m, h) in enumerate(zip(full_axes, nz_idx, hs)):
+        # each axis's factor applied to the normals as an (n, rest) matrix
+        front = np.moveaxis(core, ax, 0)
+        flat = front.reshape(front.shape[0], math.prod(front.shape[1:]))
+        core = np.moveaxis(_chol_axis(a[m], h, flat).reshape(front.shape), 0, ax)
 
     values = np.zeros(tuple(a.size for a in full_axes))
     values[np.ix_(*[np.nonzero(m)[0] for m in nz_idx])] = core

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.random import Philox, default_rng
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 from scipy.stats import norm
 
 from youngbsde import bsde
-from youngbsde.driver import FbsGridField, HurstParams
+from youngbsde.driver import FbsGridField, HurstParams, _chol_axis
 from youngbsde.forward import PathEnsemble, StepNormals
 from youngbsde.paths import SamplePath, TimeGrid, aligned_index, dyadic_interp, p_variation_suffixes
 from youngbsde.sewing import Germ, sew
@@ -400,6 +401,22 @@ def young_integral_against_path(y, m_path, levels: int = 12):
         return ys * np.diff(dyadic_interp(m_path.as_matrix()[:, 0], level))
 
     return sew(Germ(germ_fn), grid, levels=levels)
+
+
+def fbs_values_by_factors(hurst: HurstParams, axes, seed: int) -> np.ndarray:
+    """The sheet fbs_generate draws on axes (time first, each holding 0
+    exactly), by contraction of the per-axis factors: each axis's lower
+    factor is formed whole (the product at rhs = I) and applied to the same
+    Philox normals by tensordot."""
+    hs = [hurst.h0] + [hurst.h] * hurst.d
+    nz = [np.asarray(a) != 0.0 for a in axes]
+    core = default_rng(Philox(key=seed)).standard_normal(tuple(int(m.sum()) for m in nz))
+    for ax, (a, m, h) in enumerate(zip(axes, nz, hs)):
+        low = _chol_axis(np.asarray(a)[m], h, np.eye(int(m.sum())))
+        core = np.moveaxis(np.tensordot(low, core, axes=([1], [ax])), 0, ax)
+    values = np.zeros(tuple(len(a) for a in axes))
+    values[np.ix_(*[np.nonzero(m)[0] for m in nz])] = core
+    return values
 
 
 def load_fbs(prefix):

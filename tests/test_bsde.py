@@ -226,6 +226,17 @@ class TestBackwardSolve:
         with pytest.raises(NoContractionError, match="no contraction"):
             backward_solve(spec, ens, picard=PicardParams(max_iter=10, tol=1e-10))
 
+    def test_singular_regression_names_its_step(self):
+        # a negative ridge makes every step's Gram matrix indefinite; the
+        # first step solved is the last one
+        fwd, ens = bm_ensemble(100, 4, seed=8)
+        spec = make_spec(
+            fwd, time_field(), zero_generator, zero_coupling,
+            terminal_h_of_xt(lambda x: np.cos(x[:, 0])),
+        )
+        with pytest.raises(RegressionError, match=r"^regression normal equations singular at step 3 \(t = 0\.75\)$"):
+            backward_solve(spec, ens, basis=RegressionBasis(degree=2, ridge=-1e6))
+
     def test_smooth_driver_consistency(self):
         # backward solutions under eta_m are Cauchy in m at t = 0
         fwd, ens = bm_ensemble(2000, 32, seed=9)

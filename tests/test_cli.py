@@ -496,6 +496,20 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "numerical failure: no contraction at step 63 (t = 0.984375)" in err
 
+    def test_overflowed_targets_name_the_regression_and_its_step(self, tmp_path, capsys):
+        # coef * y overflows, so the first step's fit meets non-finite
+        # targets: its coefficients are not finite, while the normal
+        # equations themselves factor
+        cfg = json.loads((CONFIGS / "nonlinear_bsde.json").read_text())
+        cfg["bsde"]["generator"] = {"name": "linear-y", "coef": 1e300}
+        cfg["paths"] = 200
+        p = write_cfg(tmp_path, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: regression coefficients not finite at step 31 (t = 0.96875)" in err
+        assert "singular" not in err
+
     def test_output_dir_key_rejected(self, tmp_path, capsys):
         # --out is the only way to name the output directory
         p = write_cfg(tmp_path, {"experiment": "integrate", "levels": 4, "output_dir": "x"})

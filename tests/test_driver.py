@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import fbs_values_by_factors
 
 from youngbsde import driver
 from youngbsde.cli import ANALYTIC_FIELDS
@@ -118,6 +121,32 @@ class TestFbs:
                          [np.linspace(-1.0, 1.0, 5)], seed=1)
         assert shapes == [(4, 4)]
 
+    @pytest.mark.parametrize("axes", [
+        [np.linspace(0.0, 1.0, 301), [np.linspace(-2.0, 2.0, 17)]],   # Schur time axis
+        [np.linspace(0.0, 1.0, 33),
+         [np.linspace(-1.0, 1.0, 9), np.linspace(-2.0, 1.0, 7)]],      # d = 2, dense space axes
+    ], ids=["d1", "d2"])
+    def test_matches_the_contraction_of_the_per_axis_factors(self, axes):
+        t_ax, space = axes
+        hp = HurstParams(h0=0.8, h=0.6, d=len(space))
+        got = fbs_generate(hp, t_ax, space, seed=11).values
+        want = fbs_values_by_factors(hp, [t_ax, *space], seed=11)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_time_axis_factor_is_never_held(self):
+        # the dense 2,046 x 2,046 factor alone takes 33 MB; the normals, the
+        # product, one 64-column panel and the sheet take about 4 MB
+        hp = HurstParams(h0=0.8, h=0.6)
+        t_ax, x_ax = np.linspace(0.0, 1.0, 2047), np.linspace(-4.0, 4.0, 65)
+        fbs_generate(hp, t_ax[:9], [x_ax], seed=21)
+        tracemalloc.start()
+        try:
+            fbs_generate(hp, t_ax, [x_ax], seed=21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_oversize_axis_rejected(self):
         hp = HurstParams(h0=0.5, h=0.5)
         with pytest.raises(ValueError, match="axis too large"):
@@ -193,6 +222,11 @@ def dense_jittered_factor(points, h):
     return np.linalg.cholesky(cov)
 
 
+def chol_factor(points, h):
+    # the factor is the product at rhs = I
+    return driver._chol_axis(points, h, np.eye(points.size))
+
+
 class TestCholAxis:
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.8, 0.9])
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 2046])
@@ -200,10 +234,23 @@ class TestCholAxis:
         # H < 1/2 gives negative fGn correlations, H = 1/2 a diagonal Gamma;
         # the largest gap measured is 2.6e-11 at n = 2046, H = 0.9
         points = np.linspace(0.0, 0.5, n + 1)[1:]
-        got = driver._chol_axis(points, h)
+        got = chol_factor(points, h)
         want = dense_jittered_factor(points, h)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         assert np.array_equal(np.triu(got, 1), np.zeros((n, n)))
+
+    @pytest.mark.parametrize("h", [0.3, 0.9])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 2046])
+    def test_product_matches_the_factor_times_rhs(self, n, h):
+        # n around the 64-column panel's edges; the largest gap measured is
+        # 4.6e-16 of the scale
+        points = np.linspace(0.0, 0.5, n + 1)[1:]
+        rhs = np.random.default_rng(n).standard_normal((n, 7))
+        factor = chol_factor(points, h)
+        got = driver._chol_axis(points, h, rhs)
+        assert got.shape == (n, 7)
+        scale = np.max(np.abs(factor) @ np.abs(rhs))
+        np.testing.assert_allclose(got, factor @ rhs, rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("points", [
         np.array([0.1, 0.3, 0.6, 1.0]),                        # non-uniform
@@ -212,14 +259,17 @@ class TestCholAxis:
         -np.linspace(0, 1, 5)[:0:-1],                          # one-sided, negative
     ])
     def test_other_axes_keep_the_dense_factor(self, points):
-        np.testing.assert_array_equal(driver._chol_axis(points, 0.7), dense_jittered_factor(points, 0.7))
+        np.testing.assert_array_equal(chol_factor(points, 0.7), dense_jittered_factor(points, 0.7))
 
     def test_rho_at_least_one_falls_back_to_the_dense_factor(self, monkeypatch):
         bad = np.array([1.0, 2.0, 0.0, 0.0])
-        assert driver._schur_chol(bad) is None
+        assert driver._schur_chol(bad, np.eye(4)) is None
         monkeypatch.setattr(driver, "_fgn_column", lambda n, step, h: bad)
         points = np.linspace(0.0, 1.0, 5)[1:]
-        np.testing.assert_array_equal(driver._chol_axis(points, 0.7), dense_jittered_factor(points, 0.7))
+        np.testing.assert_array_equal(chol_factor(points, 0.7), dense_jittered_factor(points, 0.7))
+        rhs = np.random.default_rng(2).standard_normal((4, 3))
+        np.testing.assert_array_equal(driver._chol_axis(points, 0.7, rhs),
+                                      dense_jittered_factor(points, 0.7) @ rhs)
 
 
 class TestMollify:
