@@ -25,12 +25,10 @@ import numpy as np
 
 from .driver import DriverField
 from .forward import PathEnsemble, SdeSpec, StepNormals, exit_indices
-from .paths import p_variation_suffixes
+from .paths import NumericalError, p_variation_suffixes
 
 __all__ = [
     "RegressionBasis",
-    "RegressionError",
-    "NoContractionError",
     "PicardParams",
     "terminal_h_of_xt",
     "terminal_running_max",
@@ -46,14 +44,6 @@ __all__ = [
     "ComparisonReport",
     "diagnostics",
 ]
-
-
-class RegressionError(RuntimeError):
-    pass
-
-
-class NoContractionError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -123,7 +113,7 @@ class _Fit:
         try:
             self._chol = np.linalg.cholesky(a.T @ a + pen)
         except np.linalg.LinAlgError as exc:
-            raise RegressionError("regression normal equations singular") from exc
+            raise NumericalError("regression normal equations singular") from exc
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of targets (k,) or (k, c), one fit per column."""
@@ -133,7 +123,7 @@ class _Fit:
         half = np.linalg.solve(self._chol, self._a.T @ targets)
         beta = np.linalg.solve(self._chol.T, half)
         if not np.all(np.isfinite(beta)):
-            raise RegressionError("regression coefficients not finite")
+            raise NumericalError("regression coefficients not finite")
         return self._a @ beta
 
 
@@ -293,8 +283,9 @@ def _step(spec, basis, picard, t_i, t_next, x, dw, y_next):
 
 def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
     """Retry step i for the paths in rows on a half mesh: insert a
-    Brownian-bridge midpoint, solve [mid, t_{i+1}] then [t_i, mid]; raise if
-    either half still fails to contract.
+    Brownian-bridge midpoint, solve [mid, t_{i+1}] then [t_i, mid]; raise
+    NumericalError("no contraction") if either half still fails to contract,
+    and _backward names the step.
 
     The bridge normals are drawn for every path and then restricted to rows,
     so a path gets the same midpoint whichever other paths are active.
@@ -314,7 +305,7 @@ def _halved_step(spec, ensemble, basis, picard, i, rows, y_next):
     if ok:
         y, z, _, ok, target_lo, open_lo = _step(spec, basis, picard, t_i, t_mid, x, dw1, y_mid)
     if not ok:
-        raise NoContractionError(f"no contraction at step {i} (t = {t_i:.6g})")
+        raise NumericalError("no contraction")
     unconverged = max((r for r in (open_hi, open_lo) if r is not None), default=None)
     return y, z, (target_hi - y_next) + (target_lo - y_mid), unconverged
 
@@ -325,7 +316,8 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
     From its exit index on a path stays frozen at the running terminal value
     Xi and has Z = 0; the regressions at step i use the active paths only.
     A step whose Picard loop fails to contract is halved once before giving
-    up with "no contraction".
+    up with "no contraction".  A NumericalError of a step, or a RuntimeWarning
+    raised as an error, is raised again as one ending " at step i (t = t_i)".
     """
     basis = basis or RegressionBasis()
     picard = picard or PicardParams()
@@ -357,8 +349,8 @@ def _backward(spec, ensemble, k_exit, basis, picard) -> BsdeSolution:
                 y_i, z_i, gain, open_r = _halved_step(spec, ensemble, basis, picard, i, rows, y_next)
                 halvings.append(i)
                 residuals = residuals + ["halved"]
-        except RegressionError as exc:
-            raise RegressionError(f"{exc} at step {i} (t = {grid.points[i]:.6g})") from exc
+        except (NumericalError, RuntimeWarning) as exc:
+            raise NumericalError(f"{exc} at step {i} (t = {grid.points[i]:.6g})") from exc
         if open_r is not None:
             unconverged[i] = open_r
         residual_log[i] = residuals
@@ -527,13 +519,13 @@ def diagnostics(
     with np.errstate(over="ignore"):  # an overflow is reported below
         pvar = p_variation_suffixes(y, p, starts)  # column q: y[:, starts[q]:]
     if np.all(np.isfinite(y)) and not np.all(np.isfinite(pvar)):
-        raise FloatingPointError(f"p-variation of Y overflows at diag_p = {p}")
+        raise NumericalError(f"p-variation of Y overflows at diag_p = {p}")
 
     def moment(base, k):
         with np.errstate(over="ignore"):
             out = base**k
         if np.all(np.isfinite(base)) and not np.all(np.isfinite(out)):
-            raise FloatingPointError(f"moment of the diagnostics overflows at diag_k = {k_mom}")
+            raise NumericalError(f"moment of the diagnostics overflows at diag_k = {k_mom}")
         return out
 
     # |Z|^2 dt, C-contiguous (k, n - 1), so row sums do not depend on z's layout

@@ -6,7 +6,9 @@ results.csv, manifest.json (the validated config with every default filled
 in, seed, library version, wall time, and the OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS values the process started with, null when unset), and
 summary.txt; this module writes every file the package writes.  Exit
-status: 0 success, 2 config error, 3 numerical failure.
+status: 0 success, 2 config error (also a file that cannot be read or is
+not UTF-8 JSON), 3 numerical failure (a paths.NumericalError, numpy's own
+LinAlgError or FloatingPointError, or a RuntimeWarning raised as an error).
 
     youngbsde run  config.json [--out DIR]   (DIR defaults to youngbsde-out)
     youngbsde check config.json
@@ -41,9 +43,7 @@ import numpy as np
 from . import __version__
 from .bsde import (
     BsdeSpec,
-    NoContractionError,
     PicardParams,
-    RegressionError,
     RegressionBasis,
     backward_solve,
     comparison_experiment,
@@ -64,9 +64,9 @@ from .driver import (
     assumption_check,
     fbs_generate,
 )
-from .flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
+from .flow import exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
-from .paths import SamplePath, TimeGrid, dyadic_blocks
+from .paths import NumericalError, SamplePath, TimeGrid, dyadic_blocks
 from .pde import (
     PdeSpec,
     feynman_kac_cross_check,
@@ -74,7 +74,7 @@ from .pde import (
     neumann_fk_estimate,
     young_pde_table,
 )
-from .sewing import SewingError, nonlinear_young_integral
+from .sewing import nonlinear_young_integral
 
 
 class ConfigError(ValueError):
@@ -192,7 +192,8 @@ class _Obj:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+    # a finite float, or an int within float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _num(default=_REQUIRED, lo=-np.inf, hi=np.inf, lo_in=False, hi_in=False) -> _Leaf:
@@ -383,9 +384,13 @@ _TABLE = {
     ),
     "fbs-generate": _experiment(
         driver=_Obj(_REQUIRED, {"fbs": _DRIVERS["fbs"]}, kinds=True),
-        # the run writes <prefix>.bin and <prefix>.json next to manifest.json
-        prefix=_Leaf("a file name other than manifest", lambda v: isinstance(v, str)
-                     and v not in ("", ".", "..", "manifest") and Path(v).name == v,
+        # the run writes <prefix>.bin and <prefix>.json next to manifest.json,
+        # so no NUL or lone surrogate (no UTF-8), and <prefix>.json within the
+        # 255-byte file-name limit of Linux and macOS
+        prefix=_Leaf("a file name other than manifest, of at most 250 UTF-8 bytes",
+                     lambda v: isinstance(v, str) and v not in ("", ".", "..", "manifest")
+                     and Path(v).name == v and "\0" not in v
+                     and not any("\ud800" <= c <= "\udfff" for c in v) and len(v.encode()) <= 250,
                      "fbs_realization"),
     ),
     "assumptions": _experiment(
@@ -841,11 +846,6 @@ _RUNNERS = {
 # them once, when numpy loads
 _BLAS_THREADS = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
 
-_NUMERIC_FAILURES = (
-    NoContractionError, RegressionError, FlowError, SewingError,
-    FloatingPointError, np.linalg.LinAlgError,
-)
-
 
 def run_config(cfg: dict, out_dir: Path) -> int:
     """Runs a config that validate_config returned and writes its outputs."""
@@ -854,7 +854,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     t0 = time.perf_counter()
     try:
         rows, summary = _RUNNERS[name](cfg, out_dir)
-    except _NUMERIC_FAILURES as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError, RuntimeWarning) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
@@ -891,9 +891,11 @@ def main(argv=None) -> int:
     p_check.add_argument("config", type=Path)
     args = parser.parse_args(argv)
 
+    # not UTF-8, not JSON, an integer over the digit limit, a ConfigError:
+    # each is a ValueError
     try:
         cfg = validate_config(json.loads(Path(args.config).read_text()))
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ import numpy as np
 # cost in start-up, outside the first run
 from numpy.random import Philox, default_rng
 
-from .paths import blend, locate
+from .paths import NumericalError, blend, locate
 
 __all__ = [
     "RegularityParams",
@@ -191,7 +191,7 @@ def _dense_chol(points: np.ndarray, h: float) -> np.ndarray:
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance factorization failed") from exc
+        raise NumericalError("covariance factorization failed") from exc
 
 
 def _fgn_column(n: int, step: float, h: float) -> np.ndarray:

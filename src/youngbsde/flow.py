@@ -28,16 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import DriverField
-from .paths import SamplePath, aligned_index, dyadic_blocks
+from .paths import NumericalError, SamplePath, aligned_index, dyadic_blocks
 from .sewing import nonlinear_young_integral
 
-__all__ = ["FlowMatrix", "FlowError", "solve_linear_yode", "inverse_flow", "exp_formula_1d"]
+__all__ = ["FlowMatrix", "solve_linear_yode", "inverse_flow", "exp_formula_1d"]
 
 COND_LIMIT = 1e12
-
-
-class FlowError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -111,7 +107,7 @@ def solve_linear_yode(
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
         jc = int(np.argmin(finite)) - 1
-        raise FlowError(f"flow blew up at step {jc} (t = {grid.points[jc]:.6g})")
+        raise NumericalError(f"flow blew up at step {jc} (t = {grid.points[jc]:.6g})")
     return FlowMatrix(times=grid.points, matrices=mats, step_factors=steps)
 
 
@@ -120,7 +116,7 @@ def inverse_flow(flow: FlowMatrix) -> np.ndarray:
     each guarded by its condition number."""
     bad = ~(np.linalg.cond(flow.matrices) <= COND_LIMIT)
     if bad.any():
-        raise FlowError(f"singular flow matrix at grid index {int(np.argmax(bad))}")
+        raise NumericalError(f"singular flow matrix at grid index {int(np.argmax(bad))}")
     return np.linalg.inv(flow.matrices)
 
 

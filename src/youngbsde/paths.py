@@ -1,6 +1,6 @@
 """Time grids, sampled paths, the interpolation kernels (dyadic refinement,
-whole or in blocks of base cells, and clamped multilinear locate-and-blend)
-and the p-variation.
+whole or in blocks of base cells, and clamped multilinear locate-and-blend),
+the p-variation, and NumericalError, the one type of a numerical failure.
 
 The p-variation is the exact supremum over sub-partitions of the
 observation grid, which coincides with the continuous-time value for the
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "TimeGrid",
     "SamplePath",
     "aligned_index",
@@ -31,6 +32,10 @@ _ALIGN_RTOL = 1e-10
 # fine cells per block of dyadic_blocks: 2^16 fine values take 0.5 MB, so a
 # block's arrays stay in cache while a caller works through them
 _BLOCK_CELLS = 2**16
+
+
+class NumericalError(RuntimeError):
+    """A result that cannot be trusted: the one type of a numerical failure."""
 
 
 @dataclass(frozen=True)

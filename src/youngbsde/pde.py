@@ -34,7 +34,7 @@ from .bsde import (
 )
 from .driver import DriverField, MollifiedField
 from .forward import SdeSpec, StepNormals, euler_maruyama, reflect_1d
-from .paths import TimeGrid, blend, locate
+from .paths import NumericalError, TimeGrid, blend, locate
 
 __all__ = [
     "PdeSpec",
@@ -180,7 +180,7 @@ def _implicit_solver(half: tuple, shape: tuple):
         inverse = np.linalg.inv(mat)
         cond = np.linalg.norm(mat, 1) * np.linalg.norm(inverse, 1)
         if not cond <= MAX_IMPLICIT_CONDITION:
-            raise np.linalg.LinAlgError(
+            raise NumericalError(
                 f"implicit finite-difference matrix has 1-norm condition number {cond:.3g}, "
                 f"above {MAX_IMPLICIT_CONDITION:.3g}"
             )

@@ -22,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import DriverField
-from .paths import SamplePath, TimeGrid, dyadic_blocks, dyadic_interp
+from .paths import NumericalError, SamplePath, TimeGrid, dyadic_blocks, dyadic_interp
 
-__all__ = ["Germ", "IntegralResult", "SewingError", "sew", "nonlinear_young_integral"]
-
-
-class SewingError(RuntimeError):
-    pass
+__all__ = ["Germ", "IntegralResult", "sew", "nonlinear_young_integral"]
 
 
 def _finite(out, s, t) -> np.ndarray:
@@ -36,7 +32,7 @@ def _finite(out, s, t) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         bad = np.nonzero(~np.isfinite(np.atleast_1d(out)))[0]
         i = int(bad[0])
-        raise SewingError(
+        raise NumericalError(
             f"non-finite germ value on subinterval ({np.atleast_1d(s)[i]}, {np.atleast_1d(t)[i]})"
         )
     return out

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,16 @@ class TestCliRuns:
             ({"experiment": "pde-table", "driver": {"kind": "analytic", "name": "time"},
               "pde": {"halfwidth": 2.0}}, "pde.halfwidth"),
             ({"experiment": "localization-error", "pde": {"halfwidth": 7.0}}, "pde.halfwidth"),
+            # names no file system takes: a NUL, a lone surrogate (not UTF-8)
+            # and 300 bytes, beyond the 255-byte name limit with ".json"
+            *[({"experiment": "fbs-generate", "seed": 1, "prefix": prefix,
+                "driver": {"kind": "fbs", "hurst": {"h0": 0.7, "h": 0.5},
+                           "time_cells": 4, "space_cells": 4}}, "prefix")
+              for prefix in ("a\u0000b", "a\ud800", "x" * 300)],
+            # an integer beyond float range is not a finite number
+            ({"experiment": "nonlinear-bsde", "seed": 1,
+              "driver": {"kind": "fbs", "hurst": {"h0": 0.9, "h": 0.5}, "horizon": 10**400}},
+             "driver.horizon"),
         ],
     )
     def test_checked_configs_that_cannot_run(self, tmp_path, capsys, cfg, key):
@@ -509,6 +520,42 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "numerical failure: regression coefficients not finite at step 31 (t = 0.96875)" in err
         assert "singular" not in err
+
+    def test_overflow_raised_as_an_error_exits_3_naming_its_step(self, tmp_path, capsys):
+        # the same overflow with RuntimeWarning made an error, as CI runs
+        # every config: numpy's warning is the numerical failure, at its step
+        cfg = json.loads((CONFIGS / "nonlinear_bsde.json").read_text())
+        cfg["bsde"]["generator"] = {"name": "linear-y", "coef": 1e300}
+        cfg["paths"] = 200
+        p = write_cfg(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: overflow encountered in multiply at step 31 (t = 0.96875)" in err
+
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"experiment": "integrate", "levels": ' + b"1" * 5000 + b"}",  # over 4,300 digits
+    ], ids=["not-utf8", "too-many-digits"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(text)
+        assert main(["check", str(p)]) == 2
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("config error") == 2
+
+    def test_fbs_generate_prefix_of_250_bytes_is_written(self, tmp_path):
+        # 125 two-byte characters: <prefix>.json takes the whole 255 bytes
+        prefix = "\u00e9" * 125
+        cfg = {"experiment": "fbs-generate", "seed": 1, "prefix": prefix,
+               "driver": {"kind": "fbs", "hurst": {"h0": 0.7, "h": 0.5},
+                          "time_cells": 4, "space_cells": 4}}
+        out = tmp_path / "fb"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert (out / f"{prefix}.json").is_file() and (out / f"{prefix}.bin").is_file()
+        cfg["prefix"] += "\u00e9"
+        assert main(["check", str(write_cfg(tmp_path, cfg))]) == 2
 
     def test_output_dir_key_rejected(self, tmp_path, capsys):
         # --out is the only way to name the output directory

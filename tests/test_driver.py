@@ -15,7 +15,7 @@ from youngbsde.driver import (
     assumption_check,
     fbs_generate,
 )
-from youngbsde.paths import locate
+from youngbsde.paths import NumericalError, locate
 
 
 def fbs_cov(t, x, s, y, h0, h):
@@ -103,7 +103,7 @@ class TestFbs:
 
         monkeypatch.setattr(np.linalg, "cholesky", boom)
         axis = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
-        with pytest.raises(ValueError, match="covariance factorization failed"):
+        with pytest.raises(NumericalError, match="covariance factorization failed"):
             fbs_generate(HurstParams(h0=0.6, h=0.7), axis, [axis], seed=1)
 
     def test_uniform_time_axis_skips_the_dense_factor(self, monkeypatch):
@@ -116,7 +116,7 @@ class TestFbs:
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", boom)
-        with pytest.raises(ValueError, match="covariance factorization failed"):
+        with pytest.raises(NumericalError, match="covariance factorization failed"):
             fbs_generate(HurstParams(h0=0.6, h=0.7), np.linspace(0.0, 1.0, 9),
                          [np.linspace(-1.0, 1.0, 5)], seed=1)
         assert shapes == [(4, 4)]

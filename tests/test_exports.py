@@ -27,6 +27,30 @@ def test_all_is_exact(name):
     assert not unlisted, f"{name}.__all__ leaves out {unlisted}"
 
 
+def _name(node):
+    # the last name of a Name or dotted Attribute, as raised or subclassed
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_one_type_for_a_numerical_failure():
+    # the package defines two exception classes, and a numerical failure is
+    # raised as a NumericalError, never as a numpy or builtin runtime error
+    src = Path(importlib.import_module("youngbsde").__file__).resolve().parent
+    defined, raised = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                (_name(b) or "").endswith(("Error", "Exception", "Warning")) for b in node.bases
+            ):
+                defined.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if _name(exc) in ("FloatingPointError", "LinAlgError", "RuntimeError"):
+                    raised.append(f"{path.stem}:{node.lineno} {_name(exc)}")
+    assert sorted(defined) == ["cli.ConfigError", "paths.NumericalError"]
+    assert raised == []
+
+
 # ------------------------------------------- the names perfbench/tracer.py binds
 
 def _tracer():

@@ -4,8 +4,8 @@ from oracles import interp, linear_yode_step_factors_whole
 
 from youngbsde import paths
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
-from youngbsde.flow import FlowError, exp_formula_1d, inverse_flow, solve_linear_yode
-from youngbsde.paths import SamplePath, TimeGrid
+from youngbsde.flow import exp_formula_1d, inverse_flow, solve_linear_yode
+from youngbsde.paths import NumericalError, SamplePath, TimeGrid
 
 
 def time_field():
@@ -69,7 +69,7 @@ class TestEulerFlow:
         field = AnalyticField(lambda t, x: 1e8 * t, RegularityParams(tau=1.0, lam=1.0, p=2.5))
         x = brownian_path(64, 1)
         alpha = np.full((65, 1, 1), 1e80)
-        with pytest.raises(FlowError, match="blew up"):
+        with pytest.raises(NumericalError, match="blew up"):
             solve_linear_yode(alpha, x, field)
 
     @pytest.mark.parametrize("levels", range(4))
@@ -109,7 +109,7 @@ class TestEulerFlow:
         alpha = np.abs(np.random.default_rng(23).standard_normal((65, 2, 2)))
         step = sequential_flow(alpha, x, field, levels, 2)
         assert 0 < step < 63
-        with pytest.raises(FlowError, match=f"blew up at step {step} "):
+        with pytest.raises(NumericalError, match=f"blew up at step {step} "):
             solve_linear_yode(alpha, x, field, levels=levels)
 
     def test_cocycle_exact(self):
@@ -153,7 +153,7 @@ class TestEulerFlow:
     def test_singular_flow_rejected(self):
         flow = solve_linear_yode(np.zeros((9, 2, 2)), brownian_path(8, 3), time_field())
         flow.matrices[4] = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(FlowError, match="singular flow matrix at grid index 4"):
+        with pytest.raises(NumericalError, match="singular flow matrix at grid index 4"):
             inverse_flow(flow)
 
     def test_inverse_consistency_under_refinement(self):

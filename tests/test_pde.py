@@ -15,6 +15,7 @@ from youngbsde import pde
 from youngbsde.cli import main
 from youngbsde.driver import AnalyticField, HurstParams, MollifiedField, RegularityParams, fbs_generate
 from youngbsde.forward import SdeSpec
+from youngbsde.paths import NumericalError
 from youngbsde.pde import (
     PdeSolution,
     PdeSpec,
@@ -151,7 +152,7 @@ class TestFdSolve:
     def test_ill_conditioned_implicit_matrix_raises(self, monkeypatch):
         # every condition number is at least 1, and above it unless M = cI
         monkeypatch.setattr(pde, "MAX_IMPLICIT_CONDITION", 1.0)
-        with pytest.raises(np.linalg.LinAlgError, match="condition number"):
+        with pytest.raises(NumericalError, match="condition number"):
             fd_dirichlet_solve(heat_spec(), 16, 32)
 
     def test_ill_conditioned_implicit_matrix_exits_3(self, tmp_path, monkeypatch, capsys):

@@ -16,8 +16,8 @@ from oracles import (
 
 from youngbsde import paths
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
-from youngbsde.paths import SamplePath, TimeGrid, dyadic_interp
-from youngbsde.sewing import Germ, SewingError, nonlinear_young_integral, sew
+from youngbsde.paths import NumericalError, SamplePath, TimeGrid, dyadic_interp
+from youngbsde.sewing import Germ, nonlinear_young_integral, sew
 
 
 def brownian_path(n_cells, seed, horizon=1.0):
@@ -56,7 +56,7 @@ class TestSew:
 
     def test_non_finite_germ_reported(self):
         grid = TimeGrid.uniform(1.0, 2)
-        with pytest.raises(SewingError, match="non-finite germ"):
+        with pytest.raises(NumericalError, match="non-finite germ"):
             sew(Germ(lambda s, t: np.where(s > 0.4, np.nan, 1.0)), grid, levels=2)
 
     def test_segment_additivity_exact(self):
@@ -222,7 +222,7 @@ class TestBlockWalk:
         pts = dyadic_interp(x.grid.points, 2)
         i = int(np.argmax(pts[1:] > 0.71))  # the first fine cell whose increment is NaN
         assert i >= 32  # past the first two blocks
-        with pytest.raises(SewingError, match=rf"\({pts[i]}, {pts[i + 1]}\)"):
+        with pytest.raises(NumericalError, match=rf"\({pts[i]}, {pts[i + 1]}\)"):
             nonlinear_young_integral(SamplePath(x.grid, np.ones(17)), x, field, levels=2)
 
     def test_negative_zero_sum_stays_negative_across_seams(self, monkeypatch):
