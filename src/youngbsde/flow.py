@@ -8,14 +8,17 @@ dyadically ``levels`` times,
     d_eta_j = eta(t_{j+1}, x_{t_j}) - eta(t_j, x_{t_j}),
 
 which is the one left-point sum sewing.nonlinear_young_integral forms on
-the same refinement.  The step factor of one base cell is the product of
-its 2^levels fine factors, formed pairwise in ``levels`` rounds; the
-pairwise bracketing moves it by rounding only.  The fine factors are built
-and multiplied out in blocks of whole base cells (paths.dyadic_blocks), so
-only one block's are held at a time.
+the same refinement, and both bracket a base cell pairwise: the integral
+adds the cell's 2^levels germ values by numpy's pairwise sum, and the step
+factor of one base cell is the product of its 2^levels fine factors,
+formed pairwise in ``levels`` rounds; the pairwise bracketing moves it by
+rounding only.  The fine factors are built and multiplied out in blocks of
+whole base cells (paths.dyadic_blocks), so only one block's are held at a
+time.
 The flow matrices are the sequential product of the stored step factors
-over the base cells, and FlowMatrix.segment re-brackets that same product,
-so the cocycle G_T^s G_s^t = G_T^t is still exact on grid-aligned triples.
+over the base cells, and FlowMatrix.segment re-brackets that same product
+(from the first grid point it is the flow matrix itself), so the cocycle
+G_T^s G_s^t = G_T^t is still exact on grid-aligned triples.
 inverse_flow inverts the flow matrices only (the flow representation of
 linear BSDEs reads G_s^0 and its inverse).  In one dimension the closed
 form exp(int a eta(dr, x_r)) is available for cross-checks.
@@ -55,10 +58,13 @@ class FlowMatrix:
 
     def segment(self, a: float, b: float) -> np.ndarray:
         """G_b^a for grid points a <= b, the product of step factors; a or b
-        off the grid, or a > b, raises ValueError."""
+        off the grid, or a > b, raises ValueError.  From the first grid
+        point it is a copy of matrices[ib], the same product bitwise."""
         ia, ib = aligned_index(self.times, a), aligned_index(self.times, b)
         if ia > ib:
             raise ValueError("interval must satisfy a <= b")
+        if ia == 0:
+            return self.matrices[ib].copy()
         out = np.eye(self.dim)
         for j in range(ia, ib):
             out = self.step_factors[j] @ out

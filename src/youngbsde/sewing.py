@@ -7,16 +7,19 @@ a scalar path y against eta(dr, x_r) is one such sum, of A(s, t) =
 y_s (eta(t, x_s) - eta(s, x_s)), on the requested level only.  Paths are extended to the
 refinement points by linear interpolation, matching the grid-supremum
 path-norm convention used throughout, and read there by one blend instead
-of a search.  The integral walks the refinement in blocks of whole base
-cells (paths.dyadic_blocks), so its memory is one block's, not the fine
-grid's, and it carries the running sum from block to block, which keeps the
-sequential order of the whole-grid sum; ``sew`` refines its grid whole
-(paths.dyadic_interp) at each level.
+of a search.  The integral sums one driver field, or each of a sequence,
+in one walk of the refinement in blocks of whole base cells
+(paths.dyadic_blocks), so its memory is one block's, not the fine grid's.
+Each base cell's 2^levels germ values are added pairwise (numpy's sum), as
+the flow brackets a cell's fine factors, and the running integral is the
+sequential sum of the cell sums, carried from block to block; ``sew``
+refines its grid whole (paths.dyadic_interp) at each level.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,31 +101,42 @@ def sew(germ: Germ, grid: TimeGrid, levels: int = 12) -> IntegralResult:
 
 
 def nonlinear_young_integral(
-    y: SamplePath, x: SamplePath, fieldv: DriverField, levels: int = 12
+    y: SamplePath, x: SamplePath, fieldv: DriverField | Sequence[DriverField], levels: int = 12
 ) -> SamplePath:
     """Running integral of the scalar path y against eta(dr, x_r) at x's grid
     points: the left-point sum of y_s (eta(t, x_s) - eta(s, x_s)) over the
-    cells of the level-``levels`` dyadic refinement of that grid.  When the
-    declared exponents violate tau + lam/p > 1 a warning is emitted; the sum
-    is still formed.
+    cells of the level-``levels`` dyadic refinement of that grid, each base
+    cell's germ values added pairwise, then the cell sums in order.
+
+    ``fieldv`` is one DriverField, for values (n,), or a sequence of F of
+    them, for values (n, F) whose column q is the integral against
+    ``fieldv[q]``; every field is summed in the one walk of the refinement.
+    A warning is emitted for each field whose declared exponents violate
+    tau + lam/p > 1; the sum is still formed.
     """
-    if fieldv.params.tau + fieldv.params.lam / fieldv.params.p <= 1:
-        warnings.warn(
-            "declared exponents do not guarantee convergence: tau + lam/p <= 1",
-            stacklevel=2,
-        )
+    single = isinstance(fieldv, DriverField)
+    fields = [fieldv] if single else list(fieldv)
+    if not fields:
+        raise ValueError("need at least one driver field")
+    for q, fld in enumerate(fields):
+        if fld.params.tau + fld.params.lam / fld.params.p <= 1:
+            name = "declared exponents" if single else f"declared exponents of field {q}"
+            warnings.warn(
+                f"{name} do not guarantee convergence: tau + lam/p <= 1", stacklevel=2
+            )
     grid = x.grid
     if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
         raise ValueError("y and x must share a time grid")
     if y.values.ndim != 1:
         raise ValueError("y must be a scalar path, values of shape (n,)")
     k = 2**levels
-    running = np.zeros(grid.n)
+    running = np.zeros((grid.n, len(fields)))
     for c, (t, ys, xs) in dyadic_blocks(levels, grid.points, y.values, x.as_matrix()):
-        vals = _finite(ys[:-1] * fieldv.increment(t[:-1], t[1:], xs[:-1]), t[:-1], t[1:])
-        if c:  # the sum so far; skipped on the first block, where a -0.0 stays -0.0
-            vals[0] += running[c]
-        np.cumsum(vals, out=vals)
-        # the running sum at the last fine cell of each base cell
-        running[c + 1 : c + 1 + vals.size // k] = vals[k - 1 :: k]
-    return SamplePath(grid, running)
+        left, right, ys, xs = t[:-1], t[1:], ys[:-1], xs[:-1]
+        m = left.size // k
+        for q, fld in enumerate(fields):
+            vals = _finite(ys * fld.increment(left, right, xs), left, right)
+            cell = vals.reshape(m, k).sum(axis=1)
+            cell[0] += running[c, q]  # the sum so far
+            np.cumsum(cell, out=running[c + 1 : c + 1 + m, q])
+    return SamplePath(grid, running[:, 0] if single else running)

@@ -355,16 +355,21 @@ def nonlinear_germ_defect(y, x, fieldv, running):
     return np.abs(np.diff(running.values) - germ)
 
 
-def nonlinear_young_integral_whole(y, x, fieldv, levels: int) -> np.ndarray:
-    """The running nonlinear Young integral at x's grid points with every
-    fine cell at once: one cumulative sum of ys * increment over the whole
-    level-``levels`` refinement, read at every 2^levels-th fine point."""
+def nonlinear_young_germs(y, x, fieldv, levels: int) -> np.ndarray:
+    """Every germ value ys * increment of the nonlinear Young integral on
+    the whole level-``levels`` refinement of x's grid, fine cells in order."""
     pts = dyadic_interp(x.grid.points, levels)
     ys = dyadic_interp(y.values, levels)[:-1]
     xs = dyadic_interp(x.as_matrix(), levels)[:-1]
-    vals = ys * fieldv.increment(pts[:-1], pts[1:], xs)
-    k = 2**levels
-    return np.concatenate([[0.0], np.cumsum(vals)[k - 1 :: k]])
+    return ys * fieldv.increment(pts[:-1], pts[1:], xs)
+
+
+def nonlinear_young_integral_whole(y, x, fieldv, levels: int) -> np.ndarray:
+    """The running nonlinear Young integral at x's grid points with every
+    fine cell at once: each base cell's 2^levels germ values summed by
+    numpy's pairwise sum, then one cumulative sum over the base cells."""
+    cells = nonlinear_young_germs(y, x, fieldv, levels).reshape(x.grid.n - 1, 2**levels)
+    return np.concatenate([[0.0], np.cumsum(cells.sum(axis=1))])
 
 
 def linear_yode_step_factors_whole(alpha, x, fieldv, levels: int) -> np.ndarray:

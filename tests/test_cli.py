@@ -537,7 +537,8 @@ class TestCliRuns:
     @pytest.mark.parametrize("text", [
         b"\xff\xfe{}",  # not UTF-8
         b'{"experiment": "integrate", "levels": ' + b"1" * 5000 + b"}",  # over 4,300 digits
-    ], ids=["not-utf8", "too-many-digits"])
+        b"[" * 100000 + b"]" * 100000,  # nested past the decoder's recursion limit
+    ], ids=["not-utf8", "too-many-digits", "nested-arrays"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
         p = tmp_path / "cfg.json"
         p.write_bytes(text)

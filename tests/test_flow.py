@@ -255,3 +255,20 @@ class TestSegment:
         )
         with pytest.raises(ValueError, match=match):
             flow.segment(a, b)
+
+    def test_from_the_first_point_is_the_flow_matrix_bitwise(self):
+        # segment(times[0], s) copies matrices[i]: the product the loop over
+        # step factors forms, steps[i - 1] @ ... @ steps[0], bitwise
+        rng = np.random.default_rng(32)
+        flow = solve_linear_yode(
+            rng.standard_normal((9, 2, 2)), brownian_path(8, 33), rough_field(), levels=2
+        )
+        for i, s in enumerate(flow.times):
+            got = flow.segment(flow.times[0], s)
+            assert got.tobytes() == flow.matrices[i].tobytes()
+            loop = np.eye(2)
+            for j in range(i):
+                loop = flow.step_factors[j] @ loop
+            assert loop.tobytes() == got.tobytes()
+            got[:] = np.nan  # a copy: the flow's own matrix is untouched
+            assert np.isfinite(flow.matrices[i]).all()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from oracles import (
     interp,
     nonlinear_germ_defect,
+    nonlinear_young_germs,
     nonlinear_young_integral_whole,
     p_variation,
     remainder_certificate,
@@ -146,8 +148,8 @@ class TestNonlinearYoung:
             np.testing.assert_allclose(got[-1].values, want.cumulative, rtol=0, atol=1e-13)
 
     def test_one_left_point_sum_bitwise(self):
-        # the running integral is the cumulative sum of ys * increment on the
-        # level-l refinement, read at every 2^l-th fine point
+        # the running integral is the cumulative sum over base cells of each
+        # cell's pairwise sum of ys * increment on the level-l refinement
         field = fbs_generate(HurstParams(h0=0.8, h=0.6), np.linspace(0.0, 1.0, 129),
                              [np.linspace(-2.0, 2.0, 33)], seed=42, p=2.05)
         x = brownian_path(12, 43)
@@ -225,17 +227,62 @@ class TestBlockWalk:
         with pytest.raises(NumericalError, match=rf"\({pts[i]}, {pts[i + 1]}\)"):
             nonlinear_young_integral(SamplePath(x.grid, np.ones(17)), x, field, levels=2)
 
-    def test_negative_zero_sum_stays_negative_across_seams(self, monkeypatch):
-        # y = 0 against a decreasing field: every germ value is -0.0, and so
-        # is the running sum, which a +0.0 carry into a block would flip
+    def test_zero_sum_keeps_its_sign_across_seams(self, monkeypatch):
+        # y = 0 against a decreasing field: every germ value is -0.0.  A cell
+        # sum takes the sign numpy's sum gives them (its sum starts from
+        # +0.0), and a carry into a block must not change it
         monkeypatch.setattr(paths, "_BLOCK_CELLS", 8)
         field = AnalyticField(lambda t, x: -t, RegularityParams(tau=1.0, lam=1.0, p=2.5))
         x = brownian_path(10, 46)
         got = nonlinear_young_integral(SamplePath(x.grid, np.zeros(11)), x, field, levels=2)
+        cell_sign = np.signbit(np.full((1, 4), -0.0).sum(axis=1)[0])
         assert got.values[0] == 0.0 and not np.signbit(got.values[0])
-        assert np.all(got.values[1:] == 0.0) and np.all(np.signbit(got.values[1:]))
+        assert np.all(got.values[1:] == 0.0) and np.all(np.signbit(got.values[1:]) == cell_sign)
         want = nonlinear_young_integral_whole(SamplePath(x.grid, np.zeros(11)), x, field, 2)
         assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_cells", [8, 24, 64])
+    def test_each_field_of_one_walk_is_its_own_call_bitwise(self, monkeypatch, block_cells):
+        # 13 cells at level 3, blocks of 1, 3 and 8 cells: column q of a
+        # call on several fields is the call on fields[q] alone
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", block_cells)
+        x = brownian_path(13, 44)
+        y = SamplePath(x.grid, np.sin(3 * x.grid.points) - x.values)
+        fields = [sin_t_field(0.8), self._fields()["fbs"], sin_t_field()]
+        got = nonlinear_young_integral(y, x, fields, levels=3)
+        assert got.values.shape == (14, 3)
+        for q, fld in enumerate(fields):
+            want = nonlinear_young_integral(y, x, fld, levels=3)
+            assert got.values[:, q].tobytes() == want.values.tobytes()
+
+    def test_one_walk_warns_per_field_and_needs_a_field(self):
+        weak = AnalyticField(lambda t, x: np.sin(x[:, 0]) * t**0.6,
+                             RegularityParams(tau=0.6, lam=0.5, p=2.5))
+        x = brownian_path(8, 2)
+        y = SamplePath(x.grid, np.ones(9))
+        with pytest.warns(UserWarning, match="field 1 do not guarantee") as record:
+            nonlinear_young_integral(y, x, [sin_t_field(), weak], levels=2)
+        assert len(record) == 1
+        with pytest.raises(ValueError, match="at least one"):
+            nonlinear_young_integral(y, x, [], levels=2)
+
+    @pytest.mark.parametrize("cells, levels", [(16, 16), (4, 18)])
+    def test_running_sum_within_the_pairwise_bound_of_fsum(self, cells, levels):
+        # 2^20 positive germ values.  Against the exactly rounded sum, the
+        # error stays under (levels + cells + 16) eps sum|v|: pairwise depth
+        # inside a cell (numpy adds runs of 16 at its leaves), then one add
+        # per cell.  One sequential sum over every fine value read 120 and
+        # 208 eps sum|v| here
+        field = AnalyticField(lambda t, x: t * (2.0 + np.sin(x[:, 0])),
+                              RegularityParams(tau=1.0, lam=1.0, p=2.5))
+        x = brownian_path(cells, 48)
+        y = SamplePath(x.grid, 1.0 + x.grid.points)
+        got = nonlinear_young_integral(y, x, field, levels=levels).values
+        v, k = nonlinear_young_germs(y, x, field, levels), 2**levels
+        assert np.all(v > 0)
+        exact = np.array([math.fsum(v[: i * k]) for i in range(cells + 1)])
+        bound = (levels + cells + 16) * np.finfo(float).eps * exact
+        assert np.all(np.abs(got - exact) <= bound)
 
     def test_memory_is_one_blocks_not_the_fine_grids(self):
         # 2^20 fine cells: one array over them takes 8 MB, and the integral
