@@ -172,6 +172,10 @@ def zero_generator(t, x, y, z):
     return np.zeros_like(y)
 
 
+# it never reads z, so the PDE passes None there and builds no sigma grad u
+zero_generator.reads_z = False
+
+
 def zero_coupling(y):
     return np.zeros_like(y)
 

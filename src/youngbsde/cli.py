@@ -124,11 +124,20 @@ TERMINALS = {
     "running-max": lambda shift: lambda ens, idx: terminal_running_max()(ens, idx) + shift,
 }
 
+
+def _ignores_z(generator):
+    # f(t, x, y, z) never reads z: the PDE passes None there and builds no
+    # sigma grad u
+    generator.reads_z = False
+    return generator
+
+
 GENERATORS = {
     "zero": lambda coef: zero_generator,
-    "linear-y": lambda coef: lambda t, x, y, z: coef * y,
-    "sin-y": lambda coef: lambda t, x, y, z: coef * np.sin(y),
-    "sqrt-sin": lambda coef: lambda t, x, y, z: coef * np.sqrt(np.abs(x[:, 0])) * np.sin(y),
+    "linear-y": lambda coef: _ignores_z(lambda t, x, y, z: coef * y),
+    "sin-y": lambda coef: _ignores_z(lambda t, x, y, z: coef * np.sin(y)),
+    "sqrt-sin": lambda coef: _ignores_z(
+        lambda t, x, y, z: coef * np.sqrt(np.abs(x[:, 0])) * np.sin(y)),
 }
 
 COUPLINGS = {
@@ -262,9 +271,9 @@ MAX_PATH_POINTS = 2**23
 MAX_FD_CELLS_1D = 2**12
 
 # the most nodes, (time_steps + 1) * (cells + 1)^2, of a 2-D finite-difference
-# grid, cross-check's doubled grid included; the solution of one solve, the
-# only one held at a time, then takes 0.27 GB, and the default 2-D
-# cross-check has 2.9e7
+# grid, cross-check's doubled grid included; the experiments hold two time
+# levels at a time, so this bounds the run time (a whole solution of it would
+# take 0.27 GB), and the default 2-D cross-check has 2.9e7
 MAX_FD_NODES_2D = 2**25
 
 _DRIVERS = {

@@ -230,6 +230,7 @@ def _schur_chol(m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """
     n = m.size
     out = np.zeros((n, rhs.shape[1]))
+    prod = np.empty_like(out)  # each panel's product, in one buffer
     panel = np.zeros((_PANEL, n))
     p = m / math.sqrt(m[0])
     panel[0] = p
@@ -255,7 +256,8 @@ def _schur_chol(m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
             panel[k - k0, k:] = rot[0]
             gen[1:, k:] = rot[1:]
             gen[0, k + 1:] = rot[0, :-1]
-        out[k0:] += panel[:k1 - k0, k0:].T @ rhs[k0:k1]
+        np.matmul(panel[:k1 - k0, k0:].T, rhs[k0:k1], out=prod[:n - k0])
+        out[k0:] += prod[:n - k0]
         panel.fill(0.0)
     return np.cumsum(out, axis=0, out=out)
 

@@ -12,8 +12,11 @@ step: the explicit operator, applied axis by axis, and the implicit matrix,
 the Kronecker sum over the axes of the tridiagonal factor with that triple,
 solved by a dense inverse of that factor in 1-D, a sine-transform
 diagonalisation in 2-D without drift and a SuperLU factorisation in 2-D with
-drift.  The FD experiments read each solve at their points and drop it
-before the next, so one solution is held at a time.
+drift.  The steps are one generator of time levels, from the terminal slice
+back to t = 0; the FD experiments read their points from each pair of
+levels as it is stepped, so two levels are held at a time, and only
+fd_dirichlet_solve keeps them all.  sigma grad u is built only for a
+generator that reads it: one marked reads_z = False gets w = None.
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ class PdeSpec:
     """Terminal/boundary problem on the box [-halfwidth, halfwidth]^d.
 
     The diffusion is sigma I and the drift b (1, ..., 1), both constant;
-    f(t, x, u, w) takes the gradient slot w = sigma grad u; g(u) multiplies
+    f(t, x, u, w) takes the gradient slot w = sigma grad u (None for an f
+    whose attribute reads_z is False, as bsde.zero_generator and the CLI's
+    generators are marked); g(u) multiplies
     the driver's time derivative.  The driver must expose a time derivative
     (mollified or analytic-smooth).
     """
@@ -97,13 +102,18 @@ class PdeSolution:
 
     def value_at(self, t: float, x) -> float:
         """Multilinear interpolation of u at (t, x); ValueError off the grid."""
-        grids = (self.times, *self.axes)
-        pt = np.concatenate([[t], np.atleast_1d(np.asarray(x, dtype=float))])
-        if pt.size != len(grids):
-            raise ValueError(f"expected t and {len(grids) - 1} space coordinates, got {pt}")
-        if not all(g[0] <= c <= g[-1] for g, c in zip(grids, pt)):
-            raise ValueError(f"point {pt} outside the solution grid")
-        return float(blend(self.u, [locate(g, pt[i : i + 1]) for i, g in enumerate(grids)])[0])
+        return float(blend(self.u, _cells((self.times, *self.axes), t, x))[0])
+
+
+def _cells(grids, t: float, x) -> list:
+    """locate's cell of (t, x) on each of `grids`, the times and then the
+    space axes; ValueError off the grid."""
+    pt = np.concatenate([[t], np.atleast_1d(np.asarray(x, dtype=float))])
+    if pt.size != len(grids):
+        raise ValueError(f"expected t and {len(grids) - 1} space coordinates, got {pt}")
+    if not all(g[0] <= c <= g[-1] for g, c in zip(grids, pt)):
+        raise ValueError(f"point {pt} outside the solution grid")
+    return [locate(g, pt[i : i + 1]) for i, g in enumerate(grids)]
 
 
 def _nodes(axes) -> np.ndarray:
@@ -195,20 +205,32 @@ def _implicit_solver(half: tuple, shape: tuple):
     return splu(mat, permc_spec="MMD_AT_PLUS_A").solve
 
 
-def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeSolution:
-    """Crank-Nicolson solve of the terminal/boundary problem on the tensor
-    grid with `space_steps` cells per axis.
+def _grid(spec: PdeSpec, time_steps: int, space_steps: int):
+    """The solution grid: time_steps + 1 times on [0, horizon] and
+    space_steps + 1 nodes on each axis of the box."""
+    times = np.linspace(0.0, spec.horizon, time_steps + 1)
+    axes = [np.linspace(-spec.halfwidth, spec.halfwidth, space_steps + 1)] * spec.dim
+    return times, axes
+
+
+def _levels(spec: PdeSpec, time_steps: int, space_steps: int):
+    """Crank-Nicolson steps of the terminal/boundary problem on _grid's
+    tensor grid, yielding (k, u_k) for k = nt, ..., 0, u_k the level at
+    _grid's times[k]: the terminal slice first, then each level as it is
+    stepped.  Each level is a new array that is never written once yielded,
+    and a step reads only the level after it, so the scheme holds two levels
+    at a time.
 
     Boundary nodes carry h(x) exactly at all times; the terminal slice is
     h(x) exactly.  The explicit half of each step and the sigma grad u of
     the nonlinear terms are applied axis by axis; the implicit matrix
     is inverted (1-D), diagonalised (2-D, no drift) or factored (2-D with
-    drift) once.
+    drift) once.  A generator marked reads_z = False gets w = None in place
+    of sigma grad u, which is then never built.
     """
     nt = time_steps
     dt = spec.horizon / nt
-    times = np.linspace(0.0, spec.horizon, nt + 1)
-    axes = [np.linspace(-spec.halfwidth, spec.halfwidth, space_steps + 1)] * spec.dim
+    times, axes = _grid(spec, time_steps, space_steps)
     shape = tuple(ax.size for ax in axes)
     inner = (slice(1, -1),) * spec.dim
 
@@ -222,35 +244,67 @@ def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeS
     # the boundary values' share of the implicit half step, fixed in time
     bfeed = _apply(centre, lo, up, h_edge)
     grid_pts = _nodes([ax[1:-1] for ax in axes])
+    reads_w = getattr(spec.generator, "reads_z", True)
 
     def nonlinear(t, u_full, dt_eta):
-        w = np.stack([grad * _shifted(u_full, j, 1) - grad * _shifted(u_full, j, -1)
-                      for j in range(spec.dim)]).reshape(spec.dim, -1).T
+        w = None
+        if reads_w:
+            w = np.stack([grad * _shifted(u_full, j, 1) - grad * _shifted(u_full, j, -1)
+                          for j in range(spec.dim)]).reshape(spec.dim, -1).T
         uu = u_full[inner].ravel()
         return spec.generator(t, grid_pts, uu, w) + spec.coupling(uu) * dt_eta
 
     shape_int = tuple(n - 2 for n in shape)
-    u = np.empty((nt + 1, *shape))
-    u[-1] = h_vals
+    later = h_vals
+    yield nt, later
     # each level's driver derivative serves two steps: corrector, then predictor
     dt_eta = spec.fieldv.time_derivative(times[-1], grid_pts)
     for k in range(nt - 1, -1, -1):
-        base = (_apply(1.0 + centre, lo, up, u[k + 1]) + bfeed).ravel()  # I + dt/2 L
-        n_hi = nonlinear(times[k + 1], u[k + 1], dt_eta)
-        # predictor in u[k], then the corrector over it
-        u[k] = h_vals
-        u[k][inner] = solve(base + dt * n_hi).reshape(shape_int)
+        base = (_apply(1.0 + centre, lo, up, later) + bfeed).ravel()  # I + dt/2 L
+        n_hi = nonlinear(times[k + 1], later, dt_eta)
+        # predictor in u, then the corrector over it
+        u = h_vals.copy()
+        u[inner] = solve(base + dt * n_hi).reshape(shape_int)
         dt_eta = spec.fieldv.time_derivative(times[k], grid_pts)
-        n_lo = nonlinear(times[k], u[k], dt_eta)
-        u[k][inner] = solve(base + dt * 0.5 * (n_hi + n_lo)).reshape(shape_int)
+        n_lo = nonlinear(times[k], u, dt_eta)
+        u[inner] = solve(base + dt * 0.5 * (n_hi + n_lo)).reshape(shape_int)
+        yield k, u
+        later = u
+
+
+def fd_dirichlet_solve(spec: PdeSpec, time_steps: int, space_steps: int) -> PdeSolution:
+    """Crank-Nicolson solve of the terminal/boundary problem on the tensor
+    grid with `space_steps` cells per axis, every level kept: _levels's
+    steps stacked into one (nt+1, ...) array.  The experiments read their
+    points from _levels directly (_values_at) and never hold this array.
+    """
+    times, axes = _grid(spec, time_steps, space_steps)
+    u = np.empty((time_steps + 1, *(ax.size for ax in axes)))
+    for k, level in _levels(spec, time_steps, space_steps):
+        u[k] = level
     return PdeSolution(times=times, axes=axes, u=u)
 
 
 def _values_at(spec: PdeSpec, time_steps: int, space_steps: int, points) -> np.ndarray:
-    """u at each (t, x) of `points` from one fd_dirichlet_solve; the solution
-    is dropped on return, so the experiments hold one grid at a time."""
-    sol = fd_dirichlet_solve(spec, time_steps, space_steps)
-    return np.array([sol.value_at(t, x) for t, x in points])
+    """u at each (t, x) of `points`, read from _levels as it steps.  Each
+    point is blended in the pair of levels of the time cell that locate finds
+    on the full time grid, so every value is bitwise that of
+    fd_dirichlet_solve(...).value_at, while two levels are held at a time.
+    Every point is checked against the grid before the first step."""
+    times, axes = _grid(spec, time_steps, space_steps)
+    cells = [_cells((times, *axes), t, x) for t, x in points]
+    out = np.empty(len(cells))
+    later = None
+    for k, level in _levels(spec, time_steps, space_steps):
+        # the points whose time cell is [t_k, t_k+1]
+        at = [q for q, (time_cell, *_) in enumerate(cells) if time_cell[0][0] == k]
+        if at:
+            pair = np.stack((level, later))
+            for q in at:
+                (lo, frac), *space = cells[q]
+                out[q] = blend(pair, [(lo - k, frac), *space])[0]
+        later = level
+    return out
 
 
 @dataclass

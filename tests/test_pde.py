@@ -2,8 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -301,6 +301,82 @@ class TestFdSolve:
         assert abs(sol.value_at(0.0, (0.0, 0.0)) - want) <= 5e-3
 
 
+def _sqrt_sin(t, x, u, w):
+    return np.sqrt(np.abs(x[:, 0])) * np.sin(u)
+
+
+class TestStreamedReads:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_values_at_bitwise_equal_to_value_at(self, dim):
+        # a generator that reads w, and points at a grid time, strictly
+        # between two grid times, t = 0 and t = horizon, on nodes, between
+        # them and on the boundary
+        spec = heat_spec(halfwidth=1.0, sigma=1.0, g=np.sin, dim=dim,
+                         f=lambda t, x, u, w: 0.3 * np.sum(w, axis=1) + _sqrt_sin(t, x, u, w))
+        sol = fd_dirichlet_solve(spec, 8, 16)
+        times = [sol.times[3], 0.5 * (sol.times[5] + sol.times[6]), 0.0, spec.horizon]
+        xs = [[0.0] * dim, [0.3, -0.71][:dim], [1.0, 0.2][:dim], [-1.0] * dim]
+        points = [(t, x) for t in times for x in xs]
+        got = pde._values_at(spec, 8, 16, points)
+        assert got.tolist() == [sol.value_at(t, x) for t, x in points]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("off", ["late", "early", "outside", "too many", "nan"])
+    def test_values_at_rejects_points_off_the_grid_before_stepping(self, dim, off):
+        t, x = {
+            "late": (0.26, [0.0] * dim),
+            "early": (-0.01, [0.0] * dim),
+            "outside": (0.1, [0.0] * (dim - 1) + [1.01]),
+            "too many": (0.1, [0.0] * (dim + 1)),
+            "nan": (0.1, [np.nan] * dim),
+        }[off]
+        steps = []
+
+        def terminal(x):
+            steps.append(1)
+            return gaussian_bump(x)
+
+        spec = replace(heat_spec(halfwidth=1.0, dim=dim), terminal=terminal)
+        sol = fd_dirichlet_solve(spec, 4, 8)
+        with pytest.raises(ValueError) as full:
+            sol.value_at(t, x)
+        steps.clear()
+        with pytest.raises(ValueError) as streamed:
+            pde._values_at(spec, 4, 8, [(0.0, [0.0] * dim), (t, x)])
+        assert str(streamed.value) == str(full.value)
+        assert steps == []
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_marked_generator_gets_no_w_and_the_same_solution(self, dim):
+        seen = {}
+
+        def make(label):
+            def f(t, x, u, w):
+                seen[label] = w
+                return _sqrt_sin(t, x, u, w)
+            return f
+
+        marked, unmarked = make("marked"), make("unmarked")
+        marked.reads_z = False
+        sols = [fd_dirichlet_solve(heat_spec(halfwidth=1.0, sigma=1.0, g=np.sin, f=f, dim=dim), 8, 16)
+                for f in (marked, unmarked)]
+        assert np.array_equal(sols[0].u, sols[1].u)
+        assert seen["marked"] is None
+        assert seen["unmarked"].shape == (15**dim, dim)
+
+    def test_cli_generators_are_marked_and_ignore_z(self):
+        from youngbsde.bsde import zero_generator
+        from youngbsde.cli import GENERATORS
+
+        rng = np.random.default_rng(0)
+        x, y, z = rng.normal(size=(5, 2)), rng.normal(size=5), rng.normal(size=(5, 2))
+        for name, make in GENERATORS.items():
+            f = make(0.7)
+            assert f.reads_z is False, name
+            assert np.array_equal(f(0.1, x, y, None), f(0.1, x, y, z)), name
+        assert zero_generator.reads_z is False
+
+
 class TestYoungPdeTable:
     def test_smooth_driver_table_constant(self):
         table = young_pde_table(
@@ -357,30 +433,64 @@ class TestLocalizationError:
         assert out["slope"] < 0
 
 
+def _traced_peak(fn) -> int:
+    # tracemalloc's peak over a call of fn, which numpy's buffers count in;
+    # a first call, untraced, takes the one-time allocations
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stepping_holds_two_levels(dim):
+    # the peak of stepping with each level dropped once the next is taken
+    # does not grow with the number of steps: 64 steps peak within one level
+    # of 2 steps, which hold two levels and one step's working set
+    spec, cells = heat_spec(halfwidth=2.0, sigma=1.0, g=lambda u: u, dim=dim), 64
+    level = (cells + 1) ** dim * 8
+    two = _traced_peak(lambda: [None for _ in pde._levels(spec, 2, cells)])
+    many = _traced_peak(lambda: [None for _ in pde._levels(spec, 64, cells)])
+    assert many < two + level
+
+
 @pytest.mark.parametrize("experiment", ["table", "cross-check", "localization"])
-def test_experiments_hold_one_solution_at_a_time(experiment, monkeypatch):
-    # the solutions still alive when each new solve starts
-    solve, solutions, alive = pde.fd_dirichlet_solve, [], []
-
-    def tracked(*args):
-        alive.append(sum(ref() is not None for ref in solutions))
-        sol = solve(*args)
-        solutions.append(weakref.ref(sol))
-        return sol
-
-    monkeypatch.setattr(pde, "fd_dirichlet_solve", tracked)
-    points = [(0.0, 0.0), (0.1, 0.3)]
+def test_experiments_hold_two_levels_at_a_time(experiment):
+    # on a 2-D box, an experiment's peak stays within a few levels of the
+    # peak of stepping its largest problem with each level dropped once the
+    # next is taken (test_stepping_holds_two_levels), while
+    # fd_dirichlet_solve of that problem holds more than nt levels
+    nt, points = 32, [(0.0, (0.0, 0.0)), (0.1, (0.3, -0.2))]
     if experiment == "table":
-        young_pde_table(lambda n, fld: heat_spec(halfwidth=n, sigma=1.0, field=fld),
-                        smooth_field(), [1.0, 2.0], [2, 4], points, time_steps=8,
-                        cells_per_unit=4)
+        largest = heat_spec(halfwidth=2.0, sigma=1.0, field=MollifiedField(smooth_field(), 4), dim=2)
+        steps, cells = nt, 64
+
+        def run():
+            young_pde_table(lambda n, fld: heat_spec(halfwidth=n, sigma=1.0, field=fld, dim=2),
+                            smooth_field(), [1.0, 2.0], [2, 4], points, time_steps=nt,
+                            cells_per_unit=16)
     elif experiment == "cross-check":
-        feynman_kac_cross_check(heat_spec(halfwidth=2.0, sigma=1.0), points, n_paths=200,
-                                seed=0, time_steps=8, space_steps=16, mc_time_steps=8)
+        # the fine solve doubles the coarse one's steps in time and space
+        largest, steps, cells = heat_spec(halfwidth=2.0, sigma=1.0, dim=2), nt, 128
+
+        def run():
+            feynman_kac_cross_check(largest, points, n_paths=200, seed=0, time_steps=nt // 2,
+                                    space_steps=cells // 2, mc_time_steps=8)
     else:
-        localization_error_experiment(lambda n: heat_spec(halfwidth=n, sigma=1.0),
-                                      [1.0, 1.5], points, 2.0, time_steps=8, cells_per_unit=4)
-    assert len(alive) > 1 and alive == [0] * len(alive)
+        largest, steps, cells = heat_spec(halfwidth=2.0, sigma=1.0, dim=2), nt, 64
+
+        def run():
+            localization_error_experiment(lambda n: heat_spec(halfwidth=n, sigma=1.0, dim=2),
+                                          [1.0, 1.5], points, 2.0, time_steps=nt, cells_per_unit=16)
+    level = (cells + 1) ** 2 * 8
+    stepped = _traced_peak(lambda: [None for _ in pde._levels(largest, steps, cells)])
+    streamed = _traced_peak(run)
+    full = _traced_peak(lambda: fd_dirichlet_solve(largest, steps, cells))
+    assert streamed < stepped + 4 * level
+    assert full > steps * level
 
 
 class TestNeumann:
