@@ -57,16 +57,16 @@ from .bsde import (
 )
 from .driver import (
     MAX_FBS_AXIS,
-    AnalyticField,
     HurstParams,
     MollifiedField,
     RegularityParams,
+    SeparableField,
     assumption_check,
     fbs_generate,
 )
 from .flow import exp_formula_1d, inverse_flow, solve_linear_yode
 from .forward import SdeSpec, euler_maruyama
-from .paths import NumericalError, SamplePath, TimeGrid, dyadic_blocks
+from .paths import NumericalError, SamplePath, TimeGrid
 from .pde import (
     PdeSpec,
     feynman_kac_cross_check,
@@ -74,7 +74,7 @@ from .pde import (
     neumann_fk_estimate,
     young_pde_table,
 )
-from .sewing import nonlinear_young_integral
+from .sewing import left_point_sums
 
 
 class ConfigError(ValueError):
@@ -83,11 +83,10 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- registries
 
-def _affine_in_time(profile):
-    # the field profile(x) t, whose time derivative is profile(x)
-    return AnalyticField(
-        lambda t, x: profile(x) * t, RegularityParams(tau=1.0, lam=1.0, p=2.5),
-        dt_fn=lambda t, x: profile(x),
+def _affine_in_time(phi):
+    # the field t phi(x): a(t) = t, and a'(t) = 1 at every time, as a scalar
+    return SeparableField(
+        lambda t: t, phi, RegularityParams(tau=1.0, lam=1.0, p=2.5), da=lambda t: 1.0
     )
 
 
@@ -97,8 +96,8 @@ ANALYTIC_FIELDS = {
     "sin_x_time": _affine_in_time(lambda x: np.sin(x[:, 0])),
     "cos_x_time": _affine_in_time(lambda x: np.cos(x[:, 0])),
     "gauss_x_time": _affine_in_time(lambda x: np.exp(-x[:, 0] ** 2)),
-    "sin_x_t08": AnalyticField(
-        lambda t, x: np.sin(x[:, 0]) * t**0.8, RegularityParams(tau=0.8, lam=1.0, p=2.5),
+    "sin_x_t08": SeparableField(
+        lambda t: t**0.8, lambda x: np.sin(x[:, 0]), RegularityParams(tau=0.8, lam=1.0, p=2.5)
     ),
     "zero": _affine_in_time(lambda x: np.zeros(x.shape[0])),
 }
@@ -573,19 +572,23 @@ def _run_integrate(cfg, out_dir):
     x = _brownian_sample(cfg["cells"], cfg["path_seed"])
     grid, levels = x.grid, cfg["levels"]
     cases = ["time", "bilinear", "sin_x_time", "cos_x_time", "gauss_x_time"]
-    y = SamplePath(grid, np.cos(grid.points))
-    # every case's left-point quadrature of y d_t eta, summed block by block
-    quads = [0.0] * len(cases)
-    for _, (t, ys, xs) in dyadic_blocks(levels, grid.points, y.values, x.as_matrix()):
-        left, ys, xs, dt = t[:-1], ys[:-1], xs[:-1], np.diff(t)
-        for i, name in enumerate(cases):
-            quads[i] += float(np.sum(ys * ANALYTIC_FIELDS[name].time_derivative(left, xs) * dt))
-    # every case's Young sum, in one walk of the same refinement
     fields = [ANALYTIC_FIELDS[name] for name in cases]
-    youngs = nonlinear_young_integral(y, x, fields, levels=levels).values[-1]
+    y = SamplePath(grid, np.cos(grid.points))
+
+    def germ(s, t, ys, xs):
+        # per case, y_s phi(x_s) once, for the Young term y_s phi(x_s)
+        # (a(t) - a(s)) and the left quadrature term of y d_t eta,
+        # y_s phi(x_s) a'(s) (t - s)
+        dt = t - s
+        for fld in fields:
+            yphi = ys * fld.phi(xs)
+            yield yphi * (fld.a(t) - fld.a(s))
+            yield yphi * (fld.da(s) * dt)
+
+    sums = left_point_sums(germ, y, x, 2 * len(fields), levels).values[-1].tolist()
     rows = [
         {"case": name, "young": young, "riemann": quad, "abs_diff": abs(young - quad)}
-        for name, young, quad in zip(cases, youngs.tolist(), quads)
+        for name, young, quad in zip(cases, sums[0::2], sums[1::2])
     ]
     summary = [f"{r['case']}: |Young - Riemann| = {r['abs_diff']:.3e}" for r in rows]
     ok = all(r["abs_diff"] <= 1e-6 for r in rows)

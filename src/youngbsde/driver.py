@@ -2,12 +2,15 @@
 
 Fields vanish at t = 0: a sampled sheet's t = 0 slice is zero, and an
 analytic field's function must vanish there (it is evaluated as given).
-Concrete fields: closed-form analytic fields, grid-sampled fractional
-Brownian sheets with multilinear interpolation, and time-mollified wrappers
-with a quadrature time derivative.  Each has one per-point kernel; the
-queries and the field increment eta(t1, x) - eta(t0, x) are implemented
-once, on the base class.  Times are absolute: a problem that starts at an
-interior time evaluates the field at its own grid's times.
+Concrete fields: closed-form analytic fields, separable fields
+a(t) phi(x), grid-sampled fractional Brownian sheets with multilinear
+interpolation, and time-mollified wrappers with a quadrature time
+derivative.  Each has one per-point kernel; the queries and the field
+increment eta(t1, x) - eta(t0, x) are implemented once, on the base class;
+a separable field alone answers them itself, calling phi once each and
+computing its time factor once at a scalar time.  Times are absolute: a
+problem that starts at an interior time evaluates the field at its own
+grid's times.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "HurstParams",
     "DriverField",
     "AnalyticField",
+    "SeparableField",
     "FbsGridField",
     "MollifiedField",
     "fbs_generate",
@@ -100,7 +104,8 @@ class DriverField:
     clamped lattice cells.  A lattice field also gives its slices at
     single times as profiles on that lattice (``_rows``), so a query at
     one time reduces time first and then blends space once per point.
-    Every other query, and every increment, goes to ``_at``.
+    Every other query, and every increment, goes to ``_at``; a separable
+    field replaces this dispatch with its own.
     """
 
     _lattice = None
@@ -118,11 +123,11 @@ class DriverField:
 
     def time_derivative(self, t, x) -> np.ndarray:
         """d/dt eta with evaluate's argument shapes."""
+        if not self.has_time_derivative:
+            raise NotImplementedError(f"{type(self).__name__} has no time derivative")
         return self._query(t, x, True)
 
     def _query(self, t, x, derivative: bool) -> np.ndarray:
-        if derivative and not self.has_time_derivative:
-            raise NotImplementedError(f"{type(self).__name__} has no time derivative")
         x = np.asarray(x, dtype=float)
         where = self._where(x)
         if np.ndim(t) == 0 and self._lattice is not None:
@@ -177,6 +182,41 @@ class AnalyticField(DriverField):
 
     def _at(self, t, x, derivative):
         return np.asarray((self._dt_fn if derivative else self._fn)(t, x), dtype=float)
+
+
+class SeparableField(DriverField):
+    """The field a(t) phi(x), with its time derivative a'(t) phi(x) when
+    ``da`` is given.  ``a`` and ``da`` take a scalar time or times (k,) and
+    return a scalar or (k,); ``phi(x)`` is vectorized, x (k, d) -> (k,); a
+    must vanish at 0.  Each query and increment calls phi once, an
+    increment being (a(t1) - a(t0)) phi(x), and a scalar time stays a
+    scalar, so its time factor is computed once."""
+
+    def __init__(self, a, phi, params, da=None, dim=1, horizon=1.0):
+        super().__init__(params, dim, horizon)
+        self.a, self.phi, self.da = a, phi, da
+
+    @property
+    def has_time_derivative(self) -> bool:
+        return self.da is not None
+
+    def _query(self, t, x, derivative):
+        return self._at(np.asarray(t, dtype=float), np.asarray(x, dtype=float), derivative)
+
+    def increment(self, t0, t1, x) -> np.ndarray:
+        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+        return self._times_phi(self.a(t1) - self.a(t0), np.asarray(x, dtype=float))
+
+    def _at(self, t, x, derivative):
+        return self._times_phi((self.da if derivative else self.a)(t), x)
+
+    def _times_phi(self, factor, x):
+        phi = np.asarray(self.phi(x), dtype=float)
+        # a product with a scalar 1, as a' of a field affine in time, is
+        # phi itself, so it is skipped
+        if np.ndim(factor) == 0 and factor == 1:
+            return phi
+        return factor * phi
 
 
 def _fbm_cov(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:

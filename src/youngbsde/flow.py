@@ -8,8 +8,9 @@ dyadically ``levels`` times,
     d_eta_j = eta(t_{j+1}, x_{t_j}) - eta(t_j, x_{t_j}),
 
 which is the one left-point sum sewing.nonlinear_young_integral forms on
-the same refinement, and both bracket a base cell pairwise: the integral
-adds the cell's 2^levels germ values by numpy's pairwise sum, and the step
+the same refinement (by sewing.left_point_sums, over the field's
+increments), and both bracket a base cell pairwise: the integral adds the
+cell's 2^levels germ values by numpy's pairwise sum, and the step
 factor of one base cell is the product of its 2^levels fine factors,
 formed pairwise in ``levels`` rounds; the pairwise bracketing moves it by
 rounding only.  The fine factors are built and multiplied out in blocks of

@@ -4,15 +4,17 @@
 ``Germ``, on every dyadic refinement of a base grid, levels 0 through a
 given one, and keeps their Cauchy record.  The nonlinear Young integral of
 a scalar path y against eta(dr, x_r) is one such sum, of A(s, t) =
-y_s (eta(t, x_s) - eta(s, x_s)), on the requested level only.  Paths are extended to the
-refinement points by linear interpolation, matching the grid-supremum
-path-norm convention used throughout, and read there by one blend instead
-of a search.  The integral sums one driver field, or each of a sequence,
-in one walk of the refinement in blocks of whole base cells
-(paths.dyadic_blocks), so its memory is one block's, not the fine grid's.
-Each base cell's 2^levels germ values are added pairwise (numpy's sum), as
-the flow brackets a cell's fine factors, and the running integral is the
-sequential sum of the cell sums, carried from block to block; ``sew``
+y_s (eta(t, x_s) - eta(s, x_s)), on the requested level only.  Paths are
+extended to the refinement points by linear interpolation, matching the
+grid-supremum path-norm convention used throughout, and read there by one
+blend instead of a search.  ``left_point_sums`` is the one walk of that
+refinement, in blocks of whole base cells (paths.dyadic_blocks), so its
+memory is one block's, not the fine grid's: a germ gives any number of
+columns per block, and each is summed as it comes.  Each base cell's
+2^levels germ values are added pairwise (numpy's sum), as the flow
+brackets a cell's fine factors, and the running sum is the sequential sum
+of the cell sums, carried from block to block.  The integral is that walk
+over the increments of one driver field, or of each of a sequence; ``sew``
 refines its grid whole (paths.dyadic_interp) at each level.
 """
 
@@ -27,7 +29,7 @@ import numpy as np
 from .driver import DriverField
 from .paths import NumericalError, SamplePath, TimeGrid, dyadic_blocks, dyadic_interp
 
-__all__ = ["Germ", "IntegralResult", "sew", "nonlinear_young_integral"]
+__all__ = ["Germ", "IntegralResult", "sew", "left_point_sums", "nonlinear_young_integral"]
 
 
 def _finite(out, s, t) -> np.ndarray:
@@ -100,13 +102,53 @@ def sew(germ: Germ, grid: TimeGrid, levels: int = 12) -> IntegralResult:
     )
 
 
+def left_point_sums(
+    germ, y: SamplePath, x: SamplePath, columns: int, levels: int = 12
+) -> SamplePath:
+    """Running left-point sums, at x's grid points, of ``columns`` germs on
+    the level-``levels`` dyadic refinement of that grid, in one walk of it.
+
+    y is a scalar path on x's grid.  ``germ(s, t, ys, xs)`` takes one block
+    of fine cells: their left points s (b,), right points t (b,), and the
+    paths at the left points, ys (b,) and xs (b, d).  It returns an
+    iterable of ``columns`` germ columns, each (b,); each is summed before
+    the next is drawn, so a generator holds one at a time.  Each base
+    cell's 2^levels values of a column are added pairwise (numpy's sum),
+    then the cell sums in order, carried from block to block.  A non-finite
+    value raises NumericalError naming its subinterval.  Returns values
+    (n, columns).
+    """
+    grid = x.grid
+    if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
+        raise ValueError("y and x must share a time grid")
+    if y.values.ndim != 1:
+        raise ValueError("y must be a scalar path, values of shape (n,)")
+    k = 2**levels
+    running = np.zeros((grid.n, columns))
+    for c, (t, ys, xs) in dyadic_blocks(levels, grid.points, y.values, x.as_matrix()):
+        left, right = t[:-1], t[1:]
+        m = left.size // k
+        for q, vals in enumerate(germ(left, right, ys[:-1], xs[:-1])):
+            vals = np.asarray(vals, dtype=float)
+            # a non-finite term makes its cell sum non-finite (+inf and -inf
+            # terms make a NaN, silently), so only a column with a
+            # non-finite cell sum is searched for one
+            with np.errstate(invalid="ignore"):
+                cell = vals.reshape(m, k).sum(axis=1)
+            if not np.isfinite(cell).all():
+                _finite(vals, left, right)
+            cell[0] += running[c, q]  # the sum so far
+            np.cumsum(cell, out=running[c + 1 : c + 1 + m, q])
+    return SamplePath(grid, running)
+
+
 def nonlinear_young_integral(
     y: SamplePath, x: SamplePath, fieldv: DriverField | Sequence[DriverField], levels: int = 12
 ) -> SamplePath:
     """Running integral of the scalar path y against eta(dr, x_r) at x's grid
     points: the left-point sum of y_s (eta(t, x_s) - eta(s, x_s)) over the
-    cells of the level-``levels`` dyadic refinement of that grid, each base
-    cell's germ values added pairwise, then the cell sums in order.
+    cells of the level-``levels`` dyadic refinement of that grid, by
+    left_point_sums.
 
     ``fieldv`` is one DriverField, for values (n,), or a sequence of F of
     them, for values (n, F) whose column q is the integral against
@@ -124,19 +166,9 @@ def nonlinear_young_integral(
             warnings.warn(
                 f"{name} do not guarantee convergence: tau + lam/p <= 1", stacklevel=2
             )
-    grid = x.grid
-    if y.grid.n != grid.n or not np.allclose(y.grid.points, grid.points):
-        raise ValueError("y and x must share a time grid")
-    if y.values.ndim != 1:
-        raise ValueError("y must be a scalar path, values of shape (n,)")
-    k = 2**levels
-    running = np.zeros((grid.n, len(fields)))
-    for c, (t, ys, xs) in dyadic_blocks(levels, grid.points, y.values, x.as_matrix()):
-        left, right, ys, xs = t[:-1], t[1:], ys[:-1], xs[:-1]
-        m = left.size // k
-        for q, fld in enumerate(fields):
-            vals = _finite(ys * fld.increment(left, right, xs), left, right)
-            cell = vals.reshape(m, k).sum(axis=1)
-            cell[0] += running[c, q]  # the sum so far
-            np.cumsum(cell, out=running[c + 1 : c + 1 + m, q])
-    return SamplePath(grid, running[:, 0] if single else running)
+
+    def germ(s, t, ys, xs):
+        return (ys * fld.increment(s, t, xs) for fld in fields)
+
+    out = left_point_sums(germ, y, x, len(fields), levels)
+    return SamplePath(out.grid, out.values[:, 0]) if single else out

@@ -16,6 +16,7 @@ from youngbsde.cli import (
     MAX_FD_CELLS_1D, MAX_FD_NODES_2D, MAX_FINE_POINTS, MAX_PATH_POINTS, main, validate_config,
     ConfigError,
 )
+from youngbsde.paths import NumericalError
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -77,6 +78,53 @@ class TestCliRuns:
             assert float(line.split(",")[idx]) <= 1e-6
         assert (out / "manifest.json").exists()
         assert "PASS" in (out / "summary.txt").read_text()
+
+    _INTEGRATE_CASES = ["time", "bilinear", "sin_x_time", "cos_x_time", "gauss_x_time"]
+
+    def test_integrate_evaluates_each_profile_once_per_fine_point(self, monkeypatch):
+        # 8 cells at level 6: one walk, each case's phi called on each of the
+        # 512 fine left points once, for its Young term and its quadrature
+        # term both; no opaque AnalyticField function is reached
+        from youngbsde.driver import AnalyticField
+
+        counts = dict.fromkeys(self._INTEGRATE_CASES, 0)
+
+        def counted(name, phi):
+            def wrapped(x):
+                counts[name] += x.shape[0]
+                return phi(x)
+            return wrapped
+
+        for name in self._INTEGRATE_CASES:
+            fld = cli.ANALYTIC_FIELDS[name]
+            monkeypatch.setattr(fld, "phi", counted(name, fld.phi))
+        monkeypatch.setattr(AnalyticField, "_at", lambda *a: pytest.fail("AnalyticField reached"))
+        rows, summary = cli._run_integrate({"cells": 8, "levels": 6, "path_seed": 5}, None)
+        assert counts == dict.fromkeys(self._INTEGRATE_CASES, 8 * 2**6)
+        assert [r["case"] for r in rows] == self._INTEGRATE_CASES
+        assert summary[-1] == "smooth reduction (tol 1e-6): PASS"
+
+    def test_integrate_non_finite_quadrature_exits_3_naming_its_subinterval(
+            self, tmp_path, capsys, monkeypatch):
+        # a' NaN past t = 0.5: the quadrature column is checked as the Young
+        # columns are, so the run fails instead of writing FAIL; at 8 cells
+        # and level 2 the first fine cell past 0.5 is (0.53125, 0.5625)
+        fld = cli.ANALYTIC_FIELDS["gauss_x_time"]
+        monkeypatch.setattr(fld, "da", lambda t: np.where(t > 0.5, np.nan, 1.0))
+        with pytest.raises(NumericalError, match=r"subinterval \(0\.53125, 0\.5625\)"):
+            cli._run_integrate({"cells": 8, "levels": 2, "path_seed": 5}, None)
+        p = write_cfg(tmp_path, {"experiment": "integrate", "levels": 2, "cells": 8})
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert "subinterval (0.53125, 0.5625)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["cross-check", "localization-error"])
+    def test_pde_experiments_need_a_time_derivative(self, tmp_path, capsys, experiment):
+        # t^0.8 sin x has none
+        p = write_cfg(tmp_path, {"experiment": experiment, "seed": 1,
+                                 "driver": {"kind": "analytic", "name": "sin_x_t08"}})
+        assert main(["check", str(p)]) == 2
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("needs a driver with a time derivative") == 2
 
     def test_assumptions_region_pass(self, tmp_path, capsys):
         p = write_cfg(

@@ -12,6 +12,7 @@ from youngbsde.driver import (
     HurstParams,
     MollifiedField,
     RegularityParams,
+    SeparableField,
     assumption_check,
     fbs_generate,
 )
@@ -64,6 +65,55 @@ class TestAnalyticField:
         f = linear_field()
         assert f.evaluate(0.5, np.array([[1.0]])).shape == (1,)
         assert f.evaluate(np.array([0.1, 0.2]), np.array([[0.0], [1.0]])).shape == (2,)
+
+
+def _separable_fields():
+    # every registered field, and one whose time factor is not affine
+    fields = dict(ANALYTIC_FIELDS)
+    fields["t15_gauss"] = SeparableField(
+        lambda t: t**1.5, lambda x: np.exp(-np.sum(x**2, axis=1)),
+        RegularityParams(tau=1.0, lam=1.0, p=2.5), da=lambda t: 1.5 * np.sqrt(t), dim=2,
+    )
+    return fields
+
+
+class TestSeparableField:
+    @pytest.mark.parametrize("name", list(_separable_fields()))
+    def test_increment_and_derivative_match_their_definitions(self, name):
+        # increment = evaluate(t1) - evaluate(t0) and time_derivative =
+        # a'(t) phi(x), at one time for every point and at one per point
+        f = _separable_fields()[name]
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-3.0, 3.0, (50, f.dim))
+        t0, t1 = rng.uniform(0.0, 1.0, (2, 50))
+        for a, b in [(0.25, 0.75), (t0, t1)]:
+            want = f.evaluate(b, x) - f.evaluate(a, x)
+            np.testing.assert_allclose(f.increment(a, b, x), want, rtol=0, atol=1e-13)
+            if f.has_time_derivative:
+                want = f.da(np.asarray(b)) * f.phi(x)
+                np.testing.assert_allclose(f.time_derivative(b, x), want, rtol=0, atol=1e-13)
+            assert f.evaluate(b, x).shape == f.increment(a, b, x).shape == (50,)
+
+    def test_a_scalar_time_factor_is_computed_once(self):
+        calls = []
+
+        def a(t):
+            calls.append(np.shape(t))
+            return t**2
+
+        f = SeparableField(a, lambda x: np.cos(x[:, 0]), RegularityParams(tau=1.0, lam=1.0),
+                           da=lambda t: 2 * t)
+        x = np.linspace(-1.0, 1.0, 40)[:, None]
+        np.testing.assert_array_equal(f.evaluate(0.5, x), 0.25 * np.cos(x[:, 0]))
+        f.increment(0.25, 0.5, x)
+        assert calls == [(), (), ()]
+        np.testing.assert_array_equal(f.time_derivative(0.5, x), np.cos(x[:, 0]))
+
+    def test_sin_x_t08_has_no_time_derivative(self):
+        f = ANALYTIC_FIELDS["sin_x_t08"]
+        assert not f.has_time_derivative
+        with pytest.raises(NotImplementedError, match="no time derivative"):
+            f.time_derivative(0.5, np.zeros((3, 1)))
 
 
 class TestFbs:

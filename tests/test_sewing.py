@@ -19,7 +19,7 @@ from oracles import (
 from youngbsde import paths
 from youngbsde.driver import AnalyticField, HurstParams, RegularityParams, fbs_generate
 from youngbsde.paths import NumericalError, SamplePath, TimeGrid, dyadic_interp
-from youngbsde.sewing import Germ, nonlinear_young_integral, sew
+from youngbsde.sewing import Germ, left_point_sums, nonlinear_young_integral, sew
 
 
 def brownian_path(n_cells, seed, horizon=1.0):
@@ -226,6 +226,47 @@ class TestBlockWalk:
         assert i >= 32  # past the first two blocks
         with pytest.raises(NumericalError, match=rf"\({pts[i]}, {pts[i + 1]}\)"):
             nonlinear_young_integral(SamplePath(x.grid, np.ones(17)), x, field, levels=2)
+
+    def test_left_point_sums_columns_are_the_integrals_bitwise(self, monkeypatch):
+        # a germ's columns are the integrands it yields, each summed as the
+        # integral sums its field's, here over blocks of 1, 3 and 8 cells
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", 24)
+        x = brownian_path(13, 44)
+        y = SamplePath(x.grid, np.sin(3 * x.grid.points) - x.values)
+        fields = [sin_t_field(0.8), self._fields()["fbs"]]
+
+        def germ(s, t, ys, xs):
+            for fld in fields:
+                yield ys * fld.increment(s, t, xs)
+            yield ys * (t - s)
+
+        got = left_point_sums(germ, y, x, 3, levels=3).values
+        assert got.shape == (14, 3)
+        for q, fld in enumerate(fields):
+            want = nonlinear_young_integral(y, x, fld, levels=3).values
+            assert got[:, q].tobytes() == want.tobytes()
+        np.testing.assert_allclose(got[:, 2], np.concatenate([[0.0], np.cumsum(
+            y.values[:-1] * np.diff(x.grid.points))]), rtol=0, atol=0.05)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf, -np.inf]])
+    def test_left_point_sums_name_the_first_non_finite_value(self, monkeypatch, bad):
+        # in the second column of a later block; +inf and -inf in one cell
+        # sum to NaN with no warning, and the first of them is named
+        monkeypatch.setattr(paths, "_BLOCK_CELLS", 16)  # 4 cells at level 2
+        x = brownian_path(16, 45)
+        pts = dyadic_interp(x.grid.points, 2)
+
+        def germ(s, t, ys, xs):
+            yield ys * (t - s)
+            col = ys * (t - s)
+            i = np.searchsorted(s, pts[40])
+            if i < s.size and s[i] == pts[40]:
+                col[i : i + len(bad)] = bad
+            yield col
+
+        with pytest.raises(NumericalError, match=rf"\({pts[40]}, {pts[41]}\)"):
+            left_point_sums(germ, SamplePath(x.grid, np.ones(17)), x, 2, levels=2)
 
     def test_zero_sum_keeps_its_sign_across_seams(self, monkeypatch):
         # y = 0 against a decreasing field: every germ value is -0.0.  A cell
